@@ -173,8 +173,6 @@ def policy_from_object(obj: dict) -> FilterPolicy:
         )
     if "time_basis" in obj:
         kwargs["time_basis"] = obj["time_basis"]
-    if "coalesce_window_seconds" in obj:
-        kwargs["coalesce_window_seconds"] = obj["coalesce_window_seconds"]
     return FilterPolicy(**kwargs)
 
 
@@ -204,6 +202,11 @@ def load_records(
     return records, report, project
 
 
+def print_rejects(report: IngestReport, label: str = "chronolint") -> None:
+    for position, reason in report.rejects:
+        print(f"{label}: rejected {position}: {reason}", file=sys.stderr)
+
+
 def group_by_project(records: Iterable[CommitRecord]) -> dict[str, list[CommitRecord]]:
     corpus: dict[str, list[CommitRecord]] = {}
     for r in records:
@@ -214,6 +217,10 @@ def group_by_project(records: Iterable[CommitRecord]) -> dict[str, list[CommitRe
 def scan_corpus(
     corpus: dict[str, list[CommitRecord]], cfg: DetectorConfig
 ) -> set[AnomalyRecord]:
+    """Build each project's history and run every detector over it.
+
+    The only place histories are built and detectors run for a command.
+    """
     anomalies: set[AnomalyRecord] = set()
     for project in sorted(corpus):
         history = build_history(corpus[project], project)
@@ -230,11 +237,10 @@ def build_report(
 ) -> ScanReport:
     """Assemble the full scan report: totals, tables, fingerprints, tokens."""
     report = summarize(corpus, anomalies)
-    reference = cfg.resolved_reference()
     report.meta = {
         "tool_version": __version__,
-        "scan_time": render_instant(reference),
-        "future_reference": render_instant(reference),
+        "scan_time": render_instant(cfg.future_reference),
+        "future_reference": render_instant(cfg.future_reference),
         "old_threshold": render_instant(cfg.old_threshold),
         "time_basis": cfg.time_basis,
         "merge_exclusion": cfg.merge_exclusion,
@@ -277,61 +283,67 @@ def write_report(report: ScanReport, format: str, out: str | None) -> None:
     write_output(emit(report, format), out)
 
 
+def finish_scan(
+    args: argparse.Namespace,
+    corpus: dict[str, list[CommitRecord]],
+    anomalies: set[AnomalyRecord],
+    cfg: DetectorConfig,
+    rules: Sequence[FingerprintRule],
+    failures: list[dict] | None = None,
+) -> int:
+    """Write the report and anomaly stream of a scan; return its exit code."""
+    report = build_report(corpus, anomalies, cfg, rules, top=args.top)
+    if failures is not None:
+        report.meta["failures"] = failures
+    write_report(report, args.format, args.out)
+    if args.anomalies_out:
+        commits = {r.id: r for recs in corpus.values() for r in recs}
+        with open(args.anomalies_out, "wb") as fh:
+            fh.write(emit_anomaly_stream(anomalies, commits))
+    return EXIT_ANOMALIES if anomalies else EXIT_CLEAN
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
     config = load_config_file(args.config)
     cfg = detector_config_from(args, config)
     rules = fingerprint_rules_from_config(config)
     records, ingest_report, _ = load_records(args)
-    for position, reason in ingest_report.rejects:
-        print(f"chronolint: rejected {position}: {reason}", file=sys.stderr)
+    print_rejects(ingest_report)
     corpus = group_by_project(records)
-    anomalies = scan_corpus(corpus, cfg)
-    report = build_report(corpus, anomalies, cfg, rules, top=args.top)
-    write_report(report, args.format, args.out)
-    if args.anomalies_out:
-        commits = {r.id: r for r in records}
-        with open(args.anomalies_out, "wb") as fh:
-            fh.write(emit_anomaly_stream(anomalies, commits))
-    return EXIT_ANOMALIES if anomalies else EXIT_CLEAN
+    return finish_scan(args, corpus, scan_corpus(corpus, cfg), cfg, rules)
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
     config = load_config_file(args.config)
     policy_obj = load_config_file(args.policy) if args.policy else config.get("policy", {})
     policy = policy_from_object(policy_obj)
-    records, _, _ = load_records(args)
-    corpus = group_by_project(records)
-
-    corpus = drop_projects(corpus, policy.project_blacklist)
-    kept: list[CommitRecord] = []
-    dropped: list[str] = []
-    blacklisted = len(records) - sum(len(v) for v in corpus.values())
+    records, ingest_report, _ = load_records(args)
+    print_rejects(ingest_report)
+    corpus = drop_projects(group_by_project(records), policy.project_blacklist)
+    kept = [r for recs in corpus.values() for r in recs]
+    blacklisted = len(records) - len(kept)
+    dropped = 0
     basis = policy.time_basis
-    for project in sorted(corpus):
-        recs = corpus[project]
-        if policy.drop_flagged_kinds:
-            cfg = detector_config_from(args, config)
-            history = build_history(recs, project)
-            anomalies = run_all_detectors(history, cfg)
-            recs, gone = drop_flagged(recs, anomalies, policy.drop_flagged_kinds)
-            dropped.extend(gone)
-        if policy.min_epoch_seconds is not None:
-            recs, gone = drop_pre_epoch(recs, policy.min_epoch_seconds, basis)
-            dropped.extend(gone)
-        if policy.cutoff is not None:
-            recs, gone = date_cutoff(recs, policy.cutoff, policy.cutoff_mode, basis)
-            dropped.extend(gone)
-        if policy.window is not None:
-            before = {r.id for r in recs}
-            recs = time_window(recs, policy.window[0], policy.window[1], basis)
-            dropped.extend(sorted(before - {r.id for r in recs}))
-        kept.extend(recs)
+    if policy.drop_flagged_kinds:
+        anomalies = scan_corpus(corpus, detector_config_from(args, config))
+        kept, gone = drop_flagged(kept, anomalies, policy.drop_flagged_kinds)
+        dropped += len(gone)
+    if policy.min_epoch_seconds is not None:
+        kept, gone = drop_pre_epoch(kept, policy.min_epoch_seconds, basis)
+        dropped += len(gone)
+    if policy.cutoff is not None:
+        kept, gone = date_cutoff(kept, policy.cutoff, policy.cutoff_mode, basis)
+        dropped += len(gone)
+    if policy.window is not None:
+        windowed = time_window(kept, policy.window[0], policy.window[1], basis)
+        dropped += len(kept) - len(windowed)
+        kept = windowed
 
     kept.sort(key=lambda r: (r.project, r.commit_time.epoch_seconds, r.id))
     write_output(emit_export_stream(kept), args.out)
     summary = {
         "kept": len(kept),
-        "dropped": len(dropped) + blacklisted,
+        "dropped": dropped + blacklisted,
         "dropped_blacklisted_projects": blacklisted,
     }
     if args.out is not None:
@@ -352,22 +364,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    report = ScanReport()
+    # commit counts are not in the stream, so every denominator reads 0
+    report = summarize({}, anomalies)
     report.meta = {"tool_version": __version__, "source": args.infile}
-    counts: dict[str, int] = {}
-    for a in anomalies:
-        counts[a.kind.value] = counts.get(a.kind.value, 0) + 1
-    report.anomalies = {
-        kind.value: {
-            "count": len({a.commit_id for a in anomalies if a.kind is kind}),
-            "affected_projects": len({a.project for a in anomalies if a.kind is kind}),
-            "corpus_percent": 0.0,
-            "corpus_denominator": 0,
-            "affected_percent": 0.0,
-            "affected_denominator": 0,
-        }
-        for kind in AnomalyKind
-    }
     if args.top_projects:
         report.top_projects = top_n(anomalies, key="project", n=args.top_projects)
     if args.top_authors:
@@ -432,11 +431,12 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if not entries:
         raise UsageError("corpus list is empty")
 
-    def scan_one(entry: str) -> tuple[str, list[CommitRecord], set[AnomalyRecord]]:
-        path = _ensure_local(entry, args.cache)
-        records, _ = read_repository(path, entry)
-        history = build_history(records, entry)
-        return entry, records, run_all_detectors(history, cfg)
+    # detection stays in the worker so a GraphError fails only its repository
+    def scan_one(
+        entry: str,
+    ) -> tuple[list[CommitRecord], IngestReport, set[AnomalyRecord]]:
+        records, ingest_report = read_repository(_ensure_local(entry, args.cache), entry)
+        return records, ingest_report, scan_corpus({entry: records}, cfg)
 
     corpus: dict[str, list[CommitRecord]] = {}
     anomalies: set[AnomalyRecord] = set()
@@ -446,27 +446,20 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         for future in concurrent.futures.as_completed(futures):
             entry = futures[future]
             try:
-                project, records, found = future.result()
+                records, ingest_report, found = future.result()
             except (ChronolintError, OSError) as exc:
                 failures[entry] = str(exc)
                 print(f"chronolint: {entry}: {exc}", file=sys.stderr)
                 continue
-            corpus[project] = records
+            print_rejects(ingest_report, f"chronolint: {entry}")
+            corpus[entry] = records
             anomalies |= found
 
     if not corpus:
         print("chronolint: all repositories failed", file=sys.stderr)
         return EXIT_ERROR
-    report = build_report(corpus, anomalies, cfg, rules, top=args.top)
-    report.meta["failures"] = [
-        {"entry": entry, "error": failures[entry]} for entry in sorted(failures)
-    ]
-    write_report(report, args.format, args.out)
-    if args.anomalies_out:
-        commits = {r.id: r for recs in corpus.values() for r in recs}
-        with open(args.anomalies_out, "wb") as fh:
-            fh.write(emit_anomaly_stream(anomalies, commits))
-    return EXIT_ANOMALIES if anomalies else EXIT_CLEAN
+    failed = [{"entry": entry, "error": failures[entry]} for entry in sorted(failures)]
+    return finish_scan(args, corpus, anomalies, cfg, rules, failures=failed)
 
 
 def _add_input_options(parser: argparse.ArgumentParser) -> None:

@@ -58,19 +58,15 @@ DEFAULT_FINGERPRINT_RULES: tuple[FingerprintRule, ...] = (
 @dataclass(frozen=True)
 class DetectorConfig:
     old_threshold: Timestamp = Timestamp(CVS_RELEASE_EPOCH)
-    future_reference: Timestamp | None = None  # None: wall clock at scan time
+    # read once per config, so one run judges every project against one instant
+    future_reference: Timestamp = field(
+        default_factory=lambda: Timestamp(int(time.time()))
+    )
     merge_exclusion: bool = True
     time_basis: str = "committer"
 
-    def resolved_reference(self) -> Timestamp:
-        if self.future_reference is not None:
-            return self.future_reference
-        return Timestamp(int(time.time()))
-
     def __post_init__(self) -> None:
-        if self.future_reference is not None and not (
-            self.old_threshold < self.future_reference
-        ):
+        if not self.old_threshold < self.future_reference:
             raise ConfigError("old threshold must precede the future reference")
 
 
@@ -111,7 +107,7 @@ def detect_old(history: RepoHistory, cfg: DetectorConfig) -> set[AnomalyRecord]:
 
 def detect_future(history: RepoHistory, cfg: DetectorConfig) -> set[AnomalyRecord]:
     """Flag commits dated strictly after the future reference instant."""
-    reference = cfg.resolved_reference()
+    reference = cfg.future_reference
     found: set[AnomalyRecord] = set()
     for r in history.commits.values():
         t = _basis_time(r, cfg)
@@ -226,13 +222,6 @@ def scan_fingerprints(
             if pattern.search(message):
                 hits[name].add(r.id)
     return {name: (len(ids), sorted(ids)) for name, ids in hits.items()}
-
-
-def intersect_anomalies(
-    a: Iterable[AnomalyRecord], b: Iterable[AnomalyRecord]
-) -> set[str]:
-    """Commit ids flagged (under any kind) in both anomaly sets."""
-    return {x.commit_id for x in a} & {x.commit_id for x in b}
 
 
 def run_all_detectors(

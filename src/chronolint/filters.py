@@ -20,9 +20,6 @@ from .model import (
     Timestamp,
 )
 
-# re-exported here because every filter reads time through normalize/select
-from .ingest import normalize_time  # noqa: F401
-
 
 def select_time_basis(record: CommitRecord, basis: str = "author") -> Timestamp:
     """Return the record's author or committer timestamp per policy."""
@@ -93,18 +90,26 @@ def drop_flagged(
     anomalies: Iterable[AnomalyRecord],
     kinds: Iterable[AnomalyKind],
 ) -> tuple[list[CommitRecord], list[str]]:
-    """Drop exactly the records flagged with one of the given kinds."""
+    """Drop exactly the records flagged with one of the given kinds.
+
+    A flag names a commit within its project, so a commit shared by several
+    projects is dropped only from those it was flagged in.
+    """
     records = list(records)
     kinds = set(kinds)
-    known = {r.id for r in records}
-    flagged: set[str] = set()
+    known: dict[str, set[str]] = {}
+    for r in records:
+        known.setdefault(r.project, set()).add(r.id)
+    flagged: dict[str, set[str]] = {}
     for a in anomalies:
-        if a.commit_id not in known:
-            raise ConsistencyError(f"anomaly references unknown commit {a.commit_id}")
+        if a.commit_id not in known.get(a.project, ()):
+            raise ConsistencyError(
+                f"anomaly references unknown commit {a.commit_id} in project {a.project}"
+            )
         if a.kind in kinds:
-            flagged.add(a.commit_id)
-    kept = [r for r in records if r.id not in flagged]
-    dropped = [r.id for r in records if r.id in flagged]
+            flagged.setdefault(a.project, set()).add(a.commit_id)
+    kept = [r for r in records if r.id not in flagged.get(r.project, ())]
+    dropped = [r.id for r in records if r.id in flagged.get(r.project, ())]
     return kept, dropped
 
 

@@ -25,9 +25,14 @@ def build_history(records: Iterable[CommitRecord], project: str) -> RepoHistory:
     Among nodes whose parents have all been emitted, the smallest
     (commit epoch, id) pair goes next, so the order is identical across
     runs and input permutations. Parents absent from the record set
-    (boundary parents) cannot constrain ordering and are ignored.
+    (boundary parents) cannot constrain ordering and are ignored. An id
+    that appears twice raises GraphError rather than collapsing silently.
     """
-    commits = {r.id: r for r in records}
+    commits: dict[str, CommitRecord] = {}
+    for r in records:
+        if r.id in commits:
+            raise GraphError(f"duplicate commit id {r.id} in project {project}")
+        commits[r.id] = r
     indegree = {cid: 0 for cid in commits}
     children: dict[str, list[str]] = {cid: [] for cid in commits}
     for r in commits.values():

@@ -24,6 +24,7 @@ from typing import IO, Iterable
 from .model import (
     CommitRecord,
     GitEnvironmentError,
+    MAX_OFFSET_MINUTES,
     RepositoryError,
     Timestamp,
     is_commit_hash,
@@ -57,12 +58,11 @@ _EXPORT_FIELD_ORDER = (
 
 @dataclass
 class IngestReport:
-    """Outcome of one ingestion or validation pass."""
+    """Outcome of one ingestion pass."""
 
     records_parsed: int = 0
     records_rejected: int = 0
     rejects: list[tuple[str, str]] = field(default_factory=list)
-    boundary_parents: set[str] = field(default_factory=set)
 
     def reject(self, position: str, reason: str) -> None:
         self.records_rejected += 1
@@ -78,10 +78,8 @@ def parse_offset(text: str) -> int:
     if m is None:
         raise ValueError(f"malformed UTC offset: {text!r}")
     sign, hh, mm = m.group(1), int(m.group(2)), int(m.group(3))
-    if hh > 24 or mm > 59:
-        raise ValueError(f"UTC offset out of range: {text!r}")
     minutes = hh * 60 + mm
-    if minutes > 1440:
+    if mm > 59 or minutes > MAX_OFFSET_MINUTES:
         raise ValueError(f"UTC offset out of range: {text!r}")
     return -minutes if sign == "-" else minutes
 
@@ -314,39 +312,3 @@ def read_repository(
     # git log order depends on walk internals; normalize for reproducibility
     records.sort(key=lambda r: (r.commit_time.epoch_seconds, r.id))
     return records, report
-
-
-def validate(records: Iterable[CommitRecord]) -> IngestReport:
-    """Check structural invariants over a record set.
-
-    Flags duplicate ids, malformed hashes, out-of-range offsets and
-    self-parenting; parents referenced but absent from the set are collected
-    as boundary parents (shallow or partial history), not errors.
-    """
-    records = list(records)
-    report = IngestReport()
-    seen: set[str] = set()
-    all_ids = {r.id for r in records}
-    for r in records:
-        reasons = []
-        if not is_commit_hash(r.id):
-            reasons.append("malformed id")
-        elif r.id in seen:
-            reasons.append("duplicate id")
-        seen.add(r.id)
-        if r.id in r.parents:
-            reasons.append("self-parenting")
-        if len(set(r.parents)) != len(r.parents):
-            reasons.append("duplicate parents")
-        for ts, label in ((r.author_time, "author"), (r.commit_time, "committer")):
-            if not -1440 <= ts.utc_offset_minutes <= 1440:
-                reasons.append(f"{label} offset out of range")
-        if reasons:
-            report.records_rejected += 1
-            report.rejects.extend((r.id, reason) for reason in reasons)
-        else:
-            report.records_parsed += 1
-        for p in r.parents:
-            if p not in all_ids:
-                report.boundary_parents.add(p)
-    return report

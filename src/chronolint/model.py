@@ -1,9 +1,9 @@
 """Core domain types shared by all chronolint modules.
 
 All types here are immutable after construction and safe to share between
-worker threads. Structural validity of commit records (hash shapes,
-duplicate ids, parent references) is checked in :mod:`chronolint.ingest`,
-not in the constructors.
+worker threads. Structural validity of commit records is checked outside
+the constructors: hash shapes in :mod:`chronolint.ingest`, duplicate ids
+and parent cycles in :mod:`chronolint.graph`.
 """
 
 from __future__ import annotations
@@ -151,7 +151,6 @@ class FilterPolicy:
     project_blacklist: frozenset[str] = frozenset()
     drop_flagged_kinds: frozenset[AnomalyKind] = frozenset()
     time_basis: str = "author"
-    coalesce_window_seconds: int = 180
 
     def __post_init__(self) -> None:
         if self.time_basis not in ("author", "committer"):
@@ -160,8 +159,6 @@ class FilterPolicy:
             raise ConfigError(f"unknown cutoff mode: {self.cutoff_mode!r}")
         if self.window is not None and self.window[0] > self.window[1]:
             raise ConfigError("window start is after window end")
-        if self.coalesce_window_seconds is not None and self.coalesce_window_seconds <= 0:
-            raise ConfigError("coalesce window must be positive")
 
 
 @dataclass(frozen=True)

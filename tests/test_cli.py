@@ -104,6 +104,27 @@ class TestScan:
                     "--old-threshold", "1990-11-19", "--reference", REF,
                     "--out", str(out)]) == 0
 
+    def test_unpinned_run_uses_one_reference(self, tmp_path, monkeypatch):
+        clock = iter(range(1_600_000_000, 1_700_000_000, 1000))
+        monkeypatch.setattr("time.time", lambda: float(next(clock)))
+        future = utc_epoch(2030)
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(emit_export_stream([
+            rec("f1", commit_epoch=future, project="one"),
+            rec("f2", commit_epoch=future, project="two"),
+        ]))
+        out = tmp_path / "r.json"
+        anomalies_out = tmp_path / "a.jsonl"
+        assert run(["scan", "--jsonl", str(src), "--out", str(out),
+                    "--anomalies-out", str(anomalies_out)]) == 1
+        meta_reference = parse_instant(read_json(out)["meta"]["future_reference"])
+        rows = [json.loads(line) for line in anomalies_out.read_text().splitlines()]
+        future_rows = [row for row in rows if row["kind"] == "future"]
+        assert len(future_rows) == 2
+        assert {row["reference_epoch"] for row in future_rows} == {
+            meta_reference.epoch_seconds
+        }
+
     def test_csv_directory_output(self, tmp_path):
         src = tmp_path / "in.jsonl"
         src.write_bytes(emit_export_stream([rec("a", commit_epoch=0)]))
@@ -159,6 +180,23 @@ class TestFilter:
         assert run(["filter", "--jsonl", str(src), "--policy", str(policy),
                     "--out", str(out)]) == 0
         assert out.read_bytes() == src.read_bytes()
+
+    def test_ingest_rejects_reported(self, tmp_path, capsys):
+        records = [rec(("rj", i), commit_epoch=1_500_000_000 + i) for i in range(3)]
+        policy = tmp_path / "policy.json"
+        policy.write_text("{}")
+        clean, dirty = tmp_path / "clean.jsonl", tmp_path / "dirty.jsonl"
+        clean.write_bytes(canonical(records))
+        lines = canonical(records).splitlines(keepends=True)
+        dirty.write_bytes(lines[0] + b"not json\n" + b"".join(lines[1:]))
+        outs = []
+        for src in (clean, dirty):
+            out = tmp_path / f"{src.stem}-kept.jsonl"
+            assert run(["filter", "--jsonl", str(src), "--policy", str(policy),
+                        "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert "chronolint: rejected line 2: invalid JSON" in capsys.readouterr().err
 
     def test_project_blacklist(self, tmp_path):
         a = rec("a", project="keep")
@@ -246,6 +284,20 @@ class TestCorpus:
         merged = read_json(out)
         assert len(merged["meta"]["failures"]) == 1
         assert str(tmp_path / "nope") in merged["meta"]["failures"][0]["entry"]
+
+    def test_ingest_rejects_reported(self, tmp_path, capsys):
+        repo = tmp_path / "repo"
+        shas = build_repo(repo, [
+            {"key": "a", "commit_epoch": 1_500_000_000},
+            {"key": "b", "commit_epoch": 1_500_000_060, "parents": ["a"],
+             "message": "lone \x1f unit separator"},
+        ])
+        listing = tmp_path / "list.txt"
+        listing.write_text(f"{repo}\n")
+        assert run(["corpus", "--list", str(listing), "--reference", REF,
+                    "--out", str(tmp_path / "o.json")]) == 0
+        err = capsys.readouterr().err
+        assert f"chronolint: {repo}: rejected {shas['b']}: wrong field count" in err
 
     def test_all_failed_exit_two(self, tmp_path):
         listing = tmp_path / "list.txt"

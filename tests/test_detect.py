@@ -11,7 +11,6 @@ from chronolint.detect import (
     detect_old,
     detect_out_of_order_linear,
     detect_out_of_order_parent,
-    intersect_anomalies,
     is_merge_related,
     run_all_detectors,
     scan_fingerprints,
@@ -264,27 +263,6 @@ class TestFingerprints:
             "git-svn-id", "Reviewed-by", "Change-Id",
             "rebase_source", "hg", "MOE|push_codebase",
         ]
-
-
-class TestIntersect:
-    def test_disjoint(self):
-        a = detect_old(history_of(rec("a", commit_epoch=0)), CFG)
-        b = detect_future(history_of(rec("b", commit_epoch=utc_epoch(2030))), CFG)
-        assert intersect_anomalies(a, b) == set()
-
-    def test_identical_singletons(self):
-        found = detect_old(history_of(rec("a", commit_epoch=0)), CFG)
-        assert intersect_anomalies(found, found) == {rec("a", commit_epoch=0).id}
-
-    def test_planted_overlap(self):
-        overlap = [rec(("both", i), commit_epoch=0,
-                       parents=(rec(("par", i), commit_epoch=100).id,))
-                   for i in range(5)]
-        parents = [rec(("par", i), commit_epoch=100) for i in range(5)]
-        history = build_history(overlap + parents, "proj")
-        old = detect_old(history, CFG)
-        ooo = detect_out_of_order_parent(history)
-        assert intersect_anomalies(old, ooo) == {r.id for r in overlap}
 
 
 def test_all_flags_reference_scanned_commits():

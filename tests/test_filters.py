@@ -114,6 +114,17 @@ class TestDropFlagged:
         )
         assert dropped == [c.id]
 
+    def test_flag_drops_only_its_project(self):
+        p = rec("p", commit_epoch=1000)
+        c = rec("c", commit_epoch=900, parents=(p.id,))
+        fork = [rec("p", commit_epoch=1000, project="fork"),
+                rec("c", commit_epoch=900, parents=(p.id,), project="fork")]
+        anomalies = detect_out_of_order_parent(build_history([p, c], "proj"))
+        kept, dropped = drop_flagged(
+            [p, c, *fork], anomalies, {AnomalyKind.OUT_OF_ORDER_PARENT}
+        )
+        assert kept == [p, *fork] and dropped == [c.id]
+
     def test_rescan_after_drop_is_clean(self):
         rng = random.Random(42)
         records = []

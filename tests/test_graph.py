@@ -58,8 +58,16 @@ class TestBuildHistory:
         a_id, b_id = fake_hash("a"), fake_hash("b")
         a = rec("a", commit_epoch=1, parents=(b_id,))
         b = rec("b", commit_epoch=2, parents=(a_id,))
-        with pytest.raises(GraphError, match="cycle"):
-            build_history([a, b], "proj")
+        self_parent = rec("a", commit_epoch=1, parents=(a_id,))
+        for records in ([a, b], [self_parent]):
+            with pytest.raises(GraphError, match="cycle"):
+                build_history(records, "proj")
+
+    def test_duplicate_id_raises(self):
+        a = rec("a", commit_epoch=1)
+        twin = rec("a", commit_epoch=2, message="other")
+        with pytest.raises(GraphError, match=f"duplicate commit id {a.id} in project proj"):
+            build_history([a, rec("b"), twin], "proj")
 
 
 class TestLinearize:

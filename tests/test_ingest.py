@@ -11,9 +11,9 @@ from chronolint.ingest import (
     parse_export_stream,
     parse_offset,
     read_repository,
-    validate,
 )
-from chronolint.model import CommitRecord, GitEnvironmentError, RepositoryError
+from chronolint.graph import build_history
+from chronolint.model import CommitRecord, GitEnvironmentError, GraphError, RepositoryError
 from helpers import build_repo, fake_hash, rec, ts
 
 
@@ -54,6 +54,12 @@ class TestParseExportStream:
         assert report.records_rejected == 1
         assert report.rejects[0] == ("line 1", "missing id")
 
+    def test_malformed_id_rejected(self):
+        data = jsonl(minimal_obj(id="A" * 40), minimal_obj())
+        records, report = parse_export_stream(data, "p")
+        assert [r.id for r in records] == ["a" * 40]
+        assert report.rejects == [("line 1", "malformed id")]
+
     def test_empty_stream(self):
         records, report = parse_export_stream(b"", "p")
         assert records == []
@@ -75,6 +81,27 @@ class TestParseExportStream:
         records, report = parse_export_stream(data, "p")
         assert report.records_parsed == 2
         assert report.records_rejected == 1
+
+
+class TestValidate:
+    """Structural checks on ingested records, made when the history is built."""
+
+    def test_self_parenting(self):
+        a = "a" * 40
+        records, report = parse_export_stream(jsonl(minimal_obj(id=a, parents=[a])), "p")
+        assert report.records_rejected == 0
+        with pytest.raises(GraphError, match=f"cycle detected in commit graph involving {a}"):
+            build_history(records, "p")
+
+    def test_boundary_parent_collected(self):
+        absent = fake_hash("absent")
+        b = fake_hash("b")
+        records, report = parse_export_stream(jsonl(minimal_obj(id=b, parents=[absent])), "p")
+        assert report.records_rejected == 0
+        history = build_history(records, "p")
+        assert history.order == (b,)
+        assert history.commits[b].parents == (absent,)
+        assert absent not in history.commits
 
 
 hashes = st.integers(min_value=0, max_value=10**6).map(fake_hash)
@@ -143,41 +170,6 @@ class TestOffsets:
         with pytest.raises(ValueError):
             parse_offset("0530")
         assert parse_offset("+2400") == 1440
-
-
-class TestValidate:
-    def test_duplicate_id(self):
-        a = rec("a")
-        report = validate([a, a])
-        assert ("duplicate id" in reason for _, reason in report.rejects)
-        assert report.records_rejected == 1
-
-    def test_self_parenting(self):
-        a = rec("a")
-        bad = CommitRecord(
-            id=a.id, parents=(a.id,), author_time=a.author_time,
-            commit_time=a.commit_time, author_name=a.author_name,
-            author_email=a.author_email, message=a.message, project=a.project,
-        )
-        report = validate([bad])
-        assert any(reason == "self-parenting" for _, reason in report.rejects)
-
-    def test_boundary_parent_collected(self):
-        absent = fake_hash("absent")
-        b = rec("b", parents=(absent,))
-        report = validate([b])
-        assert report.boundary_parents == {absent}
-        assert report.records_rejected == 0
-
-    def test_malformed_hash(self):
-        a = rec("a")
-        bad = CommitRecord(
-            id="nothex", parents=(), author_time=a.author_time,
-            commit_time=a.commit_time, author_name="x", author_email="x",
-            message="m", project="p",
-        )
-        report = validate([bad])
-        assert any(reason == "malformed id" for _, reason in report.rejects)
 
 
 class TestReadRepository:

@@ -57,8 +57,5 @@ def test_policy_validation():
         FilterPolicy(time_basis="neither")
     with pytest.raises(ConfigError):
         FilterPolicy(window=(ts(10), ts(5)))
-    with pytest.raises(ConfigError):
-        FilterPolicy(coalesce_window_seconds=0)
     assert FilterPolicy().min_epoch_seconds == 1
     assert FilterPolicy().time_basis == "author"
-    assert FilterPolicy().coalesce_window_seconds == 180
