@@ -328,6 +328,10 @@ def cmd_filter(args: argparse.Namespace) -> int:
         anomalies = scan_corpus(corpus, detector_config_from(args, config))
         kept, gone = drop_flagged(kept, anomalies, policy.drop_flagged_kinds)
         dropped += len(gone)
+    else:
+        # build the histories anyway, so filter rejects what scan rejects
+        for project, recs in corpus.items():
+            build_history(recs, project)
     if policy.min_epoch_seconds is not None:
         kept, gone = drop_pre_epoch(kept, policy.min_epoch_seconds, basis)
         dropped += len(gone)

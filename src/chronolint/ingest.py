@@ -1,10 +1,14 @@
 """Produce validated CommitRecord sets from a live repository or an export.
 
-Live ingestion shells out to the system ``git`` executable rather than
-parsing object storage; the fixed format string captures both commit dates
-with their offsets bit-exactly. Record/field delimiters are the ASCII
-record/unit separators (0x1E / 0x1F) so that arbitrary message bytes,
-including newlines, survive.
+Live ingestion reads raw commit objects through the system ``git``
+executable: ``git rev-list`` walks the history and pipes the ids straight
+into ``git cat-file --batch``, which prints each object after a header
+giving its size. Each object is sliced by that size, so no byte of a
+message can be mistaken for a delimiter. Both dates are read from the
+``author``/``committer`` headers as stored (epoch and zone), and names,
+emails and messages are the stored bytes decoded with surrogateescape.
+With ``with_files``, ``git diff-tree --stdin`` lists each commit's changed
+paths.
 
 The portable export format is JSONL: one flat object per line with fields
 ``id``, ``parents``, ``author_time``, ``author_tz``, ``commit_time``,
@@ -18,6 +22,7 @@ import json
 import os
 import re
 import subprocess
+import tempfile
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
@@ -32,27 +37,16 @@ from .model import (
 
 GIT_ENV_VAR = "CHRONOLINT_GIT"
 
-# %H hash, %P parents, %at/%ai author epoch+iso, %ct/%ci committer epoch+iso,
-# %an name, %ae email, %B raw body.
-LOG_FORMAT = "%H%x1f%P%x1f%at %ai%x1f%ct %ci%x1f%an%x1f%ae%x1f%B%x1e"
-
-_RECORD_SEP = b"\x1e"
-_FIELD_SEP = b"\x1f"
-_RECORD_START = re.compile(rb"[0-9a-f]{40}\x1f")
 _OFFSET_RE = re.compile(r"^([+-])(\d{2})(\d{2})$")
-
-_EXPORT_FIELD_ORDER = (
-    "id",
-    "parents",
-    "author_time",
-    "author_tz",
-    "commit_time",
-    "commit_tz",
-    "author_name",
-    "author_email",
-    "message",
-    "files",
-    "project",
+# cat-file --batch prints "<oid> commit <size>" before each object
+_ENTRY_RE = re.compile(rb"([0-9a-f]{40}) commit (\d+)\n")
+# the headers git writes first, in this order; gpgsig, mergetag and
+# encoding headers may follow, and the message starts after a blank line
+_HEADER_RE = re.compile(
+    rb"tree [0-9a-f]{40}\n"
+    rb"((?:parent [0-9a-f]{40}\n)*)"
+    rb"author ([^<\n]*?) *<([^>\n]*)> (-?\d+) ([^ \n]+)\n"
+    rb"committer [^\n]*> (-?\d+) ([^ \n]+)\n"
 )
 
 
@@ -200,48 +194,97 @@ def git_executable() -> str:
     return os.environ.get(GIT_ENV_VAR, "git")
 
 
-def _run_git(path: str, args: list[str]) -> bytes:
+
+
+def _start_git(path: str, args: list[str], stdin) -> tuple[subprocess.Popen, IO[bytes]]:
+    """Start one git sub-command with its stdout piped.
+
+    Its stderr goes to a temporary file, which never fills, so the process
+    cannot block on it.
+    """
     cmd = [git_executable(), "-C", path, *args]
+    err = tempfile.TemporaryFile()
     try:
-        proc = subprocess.run(cmd, capture_output=True)
+        proc = subprocess.Popen(
+            cmd, bufsize=1 << 16, stdin=stdin, stdout=subprocess.PIPE, stderr=err
+        )
     except FileNotFoundError as exc:
+        err.close()
         raise GitEnvironmentError(f"git executable not found: {cmd[0]}") from exc
-    if proc.returncode != 0:
-        stderr = proc.stderr.decode("utf-8", errors="replace").strip()
-        raise RepositoryError(f"git {args[0]} failed in {path}: {stderr}")
-    return proc.stdout
+    return proc, err
 
 
-def _parse_log_record(
-    chunk: bytes, project: str, report: IngestReport
-) -> CommitRecord | None:
-    fields = chunk.split(_FIELD_SEP)
-    if len(fields) != 7:
-        report.reject(fields[0][:40].decode("ascii", "replace"), "wrong field count")
-        return None
-    def text(b: bytes) -> str:
-        # surrogateescape keeps arbitrary message bytes round-trippable
-        return b.decode("utf-8", errors="surrogateescape")
-    commit_id = text(fields[0])
-    try:
-        author_epoch_s, author_iso = text(fields[2]).split(" ", 1)
-        commit_epoch_s, commit_iso = text(fields[3]).split(" ", 1)
-        author_time = normalize_time(int(author_epoch_s), author_iso.rsplit(" ", 1)[-1])
-        commit_time = normalize_time(int(commit_epoch_s), commit_iso.rsplit(" ", 1)[-1])
-    except ValueError as exc:
-        report.reject(commit_id, f"bad timestamp: {exc}")
-        return None
-    parents = tuple(p for p in text(fields[1]).split(" ") if p)
-    return CommitRecord(
-        id=commit_id,
-        parents=parents,
-        author_time=author_time,
-        commit_time=commit_time,
-        author_name=text(fields[4]),
-        author_email=text(fields[5]),
-        message=text(fields[6]),
-        project=project,
+def _finish_git(proc: subprocess.Popen, err: IO[bytes], path: str) -> None:
+    """Wait for a git sub-command and raise RepositoryError naming it if it failed."""
+    with err:
+        if proc.wait() != 0:
+            err.seek(0)
+            stderr = err.read().decode("utf-8", errors="replace").strip()
+            raise RepositoryError(f"git {proc.args[3]} failed in {path}: {stderr}")
+
+
+def _read_commits(stream: IO[bytes], path: str, report: IngestReport) -> list[tuple]:
+    """Parse a cat-file --batch stream into CommitRecord fields, one tuple per commit."""
+    commits = []
+    while line := stream.readline():
+        entry = _ENTRY_RE.fullmatch(line)
+        if entry is None:
+            raise RepositoryError(f"git cat-file: unexpected output in {path}: {line!r}")
+        oid = entry[1].decode("ascii")
+        size = int(entry[2])
+        data = stream.read(size + 1)  # the object and its trailing LF
+        m = _HEADER_RE.match(data, 0, size)
+        if m is None:
+            report.reject(oid, "malformed commit header")
+            continue
+        parents, name, email, a_epoch, a_zone, c_epoch, c_zone = m.groups()
+        try:
+            author_time = normalize_time(int(a_epoch), a_zone.decode("latin-1"))
+            commit_time = normalize_time(int(c_epoch), c_zone.decode("latin-1"))
+        except ValueError as exc:
+            report.reject(oid, f"bad timestamp: {exc}")
+            continue
+        blank = data.find(b"\n\n", m.end() - 1, size)
+        message = data[blank + 2:size] if blank >= 0 else b""
+        commits.append((
+            oid,
+            tuple(parents.decode("ascii").split()[1::2]),
+            author_time,
+            commit_time,
+            # surrogateescape keeps arbitrary bytes round-trippable
+            name.decode("utf-8", errors="surrogateescape"),
+            email.decode("utf-8", errors="surrogateescape"),
+            message.decode("utf-8", errors="surrogateescape"),
+        ))
+        report.records_parsed += 1
+    return commits
+
+
+def _changed_files(path: str, ids: list[str]) -> dict[str, frozenset[str]]:
+    """Each commit's changed paths; a merge has none.
+
+    ``--always`` prints every id fed in, in order, even with no paths after
+    it, so each id is known in advance and no path is mistaken for one.
+    """
+    proc, err = _start_git(
+        path,
+        ["diff-tree", "--stdin", "-r", "--root", "--always", "--name-only", "-z"],
+        subprocess.PIPE,
     )
+    out, _ = proc.communicate("".join(f"{oid}\n" for oid in ids).encode("ascii"))
+    _finish_git(proc, err, path)
+    files: dict[str, list[str]] = {}
+    pending = iter(ids)
+    upcoming = next(pending, None)
+    current: list[str] = []
+    for token in out.split(b"\0")[:-1]:
+        text = token.decode("utf-8", errors="surrogateescape")
+        if text == upcoming:
+            current = files[text] = []
+            upcoming = next(pending, None)
+        else:
+            current.append(text)
+    return {oid: frozenset(names) for oid, names in files.items()}
 
 
 def read_repository(
@@ -254,61 +297,24 @@ def read_repository(
     """Read commit metadata from a git repository on disk.
 
     By default every ref is walked (``--all``); first_parent/branches narrow
-    the walk for studies that want main-branch-only history. with_files adds
-    ``--name-only`` and populates each record's changed-file set.
+    the walk for studies that want main-branch-only history. with_files
+    populates each record's changed-file set. A commit whose header cannot
+    be read is rejected in the report; the rest are kept.
     """
-    args = ["log"]
-    if branches is not None:
-        args.append(f"--branches={branches}")
-    else:
-        args.append("--all")
+    walk = ["rev-list", "--all" if branches is None else f"--branches={branches}"]
     if first_parent:
-        args.append("--first-parent")
-    args.append(f"--pretty=format:{LOG_FORMAT}")
-    if with_files:
-        args.append("--name-only")
-    out = _run_git(path, args)
-
+        walk.append("--first-parent")
     report = IngestReport()
-    records: list[CommitRecord] = []
-    trailing_files: list[list[str]] = []  # file lines following each record
-    chunks = out.split(_RECORD_SEP)
-    for i, chunk in enumerate(chunks):
-        if i > 0:
-            # Text between the previous record separator and this record's
-            # hash is the previous commit's --name-only file list.
-            m = _RECORD_START.search(chunk)
-            head, chunk = (chunk[: m.start()], chunk[m.start():]) if m else (chunk, b"")
-            if with_files and records:
-                names = [
-                    ln.decode("utf-8", errors="surrogateescape")
-                    for ln in head.split(b"\n")
-                    if ln.strip()
-                ]
-                trailing_files.append(names)
-        if not chunk.strip():
-            continue
-        record = _parse_log_record(chunk, project, report)
-        if record is not None:
-            records.append(record)
-            report.records_parsed += 1
-    if with_files:
-        while len(trailing_files) < len(records):
-            trailing_files.append([])
-        records = [
-            CommitRecord(
-                id=r.id,
-                parents=r.parents,
-                author_time=r.author_time,
-                commit_time=r.commit_time,
-                author_name=r.author_name,
-                author_email=r.author_email,
-                message=r.message,
-                project=r.project,
-                files=frozenset(names),
-            )
-            for r, names in zip(records, trailing_files)
-        ]
-    # git log order depends on walk internals; normalize for reproducibility
+    rev_list, rev_err = _start_git(path, walk, subprocess.DEVNULL)
+    # rev-list writes its ids straight into cat-file through an OS pipe
+    cat_file, cat_err = _start_git(path, ["cat-file", "--batch", "--buffer"], rev_list.stdout)
+    rev_list.stdout.close()
+    with cat_file.stdout:
+        commits = _read_commits(cat_file.stdout, path, report)
+    _finish_git(cat_file, cat_err, path)
+    _finish_git(rev_list, rev_err, path)
+    files = _changed_files(path, [c[0] for c in commits]) if with_files else {}
+    records = [CommitRecord(*c, project=project, files=files.get(c[0])) for c in commits]
+    # the walk order depends on git internals; normalize for reproducibility
     records.sort(key=lambda r: (r.commit_time.epoch_seconds, r.id))
     return records, report

@@ -21,21 +21,6 @@ from .model import AnomalyKind, AnomalyRecord, CommitRecord, Timestamp
 
 TOKEN_RE = re.compile(r"[0-9a-z/_-]+")
 
-_ANOMALY_FIELD_ORDER = (
-    "kind",
-    "commit_id",
-    "project",
-    "observed_epoch",
-    "observed_tz",
-    "reference_epoch",
-    "counterpart_id",
-    "delta_seconds",
-    "author_name",
-    "author_email",
-    "message",
-)
-
-
 @dataclass(frozen=True)
 class CutoffRow:
     year: int
@@ -54,14 +39,6 @@ class ScanReport:
     cutoff_table: list[CutoffRow] = field(default_factory=list)
     fingerprints: dict[str, int] = field(default_factory=dict)
     tokens: list[tuple[str, int]] = field(default_factory=list)
-
-    @property
-    def total_flagged(self) -> int:
-        return len(
-            set().union(*(k["commit_ids"] for k in self.anomalies.values()))
-            if self.anomalies
-            else set()
-        )
 
 
 def default_stopwords() -> frozenset[str]:
@@ -90,16 +67,15 @@ def summarize(
 
     for kind in AnomalyKind:
         flagged = [a for a in anomalies if a.kind is kind]
-        ids = sorted({a.commit_id for a in flagged})
+        count = len({a.commit_id for a in flagged})
         projects = {a.project for a in flagged}
         affected_commits = sum(project_sizes.get(p, 0) for p in projects)
         report.anomalies[kind.value] = {
-            "count": len(ids),
-            "commit_ids": ids,
+            "count": count,
             "affected_projects": len(projects),
-            "corpus_percent": len(ids) / total_commits if total_commits else 0.0,
+            "corpus_percent": count / total_commits if total_commits else 0.0,
             "corpus_denominator": total_commits,
-            "affected_percent": len(ids) / affected_commits if affected_commits else 0.0,
+            "affected_percent": count / affected_commits if affected_commits else 0.0,
             "affected_denominator": affected_commits,
         }
     return report
@@ -218,10 +194,7 @@ def _report_object(report: ScanReport) -> dict:
     return {
         "meta": dict(sorted(report.meta.items())),
         "totals": report.totals,
-        "anomalies": {
-            kind: {k: v for k, v in stats.items() if k != "commit_ids"}
-            for kind, stats in sorted(report.anomalies.items())
-        },
+        "anomalies": dict(sorted(report.anomalies.items())),
         "top_projects": report.top_projects,
         "top_authors": report.top_authors,
         "cutoff_table": [

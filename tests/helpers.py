@@ -312,3 +312,21 @@ def build_repo(path, commits: list[dict]) -> dict[str, str]:
             mark, sha = line.split()
             mark_to_sha[int(mark.lstrip(":"))] = sha
     return {key: mark_to_sha[m] for key, m in marks.items()}
+
+
+def write_raw_commit(path, headers: str, message: str, ref: str) -> str:
+    """Write a commit object byte for byte with ``hash-object --literally``.
+
+    ``headers`` are the lines after ``tree``, which is the empty tree; the
+    object is stored even when git would refuse to create it. Points
+    ``refs/heads/<ref>`` at it and returns its sha.
+    """
+    def git(*args, data=b""):
+        return subprocess.run(["git", "-C", str(path), *args], input=data,
+                              check=True, capture_output=True).stdout.decode().strip()
+
+    tree = git("mktree")
+    body = f"tree {tree}\n{headers}\n{message}".encode("utf-8", "surrogateescape")
+    sha = git("hash-object", "-t", "commit", "--literally", "-w", "--stdin", data=body)
+    git("update-ref", f"refs/heads/{ref}", sha)
+    return sha

@@ -4,9 +4,9 @@ import random
 import pytest
 
 from chronolint.cli import main, parse_instant
-from chronolint.ingest import emit_export_stream, parse_export_stream
+from chronolint.ingest import emit_export_stream, parse_export_stream, read_repository
 from chronolint.model import Timestamp
-from helpers import build_repo, planted_corpus, rec, utc_epoch
+from helpers import build_repo, planted_corpus, rec, utc_epoch, write_raw_commit
 
 REF = "2021-01-01T00:00:00+00:00"
 
@@ -198,6 +198,22 @@ class TestFilter:
         assert outs[0] == outs[1]
         assert "chronolint: rejected line 2: invalid JSON" in capsys.readouterr().err
 
+    def test_duplicate_id_rejected_as_scan_does(self, tmp_path, capsys):
+        first = rec("dup", commit_epoch=1_500_000_000)
+        second = rec("dup", commit_epoch=1_500_000_060, message="same id again")
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(emit_export_stream([first, second]))
+        policy = tmp_path / "policy.json"
+        policy.write_text("{}")
+        out = tmp_path / "kept.jsonl"
+        assert run(["filter", "--jsonl", str(src), "--policy", str(policy),
+                    "--out", str(out)]) == 2
+        assert run(["scan", "--jsonl", str(src), "--reference", REF,
+                    "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        expected = f"chronolint: duplicate commit id {first.id} in project proj"
+        assert err == [expected, expected]
+
     def test_project_blacklist(self, tmp_path):
         a = rec("a", project="keep")
         b = rec("b", project="bad/proj")
@@ -292,12 +308,22 @@ class TestCorpus:
             {"key": "b", "commit_epoch": 1_500_000_060, "parents": ["a"],
              "message": "lone \x1f unit separator"},
         ])
+        bad = write_raw_commit(repo, (
+            f"parent {shas['b']}\n"
+            "author A <a@example.com> 1500000120 +2500\n"
+            "committer A <a@example.com> 1500000120 +2500\n"
+        ), "out of range zone\n", "bad-zone")
         listing = tmp_path / "list.txt"
         listing.write_text(f"{repo}\n")
+        out = tmp_path / "o.json"
         assert run(["corpus", "--list", str(listing), "--reference", REF,
-                    "--out", str(tmp_path / "o.json")]) == 0
+                    "--out", str(out)]) == 0
         err = capsys.readouterr().err
-        assert f"chronolint: {repo}: rejected {shas['b']}: wrong field count" in err
+        assert (f"chronolint: {repo}: rejected {bad}: bad timestamp: "
+                "UTC offset out of range: '+2500'") in err
+        assert read_json(out)["totals"]["commits"] == 2
+        records, _ = read_repository(str(repo), "proj")
+        assert [r.message for r in records if r.id == shas["b"]] == ["lone \x1f unit separator"]
 
     def test_all_failed_exit_two(self, tmp_path):
         listing = tmp_path / "list.txt"

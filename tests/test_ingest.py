@@ -14,7 +14,7 @@ from chronolint.ingest import (
 )
 from chronolint.graph import build_history
 from chronolint.model import CommitRecord, GitEnvironmentError, GraphError, RepositoryError
-from helpers import build_repo, fake_hash, rec, ts
+from helpers import build_repo, fake_hash, rec, ts, write_raw_commit
 
 
 def jsonl(*objs) -> bytes:
@@ -219,18 +219,6 @@ class TestReadRepository:
         )
         assert len(records) == int(out.stdout) == 500
 
-    def test_with_files(self, tmp_path):
-        repo = tmp_path / "r"
-        build_repo(repo, [
-            {"key": "a", "commit_epoch": 100_000, "files": {"src/a.py": "x"}},
-            {"key": "b", "commit_epoch": 200_000, "parents": ["a"],
-             "files": {"src/b.py": "y", "docs/b.md": "z"}},
-        ])
-        records, _ = read_repository(str(repo), "proj", with_files=True)
-        by_time = sorted(records, key=lambda r: r.commit_time.epoch_seconds)
-        assert by_time[0].files == frozenset({"src/a.py"})
-        assert by_time[1].files == frozenset({"src/b.py", "docs/b.md"})
-
     def test_repeated_reads_identical(self, tmp_path):
         repo = tmp_path / "r"
         build_repo(repo, [
@@ -243,12 +231,113 @@ class TestReadRepository:
 
     def test_messages_with_delimiter_bytes(self, tmp_path):
         repo = tmp_path / "r"
-        build_repo(repo, [{
-            "key": "a", "commit_epoch": 100_000,
-            "message": "multi\nline\n\nwith trailing newline\n",
-        }])
-        records, _ = read_repository(str(repo), "proj")
-        assert "multi\nline" in records[0].message
+        messages = {
+            "a": "multi\nline\n\nwith trailing newline\n",
+            "b": "has\x1eRS and\x1fUS bytes",
+        }
+        shas = build_repo(repo, [
+            {"key": "a", "commit_epoch": 100_000, "message": messages["a"]},
+            {"key": "b", "commit_epoch": 200_000, "parents": ["a"], "message": messages["b"]},
+        ])
+        records, report = read_repository(str(repo), "proj")
+        assert report.records_rejected == 0
+        assert {r.id: r.message for r in records} == {shas[k]: m for k, m in messages.items()}
+
+    def test_root_before_epoch_in_local_time(self, tmp_path):
+        repo = tmp_path / "r"
+        build_repo(repo, [{"key": "a", "commit_epoch": 1_600_000_000}])
+        root = write_raw_commit(repo, (
+            "author A <a@example.com> 730 -0500\n"
+            "committer A <a@example.com> 730 -0500\n"
+        ), "early root\n", "early")
+        records, report = read_repository(str(repo), "proj")
+        assert report.records_rejected == 0
+        early = next(r for r in records if r.id == root)
+        assert early.author_time.epoch_seconds == early.commit_time.epoch_seconds == 730
+        assert early.commit_time.utc_offset_minutes == -300
+
+    def test_signed_commit_headers_skipped(self, tmp_path):
+        repo = tmp_path / "r"
+        shas = build_repo(repo, [{"key": "a", "commit_epoch": 1_600_000_000}])
+        signed = write_raw_commit(repo, (
+            f"parent {shas['a']}\n"
+            "author Ann <ann@example.com> 1600000100 +0200\n"
+            "committer Bob <bob@example.com> 1600000200 -0130\n"
+            "gpgsig -----BEGIN PGP SIGNATURE-----\n"
+            " \n"
+            " iQEzBAABCAAdFiEE\n"
+            " -----END PGP SIGNATURE-----\n"
+        ), "signed change\n\nbody\n", "signed")
+        records, report = read_repository(str(repo), "proj")
+        assert report.records_rejected == 0
+        r = next(r for r in records if r.id == signed)
+        assert r.parents == (shas["a"],)
+        assert (r.author_name, r.author_email) == ("Ann", "ann@example.com")
+        assert r.author_time == ts(1_600_000_100) and r.author_time.utc_offset_minutes == 120
+        assert r.commit_time == ts(1_600_000_200) and r.commit_time.utc_offset_minutes == -90
+        assert r.message == "signed change\n\nbody\n"
+
+    def test_malformed_header_rejects_only_that_commit(self, tmp_path):
+        repo = tmp_path / "r"
+        shas = build_repo(repo, [{"key": "a", "commit_epoch": 1_600_000_000}])
+        bad = write_raw_commit(repo, "author A <a@example.com> 1600000100 +0000\n",
+                               "no committer\n", "bad")
+        records, report = read_repository(str(repo), "proj")
+        assert [r.id for r in records] == [shas["a"]]
+        assert report.rejects == [(bad, "malformed commit header")]
+        assert (report.records_parsed, report.records_rejected) == (1, 1)
+
+    def test_first_parent_and_branches_narrow_walk(self, tmp_path):
+        repo = tmp_path / "r"
+        shas = build_repo(repo, [
+            {"key": "a", "commit_epoch": 100_000},
+            {"key": "b", "commit_epoch": 200_000, "parents": ["a"]},
+            {"key": "c", "commit_epoch": 300_000, "parents": ["a"]},
+            {"key": "m", "commit_epoch": 400_000, "parents": ["b", "c"]},
+        ])
+
+        def ids(**walk):
+            records, _ = read_repository(str(repo), "proj", **walk)
+            return {r.id for r in records}
+
+        assert ids() == set(shas.values())
+        # build_repo names the refs c1..c4; a pattern without a glob
+        # character would mean refs/heads/<pattern>/*
+        assert ids(first_parent=True, branches="c[4]") == {shas["a"], shas["b"], shas["m"]}
+        assert ids(branches="c[4]") == set(shas.values())
+        assert ids(branches="c[3]") == {shas["a"], shas["c"]}
+        assert ids(branches="c[23]") == {shas["a"], shas["b"], shas["c"]}
+
+    def test_with_files(self, tmp_path):
+        repo = tmp_path / "r"
+        shas = build_repo(repo, [
+            {"key": "a", "commit_epoch": 100_000, "files": {"a.txt": "a", "d/e.txt": "e"}},
+            {"key": "b", "commit_epoch": 200_000, "parents": ["a"], "files": {"b.txt": "b"}},
+            {"key": "c", "commit_epoch": 300_000, "parents": ["a"], "files": {"c.txt": "c"}},
+            {"key": "m", "commit_epoch": 400_000, "parents": ["b", "c"],
+             "files": {"m.txt": "m"}},
+            {"key": "e", "commit_epoch": 500_000, "parents": ["m"]},
+            {"key": "f", "commit_epoch": 600_000, "parents": ["e"], "files": {"f.txt": "f"}},
+        ])
+        records, _ = read_repository(str(repo), "proj", with_files=True)
+        files = {r.id: r.files for r in records}
+        assert files == {
+            shas["a"]: frozenset({"a.txt", "d/e.txt"}),
+            shas["b"]: frozenset({"b.txt"}),
+            shas["c"]: frozenset({"c.txt"}),
+            shas["m"]: frozenset(),
+            shas["e"]: frozenset(),
+            shas["f"]: frozenset({"f.txt"}),
+        }
+        plain, _ = read_repository(str(repo), "proj")
+        assert all(r.files is None for r in plain)
+
+    def test_failed_walk_names_rev_list(self, tmp_path):
+        repo = tmp_path / "r"
+        build_repo(repo, [{"key": "a", "commit_epoch": 100_000}])
+        (repo / ".git" / "refs" / "heads" / "broken").write_text("1" * 40 + "\n")
+        with pytest.raises(RepositoryError, match="git rev-list failed in .*bad object"):
+            read_repository(str(repo), "proj")
 
     def test_missing_repo_errors(self, tmp_path):
         with pytest.raises(RepositoryError):
