@@ -10,5 +10,4 @@ from .model import (  # noqa: F401
     CommitRecord,
     FilterPolicy,
     RepoHistory,
-    Timestamp,
 )

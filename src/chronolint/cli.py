@@ -37,6 +37,7 @@ from .ingest import (
     IngestReport,
     emit_export_stream,
     git_executable,
+    normalize_time,
     parse_export_stream,
     read_repository,
 )
@@ -47,7 +48,6 @@ from .model import (
     CommitRecord,
     ConfigError,
     FilterPolicy,
-    Timestamp,
 )
 from .report import (
     ScanReport,
@@ -71,28 +71,29 @@ class UsageError(ChronolintError):
     pass
 
 
-def parse_instant(text: str) -> Timestamp:
-    """Parse an ISO-8601 date/datetime (or a raw epoch integer)."""
+def parse_instant(text: str) -> int:
+    """Parse an ISO-8601 date/datetime (or a raw epoch integer) to epoch seconds."""
     try:
-        return Timestamp(int(text))
+        epoch = int(text)
     except ValueError:
-        pass
+        try:
+            dt = datetime.fromisoformat(text)
+        except ValueError as exc:
+            raise UsageError(f"unparseable instant: {text!r}") from exc
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        epoch = int(dt.timestamp())
     try:
-        dt = datetime.fromisoformat(text)
+        return normalize_time(epoch, "+0000")[0]
     except ValueError as exc:
-        raise UsageError(f"unparseable instant: {text!r}") from exc
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return Timestamp(int(dt.timestamp()), int(dt.utcoffset().total_seconds() // 60))
+        raise UsageError(f"unparseable instant: {text!r}: {exc}") from exc
 
 
-def render_instant(ts: Timestamp) -> str:
+def render_instant(epoch: int) -> str:
     try:
-        return datetime.fromtimestamp(ts.epoch_seconds, timezone.utc).strftime(
-            "%Y-%m-%dT%H:%M:%SZ"
-        )
+        return datetime.fromtimestamp(epoch, timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     except (OverflowError, OSError, ValueError):
-        return f"epoch:{ts.epoch_seconds}"
+        return f"epoch:{epoch}"
 
 
 def epoch_year(epoch: int) -> int:
@@ -155,22 +156,49 @@ def detector_config_from(args: argparse.Namespace, config: dict) -> DetectorConf
 
 
 def policy_from_object(obj: dict) -> FilterPolicy:
+    """Build a FilterPolicy from its JSON form.
+
+    A bad value raises ConfigError naming its key.
+    """
+
+    def instant(key: str, value) -> int:
+        try:
+            return parse_instant(str(value))
+        except UsageError as exc:
+            raise ConfigError(f"policy {key}: {exc}") from exc
+
+    def strings(key: str) -> list[str]:
+        value = obj[key]
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ConfigError(f"policy {key} must be a list of strings: {value!r}")
+        return value
+
+    if not isinstance(obj, dict):
+        raise ConfigError(f"policy is not a JSON object: {obj!r}")
     kwargs: dict = {}
     if "min_epoch_seconds" in obj:
-        kwargs["min_epoch_seconds"] = obj["min_epoch_seconds"]
+        value = obj["min_epoch_seconds"]
+        if value is not None and type(value) is not int:
+            raise ConfigError(f"policy min_epoch_seconds must be an integer: {value!r}")
+        kwargs["min_epoch_seconds"] = value
     if "cutoff" in obj:
-        kwargs["cutoff"] = parse_instant(str(obj["cutoff"]))
+        kwargs["cutoff"] = instant("cutoff", obj["cutoff"])
     if "cutoff_mode" in obj:
         kwargs["cutoff_mode"] = obj["cutoff_mode"]
     if "window" in obj:
-        start, end = obj["window"]
-        kwargs["window"] = (parse_instant(str(start)), parse_instant(str(end)))
+        window = obj["window"]
+        if not isinstance(window, list) or len(window) != 2:
+            raise ConfigError(f"policy window must be [start, end]: {window!r}")
+        kwargs["window"] = (instant("window", window[0]), instant("window", window[1]))
     if "project_blacklist" in obj:
-        kwargs["project_blacklist"] = frozenset(obj["project_blacklist"])
+        kwargs["project_blacklist"] = frozenset(strings("project_blacklist"))
     if "drop_flagged_kinds" in obj:
-        kwargs["drop_flagged_kinds"] = frozenset(
-            AnomalyKind(k) for k in obj["drop_flagged_kinds"]
-        )
+        try:
+            kwargs["drop_flagged_kinds"] = frozenset(
+                AnomalyKind(k) for k in strings("drop_flagged_kinds")
+            )
+        except ValueError as exc:
+            raise ConfigError(f"policy drop_flagged_kinds: {exc}") from exc
     if "time_basis" in obj:
         kwargs["time_basis"] = obj["time_basis"]
     return FilterPolicy(**kwargs)
@@ -234,8 +262,12 @@ def build_report(
     cfg: DetectorConfig,
     rules: Sequence[FingerprintRule],
     top: int = 20,
-) -> ScanReport:
-    """Assemble the full scan report: totals, tables, fingerprints, tokens."""
+) -> tuple[ScanReport, dict[tuple[str, str], CommitRecord]]:
+    """Assemble the full scan report: totals, tables, fingerprints, tokens.
+
+    Also returns the (project, commit id) -> record map the report reads,
+    so the anomaly stream is enriched from the same map.
+    """
     report = summarize(corpus, anomalies)
     report.meta = {
         "tool_version": __version__,
@@ -245,22 +277,20 @@ def build_report(
         "time_basis": cfg.time_basis,
         "merge_exclusion": cfg.merge_exclusion,
     }
-    commits = {r.id: r for recs in corpus.values() for r in recs}
+    commits = {(p, r.id): r for p, recs in corpus.items() for r in recs}
+    flagged = [commits[k] for k in {(a.project, a.commit_id) for a in anomalies}]
     report.top_projects = top_n(anomalies, key="project", n=top)
-    report.top_authors = top_n(anomalies, key="author", n=top, commits=commits)
+    report.top_authors = top_n(anomalies, key="author", n=top, authors={
+        (r.project, r.id): (r.author_name, r.author_email) for r in flagged
+    })
     if anomalies:
-        years = sorted({epoch_year(a.observed.epoch_seconds) for a in anomalies})
+        years = sorted({epoch_year(a.observed) for a in anomalies})
         report.cutoff_table = cutoff_table(anomalies, range(years[0], years[-1] + 1))
-    flagged_ids = {a.commit_id for a in anomalies}
-    flagged_records = [commits[i] for i in sorted(flagged_ids) if i in commits]
-    report.fingerprints = {
-        name: count for name, (count, _) in scan_fingerprints(flagged_records, rules).items()
-    }
+    report.fingerprints = scan_fingerprints(flagged, rules)
     report.tokens = ranked_tokens(
-        token_frequencies(sanitize_message(r.message) for r in flagged_records),
-        limit=50,
+        token_frequencies(sanitize_message(r.message) for r in flagged), limit=50
     )
-    return report
+    return report, commits
 
 
 def write_output(data: bytes, out: str | None) -> None:
@@ -292,12 +322,11 @@ def finish_scan(
     failures: list[dict] | None = None,
 ) -> int:
     """Write the report and anomaly stream of a scan; return its exit code."""
-    report = build_report(corpus, anomalies, cfg, rules, top=args.top)
+    report, commits = build_report(corpus, anomalies, cfg, rules, top=args.top)
     if failures is not None:
         report.meta["failures"] = failures
     write_report(report, args.format, args.out)
     if args.anomalies_out:
-        commits = {r.id: r for recs in corpus.values() for r in recs}
         with open(args.anomalies_out, "wb") as fh:
             fh.write(emit_anomaly_stream(anomalies, commits))
     return EXIT_ANOMALIES if anomalies else EXIT_CLEAN
@@ -343,7 +372,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
         dropped += len(kept) - len(windowed)
         kept = windowed
 
-    kept.sort(key=lambda r: (r.project, r.commit_time.epoch_seconds, r.id))
+    kept.sort(key=lambda r: (r.project, r.commit_time, r.id))
     write_output(emit_export_stream(kept), args.out)
     summary = {
         "kept": len(kept),
@@ -378,7 +407,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             anomalies, key="author", n=args.top_authors, authors=authors
         )
     if args.cutoff_table and anomalies:
-        years = sorted({epoch_year(a.observed.epoch_seconds) for a in anomalies})
+        years = sorted({epoch_year(a.observed) for a in anomalies})
         report.cutoff_table = cutoff_table(anomalies, range(years[0], years[-1] + 1))
     if args.tokens:
         report.tokens = ranked_tokens(
@@ -474,7 +503,9 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
                         help="collect changed-file lists (slower)")
     parser.add_argument("--first-parent", action="store_true",
                         help="walk first-parent history only")
-    parser.add_argument("--branches", help="restrict the walk to matching branches")
+    parser.add_argument("--branches", metavar="NAME|GLOB",
+                        help="walk only branch NAME, or the branches matching GLOB "
+                             "(a value with *, ? or [)")
 
 
 def _add_detector_options(parser: argparse.ArgumentParser) -> None:
@@ -545,9 +576,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"chronolint: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except ChronolintError as exc:
         print(f"chronolint: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -1,4 +1,4 @@
-"""Timestamp anomaly detectors and tool-fingerprint scanning.
+"""Commit-time anomaly detectors and tool-fingerprint scanning.
 
 All inequalities are strict: equal timestamps are never anomalies. The
 linear out-of-order detector replays the history's topological
@@ -23,7 +23,6 @@ from .model import (
     CommitRecord,
     ConfigError,
     RepoHistory,
-    Timestamp,
 )
 
 # 1990-11-19T00:00:00Z: release of CVS 1.0, the oldest plausible VCS timestamp
@@ -57,21 +56,36 @@ DEFAULT_FINGERPRINT_RULES: tuple[FingerprintRule, ...] = (
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    old_threshold: Timestamp = Timestamp(CVS_RELEASE_EPOCH)
+    """Detector thresholds (epoch seconds) and switches."""
+
+    old_threshold: int = CVS_RELEASE_EPOCH
     # read once per config, so one run judges every project against one instant
-    future_reference: Timestamp = field(
-        default_factory=lambda: Timestamp(int(time.time()))
-    )
+    future_reference: int = field(default_factory=lambda: int(time.time()))
     merge_exclusion: bool = True
     time_basis: str = "committer"
 
     def __post_init__(self) -> None:
+        if self.time_basis not in ("author", "committer"):
+            raise ConfigError(f"unknown time basis: {self.time_basis!r}")
+        if not isinstance(self.merge_exclusion, bool):
+            raise ConfigError(f"merge_exclusion must be a boolean: {self.merge_exclusion!r}")
         if not self.old_threshold < self.future_reference:
             raise ConfigError("old threshold must precede the future reference")
 
 
-def _basis_time(record: CommitRecord, cfg: DetectorConfig) -> Timestamp:
-    return select_time_basis(record, cfg.time_basis)
+def _flag(
+    kind: AnomalyKind, record: CommitRecord, project: str, basis: str, **evidence
+) -> AnomalyRecord:
+    """An anomaly observed at the record's basis time, with that time's zone."""
+    zone = record.commit_tz if basis == "committer" else record.author_tz
+    return AnomalyRecord(
+        kind=kind,
+        commit_id=record.id,
+        project=project,
+        observed=select_time_basis(record, basis),
+        observed_tz=zone,
+        **evidence,
+    )
 
 
 def detect_old(history: RepoHistory, cfg: DetectorConfig) -> set[AnomalyRecord]:
@@ -79,49 +93,27 @@ def detect_old(history: RepoHistory, cfg: DetectorConfig) -> set[AnomalyRecord]:
 
     Zero-epoch commits additionally get an explicit ZERO_EPOCH record.
     """
+    threshold, basis = cfg.old_threshold, cfg.time_basis
     found: set[AnomalyRecord] = set()
     for r in history.commits.values():
-        t = _basis_time(r, cfg)
-        if t < cfg.old_threshold:
-            found.add(
-                AnomalyRecord(
-                    kind=AnomalyKind.SUSPICIOUS_OLD,
-                    commit_id=r.id,
-                    project=history.project,
-                    observed=t,
-                    reference=cfg.old_threshold,
-                    delta_seconds=t.epoch_seconds - cfg.old_threshold.epoch_seconds,
-                )
-            )
-        if t.epoch_seconds == 0:
-            found.add(
-                AnomalyRecord(
-                    kind=AnomalyKind.ZERO_EPOCH,
-                    commit_id=r.id,
-                    project=history.project,
-                    observed=t,
-                )
-            )
+        t = select_time_basis(r, basis)
+        if t < threshold:
+            found.add(_flag(AnomalyKind.SUSPICIOUS_OLD, r, history.project, basis,
+                            reference=threshold, delta_seconds=t - threshold))
+        if t == 0:
+            found.add(_flag(AnomalyKind.ZERO_EPOCH, r, history.project, basis))
     return found
 
 
 def detect_future(history: RepoHistory, cfg: DetectorConfig) -> set[AnomalyRecord]:
     """Flag commits dated strictly after the future reference instant."""
-    reference = cfg.future_reference
+    reference, basis = cfg.future_reference, cfg.time_basis
     found: set[AnomalyRecord] = set()
     for r in history.commits.values():
-        t = _basis_time(r, cfg)
+        t = select_time_basis(r, basis)
         if t > reference:
-            found.add(
-                AnomalyRecord(
-                    kind=AnomalyKind.FUTURE,
-                    commit_id=r.id,
-                    project=history.project,
-                    observed=t,
-                    reference=reference,
-                    delta_seconds=t.epoch_seconds - reference.epoch_seconds,
-                )
-            )
+            found.add(_flag(AnomalyKind.FUTURE, r, history.project, basis,
+                            reference=reference, delta_seconds=t - reference))
     return found
 
 
@@ -139,26 +131,19 @@ def detect_out_of_order_linear(
     message is merge-related; the previous-commit cursor still advances
     after every comparison.
     """
+    basis = cfg.time_basis
     found: set[AnomalyRecord] = set()
     last: CommitRecord | None = None
     for r in linearize(history):
         if last is not None:
-            t, last_t = _basis_time(r, cfg), _basis_time(last, cfg)
+            t, last_t = select_time_basis(r, basis), select_time_basis(last, basis)
             if t < last_t and not (
                 cfg.merge_exclusion
                 and (is_merge_related(r.message) or is_merge_related(last.message))
             ):
-                found.add(
-                    AnomalyRecord(
-                        kind=AnomalyKind.OUT_OF_ORDER_LINEAR,
-                        commit_id=r.id,
-                        project=history.project,
-                        observed=t,
-                        reference=last_t,
-                        counterpart_id=last.id,
-                        delta_seconds=t.epoch_seconds - last_t.epoch_seconds,
-                    )
-                )
+                found.add(_flag(AnomalyKind.OUT_OF_ORDER_LINEAR, r, history.project, basis,
+                                reference=last_t, counterpart_id=last.id,
+                                delta_seconds=t - last_t))
         last = r
     return found
 
@@ -180,17 +165,8 @@ def detect_out_of_order_parent(
                 continue
             pt = select_time_basis(parent, basis)
             if pt > t:
-                found.add(
-                    AnomalyRecord(
-                        kind=AnomalyKind.OUT_OF_ORDER_PARENT,
-                        commit_id=r.id,
-                        project=history.project,
-                        observed=t,
-                        reference=pt,
-                        counterpart_id=pid,
-                        delta_seconds=t.epoch_seconds - pt.epoch_seconds,
-                    )
-                )
+                found.add(_flag(AnomalyKind.OUT_OF_ORDER_PARENT, r, history.project, basis,
+                                reference=pt, counterpart_id=pid, delta_seconds=t - pt))
     return found
 
 
@@ -204,24 +180,23 @@ def sanitize_message(message: str) -> str:
 def scan_fingerprints(
     records: Iterable[CommitRecord],
     rules: Iterable[FingerprintRule] = DEFAULT_FINGERPRINT_RULES,
-) -> dict[str, tuple[int, list[str]]]:
-    """Count records whose message matches each rule.
+) -> dict[str, int]:
+    """Count records whose message matches each rule: rule name -> count.
 
-    A record may match several rules. Returns rule name -> (count, sorted
-    matching commit ids).
+    A record may match several rules.
     """
     rules = list(rules)
     names = [rule.name for rule in rules]
     if len(set(names)) != len(names):
         raise ConfigError("duplicate fingerprint rule names")
     compiled = [(rule.name, rule.compile()) for rule in rules]
-    hits: dict[str, set[str]] = {name: set() for name, _ in compiled}
+    counts = dict.fromkeys(names, 0)
     for r in records:
         message = sanitize_message(r.message)
         for name, pattern in compiled:
             if pattern.search(message):
-                hits[name].add(r.id)
-    return {name: (len(ids), sorted(ids)) for name, ids in hits.items()}
+                counts[name] += 1
+    return counts
 
 
 def run_all_detectors(

@@ -17,12 +17,11 @@ from .model import (
     Changeset,
     ConsistencyError,
     CommitRecord,
-    Timestamp,
 )
 
 
-def select_time_basis(record: CommitRecord, basis: str = "author") -> Timestamp:
-    """Return the record's author or committer timestamp per policy."""
+def select_time_basis(record: CommitRecord, basis: str = "author") -> int:
+    """Return the record's author or committer time per policy."""
     if basis == "author":
         return record.author_time
     if basis == "committer":
@@ -38,7 +37,7 @@ def drop_pre_epoch(
     """Drop records whose chosen-basis time is below min_epoch_seconds."""
     kept, dropped = [], []
     for r in records:
-        if select_time_basis(r, basis).epoch_seconds < min_epoch_seconds:
+        if select_time_basis(r, basis) < min_epoch_seconds:
             dropped.append(r.id)
         else:
             kept.append(r)
@@ -47,7 +46,7 @@ def drop_pre_epoch(
 
 def date_cutoff(
     records: Iterable[CommitRecord],
-    cutoff: Timestamp,
+    cutoff: int,
     mode: str = "before",
     basis: str = "author",
 ) -> tuple[list[CommitRecord], list[str]]:
@@ -67,8 +66,8 @@ def date_cutoff(
 
 def time_window(
     records: Iterable[CommitRecord],
-    start: Timestamp,
-    end: Timestamp,
+    start: int,
+    end: int,
     basis: str = "author",
 ) -> list[CommitRecord]:
     """Keep records with start <= t <= end (inclusive both ends)."""
@@ -128,7 +127,7 @@ def coalesce(
         raise ValueError("coalesce window must be positive")
     ordered = sorted(
         records,
-        key=lambda r: (r.author_email, select_time_basis(r, basis).epoch_seconds, r.id),
+        key=lambda r: (r.author_email, select_time_basis(r, basis), r.id),
     )
     changesets: list[Changeset] = []
     group: list[CommitRecord] = []
@@ -151,10 +150,7 @@ def coalesce(
     for r in ordered:
         if group:
             prev = group[-1]
-            gap = (
-                select_time_basis(r, basis).epoch_seconds
-                - select_time_basis(prev, basis).epoch_seconds
-            )
+            gap = select_time_basis(r, basis) - select_time_basis(prev, basis)
             if r.author_email != prev.author_email or gap > window_seconds:
                 flush()
         group.append(r)

@@ -41,11 +41,7 @@ def build_history(records: Iterable[CommitRecord], project: str) -> RepoHistory:
                 indegree[r.id] += 1
                 children[p].append(r.id)
 
-    ready = [
-        (commits[cid].commit_time.epoch_seconds, cid)
-        for cid, deg in indegree.items()
-        if deg == 0
-    ]
+    ready = [(commits[cid].commit_time, cid) for cid, deg in indegree.items() if deg == 0]
     heapq.heapify(ready)
     order: list[str] = []
     while ready:
@@ -54,7 +50,7 @@ def build_history(records: Iterable[CommitRecord], project: str) -> RepoHistory:
         for child in children[cid]:
             indegree[child] -= 1
             if indegree[child] == 0:
-                heapq.heappush(ready, (commits[child].commit_time.epoch_seconds, child))
+                heapq.heappush(ready, (commits[child].commit_time, child))
     if len(order) != len(commits):
         stuck = min(cid for cid, deg in indegree.items() if deg > 0)
         raise GraphError(f"cycle detected in commit graph involving {stuck}")
@@ -84,7 +80,7 @@ def time_file_graph(records: Iterable[CommitRecord]) -> set[TimeFileEdge]:
 
     edges: set[TimeFileEdge] = set()
     for members in by_file.values():
-        members.sort(key=lambda r: (r.commit_time.epoch_seconds, r.id))
+        members.sort(key=lambda r: (r.commit_time, r.id))
         for i, earlier in enumerate(members):
             for later in members[i + 1:]:
                 if earlier.commit_time < later.commit_time:

@@ -26,18 +26,16 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
-from .model import (
-    CommitRecord,
-    GitEnvironmentError,
-    MAX_OFFSET_MINUTES,
-    RepositoryError,
-    Timestamp,
-    is_commit_hash,
-)
+from .model import CommitRecord, GitEnvironmentError, RepositoryError, is_commit_hash
 
 GIT_ENV_VAR = "CHRONOLINT_GIT"
+# sanity bounds on every time read from outside: epoch seconds and zone minutes
+MAX_EPOCH_ABS = 2**62
+MAX_OFFSET_MINUTES = 1440
 
 _OFFSET_RE = re.compile(r"^([+-])(\d{2})(\d{2})$")
+# a --branches value with one of these is a glob; any other is a branch name
+_GLOB_RE = re.compile(r"[*?[]")
 # cat-file --batch prints "<oid> commit <size>" before each object
 _ENTRY_RE = re.compile(rb"([0-9a-f]{40}) commit (\d+)\n")
 # the headers git writes first, in this order; gpgsig, mergetag and
@@ -68,7 +66,7 @@ def parse_offset(text: str) -> int:
 
     Raises ValueError for malformed text or offsets beyond ±24 hours.
     """
-    m = _OFFSET_RE.match(text)
+    m = _OFFSET_RE.match(text) if isinstance(text, str) else None
     if m is None:
         raise ValueError(f"malformed UTC offset: {text!r}")
     sign, hh, mm = m.group(1), int(m.group(2)), int(m.group(3))
@@ -78,13 +76,26 @@ def parse_offset(text: str) -> int:
     return -minutes if sign == "-" else minutes
 
 
-def normalize_time(raw_seconds: int, raw_offset: str) -> Timestamp:
-    """Build a Timestamp from a raw epoch and a ±HHMM offset string.
+def normalize_time(raw_seconds: int, raw_offset: str) -> tuple[int, int]:
+    """Check a raw epoch and parse its ±HHMM offset: (epoch, zone minutes).
 
-    The epoch is kept as-is (git epochs are already UTC-anchored); only the
-    offset text is parsed.
+    Every time read from outside comes through here, so this is the one
+    place the sanity bounds are checked. The epoch is kept as-is (git epochs
+    are already UTC-anchored). Raises ValueError for a non-integer or
+    out-of-bounds epoch and for a bad offset.
     """
-    return Timestamp(epoch_seconds=raw_seconds, utc_offset_minutes=parse_offset(raw_offset))
+    if type(raw_seconds) is not int:
+        raise ValueError(f"non-integer epoch: {raw_seconds!r}")
+    if not -MAX_EPOCH_ABS <= raw_seconds < MAX_EPOCH_ABS:
+        raise ValueError(f"epoch out of sanity bounds: {raw_seconds}")
+    return raw_seconds, parse_offset(raw_offset)
+
+
+def format_offset(minutes: int) -> str:
+    """Render minutes east of UTC as a git-style ±HHMM string."""
+    sign = "-" if minutes < 0 else "+"
+    mag = abs(minutes)
+    return f"{sign}{mag // 60:02d}{mag % 60:02d}"
 
 
 def _record_from_object(obj: dict, default_project: str) -> CommitRecord:
@@ -98,10 +109,7 @@ def _record_from_object(obj: dict, default_project: str) -> CommitRecord:
     parents = obj["parents"]
     if not isinstance(parents, list) or not all(isinstance(p, str) for p in parents):
         raise ValueError("malformed parents")
-    for name in ("author_time", "commit_time"):
-        if not isinstance(obj[name], int) or isinstance(obj[name], bool):
-            raise ValueError(f"non-integer {name}")
-    for name in ("author_tz", "commit_tz", "author_name", "author_email", "message"):
+    for name in ("author_name", "author_email", "message"):
         if not isinstance(obj[name], str):
             raise ValueError(f"non-string {name}")
     files = obj.get("files")
@@ -112,11 +120,15 @@ def _record_from_object(obj: dict, default_project: str) -> CommitRecord:
     project = obj.get("project", default_project)
     if not isinstance(project, str):
         raise ValueError("non-string project")
+    author_time, author_tz = normalize_time(obj["author_time"], obj["author_tz"])
+    commit_time, commit_tz = normalize_time(obj["commit_time"], obj["commit_tz"])
     return CommitRecord(
         id=commit_id,
         parents=tuple(parents),
-        author_time=normalize_time(obj["author_time"], obj["author_tz"]),
-        commit_time=normalize_time(obj["commit_time"], obj["commit_tz"]),
+        author_time=author_time,
+        author_tz=author_tz,
+        commit_time=commit_time,
+        commit_tz=commit_tz,
         author_name=obj["author_name"],
         author_email=obj["author_email"],
         message=obj["message"],
@@ -167,10 +179,10 @@ def record_to_object(record: CommitRecord) -> dict:
     obj = {
         "id": record.id,
         "parents": list(record.parents),
-        "author_time": record.author_time.epoch_seconds,
-        "author_tz": record.author_time.offset_text,
-        "commit_time": record.commit_time.epoch_seconds,
-        "commit_tz": record.commit_time.offset_text,
+        "author_time": record.author_time,
+        "author_tz": format_offset(record.author_tz),
+        "commit_time": record.commit_time,
+        "commit_tz": format_offset(record.commit_tz),
         "author_name": record.author_name,
         "author_email": record.author_email,
         "message": record.message,
@@ -249,8 +261,8 @@ def _read_commits(stream: IO[bytes], path: str, report: IngestReport) -> list[tu
         commits.append((
             oid,
             tuple(parents.decode("ascii").split()[1::2]),
-            author_time,
-            commit_time,
+            *author_time,
+            *commit_time,
             # surrogateescape keeps arbitrary bytes round-trippable
             name.decode("utf-8", errors="surrogateescape"),
             email.decode("utf-8", errors="surrogateescape"),
@@ -297,13 +309,20 @@ def read_repository(
     """Read commit metadata from a git repository on disk.
 
     By default every ref is walked (``--all``); first_parent/branches narrow
-    the walk for studies that want main-branch-only history. with_files
-    populates each record's changed-file set. A commit whose header cannot
-    be read is rejected in the report; the rest are kept.
+    the walk for studies that want main-branch-only history. branches is a
+    branch name, or a glob over branch names if it has ``*``, ``?`` or
+    ``[``. with_files populates each record's changed-file set. A commit
+    whose header cannot be read is rejected in the report; the rest are kept.
     """
-    walk = ["rev-list", "--all" if branches is None else f"--branches={branches}"]
-    if first_parent:
-        walk.append("--first-parent")
+    if branches is None:
+        revs = "--all"
+    elif _GLOB_RE.search(branches):
+        revs = f"--branches={branches}"
+    else:
+        # git reads --branches=<name> as refs/heads/<name>/*
+        revs = f"refs/heads/{branches}"
+    walk = ["rev-list", "--first-parent"] if first_parent else ["rev-list"]
+    walk += [revs, "--"]
     report = IngestReport()
     rev_list, rev_err = _start_git(path, walk, subprocess.DEVNULL)
     # rev-list writes its ids straight into cat-file through an OS pipe
@@ -316,5 +335,5 @@ def read_repository(
     files = _changed_files(path, [c[0] for c in commits]) if with_files else {}
     records = [CommitRecord(*c, project=project, files=files.get(c[0])) for c in commits]
     # the walk order depends on git internals; normalize for reproducibility
-    records.sort(key=lambda r: (r.commit_time.epoch_seconds, r.id))
+    records.sort(key=lambda r: (r.commit_time, r.id))
     return records, report

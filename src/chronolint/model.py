@@ -2,18 +2,14 @@
 
 All types here are immutable after construction and safe to share between
 worker threads. Structural validity of commit records is checked outside
-the constructors: hash shapes in :mod:`chronolint.ingest`, duplicate ids
-and parent cycles in :mod:`chronolint.graph`.
+the constructors: hash shapes and time bounds in :mod:`chronolint.ingest`,
+duplicate ids and parent cycles in :mod:`chronolint.graph`.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
-from dataclasses import dataclass, field
-
-MAX_EPOCH_ABS = 2**62
-MAX_OFFSET_MINUTES = 1440
+from dataclasses import dataclass
 
 HASH_LENGTH = 40
 HASH_ALPHABET = frozenset("0123456789abcdef")
@@ -48,53 +44,20 @@ def is_commit_hash(value: str) -> bool:
     return len(value) == HASH_LENGTH and all(c in HASH_ALPHABET for c in value)
 
 
-@functools.total_ordering
-@dataclass(frozen=True, eq=False)
-class Timestamp:
-    """An instant: seconds since the Unix epoch plus a recorded UTC offset.
-
-    The offset is display metadata only; ordering and equality are
-    determined solely by epoch_seconds.
-    """
-
-    epoch_seconds: int
-    utc_offset_minutes: int = 0
-
-    def __post_init__(self) -> None:
-        if not -MAX_EPOCH_ABS <= self.epoch_seconds < MAX_EPOCH_ABS:
-            raise ValueError(f"epoch_seconds out of sanity bounds: {self.epoch_seconds}")
-        if not -MAX_OFFSET_MINUTES <= self.utc_offset_minutes <= MAX_OFFSET_MINUTES:
-            raise ValueError(f"utc_offset_minutes out of range: {self.utc_offset_minutes}")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Timestamp):
-            return NotImplemented
-        return self.epoch_seconds == other.epoch_seconds
-
-    def __lt__(self, other: "Timestamp") -> bool:
-        if not isinstance(other, Timestamp):
-            return NotImplemented
-        return self.epoch_seconds < other.epoch_seconds
-
-    def __hash__(self) -> int:
-        return hash(self.epoch_seconds)
-
-    @property
-    def offset_text(self) -> str:
-        """Render the offset as a git-style ±HHMM string."""
-        sign = "-" if self.utc_offset_minutes < 0 else "+"
-        mag = abs(self.utc_offset_minutes)
-        return f"{sign}{mag // 60:02d}{mag % 60:02d}"
-
-
 @dataclass(frozen=True)
 class CommitRecord:
-    """One commit's metadata, as mined from a repository or an export."""
+    """One commit's metadata, as mined from a repository or an export.
+
+    Times are epoch seconds; zones are minutes east of UTC, kept for
+    display only.
+    """
 
     id: str
     parents: tuple[str, ...]
-    author_time: Timestamp
-    commit_time: Timestamp
+    author_time: int
+    author_tz: int
+    commit_time: int
+    commit_tz: int
     author_name: str
     author_email: str
     message: str
@@ -129,8 +92,9 @@ class AnomalyRecord:
     kind: AnomalyKind
     commit_id: str
     project: str
-    observed: Timestamp
-    reference: Timestamp | None = None
+    observed: int
+    observed_tz: int = 0
+    reference: int | None = None
     counterpart_id: str | None = None
     delta_seconds: int | None = None
 
@@ -145,9 +109,9 @@ class FilterPolicy:
     """
 
     min_epoch_seconds: int | None = 1
-    cutoff: Timestamp | None = None
+    cutoff: int | None = None
     cutoff_mode: str = "before"
-    window: tuple[Timestamp, Timestamp] | None = None
+    window: tuple[int, int] | None = None
     project_blacklist: frozenset[str] = frozenset()
     drop_flagged_kinds: frozenset[AnomalyKind] = frozenset()
     time_basis: str = "author"
@@ -167,6 +131,6 @@ class Changeset:
 
     member_ids: tuple[str, ...]
     author_email: str
-    start_time: Timestamp
-    end_time: Timestamp
+    start_time: int
+    end_time: int
     files: frozenset[str] = frozenset()

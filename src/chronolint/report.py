@@ -3,7 +3,9 @@
 Every table is sorted deterministically (count descending, then key
 ascending) and serialization is byte-stable across runs and input
 permutations. Both denominators are always reported for percentages:
-the whole corpus and just the affected projects.
+the whole corpus and just the affected projects. A flagged commit is a
+(project, commit id) pair, so a commit shared by two projects counts in
+each, as it does in the denominators.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from datetime import datetime, timezone
 from importlib import resources
 from typing import Iterable, Mapping
 
-from .model import AnomalyKind, AnomalyRecord, CommitRecord, Timestamp
+from .ingest import format_offset, normalize_time
+from .model import AnomalyKind, AnomalyRecord, CommitRecord
 
 TOKEN_RE = re.compile(r"[0-9a-z/_-]+")
 
@@ -67,7 +70,7 @@ def summarize(
 
     for kind in AnomalyKind:
         flagged = [a for a in anomalies if a.kind is kind]
-        count = len({a.commit_id for a in flagged})
+        count = len({(a.project, a.commit_id) for a in flagged})
         projects = {a.project for a in flagged}
         affected_commits = sum(project_sizes.get(p, 0) for p in projects)
         report.anomalies[kind.value] = {
@@ -94,9 +97,9 @@ def cutoff_table(
     before Jan 1 of y+1 (UTC), i.e. it is from or before year y. Rows come
     back sorted by year descending.
     """
-    observed: dict[str, int] = {}
+    observed: dict[tuple[str, str], int] = {}
     for a in anomalies:
-        observed.setdefault(a.commit_id, a.observed.epoch_seconds)
+        observed.setdefault((a.project, a.commit_id), a.observed)
     total = len(observed)
     rows = []
     for year in sorted(set(years), reverse=True):
@@ -110,39 +113,34 @@ def top_n(
     anomalies: Iterable[AnomalyRecord],
     key: str = "project",
     n: int = 20,
-    commits: Mapping[str, CommitRecord] | None = None,
-    authors: Mapping[str, tuple[str, str]] | None = None,
+    authors: Mapping[tuple[str, str], tuple[str, str]] | None = None,
 ) -> list[dict]:
-    """Rank projects or authors by distinct flagged commits.
+    """Rank projects or authors by distinct flagged (project, commit id) pairs.
 
     Author rows merge by email (display names alias too easily); an empty
-    name renders as "(no name)". Either a commit map or an id -> (name,
-    email) map must be supplied for the author key. Rows carry count,
-    share of all flagged commits, and cumulative share; ties order by key
-    ascending.
+    name renders as "(no name)". The author key reads names and emails from
+    ``authors``, a (project, commit id) -> (name, email) map; flagged
+    commits missing from it are not ranked. Rows carry count, share of all
+    flagged commits, and cumulative share; ties order by key ascending.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ids_by_key: dict[str, set[str]] = {}
+    ids_by_key: dict[str, set[tuple[str, str]]] = {}
     names_by_key: dict[str, set[str]] = {}
-    all_ids: set[str] = set()
+    all_ids: set[tuple[str, str]] = set()
     for a in anomalies:
-        all_ids.add(a.commit_id)
+        commit = (a.project, a.commit_id)
+        all_ids.add(commit)
         if key == "project":
             k = a.project
         elif key == "author":
-            if commits is not None and a.commit_id in commits:
-                r = commits[a.commit_id]
-                name, email = r.author_name, r.author_email
-            elif authors is not None and a.commit_id in authors:
-                name, email = authors[a.commit_id]
-            else:
+            if authors is None or commit not in authors:
                 continue
-            k = email
+            name, k = authors[commit]
             names_by_key.setdefault(k, set()).add(name)
         else:
             raise ValueError(f"unknown ranking key: {key!r}")
-        ids_by_key.setdefault(k, set()).add(a.commit_id)
+        ids_by_key.setdefault(k, set()).add(commit)
 
     total = len(all_ids)
     ranked = sorted(ids_by_key.items(), key=lambda kv: (-len(kv[1]), kv[0]))
@@ -320,11 +318,11 @@ def anomaly_to_object(
         "kind": anomaly.kind.value,
         "commit_id": anomaly.commit_id,
         "project": anomaly.project,
-        "observed_epoch": anomaly.observed.epoch_seconds,
-        "observed_tz": anomaly.observed.offset_text,
+        "observed_epoch": anomaly.observed,
+        "observed_tz": format_offset(anomaly.observed_tz),
     }
     if anomaly.reference is not None:
-        obj["reference_epoch"] = anomaly.reference.epoch_seconds
+        obj["reference_epoch"] = anomaly.reference
     if anomaly.counterpart_id is not None:
         obj["counterpart_id"] = anomaly.counterpart_id
     if anomaly.delta_seconds is not None:
@@ -338,51 +336,62 @@ def anomaly_to_object(
 
 def emit_anomaly_stream(
     anomalies: Iterable[AnomalyRecord],
-    commits: Mapping[str, CommitRecord] | None = None,
+    commits: Mapping[tuple[str, str], CommitRecord] | None = None,
 ) -> bytes:
-    """Serialize anomalies as deterministic JSONL."""
-    ordered = sorted(anomalies, key=anomaly_sort_key)
+    """Serialize anomalies as deterministic JSONL.
+
+    Each row is enriched from its commit in ``commits``, a (project, commit
+    id) -> record map, when given.
+    """
+    commits = commits or {}
     lines = [
         json.dumps(
-            anomaly_to_object(a, commits.get(a.commit_id) if commits else None),
+            anomaly_to_object(a, commits.get((a.project, a.commit_id))),
             ensure_ascii=True,
             separators=(",", ":"),
         )
-        for a in ordered
+        for a in sorted(anomalies, key=anomaly_sort_key)
     ]
     return ("\n".join(lines) + "\n" if lines else "").encode("ascii")
 
 
-def parse_anomaly_stream(
-    data: bytes,
-) -> tuple[list[AnomalyRecord], dict[str, tuple[str, str]], dict[str, str]]:
+def parse_anomaly_stream(data: bytes) -> tuple[
+    list[AnomalyRecord], dict[tuple[str, str], tuple[str, str]], dict[tuple[str, str], str]
+]:
     """Parse an anomaly JSONL stream.
 
-    Returns the anomalies plus two side maps keyed by commit id: author
-    (name, email) and message, for the rows that carried enrichment.
+    Returns the anomalies plus two side maps keyed by (project, commit id):
+    author (name, email) and message, for the rows that carried enrichment.
+    A malformed line raises ValueError naming the line.
     """
-    from .ingest import parse_offset
-
     anomalies: list[AnomalyRecord] = []
-    authors: dict[str, tuple[str, str]] = {}
-    messages: dict[str, str] = {}
+    authors: dict[tuple[str, str], tuple[str, str]] = {}
+    messages: dict[tuple[str, str], str] = {}
     for lineno, raw in enumerate(data.split(b"\n"), start=1):
         if not raw.strip():
             continue
         try:
             obj = json.loads(raw.decode("utf-8"))
+            if not isinstance(obj, dict):
+                raise ValueError("record is not an object")
             kind = AnomalyKind(obj["kind"])
-            observed = Timestamp(
-                obj["observed_epoch"], parse_offset(obj.get("observed_tz", "+0000"))
+            for name in ("commit_id", "project", "author_name", "author_email", "message"):
+                if not isinstance(obj.get(name, ""), str):
+                    raise ValueError(f"non-string {name}")
+            observed, observed_tz = normalize_time(
+                obj["observed_epoch"], obj.get("observed_tz", "+0000")
             )
             reference = (
-                Timestamp(obj["reference_epoch"]) if "reference_epoch" in obj else None
+                normalize_time(obj["reference_epoch"], "+0000")[0]
+                if "reference_epoch" in obj
+                else None
             )
             anomaly = AnomalyRecord(
                 kind=kind,
                 commit_id=obj["commit_id"],
                 project=obj["project"],
                 observed=observed,
+                observed_tz=observed_tz,
                 reference=reference,
                 counterpart_id=obj.get("counterpart_id"),
                 delta_seconds=obj.get("delta_seconds"),
@@ -390,8 +399,9 @@ def parse_anomaly_stream(
         except (ValueError, KeyError, UnicodeDecodeError) as exc:
             raise ValueError(f"bad anomaly record at line {lineno}: {exc}") from exc
         anomalies.append(anomaly)
+        commit = (anomaly.project, anomaly.commit_id)
         if "author_email" in obj:
-            authors[anomaly.commit_id] = (obj.get("author_name", ""), obj["author_email"])
+            authors[commit] = (obj.get("author_name", ""), obj["author_email"])
         if "message" in obj:
-            messages[anomaly.commit_id] = obj["message"]
+            messages[commit] = obj["message"]
     return anomalies, authors, messages

@@ -7,15 +7,11 @@ import random
 import subprocess
 from datetime import datetime, timezone
 
-from chronolint.model import CommitRecord, RepoHistory, Timestamp
+from chronolint.model import CommitRecord
 
 
 def fake_hash(seed) -> str:
     return hashlib.sha1(str(seed).encode()).hexdigest()
-
-
-def ts(epoch: int, offset: int = 0) -> Timestamp:
-    return Timestamp(epoch_seconds=epoch, utc_offset_minutes=offset)
 
 
 def rec(
@@ -33,8 +29,10 @@ def rec(
     return CommitRecord(
         id=fake_hash(seed),
         parents=parents,
-        author_time=ts(author_epoch if author_epoch is not None else commit_epoch, offset),
-        commit_time=ts(commit_epoch, offset),
+        author_time=author_epoch if author_epoch is not None else commit_epoch,
+        author_tz=offset,
+        commit_time=commit_epoch,
+        commit_tz=offset,
         author_name=author_name,
         author_email=author_email,
         message=message,
@@ -68,7 +66,7 @@ def brute_force_parent_pairs(records: list[CommitRecord], basis: str = "committe
     by_id = {r.id: r for r in records}
 
     def t(r):
-        return r.commit_time.epoch_seconds if basis == "committer" else r.author_time.epoch_seconds
+        return r.commit_time if basis == "committer" else r.author_time
 
     pairs = set()
     for r in records:
@@ -83,7 +81,7 @@ def replay_linear_loop(sequence: list[CommitRecord], merge_exclusion: bool = Tru
     """Straight-line replay of the running previous-commit comparison."""
 
     def t(r):
-        return r.commit_time.epoch_seconds if basis == "committer" else r.author_time.epoch_seconds
+        return r.commit_time if basis == "committer" else r.author_time
 
     flagged = set()
     last = None
@@ -108,7 +106,7 @@ def pairwise_time_file_edges(records: list[CommitRecord]):
         for b in records:
             if (
                 a.id != b.id
-                and a.commit_time.epoch_seconds < b.commit_time.epoch_seconds
+                and a.commit_time < b.commit_time
                 and (a.files or frozenset()) & (b.files or frozenset())
             ):
                 edges.add((a.id, b.id))
@@ -142,8 +140,10 @@ def random_records(rng: random.Random, n: int, project: str = "proj") -> list[Co
             CommitRecord(
                 id=fake_hash((project, i, rng.random())),
                 parents=parents,
-                author_time=ts(epoch),
-                commit_time=ts(epoch),
+                author_time=epoch,
+                author_tz=0,
+                commit_time=epoch,
+                commit_tz=0,
                 author_name=f"dev{rng.randint(0, 4)}",
                 author_email=f"dev{rng.randint(0, 4)}@example.com",
                 message=rng.choice(MESSAGES),
@@ -219,8 +219,10 @@ def planted_corpus(rng: random.Random, repos: int = 50, commits_per_repo: int = 
                 CommitRecord(
                     id=ids[j],
                     parents=(ids[j - 1],) if j > 0 else (),
-                    author_time=ts(times[j]),
-                    commit_time=ts(times[j]),
+                    author_time=times[j],
+                    author_tz=0,
+                    commit_time=times[j],
+                    commit_tz=0,
                     author_name=f"dev{j % 7}",
                     author_email=f"dev{j % 7}@synth.example",
                     message=f"change {j} in {project}",

@@ -5,14 +5,13 @@ import pytest
 
 from chronolint.cli import main, parse_instant
 from chronolint.ingest import emit_export_stream, parse_export_stream, read_repository
-from chronolint.model import Timestamp
 from helpers import build_repo, planted_corpus, rec, utc_epoch, write_raw_commit
 
 REF = "2021-01-01T00:00:00+00:00"
 
 
 def canonical(records):
-    ordered = sorted(records, key=lambda r: (r.project, r.commit_time.epoch_seconds, r.id))
+    ordered = sorted(records, key=lambda r: (r.project, r.commit_time, r.id))
     return emit_export_stream(ordered)
 
 
@@ -27,10 +26,10 @@ def read_json(path):
 
 class TestParseInstant:
     def test_iso_date(self):
-        assert parse_instant("2014-01-01") == Timestamp(1388534400)
+        assert parse_instant("2014-01-01") == 1388534400
 
     def test_epoch_integer(self):
-        assert parse_instant("1388534400") == Timestamp(1388534400)
+        assert parse_instant("1388534400") == 1388534400
 
     def test_garbage(self):
         from chronolint.cli import UsageError
@@ -121,9 +120,41 @@ class TestScan:
         rows = [json.loads(line) for line in anomalies_out.read_text().splitlines()]
         future_rows = [row for row in rows if row["kind"] == "future"]
         assert len(future_rows) == 2
-        assert {row["reference_epoch"] for row in future_rows} == {
-            meta_reference.epoch_seconds
+        assert {row["reference_epoch"] for row in future_rows} == {meta_reference}
+
+    def test_shared_commit_counted_in_each_project(self, tmp_path):
+        # one zero-epoch commit in two projects, as after a fork
+        shared = [rec("shared", commit_epoch=0, project=p, message=f"import into {p}",
+                      author_email=f"dev@{p}.example") for p in ("fork", "origin")]
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(emit_export_stream(shared))
+        out = tmp_path / "r.json"
+        anomalies_out = tmp_path / "a.jsonl"
+        assert run(["scan", "--jsonl", str(src), "--reference", REF, "--out", str(out),
+                    "--anomalies-out", str(anomalies_out)]) == 1
+        report = read_json(out)
+        zero = report["anomalies"]["zero_epoch"]
+        assert (zero["count"], zero["corpus_denominator"]) == (2, 2)
+        assert zero["corpus_percent"] == zero["affected_percent"] == 1.0
+        assert [(r["key"], r["count"], r["cumulative_share"])
+                for r in report["top_projects"]] == [("fork", 1, 0.5), ("origin", 1, 1.0)]
+        assert [r["key"] for r in report["top_authors"]] == [
+            "Alice Dev <dev@fork.example>", "Alice Dev <dev@origin.example>"
+        ]
+        assert report["cutoff_table"] == [{"year": 1970, "percent_removed": 1.0}]
+        tokens = {t["token"]: t["count"] for t in report["tokens"]}
+        assert (tokens["import"], tokens["fork"], tokens["origin"]) == (2, 1, 1)
+        rows = [json.loads(line) for line in anomalies_out.read_text().splitlines()]
+        assert {(row["project"], row["message"]) for row in rows} == {
+            ("fork", "import into fork"), ("origin", "import into origin")
         }
+        summary = tmp_path / "summary.json"
+        assert run(["report", "--in", str(anomalies_out), "--top-projects", "5",
+                    "--top-authors", "5", "--out", str(summary)]) == 0
+        again = read_json(summary)
+        assert again["anomalies"]["zero_epoch"]["count"] == 2
+        assert again["top_projects"][-1]["cumulative_share"] == 1.0
+        assert [r["count"] for r in again["top_authors"]] == [1, 1]
 
     def test_csv_directory_output(self, tmp_path):
         src = tmp_path / "in.jsonl"
@@ -254,6 +285,68 @@ class TestReport:
 
     def test_missing_input_exit_two(self, tmp_path):
         assert run(["report", "--in", str(tmp_path / "none.jsonl")]) == 2
+
+
+class TestMalformedInput:
+    """Bad outside input exits 2 with a message, never 1 or a traceback."""
+
+    @pytest.mark.parametrize("config, message", [
+        ({"time_basis": "foo"}, "unknown time basis: 'foo'"),
+        ({"merge_exclusion": "no"}, "merge_exclusion must be a boolean: 'no'"),
+    ])
+    def test_bad_config(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(emit_export_stream([rec("a", commit_epoch=0)]))
+        assert run(["scan", "--jsonl", str(src), "--config", str(cfg), "--reference", REF,
+                    "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == f"chronolint: {message}\n"
+
+    @pytest.mark.parametrize("policy, key", [
+        ({"drop_flagged_kinds": ["bogus"]}, "drop_flagged_kinds"),
+        ({"drop_flagged_kinds": "zero_epoch"}, "drop_flagged_kinds"),
+        ({"window": ["2014-01-01"]}, "window"),
+        ({"window": ["2014-01-01", "someday"]}, "window"),
+        ({"cutoff": "someday"}, "cutoff"),
+        ({"min_epoch_seconds": "5"}, "min_epoch_seconds"),
+        ({"min_epoch_seconds": True}, "min_epoch_seconds"),
+        ({"project_blacklist": "bad/proj"}, "project_blacklist"),
+        ({"project_blacklist": [1]}, "project_blacklist"),
+    ])
+    def test_bad_policy(self, tmp_path, capsys, policy, key):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(policy))
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(emit_export_stream([rec("a")]))
+        out = tmp_path / "kept.jsonl"
+        assert run(["filter", "--jsonl", str(src), "--policy", str(path),
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"chronolint: policy {key}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", [
+        "[1]",
+        '"future"',
+        '{"kind": "future", "commit_id": "%s", "project": "p", "observed_epoch": "abc"}',
+        '{"kind": "future", "commit_id": "%s", "project": "p", "observed_epoch": null}',
+        '{"kind": "future", "commit_id": "%s", "project": "p", "observed_epoch": 5, '
+        '"reference_epoch": "abc"}',
+        '{"kind": "future", "commit_id": "%s", "project": "p", "observed_epoch": 5, '
+        '"reference_epoch": null}',
+        '{"kind": "future", "commit_id": "%s", "project": 7, "observed_epoch": 5}',
+        '{"kind": "future", "commit_id": "%s", "project": "p", "observed_epoch": 5, '
+        '"observed_tz": 0}',
+    ], ids=["list", "string", "epoch-text", "epoch-null", "reference-text",
+            "reference-null", "project-number", "zone-number"])
+    def test_bad_anomaly_stream(self, tmp_path, capsys, line):
+        good = '{"kind": "future", "commit_id": "%s", "project": "p", "observed_epoch": 5}'
+        stream = tmp_path / "a.jsonl"
+        stream.write_text((good + "\n" + line + "\n").replace("%s", "a" * 40))
+        assert run(["report", "--in", str(stream), "--top-projects", "5", "--tokens",
+                    "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("chronolint: bad anomaly record at line 2: ")
 
 
 class TestCorpus:

@@ -17,7 +17,7 @@ from chronolint.filters import (
 from chronolint.graph import build_history
 from chronolint.model import AnomalyKind, ConsistencyError
 from census import CENSUS_BELOW_ONE, CENSUS_TOTAL, SUSPICIOUS_TIMESTAMP_CENSUS
-from helpers import rec, ts, utc_epoch
+from helpers import rec, utc_epoch
 
 
 def census_records():
@@ -50,20 +50,20 @@ class TestDropPreEpoch:
 
 class TestDateCutoff:
     def test_before_cutoff_dropped(self):
-        cutoff = ts(utc_epoch(2014))
-        assert cutoff.epoch_seconds == 1388534400
+        cutoff = utc_epoch(2014)
+        assert cutoff == 1388534400
         r = rec("a", commit_epoch=utc_epoch(2013, 12, 31))
         kept, dropped = date_cutoff([r], cutoff, "before")
         assert dropped == [r.id]
 
     def test_exactly_at_cutoff_kept(self):
-        cutoff = ts(utc_epoch(2014))
-        r = rec("a", commit_epoch=cutoff.epoch_seconds)
+        cutoff = utc_epoch(2014)
+        r = rec("a", commit_epoch=cutoff)
         kept, dropped = date_cutoff([r], cutoff, "before")
         assert kept == [r]
 
     def test_after_mode(self):
-        cutoff = ts(1000)
+        cutoff = 1000
         early = rec("a", commit_epoch=500)
         late = rec("b", commit_epoch=1500)
         kept, dropped = date_cutoff([early, late], cutoff, "after")
@@ -73,19 +73,19 @@ class TestDateCutoff:
 class TestTimeWindow:
     def test_start_inclusive(self):
         r = rec("a", commit_epoch=100)
-        assert time_window([r], ts(100), ts(200)) == [r]
+        assert time_window([r], 100, 200) == [r]
 
     def test_past_end_dropped(self):
         r = rec("a", commit_epoch=201)
-        assert time_window([r], ts(100), ts(200)) == []
+        assert time_window([r], 100, 200) == []
 
     def test_full_range_identity(self):
         records = [rec(("w", i), commit_epoch=i * 10) for i in range(10)]
-        assert time_window(records, ts(0), ts(1000)) == records
+        assert time_window(records, 0, 1000) == records
 
     def test_inverted_window_rejected(self):
         with pytest.raises(ValueError):
-            time_window([], ts(10), ts(5))
+            time_window([], 10, 5)
 
 
 class TestDropProjects:
@@ -163,8 +163,8 @@ class TestTimeBasis:
 
     def test_rebased_commit(self):
         r = rec("a", commit_epoch=200, author_epoch=100)
-        assert select_time_basis(r, "author") == ts(100)
-        assert select_time_basis(r, "committer") == ts(200)
+        assert select_time_basis(r, "author") == 100
+        assert select_time_basis(r, "committer") == 200
 
 
 class TestCoalesce:
@@ -205,7 +205,7 @@ class TestCoalesce:
         # every internal consecutive gap within the window, per brute force
         by_id = {r.id: r for r in records}
         for c in sets:
-            times = [by_id[m].author_time.epoch_seconds for m in c.member_ids]
+            times = [by_id[m].author_time for m in c.member_ids]
             assert all(b - a <= 180 for a, b in zip(times, times[1:]))
             assert all(by_id[m].author_email == c.author_email for m in c.member_ids)
 
@@ -236,5 +236,5 @@ def test_pre_epoch_partition(records, minimum):
 @given(record_lists, epochs)
 def test_pre_epoch_equals_before_cutoff(records, minimum):
     by_min = drop_pre_epoch(records, minimum)
-    by_cutoff = date_cutoff(records, ts(minimum), "before")
+    by_cutoff = date_cutoff(records, minimum, "before")
     assert by_min == by_cutoff

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronolint.ingest import (
+    MAX_EPOCH_ABS,
     emit_export_stream,
+    format_offset,
     normalize_time,
     parse_export_stream,
     parse_offset,
@@ -14,7 +16,7 @@ from chronolint.ingest import (
 )
 from chronolint.graph import build_history
 from chronolint.model import CommitRecord, GitEnvironmentError, GraphError, RepositoryError
-from helpers import build_repo, fake_hash, rec, ts, write_raw_commit
+from helpers import build_repo, fake_hash, rec, write_raw_commit
 
 
 def jsonl(*objs) -> bytes:
@@ -44,7 +46,7 @@ class TestParseExportStream:
         assert len(records) == 1
         assert report.records_rejected == 0
         assert records[0].id == "a" * 40
-        assert records[0].commit_time == ts(0)
+        assert records[0].commit_time == 0
 
     def test_missing_id_rejected(self):
         obj = minimal_obj()
@@ -117,8 +119,10 @@ def export_records(draw):
     return CommitRecord(
         id=cid,
         parents=parents,
-        author_time=ts(draw(st.integers(-10**10, 10**10)), draw(st.integers(-1440, 1440))),
-        commit_time=ts(draw(st.integers(-10**10, 10**10)), draw(st.integers(-1440, 1440))),
+        author_time=draw(st.integers(-10**10, 10**10)),
+        author_tz=draw(st.integers(-1440, 1440)),
+        commit_time=draw(st.integers(-10**10, 10**10)),
+        commit_tz=draw(st.integers(-1440, 1440)),
         author_name=draw(safe_text),
         author_email=draw(safe_text),
         message=draw(safe_text),
@@ -134,7 +138,8 @@ def record_sets(max_size=12):
 
 
 class TestRoundTrip:
-    @settings(max_examples=100)
+    # a round-trip identity check, not a latency check
+    @settings(max_examples=100, deadline=None)
     @given(record_sets())
     def test_parse_emit_identity(self, records):
         emitted = emit_export_stream(records)
@@ -156,13 +161,10 @@ class TestRoundTrip:
 
 class TestOffsets:
     def test_normalize_utc(self):
-        assert normalize_time(1_600_000_000, "+0000") == ts(1_600_000_000)
-        assert normalize_time(1_600_000_000, "+0000").utc_offset_minutes == 0
+        assert normalize_time(1_600_000_000, "+0000") == (1_600_000_000, 0)
 
     def test_normalize_negative(self):
-        t = normalize_time(1_600_000_000, "-0530")
-        assert t.epoch_seconds == 1_600_000_000
-        assert t.utc_offset_minutes == -330
+        assert normalize_time(1_600_000_000, "-0530") == (1_600_000_000, -330)
 
     def test_out_of_bound_offset(self):
         with pytest.raises(ValueError):
@@ -171,6 +173,36 @@ class TestOffsets:
             parse_offset("0530")
         assert parse_offset("+2400") == 1440
 
+    def test_epoch_sanity_bounds(self):
+        assert normalize_time(MAX_EPOCH_ABS - 1, "+0000") == (MAX_EPOCH_ABS - 1, 0)
+        assert normalize_time(-MAX_EPOCH_ABS, "+0000") == (-MAX_EPOCH_ABS, 0)
+        bad = (MAX_EPOCH_ABS, -MAX_EPOCH_ABS - 1, True, 1.0, "0", None)
+        for epoch in bad:
+            with pytest.raises(ValueError):
+                normalize_time(epoch, "+0000")
+        data = jsonl(*(minimal_obj(author_time=epoch) for epoch in bad),
+                     minimal_obj(commit_time=MAX_EPOCH_ABS))
+        records, report = parse_export_stream(data, "p")
+        assert records == []
+        assert report.records_rejected == len(bad) + 1
+
+    def test_offset_bounds(self):
+        assert normalize_time(0, "+2400") == (0, 1440)
+        assert normalize_time(0, "-2400") == (0, -1440)
+        for zone in ("+2401", "-2401", 0, None):
+            with pytest.raises(ValueError):
+                normalize_time(0, zone)
+        data = jsonl(minimal_obj(author_tz="-2401"), minimal_obj(commit_tz=0))
+        records, report = parse_export_stream(data, "p")
+        assert records == []
+        assert report.records_rejected == 2
+
+    def test_format_offset(self):
+        assert [format_offset(m) for m in (0, -330, 90, 1440, -1440)] == [
+            "+0000", "-0530", "+0130", "+2400", "-2400"
+        ]
+        assert all(parse_offset(format_offset(m)) == m for m in range(-1440, 1441))
+
 
 class TestReadRepository:
     def test_single_commit(self, tmp_path):
@@ -178,8 +210,8 @@ class TestReadRepository:
         build_repo(repo, [{"key": "a", "commit_epoch": 1_600_000_000}])
         records, report = read_repository(str(repo), "proj")
         assert len(records) == 1
-        assert records[0].author_time == ts(1_600_000_000)
-        assert records[0].commit_time == ts(1_600_000_000)
+        assert records[0].author_time == 1_600_000_000
+        assert records[0].commit_time == 1_600_000_000
         assert report.records_parsed == 1
 
     def test_merge_commit_parent_order(self, tmp_path):
@@ -199,8 +231,7 @@ class TestReadRepository:
         repo = tmp_path / "r"
         build_repo(repo, [{"key": "a", "commit_epoch": 1_600_000_000, "tz": "-0530"}])
         records, _ = read_repository(str(repo), "proj")
-        assert records[0].commit_time.utc_offset_minutes == -330
-        assert records[0].commit_time.epoch_seconds == 1_600_000_000
+        assert (records[0].commit_time, records[0].commit_tz) == (1_600_000_000, -330)
 
     def test_count_matches_rev_list(self, tmp_path):
         repo = tmp_path / "r"
@@ -253,8 +284,8 @@ class TestReadRepository:
         records, report = read_repository(str(repo), "proj")
         assert report.records_rejected == 0
         early = next(r for r in records if r.id == root)
-        assert early.author_time.epoch_seconds == early.commit_time.epoch_seconds == 730
-        assert early.commit_time.utc_offset_minutes == -300
+        assert early.author_time == early.commit_time == 730
+        assert early.author_tz == early.commit_tz == -300
 
     def test_signed_commit_headers_skipped(self, tmp_path):
         repo = tmp_path / "r"
@@ -273,8 +304,8 @@ class TestReadRepository:
         r = next(r for r in records if r.id == signed)
         assert r.parents == (shas["a"],)
         assert (r.author_name, r.author_email) == ("Ann", "ann@example.com")
-        assert r.author_time == ts(1_600_000_100) and r.author_time.utc_offset_minutes == 120
-        assert r.commit_time == ts(1_600_000_200) and r.commit_time.utc_offset_minutes == -90
+        assert (r.author_time, r.author_tz) == (1_600_000_100, 120)
+        assert (r.commit_time, r.commit_tz) == (1_600_000_200, -90)
         assert r.message == "signed change\n\nbody\n"
 
     def test_malformed_header_rejects_only_that_commit(self, tmp_path):
@@ -301,12 +332,17 @@ class TestReadRepository:
             return {r.id for r in records}
 
         assert ids() == set(shas.values())
-        # build_repo names the refs c1..c4; a pattern without a glob
-        # character would mean refs/heads/<pattern>/*
+        # build_repo names the refs c1..c4; a value without a glob character
+        # is one branch name, a value with one is a glob
+        assert ids(first_parent=True, branches="c4") == {shas["a"], shas["b"], shas["m"]}
         assert ids(first_parent=True, branches="c[4]") == {shas["a"], shas["b"], shas["m"]}
-        assert ids(branches="c[4]") == set(shas.values())
+        assert ids(branches="c4") == set(shas.values())
+        assert ids(branches="c3") == {shas["a"], shas["c"]}
         assert ids(branches="c[3]") == {shas["a"], shas["c"]}
         assert ids(branches="c[23]") == {shas["a"], shas["b"], shas["c"]}
+        assert ids(branches="c?") == set(shas.values())
+        with pytest.raises(RepositoryError, match="git rev-list failed"):
+            ids(branches="main")
 
     def test_with_files(self, tmp_path):
         repo = tmp_path / "r"

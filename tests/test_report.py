@@ -17,15 +17,15 @@ from chronolint.report import (
     token_frequencies,
     top_n,
 )
-from helpers import fake_hash, rec, ts, utc_epoch
+from helpers import fake_hash, rec, utc_epoch
 
-CFG = DetectorConfig(future_reference=ts(utc_epoch(2019, 10, 31)))
+CFG = DetectorConfig(future_reference=utc_epoch(2019, 10, 31))
 
 
 def anomaly(seed, kind=AnomalyKind.OUT_OF_ORDER_PARENT, project="proj",
             epoch=1_500_000_000):
     return AnomalyRecord(
-        kind=kind, commit_id=fake_hash(seed), project=project, observed=ts(epoch)
+        kind=kind, commit_id=fake_hash(seed), project=project, observed=epoch
     )
 
 
@@ -45,7 +45,7 @@ class TestSummarize:
         report = summarize(
             corpus,
             [AnomalyRecord(kind=AnomalyKind.ZERO_EPOCH, commit_id=flagged.id,
-                           project="p1", observed=ts(0))],
+                           project="p1", observed=0)],
         )
         stats = report.anomalies["zero_epoch"]
         assert stats["count"] == 1
@@ -132,25 +132,20 @@ class TestTopN:
         assert rows[-1]["cumulative_share"] == pytest.approx(1.0)
 
     def test_author_merge_by_email(self):
-        records = {
-            fake_hash(("au", i)): rec(
-                ("au", i),
-                author_name="Ann" if i % 2 else "A. Nonymous",
-                author_email="ann@example.com",
-            )
+        authors = {
+            ("proj", fake_hash(("au", i))): ("Ann" if i % 2 else "A. Nonymous",
+                                             "ann@example.com")
             for i in range(4)
         }
         anomalies = [anomaly(("au", i)) for i in range(4)]
-        rows = top_n(anomalies, key="author", commits=records)
+        rows = top_n(anomalies, key="author", authors=authors)
         assert len(rows) == 1
         assert rows[0]["count"] == 4
         assert "<ann@example.com>" in rows[0]["key"]
 
     def test_empty_name_rendered(self):
-        records = {fake_hash("nn"): rec("nn", author_name="",
-                                        author_email="ghost@example.com")}
-        anomalies = [anomaly("nn")]
-        rows = top_n(anomalies, key="author", commits=records)
+        authors = {("proj", fake_hash("nn")): ("", "ghost@example.com")}
+        rows = top_n([anomaly("nn")], key="author", authors=authors)
         assert rows[0]["key"] == "(no name) <ghost@example.com>"
 
     def test_planted_top_share(self):
@@ -246,13 +241,13 @@ class TestAnomalyStream:
         p = rec("p", commit_epoch=1000)
         c = rec("c", commit_epoch=900, parents=(p.id,))
         anomalies = run_all_detectors(build_history([p, c], "proj"), CFG)
-        data = emit_anomaly_stream(anomalies, {p.id: p, c.id: c})
+        data = emit_anomaly_stream(anomalies, {("proj", p.id): p, ("proj", c.id): c})
         parsed, authors, messages = parse_anomaly_stream(data)
         assert {(a.kind, a.commit_id, a.delta_seconds) for a in parsed} == {
             (a.kind, a.commit_id, a.delta_seconds) for a in anomalies
         }
-        assert authors[c.id] == (c.author_name, c.author_email)
-        assert messages[c.id] == c.message
+        assert authors[("proj", c.id)] == (c.author_name, c.author_email)
+        assert messages[("proj", c.id)] == c.message
 
     def test_emission_order_insensitive(self):
         anomalies = [anomaly(("o", i), project=f"p{i % 2}") for i in range(6)]
