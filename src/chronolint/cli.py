@@ -109,7 +109,8 @@ def load_config_file(path: str | None) -> dict:
     try:
         with open(path, "rb") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: bad JSON or UTF-8, or an integer beyond int_max_str_digits
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise UsageError(f"config {path} is not a JSON object")
@@ -120,18 +121,23 @@ def fingerprint_rules_from_config(config: dict) -> tuple[FingerprintRule, ...]:
     raw = config.get("fingerprint_rules")
     if raw is None:
         return DEFAULT_FINGERPRINT_RULES
+    if not isinstance(raw, list):
+        raise ConfigError(f"fingerprint_rules must be a list: {raw!r}")
     rules = []
     for entry in raw:
-        try:
-            rules.append(
-                FingerprintRule(
-                    name=entry["name"],
-                    pattern=entry["pattern"],
-                    case_insensitive=bool(entry.get("case_insensitive", False)),
-                )
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("pattern"), str)
+        ):
+            raise ConfigError(f"bad fingerprint rule entry: {entry!r}")
+        rules.append(
+            FingerprintRule(
+                name=entry["name"],
+                pattern=entry["pattern"],
+                case_insensitive=bool(entry.get("case_insensitive", False)),
             )
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"bad fingerprint rule entry: {entry!r}") from exc
+        )
     for rule in rules:
         rule.compile()  # fail at load time, not scan time
     return tuple(rules)
@@ -220,13 +226,12 @@ def load_records(
             branches=getattr(args, "branches", None),
         )
         return records, report, project
+    project = args.project or args.jsonl
     try:
         with open(args.jsonl, "rb") as fh:
-            data = fh.read()
+            records, report = parse_export_stream(fh, project)
     except OSError as exc:
         raise UsageError(f"cannot read {args.jsonl}: {exc}") from exc
-    project = args.project or args.jsonl
-    records, report = parse_export_stream(data, project)
     return records, report, project
 
 
@@ -495,6 +500,17 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     return finish_scan(args, corpus, anomalies, cfg, rules, failures=failed)
 
 
+def positive_int(text: str) -> int:
+    """argparse type for a count flag: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
+    return value
+
+
 def _add_input_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--repo", help="path to a git repository")
     parser.add_argument("--jsonl", help="path to a JSONL commit export")
@@ -523,7 +539,7 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
     parser.add_argument("--out", help="write report here instead of stdout "
                                       "(a directory for csv)")
-    parser.add_argument("--top", type=int, default=20,
+    parser.add_argument("--top", type=positive_int, default=20,
                         help="rows in the top-projects/top-authors tables")
     parser.add_argument("--anomalies-out", help="also write flagged commits as JSONL")
 
@@ -553,8 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--in", dest="infile", required=True,
                           help="anomaly JSONL produced by scan --anomalies-out")
     p_report.add_argument("--cutoff-table", action="store_true")
-    p_report.add_argument("--top-projects", type=int, metavar="N")
-    p_report.add_argument("--top-authors", type=int, metavar="N")
+    p_report.add_argument("--top-projects", type=positive_int, metavar="N")
+    p_report.add_argument("--top-authors", type=positive_int, metavar="N")
     p_report.add_argument("--tokens", action="store_true")
     p_report.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p_report.add_argument("--out")
@@ -563,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_corpus = sub.add_parser("corpus", help="scan many repositories and merge reports")
     p_corpus.add_argument("--list", required=True,
                           help="file of repository paths/URLs, one per line")
-    p_corpus.add_argument("--jobs", type=int, default=1)
+    p_corpus.add_argument("--jobs", type=positive_int, default=1)
     p_corpus.add_argument("--cache", help="clone cache directory for remote URLs")
     _add_detector_options(p_corpus)
     _add_output_options(p_corpus)

@@ -18,7 +18,9 @@ The portable export format is JSONL: one flat object per line with fields
 
 from __future__ import annotations
 
+import io
 import json
+import operator
 import os
 import re
 import subprocess
@@ -33,7 +35,16 @@ GIT_ENV_VAR = "CHRONOLINT_GIT"
 MAX_EPOCH_ABS = 2**62
 MAX_OFFSET_MINUTES = 1440
 
-_OFFSET_RE = re.compile(r"^([+-])(\d{2})(\d{2})$")
+_OFFSET_RE = re.compile(r"([+-])(\d\d)(\d\d)", re.ASCII)
+# minutes of each zone text that parsed: at most 2 * 1441 texts, and
+# threads may share it, as a text always parses to the same minutes
+_OFFSET_MINUTES: dict[str, int] = {}
+_REQUIRED_FIELDS = operator.itemgetter(
+    "id", "parents", "author_time", "author_tz", "commit_time", "commit_tz",
+    "author_name", "author_email", "message",
+)
+# one compact encoder for every JSONL row written
+JSONL_ENCODER = json.JSONEncoder(ensure_ascii=True, separators=(",", ":"))
 # a --branches value with one of these is a glob; any other is a branch name
 _GLOB_RE = re.compile(r"[*?[]")
 # cat-file --batch prints "<oid> commit <size>" before each object
@@ -64,16 +75,20 @@ class IngestReport:
 def parse_offset(text: str) -> int:
     """Parse a ±HHMM offset string into minutes east of UTC.
 
-    Raises ValueError for malformed text or offsets beyond ±24 hours.
+    The text must be exactly a sign and four ASCII digits. Raises
+    ValueError for malformed text or offsets beyond ±24 hours.
     """
-    m = _OFFSET_RE.match(text) if isinstance(text, str) else None
+    if type(text) is str and text in _OFFSET_MINUTES:
+        return _OFFSET_MINUTES[text]
+    m = _OFFSET_RE.fullmatch(text) if type(text) is str else None
     if m is None:
         raise ValueError(f"malformed UTC offset: {text!r}")
     sign, hh, mm = m.group(1), int(m.group(2)), int(m.group(3))
     minutes = hh * 60 + mm
     if mm > 59 or minutes > MAX_OFFSET_MINUTES:
         raise ValueError(f"UTC offset out of range: {text!r}")
-    return -minutes if sign == "-" else minutes
+    _OFFSET_MINUTES[text] = -minutes if sign == "-" else minutes
+    return _OFFSET_MINUTES[text]
 
 
 def normalize_time(raw_seconds: int, raw_offset: str) -> tuple[int, int]:
@@ -99,41 +114,34 @@ def format_offset(minutes: int) -> str:
 
 
 def _record_from_object(obj: dict, default_project: str) -> CommitRecord:
-    for name in ("id", "parents", "author_time", "author_tz", "commit_time",
-                 "commit_tz", "author_name", "author_email", "message"):
-        if name not in obj:
-            raise ValueError(f"missing {name}")
-    commit_id = obj["id"]
-    if not isinstance(commit_id, str) or not is_commit_hash(commit_id):
+    # each field is checked once; JSON values have exact types
+    try:
+        (commit_id, parents, author_time, author_tz, commit_time, commit_tz,
+         author_name, author_email, message) = _REQUIRED_FIELDS(obj)
+    except KeyError as exc:  # the first missing field, in field order
+        raise ValueError(f"missing {exc.args[0]}") from None
+    if not is_commit_hash(commit_id):
         raise ValueError("malformed id")
-    parents = obj["parents"]
-    if not isinstance(parents, list) or not all(isinstance(p, str) for p in parents):
+    # a parent that is not a commit id could never match one, and would
+    # silently become a boundary parent that no detector compares
+    if type(parents) is not list or not all(map(is_commit_hash, parents)):
         raise ValueError("malformed parents")
     for name in ("author_name", "author_email", "message"):
-        if not isinstance(obj[name], str):
+        if type(obj[name]) is not str:
             raise ValueError(f"non-string {name}")
     files = obj.get("files")
-    if files is not None and (
-        not isinstance(files, list) or not all(isinstance(f, str) for f in files)
-    ):
-        raise ValueError("malformed files")
+    if files is not None:
+        if type(files) is not list or not all(type(f) is str for f in files):
+            raise ValueError("malformed files")
+        files = frozenset(files)
     project = obj.get("project", default_project)
-    if not isinstance(project, str):
+    if type(project) is not str:
         raise ValueError("non-string project")
-    author_time, author_tz = normalize_time(obj["author_time"], obj["author_tz"])
-    commit_time, commit_tz = normalize_time(obj["commit_time"], obj["commit_tz"])
+    author_time, author_tz = normalize_time(author_time, author_tz)
+    commit_time, commit_tz = normalize_time(commit_time, commit_tz)
     return CommitRecord(
-        id=commit_id,
-        parents=tuple(parents),
-        author_time=author_time,
-        author_tz=author_tz,
-        commit_time=commit_time,
-        commit_tz=commit_tz,
-        author_name=obj["author_name"],
-        author_email=obj["author_email"],
-        message=obj["message"],
-        project=project,
-        files=frozenset(files) if files is not None else None,
+        commit_id, tuple(parents), author_time, author_tz, commit_time, commit_tz,
+        author_name, author_email, message, project, files,
     )
 
 
@@ -142,35 +150,37 @@ def parse_export_stream(
 ) -> tuple[list[CommitRecord], IngestReport]:
     """Parse a JSONL export into CommitRecords.
 
-    Malformed lines are rejected with positional diagnostics and never
-    abort the stream. An empty stream yields an empty set.
+    stream is the export's bytes or an open binary file; either is read
+    line by line, so a file is never held whole. Malformed lines are
+    rejected with positional diagnostics and never abort the stream. An
+    empty stream yields an empty set.
     """
-    data = stream if isinstance(stream, bytes) else stream.read()
+    lines = io.BytesIO(stream) if isinstance(stream, bytes) else stream
     records: list[CommitRecord] = []
     report = IngestReport()
-    for lineno, raw in enumerate(data.split(b"\n"), start=1):
-        if not raw.strip():
+    for lineno, raw in enumerate(lines, start=1):
+        if raw.isspace():  # never empty: a line holds at least its LF
             continue
-        position = f"line {lineno}"
-        try:
-            text = raw.decode("utf-8", errors="strict")
+        try:  # without its LF, a string cut at the line end reads as unterminated
+            text = raw.decode("utf-8").rstrip("\n")
         except UnicodeDecodeError:
-            report.reject(position, "undecodable bytes")
+            report.reject(f"line {lineno}", "undecodable bytes")
             continue
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            report.reject(position, f"invalid JSON: {exc.msg}")
+        # a JSONDecodeError (its msg has no position), or a ValueError for
+        # an integer beyond int_max_str_digits
+        except ValueError as exc:
+            report.reject(f"line {lineno}", f"invalid JSON: {getattr(exc, 'msg', exc)}")
             continue
-        if not isinstance(obj, dict):
-            report.reject(position, "record is not an object")
+        if type(obj) is not dict:
+            report.reject(f"line {lineno}", "record is not an object")
             continue
         try:
             records.append(_record_from_object(obj, project))
-        except (ValueError, OverflowError) as exc:
-            report.reject(position, str(exc))
-            continue
-        report.records_parsed += 1
+        except ValueError as exc:
+            report.reject(f"line {lineno}", str(exc))
+    report.records_parsed = len(records)
     return records, report
 
 
@@ -195,10 +205,7 @@ def record_to_object(record: CommitRecord) -> dict:
 
 def emit_export_stream(records: Iterable[CommitRecord]) -> bytes:
     """Serialize records to canonical JSONL (stable key order, LF endings)."""
-    lines = [
-        json.dumps(record_to_object(r), ensure_ascii=True, separators=(",", ":"))
-        for r in records
-    ]
+    lines = [JSONL_ENCODER.encode(record_to_object(r)) for r in records]
     return ("\n".join(lines) + "\n" if lines else "").encode("ascii")
 
 

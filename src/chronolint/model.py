@@ -9,10 +9,11 @@ duplicate ids and parent cycles in :mod:`chronolint.graph`.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
-HASH_LENGTH = 40
-HASH_ALPHABET = frozenset("0123456789abcdef")
+_HASH_RE = re.compile("[0-9a-f]{40}")
 
 
 class ChronolintError(Exception):
@@ -39,17 +40,16 @@ class ConsistencyError(ChronolintError):
     """Inputs that must describe the same universe disagree."""
 
 
-def is_commit_hash(value: str) -> bool:
-    """True iff value is a lowercase 40-hex-char commit id."""
-    return len(value) == HASH_LENGTH and all(c in HASH_ALPHABET for c in value)
+def is_commit_hash(value: object) -> bool:
+    """True iff value is a str holding a lowercase 40-hex-char commit id."""
+    return type(value) is str and _HASH_RE.fullmatch(value) is not None
 
 
-@dataclass(frozen=True)
-class CommitRecord:
+class CommitRecord(NamedTuple):
     """One commit's metadata, as mined from a repository or an export.
 
-    Times are epoch seconds; zones are minutes east of UTC, kept for
-    display only.
+    An immutable named tuple in JSONL field order, ``files`` last. Times are
+    epoch seconds; zones are minutes east of UTC, kept for display only.
     """
 
     id: str

@@ -10,6 +10,7 @@ each, as it does in the denominators.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import json
@@ -19,7 +20,7 @@ from datetime import datetime, timezone
 from importlib import resources
 from typing import Iterable, Mapping
 
-from .ingest import format_offset, normalize_time
+from .ingest import JSONL_ENCODER, format_offset, normalize_time
 from .model import AnomalyKind, AnomalyRecord, CommitRecord
 
 TOKEN_RE = re.compile(r"[0-9a-z/_-]+")
@@ -100,11 +101,11 @@ def cutoff_table(
     observed: dict[tuple[str, str], int] = {}
     for a in anomalies:
         observed.setdefault((a.project, a.commit_id), a.observed)
-    total = len(observed)
+    times = sorted(observed.values())
+    total = len(times)
     rows = []
     for year in sorted(set(years), reverse=True):
-        bound = _year_boundary_epoch(year + 1)
-        removed = sum(1 for t in observed.values() if t < bound)
+        removed = bisect.bisect_left(times, _year_boundary_epoch(year + 1))
         rows.append(CutoffRow(year=year, percent_removed=removed / total if total else 0.0))
     return rows
 
@@ -177,7 +178,9 @@ def token_frequencies(
     counts: dict[str, int] = {}
     for message in messages:
         for token in TOKEN_RE.findall(message.lower()):
-            if token in stop or not any(c.isalnum() for c in token):
+            # a token is [0-9a-z/_-]+, so it has an alphanumeric unless
+            # it is all "/", "_" and "-"
+            if token in stop or not token.strip("/_-"):
                 continue
             counts[token] = counts.get(token, 0) + 1
     return counts
@@ -345,11 +348,7 @@ def emit_anomaly_stream(
     """
     commits = commits or {}
     lines = [
-        json.dumps(
-            anomaly_to_object(a, commits.get((a.project, a.commit_id))),
-            ensure_ascii=True,
-            separators=(",", ":"),
-        )
+        JSONL_ENCODER.encode(anomaly_to_object(a, commits.get((a.project, a.commit_id))))
         for a in sorted(anomalies, key=anomaly_sort_key)
     ]
     return ("\n".join(lines) + "\n" if lines else "").encode("ascii")

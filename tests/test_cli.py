@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -88,6 +89,10 @@ class TestScan:
 
     def test_missing_input_exit_two(self, tmp_path):
         assert run(["scan", "--jsonl", str(tmp_path / "missing.jsonl")]) == 2
+
+    def test_unreadable_input_exit_two(self, tmp_path, capsys):
+        assert run(["scan", "--jsonl", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"chronolint: cannot read {tmp_path}: ")
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -293,6 +298,12 @@ class TestMalformedInput:
     @pytest.mark.parametrize("config, message", [
         ({"time_basis": "foo"}, "unknown time basis: 'foo'"),
         ({"merge_exclusion": "no"}, "merge_exclusion must be a boolean: 'no'"),
+        ({"fingerprint_rules": 5}, "fingerprint_rules must be a list: 5"),
+        ({"fingerprint_rules": [{"name": "r", "pattern": 5}]},
+         "bad fingerprint rule entry: {'name': 'r', 'pattern': 5}"),
+        ({"fingerprint_rules": [{"name": None, "pattern": "x"}]},
+         "bad fingerprint rule entry: {'name': None, 'pattern': 'x'}"),
+        ({"fingerprint_rules": ["x"]}, "bad fingerprint rule entry: 'x'"),
     ])
     def test_bad_config(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "cfg.json"
@@ -302,6 +313,48 @@ class TestMalformedInput:
         assert run(["scan", "--jsonl", str(src), "--config", str(cfg), "--reference", REF,
                     "--out", str(tmp_path / "r.json")]) == 2
         assert capsys.readouterr().err == f"chronolint: {message}\n"
+
+    @pytest.mark.parametrize("body", [
+        pytest.param(b'{"reference": "\xff"}', id="undecodable"),
+        pytest.param(b'{"x": ' + b"1" * 5000 + b"}", id="overlong-integer",
+                     marks=pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                              reason="this Python has no integer digit limit")),
+    ])
+    def test_unreadable_config(self, tmp_path, capsys, body):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(body)
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(emit_export_stream([rec("a")]))
+        assert run(["scan", "--jsonl", str(src), "--config", str(cfg),
+                    "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"chronolint: cannot read config {cfg}: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--jsonl", "{jsonl}", "--top", "0"],
+        ["scan", "--jsonl", "{jsonl}", "--top", "-3"],
+        ["corpus", "--list", "{list}", "--top", "0"],
+        ["corpus", "--list", "{list}", "--jobs", "0"],
+        ["report", "--in", "{anomalies}", "--top-projects", "0"],
+        ["report", "--in", "{anomalies}", "--top-authors", "0"],
+    ], ids=["scan-top-0", "scan-top-negative", "corpus-top-0", "corpus-jobs-0",
+            "report-top-projects-0", "report-top-authors-0"])
+    def test_count_flag_below_one(self, tmp_path, capsys, argv):
+        paths = {"jsonl": tmp_path / "in.jsonl", "list": tmp_path / "repos.txt",
+                 "anomalies": tmp_path / "a.jsonl"}
+        if argv[0] == "corpus":
+            build_repo(tmp_path / "r", [{"key": "a", "commit_epoch": 0}])
+            paths["list"].write_text(f"{tmp_path / 'r'}\n")
+        paths["jsonl"].write_bytes(emit_export_stream([rec("a", commit_epoch=0)]))
+        assert run(["scan", "--jsonl", str(paths["jsonl"]), "--reference", REF,
+                    "--out", str(tmp_path / "r.json"),
+                    "--anomalies-out", str(paths["anomalies"])]) == 1
+        capsys.readouterr()
+        argv = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out.json")]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("policy, key", [
         ({"drop_flagged_kinds": ["bogus"]}, "drop_flagged_kinds"),

@@ -1,5 +1,6 @@
 import json
 import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +84,69 @@ class TestParseExportStream:
         records, report = parse_export_stream(data, "p")
         assert report.records_parsed == 2
         assert report.records_rejected == 1
+
+    def test_open_file_and_bytes_agree(self, tmp_path):
+        good = [json.dumps(minimal_obj(id=fake_hash(i))).encode() for i in range(3)]
+        missing = minimal_obj()
+        del missing["message"]
+        data = b"".join([
+            good[0] + b"\r\n",                        # CRLF line
+            b"\n", b"  \t\r\n",                       # blank lines
+            b'{"id": "abc\n',                          # string cut at line end
+            b"{not json}\n",
+            b'{"bad": "\xff"}\n',                      # undecodable
+            json.dumps(missing).encode() + b"\n",
+            b"[1, 2]\n",
+            good[1] + b"\n",
+            good[2],                                   # last line without LF
+        ])
+        path = tmp_path / "export.jsonl"
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            from_file = parse_export_stream(fh, "p")
+        from_bytes = parse_export_stream(data, "p")
+        assert from_file == from_bytes
+        records, report = from_bytes
+        assert [r.id for r in records] == [fake_hash(i) for i in range(3)]
+        assert report.records_parsed == 3
+        assert report.rejects == [
+            ("line 4", "invalid JSON: Unterminated string starting at"),
+            ("line 5", "invalid JSON: Expecting property name enclosed in double quotes"),
+            ("line 6", "undecodable bytes"),
+            ("line 7", "missing message"),
+            ("line 8", "record is not an object"),
+        ]
+
+    def test_bad_zone_rejected_on_every_line(self):
+        objs = [minimal_obj(id=fake_hash(i), author_tz="+2500" if i % 2 else "+0100")
+                for i in range(6)]
+        records, report = parse_export_stream(jsonl(*objs), "p")
+        assert [r.author_tz for r in records] == [60, 60, 60]
+        assert report.rejects == [
+            (f"line {n}", "UTC offset out of range: '+2500'") for n in (2, 4, 6)
+        ]
+
+    def test_list_zone_rejected(self):
+        data = jsonl(minimal_obj(commit_tz=["+0000"]), minimal_obj())
+        records, report = parse_export_stream(data, "p")
+        assert len(records) == 1
+        assert report.rejects == [("line 1", "malformed UTC offset: ['+0000']")]
+
+    @pytest.mark.parametrize("parent", ["HEAD~1", "A" * 40, "a" * 39, 7, None])
+    def test_non_hash_parent_rejected(self, parent):
+        data = jsonl(minimal_obj(parents=[fake_hash("p"), parent]), minimal_obj())
+        records, report = parse_export_stream(data, "p")
+        assert [r.id for r in records] == ["a" * 40]
+        assert report.rejects == [("line 1", "malformed parents")]
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python has no integer digit limit")
+    def test_overlong_integer_rejected(self):
+        data = b'{"id": ' + b"1" * 5000 + b"}\n" + jsonl(minimal_obj())
+        records, report = parse_export_stream(data, "p")
+        assert len(records) == 1
+        assert report.rejects[0][0] == "line 1"
+        assert report.rejects[0][1].startswith("invalid JSON: Exceeds the limit")
 
 
 class TestValidate:
@@ -202,6 +266,12 @@ class TestOffsets:
             "+0000", "-0530", "+0130", "+2400", "-2400"
         ]
         assert all(parse_offset(format_offset(m)) == m for m in range(-1440, 1441))
+
+    def test_offset_text_is_exact_ascii(self):
+        assert parse_offset("+0530") == parse_offset("+0530") == 330
+        for text in ("+0530\n", "+\u0660\u0665\u0663\u0660", " +0530", "+05300"):
+            with pytest.raises(ValueError, match="malformed UTC offset"):
+                parse_offset(text)
 
 
 class TestReadRepository:
