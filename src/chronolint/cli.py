@@ -14,7 +14,7 @@ import re
 import subprocess
 import sys
 from datetime import datetime, timezone
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from . import __version__
 from .detect import (
@@ -101,6 +101,13 @@ def epoch_year(epoch: int) -> int:
         return datetime.fromtimestamp(epoch, timezone.utc).year
     except (OverflowError, OSError, ValueError):
         return 1 if epoch < 0 else 9999
+
+
+def observed_years(anomalies: Collection[AnomalyRecord]) -> range:
+    """The years from the earliest to the latest observed time, for the cutoff table."""
+    times = [a.observed for a in anomalies]
+    # epoch_year never decreases as the epoch grows
+    return range(epoch_year(min(times)), epoch_year(max(times)) + 1)
 
 
 def load_config_file(path: str | None) -> dict:
@@ -247,33 +254,40 @@ def group_by_project(records: Iterable[CommitRecord]) -> dict[str, list[CommitRe
     return corpus
 
 
+Flagged = dict[tuple[str, str], CommitRecord]
+
+
 def scan_corpus(
     corpus: dict[str, list[CommitRecord]], cfg: DetectorConfig
-) -> set[AnomalyRecord]:
+) -> tuple[dict[str, int], set[AnomalyRecord], Flagged]:
     """Build each project's history and run every detector over it.
 
     The only place histories are built and detectors run for a command.
+    Returns each project's commit count, the anomalies, and the flagged
+    records keyed by (project, commit id): all the report tail reads.
     """
+    counts: dict[str, int] = {}
     anomalies: set[AnomalyRecord] = set()
+    flagged: Flagged = {}
     for project in sorted(corpus):
         history = build_history(corpus[project], project)
-        anomalies |= run_all_detectors(history, cfg)
-    return anomalies
+        found = run_all_detectors(history, cfg)
+        counts[project] = len(history)
+        anomalies |= found
+        flagged.update({(project, a.commit_id): history.commits[a.commit_id] for a in found})
+    return counts, anomalies, flagged
 
 
 def build_report(
-    corpus: dict[str, list[CommitRecord]],
+    counts: dict[str, int],
     anomalies: set[AnomalyRecord],
+    flagged: Flagged,
     cfg: DetectorConfig,
     rules: Sequence[FingerprintRule],
     top: int = 20,
-) -> tuple[ScanReport, dict[tuple[str, str], CommitRecord]]:
-    """Assemble the full scan report: totals, tables, fingerprints, tokens.
-
-    Also returns the (project, commit id) -> record map the report reads,
-    so the anomaly stream is enriched from the same map.
-    """
-    report = summarize(corpus, anomalies)
+) -> ScanReport:
+    """Assemble the full scan report: totals, tables, fingerprints, tokens."""
+    report = summarize(counts, anomalies)
     report.meta = {
         "tool_version": __version__,
         "scan_time": render_instant(cfg.future_reference),
@@ -282,20 +296,16 @@ def build_report(
         "time_basis": cfg.time_basis,
         "merge_exclusion": cfg.merge_exclusion,
     }
-    commits = {(p, r.id): r for p, recs in corpus.items() for r in recs}
-    flagged = [commits[k] for k in {(a.project, a.commit_id) for a in anomalies}]
     report.top_projects = top_n(anomalies, key="project", n=top)
     report.top_authors = top_n(anomalies, key="author", n=top, authors={
-        (r.project, r.id): (r.author_name, r.author_email) for r in flagged
+        commit: (r.author_name, r.author_email) for commit, r in flagged.items()
     })
     if anomalies:
-        years = sorted({epoch_year(a.observed) for a in anomalies})
-        report.cutoff_table = cutoff_table(anomalies, range(years[0], years[-1] + 1))
-    report.fingerprints = scan_fingerprints(flagged, rules)
-    report.tokens = ranked_tokens(
-        token_frequencies(sanitize_message(r.message) for r in flagged), limit=50
-    )
-    return report, commits
+        report.cutoff_table = cutoff_table(anomalies, observed_years(anomalies))
+    messages = [sanitize_message(r.message) for r in flagged.values()]
+    report.fingerprints = scan_fingerprints(messages, rules)
+    report.tokens = ranked_tokens(token_frequencies(messages), limit=50)
+    return report
 
 
 def write_output(data: bytes, out: str | None) -> None:
@@ -320,20 +330,21 @@ def write_report(report: ScanReport, format: str, out: str | None) -> None:
 
 def finish_scan(
     args: argparse.Namespace,
-    corpus: dict[str, list[CommitRecord]],
+    counts: dict[str, int],
     anomalies: set[AnomalyRecord],
+    flagged: Flagged,
     cfg: DetectorConfig,
     rules: Sequence[FingerprintRule],
     failures: list[dict] | None = None,
 ) -> int:
     """Write the report and anomaly stream of a scan; return its exit code."""
-    report, commits = build_report(corpus, anomalies, cfg, rules, top=args.top)
+    report = build_report(counts, anomalies, flagged, cfg, rules, top=args.top)
     if failures is not None:
         report.meta["failures"] = failures
     write_report(report, args.format, args.out)
     if args.anomalies_out:
         with open(args.anomalies_out, "wb") as fh:
-            fh.write(emit_anomaly_stream(anomalies, commits))
+            fh.write(emit_anomaly_stream(anomalies, flagged))
     return EXIT_ANOMALIES if anomalies else EXIT_CLEAN
 
 
@@ -343,8 +354,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     rules = fingerprint_rules_from_config(config)
     records, ingest_report, _ = load_records(args)
     print_rejects(ingest_report)
-    corpus = group_by_project(records)
-    return finish_scan(args, corpus, scan_corpus(corpus, cfg), cfg, rules)
+    counts, anomalies, flagged = scan_corpus(group_by_project(records), cfg)
+    return finish_scan(args, counts, anomalies, flagged, cfg, rules)
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
@@ -359,7 +370,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     dropped = 0
     basis = policy.time_basis
     if policy.drop_flagged_kinds:
-        anomalies = scan_corpus(corpus, detector_config_from(args, config))
+        _, anomalies, _ = scan_corpus(corpus, detector_config_from(args, config))
         kept, gone = drop_flagged(kept, anomalies, policy.drop_flagged_kinds)
         dropped += len(gone)
     else:
@@ -394,11 +405,9 @@ def cmd_filter(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     try:
         with open(args.infile, "rb") as fh:
-            data = fh.read()
+            anomalies, authors, messages = parse_anomaly_stream(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {args.infile}: {exc}") from exc
-    try:
-        anomalies, authors, messages = parse_anomaly_stream(data)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -412,8 +421,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             anomalies, key="author", n=args.top_authors, authors=authors
         )
     if args.cutoff_table and anomalies:
-        years = sorted({epoch_year(a.observed) for a in anomalies})
-        report.cutoff_table = cutoff_table(anomalies, range(years[0], years[-1] + 1))
+        report.cutoff_table = cutoff_table(anomalies, observed_years(anomalies))
     if args.tokens:
         report.tokens = ranked_tokens(
             token_frequencies(sanitize_message(m) for m in messages.values()),
@@ -472,32 +480,34 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     # detection stays in the worker so a GraphError fails only its repository
     def scan_one(
         entry: str,
-    ) -> tuple[list[CommitRecord], IngestReport, set[AnomalyRecord]]:
+    ) -> tuple[dict[str, int], set[AnomalyRecord], Flagged, IngestReport]:
         records, ingest_report = read_repository(_ensure_local(entry, args.cache), entry)
-        return records, ingest_report, scan_corpus({entry: records}, cfg)
+        return (*scan_corpus({entry: records}, cfg), ingest_report)
 
-    corpus: dict[str, list[CommitRecord]] = {}
+    counts: dict[str, int] = {}
     anomalies: set[AnomalyRecord] = set()
+    flagged: Flagged = {}
     failures: dict[str, str] = {}
     with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
         futures = {pool.submit(scan_one, entry): entry for entry in entries}
         for future in concurrent.futures.as_completed(futures):
             entry = futures[future]
             try:
-                records, ingest_report, found = future.result()
+                repo_counts, found, repo_flagged, ingest_report = future.result()
             except (ChronolintError, OSError) as exc:
                 failures[entry] = str(exc)
                 print(f"chronolint: {entry}: {exc}", file=sys.stderr)
                 continue
             print_rejects(ingest_report, f"chronolint: {entry}")
-            corpus[entry] = records
+            counts.update(repo_counts)
             anomalies |= found
+            flagged.update(repo_flagged)
 
-    if not corpus:
+    if not counts:
         print("chronolint: all repositories failed", file=sys.stderr)
         return EXIT_ERROR
     failed = [{"entry": entry, "error": failures[entry]} for entry in sorted(failures)]
-    return finish_scan(args, corpus, anomalies, cfg, rules, failures=failed)
+    return finish_scan(args, counts, anomalies, flagged, cfg, rules, failures=failed)
 
 
 def positive_int(text: str) -> int:

@@ -171,19 +171,25 @@ def detect_out_of_order_parent(
 
 
 def sanitize_message(message: str) -> str:
-    """Replace undecodable byte escapes for pattern matching and reporting."""
+    """Replace undecodable byte escapes for pattern matching and reporting.
+
+    An ASCII message holds no escape and comes back unchanged.
+    """
+    if message.isascii():
+        return message
     return message.encode("utf-8", errors="surrogateescape").decode(
         "utf-8", errors="replace"
     )
 
 
 def scan_fingerprints(
-    records: Iterable[CommitRecord],
+    messages: Iterable[str],
     rules: Iterable[FingerprintRule] = DEFAULT_FINGERPRINT_RULES,
 ) -> dict[str, int]:
-    """Count records whose message matches each rule: rule name -> count.
+    """Count messages that match each rule: rule name -> count.
 
-    A record may match several rules.
+    Messages are matched as given, so callers pass them through
+    sanitize_message first. A message may match several rules.
     """
     rules = list(rules)
     names = [rule.name for rule in rules]
@@ -191,8 +197,7 @@ def scan_fingerprints(
         raise ConfigError("duplicate fingerprint rule names")
     compiled = [(rule.name, rule.compile()) for rule in rules]
     counts = dict.fromkeys(names, 0)
-    for r in records:
-        message = sanitize_message(r.message)
+    for message in messages:
         for name, pattern in compiled:
             if pattern.search(message):
                 counts[name] += 1

@@ -43,7 +43,7 @@ _REQUIRED_FIELDS = operator.itemgetter(
     "id", "parents", "author_time", "author_tz", "commit_time", "commit_tz",
     "author_name", "author_email", "message",
 )
-# one compact encoder for every JSONL row written
+# one compact encoder for every export row written
 JSONL_ENCODER = json.JSONEncoder(ensure_ascii=True, separators=(",", ":"))
 # a --branches value with one of these is a glob; any other is a branch name
 _GLOB_RE = re.compile(r"[*?[]")
@@ -233,13 +233,23 @@ def _start_git(path: str, args: list[str], stdin) -> tuple[subprocess.Popen, IO[
     return proc, err
 
 
-def _finish_git(proc: subprocess.Popen, err: IO[bytes], path: str) -> None:
-    """Wait for a git sub-command and raise RepositoryError naming it if it failed."""
-    with err:
-        if proc.wait() != 0:
-            err.seek(0)
-            stderr = err.read().decode("utf-8", errors="replace").strip()
-            raise RepositoryError(f"git {proc.args[3]} failed in {path}: {stderr}")
+def _finish_git(
+    path: str, started: list[tuple[subprocess.Popen, IO[bytes]]], check: bool = True
+) -> None:
+    """Wait for every started git sub-command and close its stderr file.
+
+    Each one is reaped even when another failed. With check, the first that
+    failed, in the order given, raises RepositoryError naming it.
+    """
+    failure = None
+    for proc, err in started:
+        with err:
+            if proc.wait() != 0 and failure is None:
+                err.seek(0)
+                stderr = err.read().decode("utf-8", errors="replace").strip()
+                failure = RepositoryError(f"git {proc.args[3]} failed in {path}: {stderr}")
+    if check and failure is not None:
+        raise failure
 
 
 def _read_commits(stream: IO[bytes], path: str, report: IngestReport) -> list[tuple]:
@@ -291,7 +301,7 @@ def _changed_files(path: str, ids: list[str]) -> dict[str, frozenset[str]]:
         subprocess.PIPE,
     )
     out, _ = proc.communicate("".join(f"{oid}\n" for oid in ids).encode("ascii"))
-    _finish_git(proc, err, path)
+    _finish_git(path, [(proc, err)])
     files: dict[str, list[str]] = {}
     pending = iter(ids)
     upcoming = next(pending, None)
@@ -332,13 +342,23 @@ def read_repository(
     walk += [revs, "--"]
     report = IngestReport()
     rev_list, rev_err = _start_git(path, walk, subprocess.DEVNULL)
-    # rev-list writes its ids straight into cat-file through an OS pipe
-    cat_file, cat_err = _start_git(path, ["cat-file", "--batch", "--buffer"], rev_list.stdout)
-    rev_list.stdout.close()
-    with cat_file.stdout:
-        commits = _read_commits(cat_file.stdout, path, report)
-    _finish_git(cat_file, cat_err, path)
-    _finish_git(rev_list, rev_err, path)
+    started = [(rev_list, rev_err)]
+    try:
+        # rev-list writes its ids straight into cat-file through an OS pipe
+        with rev_list.stdout:
+            cat_file, cat_err = _start_git(
+                path, ["cat-file", "--batch", "--buffer"], rev_list.stdout
+            )
+        # when both fail, cat-file's error is the one raised
+        started.insert(0, (cat_file, cat_err))
+        with cat_file.stdout:
+            commits = _read_commits(cat_file.stdout, path, report)
+    except BaseException:
+        # the error in flight is the one raised; with cat-file's stdout
+        # closed, both processes end
+        _finish_git(path, started, check=False)
+        raise
+    _finish_git(path, started)
     files = _changed_files(path, [c[0] for c in commits]) if with_files else {}
     records = [CommitRecord(*c, project=project, files=files.get(c[0])) for c in commits]
     # the walk order depends on git internals; normalize for reproducibility

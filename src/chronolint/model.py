@@ -85,9 +85,11 @@ class AnomalyKind(enum.Enum):
     OUT_OF_ORDER_PARENT = "out_of_order_parent"
 
 
-@dataclass(frozen=True)
-class AnomalyRecord:
-    """One flagged commit: the kind of anomaly and its evidence."""
+class AnomalyRecord(NamedTuple):
+    """One flagged commit: the kind of anomaly and its evidence.
+
+    An immutable named tuple, as ``CommitRecord`` is.
+    """
 
     kind: AnomalyKind
     commit_id: str

@@ -15,13 +15,15 @@ import csv
 import io
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from importlib import resources
-from typing import Iterable, Mapping
+from json.encoder import encode_basestring_ascii
+from typing import IO, Iterable, Mapping
 
-from .ingest import JSONL_ENCODER, format_offset, normalize_time
-from .model import AnomalyKind, AnomalyRecord, CommitRecord
+from .ingest import format_offset, normalize_time
+from .model import AnomalyKind, AnomalyRecord, CommitRecord, is_commit_hash
 
 TOKEN_RE = re.compile(r"[0-9a-z/_-]+")
 
@@ -52,28 +54,27 @@ def default_stopwords() -> frozenset[str]:
 
 
 def summarize(
-    corpus: Mapping[str, Iterable[CommitRecord]],
+    commit_counts: Mapping[str, int],
     anomalies: Iterable[AnomalyRecord],
 ) -> ScanReport:
     """Compute totals and per-kind counts/percentages over the corpus.
 
-    For each kind, the corpus percentage divides by all commits and the
-    affected percentage divides by the commit count of just the projects
-    with at least one flag of that kind.
+    commit_counts maps each project to its number of commits. For each
+    kind, the corpus percentage divides by all commits and the affected
+    percentage divides by the commit count of just the projects with at
+    least one flag of that kind.
     """
-    corpus = {p: list(recs) for p, recs in corpus.items()}
-    anomalies = list(anomalies)
-    total_commits = sum(len(recs) for recs in corpus.values())
-    project_sizes = {p: len(recs) for p, recs in corpus.items()}
-
+    total_commits = sum(commit_counts.values())
     report = ScanReport()
-    report.totals = {"commits": total_commits, "projects": len(corpus)}
+    report.totals = {"commits": total_commits, "projects": len(commit_counts)}
 
-    for kind in AnomalyKind:
-        flagged = [a for a in anomalies if a.kind is kind]
-        count = len({(a.project, a.commit_id) for a in flagged})
-        projects = {a.project for a in flagged}
-        affected_commits = sum(project_sizes.get(p, 0) for p in projects)
+    flagged: dict[AnomalyKind, set[tuple[str, str]]] = {kind: set() for kind in AnomalyKind}
+    for a in anomalies:
+        flagged[a.kind].add((a.project, a.commit_id))
+    for kind, commits in flagged.items():
+        count = len(commits)
+        projects = {project for project, _ in commits}
+        affected_commits = sum(commit_counts.get(p, 0) for p in projects)
         report.anomalies[kind.value] = {
             "count": count,
             "affected_projects": len(projects),
@@ -126,39 +127,37 @@ def top_n(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ids_by_key: dict[str, set[tuple[str, str]]] = {}
+    if key not in ("project", "author"):
+        raise ValueError(f"unknown ranking key: {key!r}")
+    flagged = {(a.project, a.commit_id) for a in anomalies}
     names_by_key: dict[str, set[str]] = {}
-    all_ids: set[tuple[str, str]] = set()
-    for a in anomalies:
-        commit = (a.project, a.commit_id)
-        all_ids.add(commit)
-        if key == "project":
-            k = a.project
-        elif key == "author":
-            if authors is None or commit not in authors:
-                continue
-            name, k = authors[commit]
-            names_by_key.setdefault(k, set()).add(name)
-        else:
-            raise ValueError(f"unknown ranking key: {key!r}")
-        ids_by_key.setdefault(k, set()).add(commit)
+    if key == "project":
+        counts = Counter(project for project, _ in flagged)
+    else:
+        authors = authors or {}
+        counts = Counter()
+        for commit in flagged:
+            if commit in authors:
+                name, email = authors[commit]
+                counts[email] += 1
+                names_by_key.setdefault(email, set()).add(name)
 
-    total = len(all_ids)
-    ranked = sorted(ids_by_key.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+    total = len(flagged)
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     rows = []
     cumulative = 0
-    for k, ids in ranked[:n]:
-        cumulative += len(ids)
+    for k, count in ranked[:n]:
+        cumulative += count
         label = k
         if key == "author":
-            names = sorted(nm for nm in names_by_key.get(k, set()) if nm)
+            names = sorted(nm for nm in names_by_key[k] if nm)
             display = names[0] if names else "(no name)"
             label = f"{display} <{k}>"
         rows.append(
             {
                 "key": label,
-                "count": len(ids),
-                "share": len(ids) / total if total else 0.0,
+                "count": count,
+                "share": count / total if total else 0.0,
                 "cumulative_share": cumulative / total if total else 0.0,
             }
         )
@@ -175,15 +174,12 @@ def token_frequencies(
     character are discarded.
     """
     stop = frozenset(stopwords) if stopwords is not None else default_stopwords()
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
     for message in messages:
-        for token in TOKEN_RE.findall(message.lower()):
-            # a token is [0-9a-z/_-]+, so it has an alphanumeric unless
-            # it is all "/", "_" and "-"
-            if token in stop or not token.strip("/_-"):
-                continue
-            counts[token] = counts.get(token, 0) + 1
-    return counts
+        counts.update(TOKEN_RE.findall(message.lower()))
+    # dropped once per distinct token; a token is [0-9a-z/_-]+, so it has
+    # an alphanumeric unless it is all "/", "_" and "-"
+    return {t: c for t, c in counts.items() if t not in stop and t.strip("/_-")}
 
 
 def ranked_tokens(counts: Mapping[str, int], limit: int | None = None) -> list[tuple[str, int]]:
@@ -313,70 +309,78 @@ def anomaly_sort_key(a: AnomalyRecord) -> tuple:
     )
 
 
-def anomaly_to_object(
-    anomaly: AnomalyRecord, commit: CommitRecord | None = None
-) -> dict:
-    """Flat export object for one anomaly, enriched from the commit if given."""
-    obj: dict = {
-        "kind": anomaly.kind.value,
-        "commit_id": anomaly.commit_id,
-        "project": anomaly.project,
-        "observed_epoch": anomaly.observed,
-        "observed_tz": format_offset(anomaly.observed_tz),
-    }
-    if anomaly.reference is not None:
-        obj["reference_epoch"] = anomaly.reference
-    if anomaly.counterpart_id is not None:
-        obj["counterpart_id"] = anomaly.counterpart_id
-    if anomaly.delta_seconds is not None:
-        obj["delta_seconds"] = anomaly.delta_seconds
-    if commit is not None:
-        obj["author_name"] = commit.author_name
-        obj["author_email"] = commit.author_email
-        obj["message"] = commit.message
-    return obj
-
-
 def emit_anomaly_stream(
     anomalies: Iterable[AnomalyRecord],
     commits: Mapping[tuple[str, str], CommitRecord] | None = None,
 ) -> bytes:
     """Serialize anomalies as deterministic JSONL.
 
-    Each row is enriched from its commit in ``commits``, a (project, commit
-    id) -> record map, when given.
+    Each row is compact, ASCII-escaped JSON with the keys kind, commit_id,
+    project, observed_epoch, observed_tz, then reference_epoch,
+    counterpart_id and delta_seconds when set. A row is enriched with
+    author_name, author_email and message from its commit in ``commits``, a
+    (project, commit id) -> record map, when given. The rows of one commit
+    are adjacent once sorted, so its enrichment is encoded once for all of
+    them.
     """
     commits = commits or {}
-    lines = [
-        JSONL_ENCODER.encode(anomaly_to_object(a, commits.get((a.project, a.commit_id))))
-        for a in sorted(anomalies, key=anomaly_sort_key)
-    ]
-    return ("\n".join(lines) + "\n" if lines else "").encode("ascii")
+    quoted = encode_basestring_ascii  # a str as a JSON string, ASCII-escaped
+    lines = []
+    current = None
+    for a in sorted(anomalies, key=anomaly_sort_key):
+        if (a.project, a.commit_id) != current:
+            current = (a.project, a.commit_id)
+            ids = f'"commit_id":{quoted(a.commit_id)},"project":{quoted(a.project)}'
+            r = commits.get(current)
+            enrichment = "}" if r is None else (
+                f',"author_name":{quoted(r.author_name)}'
+                f',"author_email":{quoted(r.author_email)}'
+                f',"message":{quoted(r.message)}}}'
+            )
+        row = (f'{{"kind":{quoted(a.kind.value)},{ids},'
+               f'"observed_epoch":{a.observed},'
+               f'"observed_tz":{quoted(format_offset(a.observed_tz))}')
+        if a.reference is not None:
+            row += f',"reference_epoch":{a.reference}'
+        if a.counterpart_id is not None:
+            row += f',"counterpart_id":{quoted(a.counterpart_id)}'
+        if a.delta_seconds is not None:
+            row += f',"delta_seconds":{a.delta_seconds}'
+        lines.append(f"{row}{enrichment}\n".encode("ascii"))
+    return b"".join(lines)
 
 
-def parse_anomaly_stream(data: bytes) -> tuple[
+def parse_anomaly_stream(stream: bytes | IO[bytes]) -> tuple[
     list[AnomalyRecord], dict[tuple[str, str], tuple[str, str]], dict[tuple[str, str], str]
 ]:
     """Parse an anomaly JSONL stream.
 
-    Returns the anomalies plus two side maps keyed by (project, commit id):
-    author (name, email) and message, for the rows that carried enrichment.
-    A malformed line raises ValueError naming the line.
+    stream is the stream's bytes or an open binary file; either is read
+    line by line, so a file is never held whole. Returns the anomalies plus
+    two side maps keyed by (project, commit id): author (name, email) and
+    message, for the rows that carried enrichment. A malformed line raises
+    ValueError naming the line.
     """
+    lines = io.BytesIO(stream) if isinstance(stream, bytes) else stream
     anomalies: list[AnomalyRecord] = []
     authors: dict[tuple[str, str], tuple[str, str]] = {}
     messages: dict[tuple[str, str], str] = {}
-    for lineno, raw in enumerate(data.split(b"\n"), start=1):
-        if not raw.strip():
+    for lineno, raw in enumerate(lines, start=1):
+        if raw.isspace():  # never empty: a line holds at least its LF
             continue
         try:
-            obj = json.loads(raw.decode("utf-8"))
+            obj = json.loads(raw.decode("utf-8").rstrip("\n"))
             if not isinstance(obj, dict):
                 raise ValueError("record is not an object")
             kind = AnomalyKind(obj["kind"])
-            for name in ("commit_id", "project", "author_name", "author_email", "message"):
+            for name in ("project", "author_name", "author_email", "message"):
                 if not isinstance(obj.get(name, ""), str):
                     raise ValueError(f"non-string {name}")
+            for name in ("commit_id", "counterpart_id"):
+                if name in obj and not is_commit_hash(obj[name]):
+                    raise ValueError(f"malformed {name}")
+            if "delta_seconds" in obj and type(obj["delta_seconds"]) is not int:
+                raise ValueError(f"non-integer delta_seconds: {obj['delta_seconds']!r}")
             observed, observed_tz = normalize_time(
                 obj["observed_epoch"], obj.get("observed_tz", "+0000")
             )

@@ -253,7 +253,7 @@ def test_criterion_6_fingerprint_suite():
     for m in negatives:
         records.append(rec(("fps", i), message=m))
         i += 1
-    result = scan_fingerprints(records)
+    result = scan_fingerprints(r.message for r in records)
     ok = all(result[name] == count for name, count in expected.items())
     verdict(6, "fingerprint rules report exact planted counts", ok, json.dumps(result))
 

@@ -390,8 +390,21 @@ class TestMalformedInput:
         '{"kind": "future", "commit_id": "%s", "project": 7, "observed_epoch": 5}',
         '{"kind": "future", "commit_id": "%s", "project": "p", "observed_epoch": 5, '
         '"observed_tz": 0}',
+        '{"kind": "future", "commit_id": "%s", "project": "p", "observed_epoch": 5, '
+        '"counterpart_id": 7}',
+        '{"kind": "future", "commit_id": "%s", "project": "p", "observed_epoch": 5, '
+        '"delta_seconds": "5"}',
+        '{"kind": "future", "commit_id": "%s", "project": "p", "observed_epoch": 5, '
+        '"delta_seconds": 1.5}',
+        '{"kind": "future", "commit_id": "abc", "project": "p", "observed_epoch": 5}',
+        '{"kind": "future", "commit_id": "%s", "project": "p", "observed_epoch": 5, '
+        '"counterpart_id": "HEAD~1"}',
+        '{"kind": "future", "commit_id": "%s", "project": "p", "observed_epoch": 5, '
+        '"counterpart_id": "' + "A" * 40 + '"}',
     ], ids=["list", "string", "epoch-text", "epoch-null", "reference-text",
-            "reference-null", "project-number", "zone-number"])
+            "reference-null", "project-number", "zone-number", "counterpart-number",
+            "delta-text", "delta-float", "commit-id-short", "counterpart-not-id",
+            "counterpart-uppercase"])
     def test_bad_anomaly_stream(self, tmp_path, capsys, line):
         good = '{"kind": "future", "commit_id": "%s", "project": "p", "observed_epoch": 5}'
         stream = tmp_path / "a.jsonl"

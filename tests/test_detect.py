@@ -210,14 +210,14 @@ class TestOutOfOrderParent:
 class TestFingerprints:
     def test_git_svn_id_counted(self):
         r = rec("a", message="sync\n\ngit-svn-id: https://svn.example.com/trunk@5 uuid")
-        result = scan_fingerprints([r])
+        result = scan_fingerprints([r.message])
         assert result["git-svn-id"] == 1
 
     def test_hg_word_boundary(self):
         hit = rec("a", message="pulled via hg convert")
         miss = rec("b", message="on the highway")
-        assert scan_fingerprints([hit])["hg"] == 1
-        assert scan_fingerprints([miss])["hg"] == 0
+        assert scan_fingerprints([hit.message])["hg"] == 1
+        assert scan_fingerprints([miss.message])["hg"] == 0
 
     def test_planted_counts(self):
         plants = {
@@ -236,7 +236,7 @@ class TestFingerprints:
                 i += 1
         records.append(rec(("fp", i), message="nothing special"))
         records.append(rec(("fp", i + 1), message="ordinary change"))
-        result = scan_fingerprints(records)
+        result = scan_fingerprints(r.message for r in records)
         for name, count in expected.items():
             assert result[name] == count
         assert result["git-svn-id"] == 0
@@ -245,10 +245,10 @@ class TestFingerprints:
         rng = random.Random(6)
         records = [rec(("perm", i), message=m)
                    for i, m in enumerate(["Change-Id: I1", "hg pull", "x", "MOE"])]
-        baseline = scan_fingerprints(records)
+        baseline = scan_fingerprints(r.message for r in records)
         for _ in range(5):
             rng.shuffle(records)
-            assert scan_fingerprints(records) == baseline
+            assert scan_fingerprints(r.message for r in records) == baseline
 
     def test_bad_pattern_rejected_at_load(self):
         with pytest.raises(ConfigError):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chronolint import ingest
 from chronolint.ingest import (
     MAX_EPOCH_ABS,
     emit_export_stream,
@@ -448,6 +449,34 @@ class TestReadRepository:
     def test_missing_repo_errors(self, tmp_path):
         with pytest.raises(RepositoryError):
             read_repository(str(tmp_path / "nope"), "proj")
+
+    @pytest.mark.parametrize("failure", ["missing-repo", "unreadable-output"])
+    def test_failure_reaps_git_and_closes_files(self, tmp_path, monkeypatch, failure):
+        started = []
+        start_git = ingest._start_git
+
+        def recording_start(*args):
+            started.append(start_git(*args))
+            return started[-1]
+
+        def unreadable(stream, path, report):
+            raise RepositoryError(f"git cat-file: unexpected output in {path}")
+
+        monkeypatch.setattr(ingest, "_start_git", recording_start)
+        repo = tmp_path / "r"
+        if failure == "missing-repo":
+            expected = "git cat-file failed in"
+        else:
+            build_repo(repo, [{"key": "a", "commit_epoch": 100_000},
+                              {"key": "b", "commit_epoch": 200_000, "parents": ["a"]}])
+            monkeypatch.setattr(ingest, "_read_commits", unreadable)
+            expected = "git cat-file: unexpected output"
+        with pytest.raises(RepositoryError, match=expected):
+            read_repository(str(repo), "proj")
+        assert len(started) == 2
+        for proc, err in started:
+            assert proc.returncode is not None, proc.args
+            assert err.closed, proc.args
 
     def test_git_override_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHRONOLINT_GIT", str(tmp_path / "no-such-git"))

@@ -1,4 +1,8 @@
+import io
+import itertools
+import json
 import random
+import re
 
 import pytest
 
@@ -31,8 +35,7 @@ def anomaly(seed, kind=AnomalyKind.OUT_OF_ORDER_PARENT, project="proj",
 
 class TestSummarize:
     def test_empty_anomaly_set(self):
-        corpus = {"p": [rec(("s", i)) for i in range(10)]}
-        report = summarize(corpus, [])
+        report = summarize({"p": 10}, [])
         assert report.totals == {"commits": 10, "projects": 1}
         assert all(s["count"] == 0 for s in report.anomalies.values())
 
@@ -43,7 +46,7 @@ class TestSummarize:
         }
         flagged = corpus["p1"][0]
         report = summarize(
-            corpus,
+            {p: len(recs) for p, recs in corpus.items()},
             [AnomalyRecord(kind=AnomalyKind.ZERO_EPOCH, commit_id=flagged.id,
                            project="p1", observed=0)],
         )
@@ -73,7 +76,7 @@ class TestSummarize:
         anomalies = set()
         for name, records in corpus.items():
             anomalies |= detect_old(build_history(records, name), CFG)
-        report = summarize(corpus, anomalies)
+        report = summarize({p: len(recs) for p, recs in corpus.items()}, anomalies)
         assert report.anomalies["zero_epoch"]["count"] == expected
         assert report.anomalies["zero_epoch"]["corpus_percent"] == expected / 200
 
@@ -192,6 +195,27 @@ class TestTokens:
         stop = default_stopwords()
         assert "the" in stop and "merge" not in stop
 
+    def test_matches_per_token_loop(self):
+        # the per-token loop the counter replaced, kept as the reference
+        def reference(messages, stop):
+            counts = {}
+            for message in messages:
+                for token in re.findall(r"[0-9a-z/_-]+", message.lower()):
+                    if token in stop or not any(ch.isalnum() for ch in token):
+                        continue
+                    counts[token] = counts.get(token, 0) + 1
+            return counts
+
+        rng = random.Random(41)
+        vocab = ["İstanbul", "İ", "FIX", "the", "a", "of", "--", "/", "_/_", "-x-",
+                 "git-svn-id:", "bug/42", "Merge", "ünïcode", "ǅ", "ﬁle", "...", "x_y"]
+        messages = ["", "İ", "--- / _ -", "The the THE", "İİ--İ"] + [
+            rng.choice(["", "\n", " ", "\t", "."]).join(rng.choices(vocab, k=rng.randint(0, 12)))
+            for _ in range(300)
+        ]
+        for stop in ({"the", "a", "of"}, set(), default_stopwords()):
+            assert token_frequencies(messages, stop) == reference(messages, stop)
+
     def test_ranked_ordering(self):
         ranked = ranked_tokens({"b": 2, "a": 2, "c": 5})
         assert ranked == [("c", 5), ("a", 2), ("b", 2)]
@@ -199,8 +223,7 @@ class TestTokens:
 
 class TestEmit:
     def build(self):
-        corpus = {"p": [rec(("e", i), project="p") for i in range(3)]}
-        report = summarize(corpus, [anomaly("e0", project="p")])
+        report = summarize({"p": 3}, [anomaly("e0", project="p")])
         report.meta = {"tool_version": "0.1.0"}
         report.cutoff_table = cutoff_table([anomaly("e0")], [2017, 2018])
         report.tokens = [("fix", 3)]
@@ -258,3 +281,86 @@ class TestAnomalyStream:
     def test_bad_stream_raises(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_anomaly_stream(b"{\"kind\": \"nope\"}\n")
+
+
+class TestAnomalyStreamRows:
+    """Every row is json.dumps of its object in the documented key order."""
+
+    TEXTS = ['plain', 'say "hi"', "back\\slash\\", "ctl \x00\x01\x1f\x7f\t\r\n",
+             "non-ascii é İ 中 \U0001f600", "bytes \udc80\udcff", ""]
+    ZONES = {0: "+0000", -330: "-0530", 840: "+1400", -720: "-1200", 345: "+0545"}
+
+    def expected_row(self, a, commit):
+        obj = {
+            "kind": a.kind.value,
+            "commit_id": a.commit_id,
+            "project": a.project,
+            "observed_epoch": a.observed,
+            "observed_tz": self.ZONES[a.observed_tz],
+        }
+        if a.reference is not None:
+            obj["reference_epoch"] = a.reference
+        if a.counterpart_id is not None:
+            obj["counterpart_id"] = a.counterpart_id
+        if a.delta_seconds is not None:
+            obj["delta_seconds"] = a.delta_seconds
+        if commit is not None:
+            obj["author_name"] = commit.author_name
+            obj["author_email"] = commit.author_email
+            obj["message"] = commit.message
+        return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
+
+    def test_rows_equal_json_dumps(self):
+        rng = random.Random(43)
+        anomalies, commits = [], {}
+        optional = itertools.product(
+            (None, 1_234_567_890, -5), (None, fake_hash("other")), (None, -86_400, 0, 7)
+        )
+        for i, (reference, counterpart, delta) in enumerate(optional):
+            project = rng.choice(self.TEXTS)
+            commit = rec(("row", i), project=project, message=rng.choice(self.TEXTS),
+                         author_name=rng.choice(self.TEXTS),
+                         author_email=rng.choice(self.TEXTS))
+            zone = rng.choice(sorted(self.ZONES))
+            # several rows of one commit share its enrichment
+            for kind in rng.sample(list(AnomalyKind), rng.randint(1, 3)):
+                anomalies.append(AnomalyRecord(
+                    kind=kind, commit_id=commit.id, project=project,
+                    observed=rng.choice((0, -1, 1_500_000_000, 2**40)), observed_tz=zone,
+                    reference=reference, counterpart_id=counterpart, delta_seconds=delta,
+                ))
+            if i % 3:
+                commits[(project, commit.id)] = commit
+        ordered = sorted(anomalies, key=lambda a: (
+            a.project, a.commit_id, a.kind.value, a.counterpart_id or "", a.delta_seconds or 0
+        ))
+        expected = "".join(
+            self.expected_row(a, commits.get((a.project, a.commit_id))) + "\n"
+            for a in ordered
+        )
+        rng.shuffle(anomalies)
+        assert emit_anomaly_stream(anomalies, commits) == expected.encode("ascii")
+        assert emit_anomaly_stream(anomalies) == "".join(
+            self.expected_row(a, None) + "\n" for a in ordered
+        ).encode("ascii")
+        assert emit_anomaly_stream([]) == b""
+
+    def test_file_and_bytes_agree(self, tmp_path):
+        p = rec("p", commit_epoch=1000, message="first\n\xe9 \udc80")
+        c = rec("c", commit_epoch=900, parents=(p.id,), author_name="")
+        anomalies = run_all_detectors(build_history([p, c], "proj"), CFG)
+        data = emit_anomaly_stream(anomalies, {("proj", p.id): p, ("proj", c.id): c})
+        # blank and CRLF lines, and a last line without its LF
+        data = b"\n" + data.replace(b"\n", b"\r\n", 1) + b"  \n" + data.rstrip(b"\n")
+        path = tmp_path / "a.jsonl"
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            from_file = parse_anomaly_stream(fh)
+        assert from_file == parse_anomaly_stream(data)
+        assert from_file == parse_anomaly_stream(io.BytesIO(data))
+        assert sorted(from_file[0], key=repr) == sorted(list(anomalies) * 2, key=repr)
+
+    def test_bad_line_number_counts_blank_lines(self):
+        good = emit_anomaly_stream([anomaly("n")])
+        with pytest.raises(ValueError, match="^bad anomaly record at line 4: "):
+            parse_anomaly_stream(good + b"\n\r\n" + b"[1]\n" + good)
