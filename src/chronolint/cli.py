@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import os
 import re
-import subprocess
 import sys
 from datetime import datetime, timezone
 from typing import Collection, Iterable, Sequence
@@ -36,10 +36,10 @@ from .graph import build_history
 from .ingest import (
     IngestReport,
     emit_export_stream,
-    git_executable,
     normalize_time,
     parse_export_stream,
     read_repository,
+    run_git,
 )
 from .model import (
     AnomalyKind,
@@ -110,7 +110,24 @@ def observed_years(anomalies: Collection[AnomalyRecord]) -> range:
     return range(epoch_year(min(times)), epoch_year(max(times)) + 1)
 
 
-def load_config_file(path: str | None) -> dict:
+CONFIG_KEYS = frozenset(("old_threshold", "reference", "time_basis", "merge_exclusion",
+                         "fingerprint_rules", "policy"))
+POLICY_KEYS = frozenset(f.name for f in dataclasses.fields(FilterPolicy))
+RULE_KEYS = frozenset(f.name for f in dataclasses.fields(FingerprintRule))
+
+
+def reject_unknown_keys(obj: dict, known: Collection[str], what: str) -> None:
+    """Raise ConfigError naming the first key of obj that is not known.
+
+    A misspelt key would otherwise be ignored, and its default used silently.
+    """
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"{what} {key}: unknown key")
+
+
+def load_config_file(path: str | None, known: Collection[str] | None = CONFIG_KEYS) -> dict:
+    """Read a JSON object from path, {} for None; with known, check its keys."""
     if path is None:
         return {}
     try:
@@ -121,6 +138,8 @@ def load_config_file(path: str | None) -> dict:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise UsageError(f"config {path} is not a JSON object")
+    if known is not None:
+        reject_unknown_keys(obj, known, "config")
     return obj
 
 
@@ -138,15 +157,9 @@ def fingerprint_rules_from_config(config: dict) -> tuple[FingerprintRule, ...]:
             and isinstance(entry.get("pattern"), str)
         ):
             raise ConfigError(f"bad fingerprint rule entry: {entry!r}")
-        rules.append(
-            FingerprintRule(
-                name=entry["name"],
-                pattern=entry["pattern"],
-                case_insensitive=bool(entry.get("case_insensitive", False)),
-            )
-        )
-    for rule in rules:
-        rule.compile()  # fail at load time, not scan time
+        reject_unknown_keys(entry, RULE_KEYS, f"fingerprint rule {entry['name']!r}")
+        rules.append(FingerprintRule(**entry))
+    scan_fingerprints((), rules)  # duplicate names and bad patterns fail at load time
     return tuple(rules)
 
 
@@ -188,6 +201,7 @@ def policy_from_object(obj: dict) -> FilterPolicy:
 
     if not isinstance(obj, dict):
         raise ConfigError(f"policy is not a JSON object: {obj!r}")
+    reject_unknown_keys(obj, POLICY_KEYS, "policy")
     kwargs: dict = {}
     if "min_epoch_seconds" in obj:
         value = obj["min_epoch_seconds"]
@@ -360,7 +374,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_filter(args: argparse.Namespace) -> int:
     config = load_config_file(args.config)
-    policy_obj = load_config_file(args.policy) if args.policy else config.get("policy", {})
+    if args.policy:
+        policy_obj = load_config_file(args.policy, known=None)
+    else:
+        policy_obj = config.get("policy", {})
     policy = policy_from_object(policy_obj)
     records, ingest_report, _ = load_records(args)
     print_rejects(ingest_report)
@@ -448,18 +465,12 @@ def _ensure_local(entry: str, cache_dir: str | None) -> str:
     target = _cache_path(cache_dir, entry)
     if not os.path.isdir(target):
         os.makedirs(cache_dir, exist_ok=True)
-        proc = subprocess.run(
-            [git_executable(), "clone", "--quiet", entry, target], capture_output=True
-        )
-        if proc.returncode != 0:
-            raise ChronolintError(
-                f"clone failed: {proc.stderr.decode('utf-8', 'replace').strip()}"
-            )
-    proc = subprocess.run(
-        [git_executable(), "-C", target, "rev-parse", "--is-shallow-repository"],
-        capture_output=True,
-    )
-    if proc.stdout.strip() == b"true":
+        # absolute, as git runs in the cache directory
+        with run_git(cache_dir, ["clone", "--quiet", entry, os.path.abspath(target)]) as clone:
+            clone.stdout.read()  # empty, but a hook may print
+    with run_git(target, ["rev-parse", "--is-shallow-repository"]) as rev_parse:
+        shallow = rev_parse.stdout.read().strip() == b"true"
+    if shallow:
         # full history is required for timestamp analysis
         raise ChronolintError(f"shallow clone refused: {entry}")
     return target

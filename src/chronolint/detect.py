@@ -37,6 +37,13 @@ class FingerprintRule:
     pattern: str
     case_insensitive: bool = False
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.case_insensitive, bool):
+            raise ConfigError(
+                f"fingerprint rule {self.name!r}: case_insensitive must be a boolean: "
+                f"{self.case_insensitive!r}"
+            )
+
     def compile(self) -> re.Pattern[str]:
         try:
             return re.compile(self.pattern, re.IGNORECASE if self.case_insensitive else 0)
@@ -193,8 +200,9 @@ def scan_fingerprints(
     """
     rules = list(rules)
     names = [rule.name for rule in rules]
-    if len(set(names)) != len(names):
-        raise ConfigError("duplicate fingerprint rule names")
+    duplicates = [name for name in names if names.count(name) > 1]
+    if duplicates:
+        raise ConfigError(f"duplicate fingerprint rule name: {duplicates[0]!r}")
     compiled = [(rule.name, rule.compile()) for rule in rules]
     counts = dict.fromkeys(names, 0)
     for message in messages:

@@ -18,6 +18,7 @@ The portable export format is JSONL: one flat object per line with fields
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import operator
@@ -26,7 +27,7 @@ import re
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from .model import CommitRecord, GitEnvironmentError, RepositoryError, is_commit_hash
 
@@ -213,43 +214,32 @@ def git_executable() -> str:
     return os.environ.get(GIT_ENV_VAR, "git")
 
 
+@contextlib.contextmanager
+def run_git(
+    path: str, args: list[str], stdin: IO[bytes] | int = subprocess.DEVNULL
+) -> Iterator[subprocess.Popen]:
+    """Run one git sub-command in path for the block, its stdout piped.
 
-
-def _start_git(path: str, args: list[str], stdin) -> tuple[subprocess.Popen, IO[bytes]]:
-    """Start one git sub-command with its stdout piped.
-
-    Its stderr goes to a temporary file, which never fills, so the process
-    cannot block on it.
+    stdin is an open file for git to read; by default git reads nothing. Its
+    stderr goes to a temporary file, which never fills, so the process
+    cannot block on it. On leaving the block, on every path, the process is
+    reaped and the file closed. Only if it failed and no other error is in
+    flight does RepositoryError name the sub-command.
     """
     cmd = [git_executable(), "-C", path, *args]
-    err = tempfile.TemporaryFile()
-    try:
-        proc = subprocess.Popen(
-            cmd, bufsize=1 << 16, stdin=stdin, stdout=subprocess.PIPE, stderr=err
-        )
-    except FileNotFoundError as exc:
-        err.close()
-        raise GitEnvironmentError(f"git executable not found: {cmd[0]}") from exc
-    return proc, err
-
-
-def _finish_git(
-    path: str, started: list[tuple[subprocess.Popen, IO[bytes]]], check: bool = True
-) -> None:
-    """Wait for every started git sub-command and close its stderr file.
-
-    Each one is reaped even when another failed. With check, the first that
-    failed, in the order given, raises RepositoryError naming it.
-    """
-    failure = None
-    for proc, err in started:
-        with err:
-            if proc.wait() != 0 and failure is None:
-                err.seek(0)
-                stderr = err.read().decode("utf-8", errors="replace").strip()
-                failure = RepositoryError(f"git {proc.args[3]} failed in {path}: {stderr}")
-    if check and failure is not None:
-        raise failure
+    with tempfile.TemporaryFile() as err:
+        try:
+            proc = subprocess.Popen(
+                cmd, bufsize=1 << 16, stdin=stdin, stdout=subprocess.PIPE, stderr=err
+            )
+        except FileNotFoundError as exc:
+            raise GitEnvironmentError(f"git executable not found: {cmd[0]}") from exc
+        with proc:  # closes stdout and waits, also when the block raises
+            yield proc
+        if proc.returncode != 0:
+            err.seek(0)
+            stderr = err.read().decode("utf-8", errors="replace").strip()
+            raise RepositoryError(f"git {args[0]} failed in {path}: {stderr}")
 
 
 def _read_commits(stream: IO[bytes], path: str, report: IngestReport) -> list[tuple]:
@@ -295,13 +285,12 @@ def _changed_files(path: str, ids: list[str]) -> dict[str, frozenset[str]]:
     ``--always`` prints every id fed in, in order, even with no paths after
     it, so each id is known in advance and no path is mistaken for one.
     """
-    proc, err = _start_git(
-        path,
-        ["diff-tree", "--stdin", "-r", "--root", "--always", "--name-only", "-z"],
-        subprocess.PIPE,
-    )
-    out, _ = proc.communicate("".join(f"{oid}\n" for oid in ids).encode("ascii"))
-    _finish_git(path, [(proc, err)])
+    with tempfile.TemporaryFile() as id_file:
+        id_file.write("".join(f"{oid}\n" for oid in ids).encode("ascii"))
+        id_file.seek(0)  # flushes the ids, too
+        args = ["diff-tree", "--stdin", "-r", "--root", "--always", "--name-only", "-z"]
+        with run_git(path, args, id_file) as diff_tree:
+            out = diff_tree.stdout.read()
     files: dict[str, list[str]] = {}
     pending = iter(ids)
     upcoming = next(pending, None)
@@ -341,24 +330,12 @@ def read_repository(
     walk = ["rev-list", "--first-parent"] if first_parent else ["rev-list"]
     walk += [revs, "--"]
     report = IngestReport()
-    rev_list, rev_err = _start_git(path, walk, subprocess.DEVNULL)
-    started = [(rev_list, rev_err)]
-    try:
+    # when both fail, the inner block's error, cat-file's, is the one raised
+    with run_git(path, walk) as rev_list:
         # rev-list writes its ids straight into cat-file through an OS pipe
-        with rev_list.stdout:
-            cat_file, cat_err = _start_git(
-                path, ["cat-file", "--batch", "--buffer"], rev_list.stdout
-            )
-        # when both fail, cat-file's error is the one raised
-        started.insert(0, (cat_file, cat_err))
-        with cat_file.stdout:
+        with run_git(path, ["cat-file", "--batch", "--buffer"], rev_list.stdout) as cat_file:
+            rev_list.stdout.close()  # cat-file holds its own copy
             commits = _read_commits(cat_file.stdout, path, report)
-    except BaseException:
-        # the error in flight is the one raised; with cat-file's stdout
-        # closed, both processes end
-        _finish_git(path, started, check=False)
-        raise
-    _finish_git(path, started)
     files = _changed_files(path, [c[0] for c in commits]) if with_files else {}
     records = [CommitRecord(*c, project=project, files=files.get(c[0])) for c in commits]
     # the walk order depends on git internals; normalize for reproducibility

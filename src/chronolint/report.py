@@ -17,12 +17,12 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import MAXYEAR, datetime, timezone
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from typing import IO, Iterable, Mapping
 
-from .ingest import format_offset, normalize_time
+from .ingest import MAX_EPOCH_ABS, format_offset, normalize_time
 from .model import AnomalyKind, AnomalyRecord, CommitRecord, is_commit_hash
 
 TOKEN_RE = re.compile(r"[0-9a-z/_-]+")
@@ -87,6 +87,8 @@ def summarize(
 
 
 def _year_boundary_epoch(year: int) -> int:
+    if year > MAXYEAR:  # epoch_year puts every later time in MAXYEAR
+        return MAX_EPOCH_ABS
     return int(datetime(year, 1, 1, tzinfo=timezone.utc).timestamp())
 
 

@@ -253,6 +253,33 @@ def planted_corpus(rng: random.Random, repos: int = 50, commits_per_repo: int = 
 
 
 # ---------------------------------------------------------------------------
+# processes started by the code under test
+
+def record_processes(monkeypatch) -> list:
+    """Record every process started through subprocess.Popen from now on.
+
+    Returns the list that each (process, stderr argument) pair is appended
+    to. Build any repository first: its git commands would be recorded too.
+    """
+    started = []
+    popen = subprocess.Popen
+
+    def recording(*args, **kwargs):
+        started.append((popen(*args, **kwargs), kwargs.get("stderr")))
+        return started[-1][0]
+
+    monkeypatch.setattr(subprocess, "Popen", recording)
+    return started
+
+
+def assert_reaped(started) -> None:
+    """Every recorded process was waited for and its stderr file closed."""
+    for proc, err in started:
+        assert proc.returncode is not None, proc.args
+        assert err.closed, proc.args
+
+
+# ---------------------------------------------------------------------------
 # real git repositories built with fast-import
 
 def init_repo(path) -> None:

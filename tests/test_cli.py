@@ -6,7 +6,15 @@ import pytest
 
 from chronolint.cli import main, parse_instant
 from chronolint.ingest import emit_export_stream, parse_export_stream, read_repository
-from helpers import build_repo, planted_corpus, rec, utc_epoch, write_raw_commit
+from helpers import (
+    assert_reaped,
+    build_repo,
+    planted_corpus,
+    rec,
+    record_processes,
+    utc_epoch,
+    write_raw_commit,
+)
 
 REF = "2021-01-01T00:00:00+00:00"
 
@@ -64,6 +72,20 @@ class TestScan:
         report = read_json(out)
         assert report["anomalies"]["zero_epoch"]["count"] == 1
         assert shas["a"] in anomalies_out.read_text()
+
+    def test_cutoff_table_ends_at_year_9999(self, tmp_path):
+        # epoch 3e11 is in year 11476: inside the epoch bounds, past datetime's years
+        first = rec("a")
+        late = rec("b", commit_epoch=300_000_000_000, parents=(first.id,))
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(emit_export_stream([first, late]))
+        out, anomalies = tmp_path / "r.json", tmp_path / "a.jsonl"
+        assert run(["scan", "--jsonl", str(src), "--reference", REF, "--out", str(out),
+                    "--anomalies-out", str(anomalies)]) == 1
+        assert read_json(out)["cutoff_table"] == [{"year": 9999, "percent_removed": 1.0}]
+        assert run(["report", "--in", str(anomalies), "--cutoff-table",
+                    "--out", str(out)]) == 0
+        assert read_json(out)["cutoff_table"] == [{"year": 9999, "percent_removed": 1.0}]
 
     def test_planted_jsonl_counts(self, tmp_path):
         corpus, manifest = planted_corpus(random.Random(55), repos=4,
@@ -304,6 +326,11 @@ class TestMalformedInput:
         ({"fingerprint_rules": [{"name": None, "pattern": "x"}]},
          "bad fingerprint rule entry: {'name': None, 'pattern': 'x'}"),
         ({"fingerprint_rules": ["x"]}, "bad fingerprint rule entry: 'x'"),
+        ({"old_treshold": "2000-01-01"}, "config old_treshold: unknown key"),
+        ({"fingerprint_rules": [{"name": "r", "pattern": "x", "flags": "i"}]},
+         "fingerprint rule 'r' flags: unknown key"),
+        ({"fingerprint_rules": [{"name": "r", "pattern": "x", "case_insensitive": "false"}]},
+         "fingerprint rule 'r': case_insensitive must be a boolean: 'false'"),
     ])
     def test_bad_config(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "cfg.json"
@@ -313,6 +340,14 @@ class TestMalformedInput:
         assert run(["scan", "--jsonl", str(src), "--config", str(cfg), "--reference", REF,
                     "--out", str(tmp_path / "r.json")]) == 2
         assert capsys.readouterr().err == f"chronolint: {message}\n"
+
+    def test_duplicate_rules_rejected_before_reading_input(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fingerprint_rules": [
+            {"name": "x", "pattern": "a"}, {"name": "x", "pattern": "b"}]}))
+        assert run(["scan", "--jsonl", str(tmp_path / "missing.jsonl"),
+                    "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "chronolint: duplicate fingerprint rule name: 'x'\n"
 
     @pytest.mark.parametrize("body", [
         pytest.param(b'{"reference": "\xff"}', id="undecodable"),
@@ -366,6 +401,8 @@ class TestMalformedInput:
         ({"min_epoch_seconds": True}, "min_epoch_seconds"),
         ({"project_blacklist": "bad/proj"}, "project_blacklist"),
         ({"project_blacklist": [1]}, "project_blacklist"),
+        ({"min_epoch_secs": 5_000_000_000, "cutof": "2030-01-01"}, "min_epoch_secs"),
+        ({"cutof": "2030-01-01"}, "cutof"),
     ])
     def test_bad_policy(self, tmp_path, capsys, policy, key):
         path = tmp_path / "policy.json"
@@ -503,6 +540,31 @@ class TestCorpus:
                  "--reference", REF, "--out", str(out)])
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_failed_clone_names_git_clone_and_reaps_it(self, tmp_path, monkeypatch, capsys):
+        url = f"file://{tmp_path / 'missing'}"
+        listing = tmp_path / "list.txt"
+        listing.write_text(url + "\n")
+        cache = tmp_path / "cache"
+        started = record_processes(monkeypatch)
+        assert run(["corpus", "--list", str(listing), "--cache", str(cache),
+                    "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"chronolint: {url}: git clone failed in {cache}: " in err
+        assert [proc.args[3] for proc, _ in started] == ["clone"]
+        assert_reaped(started)
+
+    def test_clone_into_relative_cache(self, tmp_path, monkeypatch):
+        src = tmp_path / "src"
+        build_repo(src, [
+            {"key": "a", "commit_epoch": 1_500_000_000},
+            {"key": "b", "commit_epoch": 1_500_000_060, "parents": ["a"]},
+        ])
+        (tmp_path / "list.txt").write_text(f"file://{src}\n")
+        monkeypatch.chdir(tmp_path)
+        assert run(["corpus", "--list", "list.txt", "--cache", "cache",
+                    "--reference", REF, "--out", "o.json"]) == 0
+        assert read_json(tmp_path / "o.json")["totals"]["commits"] == 2
 
     def test_shallow_clone_refused(self, tmp_path):
         import subprocess

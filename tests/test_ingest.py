@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+import shutil
 import subprocess
 import sys
 
@@ -18,7 +21,14 @@ from chronolint.ingest import (
 )
 from chronolint.graph import build_history
 from chronolint.model import CommitRecord, GitEnvironmentError, GraphError, RepositoryError
-from helpers import build_repo, fake_hash, rec, write_raw_commit
+from helpers import (
+    assert_reaped,
+    build_repo,
+    fake_hash,
+    rec,
+    record_processes,
+    write_raw_commit,
+)
 
 
 def jsonl(*objs) -> bytes:
@@ -452,17 +462,9 @@ class TestReadRepository:
 
     @pytest.mark.parametrize("failure", ["missing-repo", "unreadable-output"])
     def test_failure_reaps_git_and_closes_files(self, tmp_path, monkeypatch, failure):
-        started = []
-        start_git = ingest._start_git
-
-        def recording_start(*args):
-            started.append(start_git(*args))
-            return started[-1]
-
         def unreadable(stream, path, report):
             raise RepositoryError(f"git cat-file: unexpected output in {path}")
 
-        monkeypatch.setattr(ingest, "_start_git", recording_start)
         repo = tmp_path / "r"
         if failure == "missing-repo":
             expected = "git cat-file failed in"
@@ -471,12 +473,29 @@ class TestReadRepository:
                               {"key": "b", "commit_epoch": 200_000, "parents": ["a"]}])
             monkeypatch.setattr(ingest, "_read_commits", unreadable)
             expected = "git cat-file: unexpected output"
+        started = record_processes(monkeypatch)
         with pytest.raises(RepositoryError, match=expected):
             read_repository(str(repo), "proj")
-        assert len(started) == 2
-        for proc, err in started:
-            assert proc.returncode is not None, proc.args
-            assert err.closed, proc.args
+        assert [proc.args[3] for proc, _ in started] == ["rev-list", "cat-file"]
+        assert_reaped(started)
+
+    def test_failed_diff_tree_names_it_and_reaps_git(self, tmp_path, monkeypatch):
+        repo = tmp_path / "r"
+        build_repo(repo, [{"key": "a", "commit_epoch": 100_000, "files": {"a.txt": "a"}}])
+        wrapper = tmp_path / "git-wrapper"
+        wrapper.write_text(
+            "#!/bin/sh\n"
+            'for arg; do [ "$arg" = diff-tree ] && { echo "no diffs here" >&2; exit 1; }; done\n'
+            f'exec {shlex.quote(shutil.which("git"))} "$@"\n'
+        )
+        wrapper.chmod(0o755)
+        monkeypatch.setenv("CHRONOLINT_GIT", str(wrapper))
+        started = record_processes(monkeypatch)
+        with pytest.raises(RepositoryError,
+                           match=f"git diff-tree failed in {re.escape(str(repo))}: no diffs here"):
+            read_repository(str(repo), "proj", with_files=True)
+        assert [proc.args[3] for proc, _ in started] == ["rev-list", "cat-file", "diff-tree"]
+        assert_reaped(started)
 
     def test_git_override_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHRONOLINT_GIT", str(tmp_path / "no-such-git"))
