@@ -9,7 +9,9 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import itertools
 import json
+import operator
 import os
 import re
 import sys
@@ -127,19 +129,26 @@ def reject_unknown_keys(obj: dict, known: Collection[str], what: str) -> None:
 
 
 def load_config_file(path: str | None, known: Collection[str] | None = CONFIG_KEYS) -> dict:
-    """Read a JSON object from path, {} for None; with known, check its keys."""
+    """Read a JSON object from path, {} for None; with known, check its keys.
+
+    A config's ``policy`` is checked too, whichever command reads the config,
+    so one file is valid or invalid for every command.
+    """
     if path is None:
         return {}
     try:
         with open(path, "rb") as fh:
             obj = json.load(fh)
-    # ValueError: bad JSON or UTF-8, or an integer beyond int_max_str_digits
-    except (OSError, ValueError) as exc:
+    # ValueError: bad JSON or UTF-8, or an integer beyond int_max_str_digits;
+    # RecursionError: JSON nested past the recursion limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise UsageError(f"config {path} is not a JSON object")
     if known is not None:
         reject_unknown_keys(obj, known, "config")
+        if "policy" in obj:
+            policy_from_object(obj["policy"])
     return obj
 
 
@@ -261,10 +270,18 @@ def print_rejects(report: IngestReport, label: str = "chronolint") -> None:
         print(f"{label}: rejected {position}: {reason}", file=sys.stderr)
 
 
+_PROJECT = operator.attrgetter("project")
+
+
 def group_by_project(records: Iterable[CommitRecord]) -> dict[str, list[CommitRecord]]:
     corpus: dict[str, list[CommitRecord]] = {}
-    for r in records:
-        corpus.setdefault(r.project, []).append(r)
+    # exports list a project's commits together, so each run of them is moved
+    # in one step; a project that turns up again is extended, in input order
+    for project, run in itertools.groupby(records, key=_PROJECT):
+        if project in corpus:
+            corpus[project].extend(run)
+        else:
+            corpus[project] = list(run)
     return corpus
 
 
@@ -452,8 +469,15 @@ _URL_RE = re.compile(r"^[a-z+]+://|^git@")
 
 
 def _cache_path(cache_dir: str, url: str) -> str:
+    """The clone directory of url: a readable name, then a digest of the whole URL.
+
+    Sanitizing alone maps different URLs to one name ("a/b", "a_b", "a b").
+    """
+    import hashlib  # loads OpenSSL, which only a run with URLs needs
+
     safe = re.sub(r"[^0-9A-Za-z._-]+", "_", url).strip("_")
-    return os.path.join(cache_dir, safe)
+    digest = hashlib.sha256(url.encode("utf-8")).hexdigest()
+    return os.path.join(cache_dir, f"{safe}-{digest[:16]}")
 
 
 def _ensure_local(entry: str, cache_dir: str | None) -> str:

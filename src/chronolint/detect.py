@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .filters import select_time_basis
+from .filters import time_getter
 from .graph import linearize
 from .model import (
     AnomalyKind,
@@ -89,7 +89,7 @@ def _flag(
         kind=kind,
         commit_id=record.id,
         project=project,
-        observed=select_time_basis(record, basis),
+        observed=time_getter(basis)(record),
         observed_tz=zone,
         **evidence,
     )
@@ -101,9 +101,10 @@ def detect_old(history: RepoHistory, cfg: DetectorConfig) -> set[AnomalyRecord]:
     Zero-epoch commits additionally get an explicit ZERO_EPOCH record.
     """
     threshold, basis = cfg.old_threshold, cfg.time_basis
+    time_of = time_getter(basis)
     found: set[AnomalyRecord] = set()
     for r in history.commits.values():
-        t = select_time_basis(r, basis)
+        t = time_of(r)
         if t < threshold:
             found.add(_flag(AnomalyKind.SUSPICIOUS_OLD, r, history.project, basis,
                             reference=threshold, delta_seconds=t - threshold))
@@ -115,9 +116,10 @@ def detect_old(history: RepoHistory, cfg: DetectorConfig) -> set[AnomalyRecord]:
 def detect_future(history: RepoHistory, cfg: DetectorConfig) -> set[AnomalyRecord]:
     """Flag commits dated strictly after the future reference instant."""
     reference, basis = cfg.future_reference, cfg.time_basis
+    time_of = time_getter(basis)
     found: set[AnomalyRecord] = set()
     for r in history.commits.values():
-        t = select_time_basis(r, basis)
+        t = time_of(r)
         if t > reference:
             found.add(_flag(AnomalyKind.FUTURE, r, history.project, basis,
                             reference=reference, delta_seconds=t - reference))
@@ -139,19 +141,20 @@ def detect_out_of_order_linear(
     after every comparison.
     """
     basis = cfg.time_basis
+    time_of = time_getter(basis)
     found: set[AnomalyRecord] = set()
     last: CommitRecord | None = None
+    last_t = 0
     for r in linearize(history):
-        if last is not None:
-            t, last_t = select_time_basis(r, basis), select_time_basis(last, basis)
-            if t < last_t and not (
-                cfg.merge_exclusion
-                and (is_merge_related(r.message) or is_merge_related(last.message))
-            ):
-                found.add(_flag(AnomalyKind.OUT_OF_ORDER_LINEAR, r, history.project, basis,
-                                reference=last_t, counterpart_id=last.id,
-                                delta_seconds=t - last_t))
-        last = r
+        t = time_of(r)
+        if last is not None and t < last_t and not (
+            cfg.merge_exclusion
+            and (is_merge_related(r.message) or is_merge_related(last.message))
+        ):
+            found.add(_flag(AnomalyKind.OUT_OF_ORDER_LINEAR, r, history.project, basis,
+                            reference=last_t, counterpart_id=last.id,
+                            delta_seconds=t - last_t))
+        last, last_t = r, t
     return found
 
 
@@ -163,14 +166,16 @@ def detect_out_of_order_parent(
     One record per offending (commit, parent) pair; boundary parents absent
     from the history cannot be compared and are skipped.
     """
+    time_of = time_getter(basis)
+    commits = history.commits
     found: set[AnomalyRecord] = set()
-    for r in history.commits.values():
-        t = select_time_basis(r, basis)
+    for r in commits.values():
+        t = time_of(r)
         for pid in r.parents:
-            parent = history.commits.get(pid)
+            parent = commits.get(pid)
             if parent is None:
                 continue
-            pt = select_time_basis(parent, basis)
+            pt = time_of(parent)
             if pt > t:
                 found.add(_flag(AnomalyKind.OUT_OF_ORDER_PARENT, r, history.project, basis,
                                 reference=pt, counterpart_id=pid, delta_seconds=t - pt))

@@ -9,7 +9,8 @@ Filters never mutate timestamps; repairing bad dates is out of scope.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+import operator
+from typing import Callable, Iterable, Mapping
 
 from .model import (
     AnomalyKind,
@@ -19,14 +20,25 @@ from .model import (
     CommitRecord,
 )
 
+_AUTHOR_TIME = operator.attrgetter("author_time")
+_COMMIT_TIME = operator.attrgetter("commit_time")
+
+
+def time_getter(basis: str) -> Callable[[CommitRecord], int]:
+    """Return the getter of a record's author or committer time per policy.
+
+    Chosen once per pass, so the loop over records reads each time in C.
+    """
+    if basis == "author":
+        return _AUTHOR_TIME
+    if basis == "committer":
+        return _COMMIT_TIME
+    raise ValueError(f"unknown time basis: {basis!r}")
+
 
 def select_time_basis(record: CommitRecord, basis: str = "author") -> int:
     """Return the record's author or committer time per policy."""
-    if basis == "author":
-        return record.author_time
-    if basis == "committer":
-        return record.commit_time
-    raise ValueError(f"unknown time basis: {basis!r}")
+    return time_getter(basis)(record)
 
 
 def drop_pre_epoch(
@@ -35,9 +47,10 @@ def drop_pre_epoch(
     basis: str = "author",
 ) -> tuple[list[CommitRecord], list[str]]:
     """Drop records whose chosen-basis time is below min_epoch_seconds."""
+    time_of = time_getter(basis)
     kept, dropped = [], []
     for r in records:
-        if select_time_basis(r, basis) < min_epoch_seconds:
+        if time_of(r) < min_epoch_seconds:
             dropped.append(r.id)
         else:
             kept.append(r)
@@ -53,9 +66,10 @@ def date_cutoff(
     """Drop records strictly before (or strictly after) the cutoff."""
     if mode not in ("before", "after"):
         raise ValueError(f"unknown cutoff mode: {mode!r}")
+    time_of = time_getter(basis)
     kept, dropped = [], []
     for r in records:
-        t = select_time_basis(r, basis)
+        t = time_of(r)
         out = t < cutoff if mode == "before" else t > cutoff
         if out:
             dropped.append(r.id)
@@ -73,7 +87,8 @@ def time_window(
     """Keep records with start <= t <= end (inclusive both ends)."""
     if start > end:
         raise ValueError("window start is after window end")
-    return [r for r in records if start <= select_time_basis(r, basis) <= end]
+    time_of = time_getter(basis)
+    return [r for r in records if start <= time_of(r) <= end]
 
 
 def drop_projects(

@@ -33,33 +33,46 @@ def build_history(records: Iterable[CommitRecord], project: str) -> RepoHistory:
         if r.id in commits:
             raise GraphError(f"duplicate commit id {r.id} in project {project}")
         commits[r.id] = r
-    indegree = {cid: 0 for cid in commits}
-    children: dict[str, list[str]] = {cid: [] for cid in commits}
-    for r in commits.values():
+    # parents in the history not yet emitted, kept only while there are any;
+    # each commit's heap entry is listed under every such parent, so a commit
+    # with no child in the history gets no list
+    waiting: dict[str, int] = {}
+    children: dict[str, list[tuple[int, str]]] = {}
+    ready: list[tuple[int, str]] = []
+    for cid, r in commits.items():
+        waits = 0
         for p in r.parents:
             if p in commits:
-                indegree[r.id] += 1
-                children[p].append(r.id)
+                waits += 1
+                if p in children:
+                    children[p].append((r.commit_time, cid))
+                else:
+                    children[p] = [(r.commit_time, cid)]
+        if waits:
+            waiting[cid] = waits
+        else:
+            ready.append((r.commit_time, cid))
 
-    ready = [(commits[cid].commit_time, cid) for cid, deg in indegree.items() if deg == 0]
     heapq.heapify(ready)
     order: list[str] = []
     while ready:
-        _, cid = heapq.heappop(ready)
+        cid = heapq.heappop(ready)[1]
         order.append(cid)
-        for child in children[cid]:
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                heapq.heappush(ready, (commits[child].commit_time, child))
-    if len(order) != len(commits):
-        stuck = min(cid for cid, deg in indegree.items() if deg > 0)
-        raise GraphError(f"cycle detected in commit graph involving {stuck}")
+        for entry in children.get(cid, ()):
+            child = entry[1]
+            if waiting[child] == 1:
+                del waiting[child]
+                heapq.heappush(ready, entry)
+            else:
+                waiting[child] -= 1
+    if waiting:  # exactly the commits never emitted
+        raise GraphError(f"cycle detected in commit graph involving {min(waiting)}")
     return RepoHistory(commits=commits, order=tuple(order), project=project)
 
 
 def linearize(history: RepoHistory) -> list[CommitRecord]:
     """Return commits in the history's topological order."""
-    return [history.commits[cid] for cid in history.order]
+    return list(map(history.commits.__getitem__, history.order))
 
 
 def time_file_graph(records: Iterable[CommitRecord]) -> set[TimeFileEdge]:

@@ -29,7 +29,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
-from .model import CommitRecord, GitEnvironmentError, RepositoryError, is_commit_hash
+from .model import COMMIT_ID_RE, CommitRecord, GitEnvironmentError, RepositoryError
 
 GIT_ENV_VAR = "CHRONOLINT_GIT"
 # sanity bounds on every time read from outside: epoch seconds and zone minutes
@@ -44,6 +44,10 @@ _REQUIRED_FIELDS = operator.itemgetter(
     "id", "parents", "author_time", "author_tz", "commit_time", "commit_tz",
     "author_name", "author_email", "message",
 )
+# the C scanner behind json.loads, without json.loads' Python wrapper
+_SCAN_ONCE = json.JSONDecoder().scan_once
+_IS_ID = COMMIT_ID_RE.fullmatch  # raises TypeError for a non-string
+_NEW_RECORD = tuple.__new__  # CommitRecord without its Python __new__
 # one compact encoder for every export row written
 JSONL_ENCODER = json.JSONEncoder(ensure_ascii=True, separators=(",", ":"))
 # a --branches value with one of these is a glob; any other is a branch name
@@ -79,8 +83,6 @@ def parse_offset(text: str) -> int:
     The text must be exactly a sign and four ASCII digits. Raises
     ValueError for malformed text or offsets beyond ±24 hours.
     """
-    if type(text) is str and text in _OFFSET_MINUTES:
-        return _OFFSET_MINUTES[text]
     m = _OFFSET_RE.fullmatch(text) if type(text) is str else None
     if m is None:
         raise ValueError(f"malformed UTC offset: {text!r}")
@@ -104,7 +106,10 @@ def normalize_time(raw_seconds: int, raw_offset: str) -> tuple[int, int]:
         raise ValueError(f"non-integer epoch: {raw_seconds!r}")
     if not -MAX_EPOCH_ABS <= raw_seconds < MAX_EPOCH_ABS:
         raise ValueError(f"epoch out of sanity bounds: {raw_seconds}")
-    return raw_seconds, parse_offset(raw_offset)
+    try:  # only a text that parsed is in the memo, and only texts are
+        return raw_seconds, _OFFSET_MINUTES[raw_offset]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        return raw_seconds, parse_offset(raw_offset)
 
 
 def format_offset(minutes: int) -> str:
@@ -114,36 +119,28 @@ def format_offset(minutes: int) -> str:
     return f"{sign}{mag // 60:02d}{mag % 60:02d}"
 
 
-def _record_from_object(obj: dict, default_project: str) -> CommitRecord:
-    # each field is checked once; JSON values have exact types
+def load_json_line(text: str) -> object:
+    """Decode one JSONL line: the value json.loads(text) gives, or its error.
+
+    The C scanner behind json.loads reads the line in one call. Only a line
+    it refuses or does not consume whole (leading or trailing whitespace, a
+    BOM, extra data, bad JSON) goes through json.loads itself, so every
+    value and every error message is exactly json.loads'. JSON nested past
+    the recursion limit raises ValueError, as other bad JSON does. Lines
+    are never joined into one document: ``{"a":"x}``, ``{"}`` and
+    ``{"c":1},{"d":2}`` are each invalid, yet joined by commas inside
+    brackets they read as three objects.
+    """
     try:
-        (commit_id, parents, author_time, author_tz, commit_time, commit_tz,
-         author_name, author_email, message) = _REQUIRED_FIELDS(obj)
-    except KeyError as exc:  # the first missing field, in field order
-        raise ValueError(f"missing {exc.args[0]}") from None
-    if not is_commit_hash(commit_id):
-        raise ValueError("malformed id")
-    # a parent that is not a commit id could never match one, and would
-    # silently become a boundary parent that no detector compares
-    if type(parents) is not list or not all(map(is_commit_hash, parents)):
-        raise ValueError("malformed parents")
-    for name in ("author_name", "author_email", "message"):
-        if type(obj[name]) is not str:
-            raise ValueError(f"non-string {name}")
-    files = obj.get("files")
-    if files is not None:
-        if type(files) is not list or not all(type(f) is str for f in files):
-            raise ValueError("malformed files")
-        files = frozenset(files)
-    project = obj.get("project", default_project)
-    if type(project) is not str:
-        raise ValueError("non-string project")
-    author_time, author_tz = normalize_time(author_time, author_tz)
-    commit_time, commit_tz = normalize_time(commit_time, commit_tz)
-    return CommitRecord(
-        commit_id, tuple(parents), author_time, author_tz, commit_time, commit_tz,
-        author_name, author_email, message, project, files,
-    )
+        value, end = _SCAN_ONCE(text, 0)
+        if end == len(text):
+            return value
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def parse_export_stream(
@@ -152,12 +149,14 @@ def parse_export_stream(
     """Parse a JSONL export into CommitRecords.
 
     stream is the export's bytes or an open binary file; either is read
-    line by line, so a file is never held whole. Malformed lines are
-    rejected with positional diagnostics and never abort the stream. An
-    empty stream yields an empty set.
+    line by line, so a file is never held whole. A line is accepted exactly
+    when json.loads accepts it and its fields pass their checks. Malformed
+    lines are rejected with positional diagnostics and never abort the
+    stream. An empty stream yields an empty set.
     """
     lines = io.BytesIO(stream) if isinstance(stream, bytes) else stream
     records: list[CommitRecord] = []
+    append = records.append
     report = IngestReport()
     for lineno, raw in enumerate(lines, start=1):
         if raw.isspace():  # never empty: a line holds at least its LF
@@ -168,19 +167,55 @@ def parse_export_stream(
             report.reject(f"line {lineno}", "undecodable bytes")
             continue
         try:
-            obj = json.loads(text)
+            obj = load_json_line(text)
         # a JSONDecodeError (its msg has no position), or a ValueError for
-        # an integer beyond int_max_str_digits
+        # an integer beyond int_max_str_digits or nesting past the limit
         except ValueError as exc:
             report.reject(f"line {lineno}", f"invalid JSON: {getattr(exc, 'msg', exc)}")
             continue
         if type(obj) is not dict:
             report.reject(f"line {lineno}", "record is not an object")
             continue
+        # each field is checked once, in field order; JSON values have exact types
         try:
-            records.append(_record_from_object(obj, project))
+            (commit_id, parents, author_time, author_tz, commit_time, commit_tz,
+             author_name, author_email, message) = _REQUIRED_FIELDS(obj)
+            if type(commit_id) is not str or _IS_ID(commit_id) is None:
+                raise ValueError("malformed id")
+            # a parent that is not a commit id could never match one, and
+            # would silently become a boundary parent that no detector compares
+            try:
+                parents_ok = type(parents) is list and all(map(_IS_ID, parents))
+            except TypeError:  # a parent that is not a string
+                parents_ok = False
+            if not parents_ok:
+                raise ValueError("malformed parents")
+            if type(author_name) is not str:
+                raise ValueError("non-string author_name")
+            if type(author_email) is not str:
+                raise ValueError("non-string author_email")
+            if type(message) is not str:
+                raise ValueError("non-string message")
+            files = obj.get("files")
+            if files is not None:
+                if type(files) is not list or not all(type(f) is str for f in files):
+                    raise ValueError("malformed files")
+                files = frozenset(files)
+            record_project = obj.get("project", project)
+            if type(record_project) is not str:
+                raise ValueError("non-string project")
+            author_time, author_tz = normalize_time(author_time, author_tz)
+            commit_time, commit_tz = normalize_time(commit_time, commit_tz)
+        except KeyError as exc:  # the first missing field, in field order
+            report.reject(f"line {lineno}", f"missing {exc.args[0]}")
+            continue
         except ValueError as exc:
             report.reject(f"line {lineno}", str(exc))
+            continue
+        append(_NEW_RECORD(CommitRecord, (
+            commit_id, tuple(parents), author_time, author_tz, commit_time, commit_tz,
+            author_name, author_email, message, record_project, files,
+        )))
     report.records_parsed = len(records)
     return records, report
 

@@ -13,7 +13,8 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-_HASH_RE = re.compile("[0-9a-f]{40}")
+# the one definition of a commit id: a lowercase 40-hex-char SHA-1
+COMMIT_ID_RE = re.compile("[0-9a-f]{40}")
 
 
 class ChronolintError(Exception):
@@ -42,7 +43,7 @@ class ConsistencyError(ChronolintError):
 
 def is_commit_hash(value: object) -> bool:
     """True iff value is a str holding a lowercase 40-hex-char commit id."""
-    return type(value) is str and _HASH_RE.fullmatch(value) is not None
+    return type(value) is str and COMMIT_ID_RE.fullmatch(value) is not None
 
 
 class CommitRecord(NamedTuple):

@@ -22,7 +22,7 @@ from importlib import resources
 from json.encoder import encode_basestring_ascii
 from typing import IO, Iterable, Mapping
 
-from .ingest import MAX_EPOCH_ABS, format_offset, normalize_time
+from .ingest import MAX_EPOCH_ABS, format_offset, load_json_line, normalize_time
 from .model import AnomalyKind, AnomalyRecord, CommitRecord, is_commit_hash
 
 TOKEN_RE = re.compile(r"[0-9a-z/_-]+")
@@ -371,7 +371,7 @@ def parse_anomaly_stream(stream: bytes | IO[bytes]) -> tuple[
         if raw.isspace():  # never empty: a line holds at least its LF
             continue
         try:
-            obj = json.loads(raw.decode("utf-8").rstrip("\n"))
+            obj = load_json_line(raw.decode("utf-8").rstrip("\n"))
             if not isinstance(obj, dict):
                 raise ValueError("record is not an object")
             kind = AnomalyKind(obj["kind"])

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import hashlib
+import io
+import json
+import operator
 import random
+import re
 import subprocess
 from datetime import datetime, timezone
 
-from chronolint.model import CommitRecord
+from chronolint.model import CommitRecord, is_commit_hash
 
 
 def fake_hash(seed) -> str:
@@ -111,6 +115,91 @@ def pairwise_time_file_edges(records: list[CommitRecord]):
             ):
                 edges.add((a.id, b.id))
     return edges
+
+
+# ---------------------------------------------------------------------------
+# the JSONL reader before its per-line loop was rebuilt around the C scanner:
+# one json.loads call per line and one nested check per field
+
+_ORACLE_OFFSET_RE = re.compile(r"([+-])(\d\d)(\d\d)", re.ASCII)
+_ORACLE_FIELDS = operator.itemgetter(
+    "id", "parents", "author_time", "author_tz", "commit_time", "commit_tz",
+    "author_name", "author_email", "message",
+)
+
+
+def oracle_normalize_time(raw_seconds, raw_offset) -> tuple[int, int]:
+    """(epoch, zone minutes), or ValueError, with no memo."""
+    if type(raw_seconds) is not int:
+        raise ValueError(f"non-integer epoch: {raw_seconds!r}")
+    if not -2**62 <= raw_seconds < 2**62:
+        raise ValueError(f"epoch out of sanity bounds: {raw_seconds}")
+    m = _ORACLE_OFFSET_RE.fullmatch(raw_offset) if type(raw_offset) is str else None
+    if m is None:
+        raise ValueError(f"malformed UTC offset: {raw_offset!r}")
+    minutes = int(m.group(2)) * 60 + int(m.group(3))
+    if int(m.group(3)) > 59 or minutes > 1440:
+        raise ValueError(f"UTC offset out of range: {raw_offset!r}")
+    return raw_seconds, -minutes if m.group(1) == "-" else minutes
+
+
+def oracle_record_from_object(obj: dict, default_project: str) -> CommitRecord:
+    try:
+        (commit_id, parents, author_time, author_tz, commit_time, commit_tz,
+         author_name, author_email, message) = _ORACLE_FIELDS(obj)
+    except KeyError as exc:
+        raise ValueError(f"missing {exc.args[0]}") from None
+    if not is_commit_hash(commit_id):
+        raise ValueError("malformed id")
+    if type(parents) is not list or not all(map(is_commit_hash, parents)):
+        raise ValueError("malformed parents")
+    for name in ("author_name", "author_email", "message"):
+        if type(obj[name]) is not str:
+            raise ValueError(f"non-string {name}")
+    files = obj.get("files")
+    if files is not None:
+        if type(files) is not list or not all(type(f) is str for f in files):
+            raise ValueError("malformed files")
+        files = frozenset(files)
+    project = obj.get("project", default_project)
+    if type(project) is not str:
+        raise ValueError("non-string project")
+    author_time, author_tz = oracle_normalize_time(author_time, author_tz)
+    commit_time, commit_tz = oracle_normalize_time(commit_time, commit_tz)
+    return CommitRecord(
+        commit_id, tuple(parents), author_time, author_tz, commit_time, commit_tz,
+        author_name, author_email, message, project, files,
+    )
+
+
+def oracle_parse_export_stream(data: bytes, project: str = ""):
+    """(records, rejects) as (position, reason) pairs, one json.loads per line.
+
+    Nesting past the recursion limit, which crashed this reader, is rejected
+    with json.loads' message, as the reader under test rejects it.
+    """
+    records, rejects = [], []
+    for lineno, raw in enumerate(io.BytesIO(data), start=1):
+        if raw.isspace():
+            continue
+        try:
+            text = raw.decode("utf-8").rstrip("\n")
+        except UnicodeDecodeError:
+            rejects.append((f"line {lineno}", "undecodable bytes"))
+            continue
+        try:
+            obj = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            rejects.append((f"line {lineno}", f"invalid JSON: {getattr(exc, 'msg', exc)}"))
+            continue
+        if type(obj) is not dict:
+            rejects.append((f"line {lineno}", "record is not an object"))
+            continue
+        try:
+            records.append(oracle_record_from_object(obj, project))
+        except ValueError as exc:
+            rejects.append((f"line {lineno}", str(exc)))
+    return records, rejects
 
 
 # ---------------------------------------------------------------------------

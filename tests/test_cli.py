@@ -364,6 +364,55 @@ class TestMalformedInput:
                     "--out", str(tmp_path / "r.json")]) == 2
         assert capsys.readouterr().err.startswith(f"chronolint: cannot read config {cfg}: ")
 
+    @pytest.mark.parametrize("flag", ["--config", "--policy"])
+    def test_config_nested_past_recursion_limit(self, tmp_path, capsys, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"[" * 100_000)
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(emit_export_stream([rec("a")]))
+        command = "scan" if flag == "--config" else "filter"
+        assert run([command, "--jsonl", str(src), flag, str(cfg),
+                    "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"chronolint: cannot read config {cfg}: maximum recursion depth exceeded")
+
+    def test_jsonl_line_nested_past_recursion_limit(self, tmp_path, capsys):
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(b"[" * 100_000 + b"\n" + emit_export_stream([rec("a")]))
+        out = tmp_path / "r.json"
+        assert run(["scan", "--jsonl", str(src), "--reference", REF, "--out", str(out)]) == 0
+        assert capsys.readouterr().err.startswith(
+            "chronolint: rejected line 1: invalid JSON: maximum recursion depth exceeded")
+        assert read_json(out)["totals"]["commits"] == 1
+
+    def test_anomaly_stream_nested_past_recursion_limit(self, tmp_path, capsys):
+        good = '{"kind": "future", "commit_id": "%s", "project": "p", "observed_epoch": 5}'
+        stream = tmp_path / "a.jsonl"
+        stream.write_text(good % ("a" * 40) + "\n" + "[" * 100_000 + "\n")
+        assert run(["report", "--in", str(stream), "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "chronolint: bad anomaly record at line 2: maximum recursion depth exceeded")
+
+    @pytest.mark.parametrize("command", ["scan", "corpus"])
+    @pytest.mark.parametrize("policy, key", [
+        ({"cutof": "2030-01-01"}, "cutof"),
+        ({"drop_flagged_kinds": ["bogus"]}, "drop_flagged_kinds"),
+        ([], "is not a JSON object"),
+    ])
+    def test_bad_policy_in_config(self, tmp_path, capsys, command, policy, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"policy": policy}))
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(emit_export_stream([rec("a")]))
+        build_repo(tmp_path / "r", [{"key": "a", "commit_epoch": 0}])
+        listing = tmp_path / "repos.txt"
+        listing.write_text(f"{tmp_path / 'r'}\n")
+        out = tmp_path / "r.json"
+        source = ["--jsonl", str(src)] if command == "scan" else ["--list", str(listing)]
+        assert run([command, *source, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"chronolint: policy {key}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["scan", "--jsonl", "{jsonl}", "--top", "0"],
         ["scan", "--jsonl", "{jsonl}", "--top", "-3"],
@@ -565,6 +614,27 @@ class TestCorpus:
         assert run(["corpus", "--list", "list.txt", "--cache", "cache",
                     "--reference", REF, "--out", "o.json"]) == 0
         assert read_json(tmp_path / "o.json")["totals"]["commits"] == 2
+
+    def test_urls_with_one_sanitized_name_get_their_own_clones(self, tmp_path):
+        # each of these sanitizes to tmp_..._a_b; they hold 1, 2 and 3 commits
+        urls = []
+        for n, name in enumerate(("a/b", "a_b", "a b"), start=1):
+            path = tmp_path / name
+            path.parent.mkdir(exist_ok=True)
+            build_repo(path, [
+                {"key": f"c{i}", "commit_epoch": 1_500_000_000 + i,
+                 "parents": [f"c{i - 1}"] if i else []}
+                for i in range(n)
+            ])
+            urls.append(f"file://{path}")
+        listing = tmp_path / "list.txt"
+        listing.write_text("".join(f"{url}\n" for url in urls))
+        out = tmp_path / "o.json"
+        assert run(["corpus", "--list", str(listing), "--cache", str(tmp_path / "cache"),
+                    "--jobs", "2", "--reference", REF, "--out", str(out)]) == 0
+        report = read_json(out)
+        assert report["totals"] == {"commits": 6, "projects": 3}
+        assert len(list((tmp_path / "cache").iterdir())) == 3
 
     def test_shallow_clone_refused(self, tmp_path):
         import subprocess

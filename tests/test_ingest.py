@@ -29,6 +29,7 @@ from helpers import (
     record_processes,
     write_raw_commit,
 )
+from jsonl_differential import EDGE_LINES, differences, whole_table
 
 
 def jsonl(*objs) -> bytes:
@@ -159,6 +160,14 @@ class TestParseExportStream:
         assert report.rejects[0][0] == "line 1"
         assert report.rejects[0][1].startswith("invalid JSON: Exceeds the limit")
 
+    def test_deep_nesting_rejected_stream_continues(self):
+        data = b"[" * 100_000 + b"\n" + jsonl(minimal_obj())
+        records, report = parse_export_stream(data, "p")
+        assert [r.id for r in records] == ["a" * 40]
+        assert len(report.rejects) == 1
+        assert report.rejects[0][0] == "line 1"
+        assert report.rejects[0][1].startswith("invalid JSON: maximum recursion depth exceeded")
+
 
 class TestValidate:
     """Structural checks on ingested records, made when the history is built."""
@@ -210,6 +219,65 @@ def export_records(draw):
 
 def record_sets(max_size=12):
     return st.lists(export_records(), max_size=max_size, unique_by=lambda r: r.id)
+
+
+# bytes that JSON and the line layout give meaning to, and two that UTF-8 refuses
+MUTATION_BYTES = st.sampled_from(list(b'{}[]":,\\ \t\r\n0159aefAFNIntrulsx-+.eE') + [0xff, 0xc3])
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**63, 2**63), st.floats(), hashes,
+    st.sampled_from(["+0000", "-2359", "+2401", "0100", "A" * 40]), st.text(max_size=5),
+    st.lists(st.one_of(hashes, st.integers(), st.text(max_size=3)), max_size=3),
+)
+
+
+@st.composite
+def mutated_lines(draw):
+    """A valid export line, maybe with one field replaced or removed, after
+    zero to three byte-level edits, maybe with its LF."""
+    obj = ingest.record_to_object(draw(export_records()))
+    edit = draw(st.sampled_from(["none", "replace", "remove"]))
+    key = draw(st.sampled_from(sorted(obj)))
+    if edit == "replace":
+        obj[key] = draw(JSON_VALUES)
+    elif edit == "remove":
+        del obj[key]
+    compact = draw(st.booleans())
+    data = bytearray(json.dumps(obj, separators=(",", ":") if compact else None).encode())
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace", "repeat", "cut"]))
+        if edit == "insert":
+            data[at:at] = bytes(draw(st.lists(MUTATION_BYTES, min_size=1, max_size=4)))
+        elif edit == "delete":
+            del data[at:at + draw(st.integers(1, 8))]
+        elif edit == "replace" and at < len(data):
+            data[at] = draw(MUTATION_BYTES)
+        elif edit == "repeat":
+            data[at:at] = data[max(0, at - draw(st.integers(1, 20))):at]
+        elif edit == "cut":
+            del data[at:]
+    return bytes(data) + draw(st.sampled_from([b"\n", b""]))
+
+
+class TestAgainstOneLoadsPerLine:
+    """The reader gives what one json.loads call and one check per field gave."""
+
+    @pytest.mark.parametrize("raw", [raw for _, raw in EDGE_LINES],
+                             ids=[name for name, _ in EDGE_LINES])
+    def test_edge_line(self, raw):
+        assert differences(raw + b"\n") == []
+        assert differences(raw) == []  # the last line of a file may lack its LF
+
+    def test_whole_table_as_one_stream(self):
+        assert differences(whole_table()) == []
+
+    # a differential check, not a latency check
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_lines())
+    def test_mutated_valid_lines(self, data):
+        assert differences(data) == []
 
 
 class TestRoundTrip:
