@@ -122,18 +122,18 @@ def format_offset(minutes: int) -> str:
 def load_json_line(text: str) -> object:
     """Decode one JSONL line: the value json.loads(text) gives, or its error.
 
-    The C scanner behind json.loads reads the line in one call. Only a line
-    it refuses or does not consume whole (leading or trailing whitespace, a
-    BOM, extra data, bad JSON) goes through json.loads itself, so every
-    value and every error message is exactly json.loads'. JSON nested past
-    the recursion limit raises ValueError, as other bad JSON does. Lines
-    are never joined into one document: ``{"a":"x}``, ``{"}`` and
-    ``{"c":1},{"d":2}`` are each invalid, yet joined by commas inside
-    brackets they read as three objects.
+    The C scanner behind json.loads reads the line in one call, and its
+    value stands if at most JSON whitespace follows (a CRLF line keeps its
+    CR). Any other line (leading whitespace, a BOM, extra data, bad JSON)
+    goes through json.loads itself, so every value and every error message
+    is exactly json.loads'. JSON nested past the recursion limit raises
+    ValueError, as other bad JSON does. Lines are never joined into one
+    document: ``{"a":"x}``, ``{"}`` and ``{"c":1},{"d":2}`` are each
+    invalid, yet joined by commas inside brackets they read as three objects.
     """
     try:
         value, end = _SCAN_ONCE(text, 0)
-        if end == len(text):
+        if end == len(text) or not text[end:].strip(" \t\n\r"):
             return value
     except (StopIteration, ValueError, RecursionError):
         pass

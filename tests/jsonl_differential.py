@@ -49,6 +49,11 @@ EDGE_LINES: list[tuple[str, bytes]] = [
     ("trailing-spaces", BASE + b"  "),
     ("cr-before-lf", BASE + b"\r"),
     ("tab-and-cr", b"\t" + BASE + b" \r"),
+    ("trailing-json-whitespace", BASE + b" \t\r \r"),
+    # whitespace to str.isspace, but not to JSON
+    ("trailing-vertical-tab", BASE + b"\x0b"),
+    ("trailing-form-feed", BASE + b" \x0c"),
+    ("trailing-no-break-space", BASE + "\u00a0".encode()),
     ("utf8-bom", b"\xef\xbb\xbf" + BASE),
     ("trailing-garbage", BASE + b"x"),
     ("two-objects", BASE + b" " + BASE),
