@@ -46,7 +46,7 @@ _REQUIRED_FIELDS = operator.itemgetter(
 )
 # the C scanner behind json.loads, without json.loads' Python wrapper
 _SCAN_ONCE = json.JSONDecoder().scan_once
-_IS_ID = COMMIT_ID_RE.fullmatch  # raises TypeError for a non-string
+_IS_ID = COMMIT_ID_RE.fullmatch  # for strings only: it raises TypeError on others
 _NEW_RECORD = tuple.__new__  # CommitRecord without its Python __new__
 # one compact encoder for every export row written
 JSONL_ENCODER = json.JSONEncoder(ensure_ascii=True, separators=(",", ":"))
@@ -182,14 +182,13 @@ def parse_export_stream(
              author_name, author_email, message) = _REQUIRED_FIELDS(obj)
             if type(commit_id) is not str or _IS_ID(commit_id) is None:
                 raise ValueError("malformed id")
-            # a parent that is not a commit id could never match one, and
-            # would silently become a boundary parent that no detector compares
-            try:
-                parents_ok = type(parents) is list and all(map(_IS_ID, parents))
-            except TypeError:  # a parent that is not a string
-                parents_ok = False
-            if not parents_ok:
+            if type(parents) is not list:
                 raise ValueError("malformed parents")
+            for parent in parents:
+                # a parent that is not a commit id could never match one, and
+                # would silently become a boundary parent no detector compares
+                if type(parent) is not str or _IS_ID(parent) is None:
+                    raise ValueError("malformed parents")
             if type(author_name) is not str:
                 raise ValueError("non-string author_name")
             if type(author_email) is not str:
