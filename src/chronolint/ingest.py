@@ -106,9 +106,9 @@ def normalize_time(raw_seconds: int, raw_offset: str) -> tuple[int, int]:
         raise ValueError(f"non-integer epoch: {raw_seconds!r}")
     if not -MAX_EPOCH_ABS <= raw_seconds < MAX_EPOCH_ABS:
         raise ValueError(f"epoch out of sanity bounds: {raw_seconds}")
-    try:  # only a text that parsed is in the memo, and only texts are
+    try:  # the memo holds only texts that parsed, so a hit needs no more checks
         return raw_seconds, _OFFSET_MINUTES[raw_offset]
-    except (KeyError, TypeError):  # TypeError: an unhashable value
+    except (KeyError, TypeError):  # TypeError: an unhashable zone, say a list
         return raw_seconds, parse_offset(raw_offset)
 
 
