@@ -7,16 +7,18 @@ stdout carries data only; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import contextlib
 import dataclasses
+import gc
 import itertools
 import json
 import operator
 import os
 import re
+import stat
 import sys
 from datetime import datetime, timezone
-from typing import Collection, Iterable, Sequence
+from typing import IO, Collection, Iterable, NoReturn, Sequence
 
 from . import __version__
 from .detect import (
@@ -40,6 +42,7 @@ from .ingest import (
     emit_export_stream,
     normalize_time,
     parse_export_stream,
+    range_lines,
     read_repository,
     run_git,
 )
@@ -67,6 +70,15 @@ from .report import (
 EXIT_CLEAN = 0
 EXIT_ANOMALIES = 1
 EXIT_ERROR = 2
+# The least bytes each range of a parallel JSONL scan holds. Forking a
+# worker, placing it and passing its result back cost about 6 ms on a 2-vCPU
+# x86 guest, what a scan of about 150 KiB of export takes; there a 650 KB
+# export ran about 10% faster in two ranges than in one, a 130 KB one 50% slower.
+MIN_RANGE_BYTES = 1 << 19
+# A probe of the cut planner reads at most this many lines of at most
+# this many bytes each, so that planning never reads much of an export.
+PROBE_LINES = 64
+PROBE_BYTES = 1 << 16
 
 
 class UsageError(ChronolintError):
@@ -339,22 +351,31 @@ def build_report(
     return report
 
 
+def write_file(path: str, data: bytes) -> None:
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_output(data: bytes, out: str | None) -> None:
     if out is None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     else:
-        with open(out, "wb") as fh:
-            fh.write(data)
+        write_file(out, data)
 
 
 def write_report(report: ScanReport, format: str, out: str | None) -> None:
     if format == "csv" and out is not None:
         # one file per table
-        os.makedirs(out, exist_ok=True)
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
         for name, body in csv_tables(report).items():
-            with open(os.path.join(out, f"{name}.csv"), "wb") as fh:
-                fh.write(body)
+            write_file(os.path.join(out, f"{name}.csv"), body)
         return
     write_output(emit(report, format), out)
 
@@ -374,18 +395,292 @@ def finish_scan(
         report.meta["failures"] = failures
     write_report(report, args.format, args.out)
     if args.anomalies_out:
-        with open(args.anomalies_out, "wb") as fh:
-            fh.write(emit_anomaly_stream(anomalies, flagged))
+        write_file(args.anomalies_out, emit_anomaly_stream(anomalies, flagged))
     return EXIT_ANOMALIES if anomalies else EXIT_CLEAN
+
+
+Scanned = tuple[IngestReport, dict[str, int], set[AnomalyRecord], Flagged]
+
+
+def scan_lines(
+    lines: Iterable[bytes], project: str, cfg: DetectorConfig, show_rejects: bool = False
+) -> Scanned:
+    """Parse, group and scan the lines of a JSONL export: the work of one range.
+
+    With show_rejects the rejects are printed before the scan, so that they
+    precede the error of a scan that fails; otherwise the caller prints them.
+    The parse makes no reference cycles and its records live to the end of
+    the scan, so the cyclic collector is kept off them: it is paused during
+    the parse and then freezes them (scan_export unfreezes).
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        records, report = parse_export_stream(lines, project)
+    finally:
+        if collecting:
+            gc.enable()
+    gc.freeze()
+    if show_rejects:
+        print_rejects(report)
+    return (report, *scan_corpus(group_by_project(records), cfg))
+
+
+def scan_range(path: str, start: int, end: int, project: str, cfg: DetectorConfig) -> Scanned:
+    with open(path, "rb") as fh:
+        return scan_lines(range_lines(fh, start, end), project, cfg)
+
+
+def range_count(fh: IO[bytes]) -> int:
+    """How many ranges a scan of fh is cut into: one per CPU the process may use.
+
+    One, unless os.fork and CPU placement are there, no other thread is
+    alive (a forked child keeps only the thread that forked), fh is a
+    regular file, and each range would hold at least MIN_RANGE_BYTES.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return 1
+    status = os.fstat(fh.fileno())
+    if not stat.S_ISREG(status.st_mode):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), status.st_size // MIN_RANGE_BYTES))
+
+
+class _NoCut(Exception):
+    """A probe of the cut planner would read more than it may."""
+
+
+def _probe_line(fh: IO[bytes]) -> bytes:
+    line = fh.readline(PROBE_BYTES)
+    if len(line) == PROBE_BYTES:
+        raise _NoCut
+    return line
+
+
+def _line_start(fh: IO[bytes], offset: int) -> int:
+    """The first line start at or after offset."""
+    if offset <= 0:
+        return 0
+    fh.seek(offset - 1)
+    _probe_line(fh)
+    return fh.tell()
+
+
+def _project_at(fh: IO[bytes], offset: int, project: str) -> str | None:
+    """The project of the first record whose line starts at or after offset.
+
+    None past the last record. Each line is read by parse_export_stream, so
+    what counts as a record here is what counts in the scan.
+    """
+    fh.seek(_line_start(fh, offset))
+    for _ in range(PROBE_LINES):
+        line = _probe_line(fh)
+        if not line:
+            return None
+        records, _ = parse_export_stream(line, project)
+        if records:
+            return records[0].project
+    raise _NoCut
+
+
+def _run_edge(
+    fh: IO[bytes], size: int, project: str, target: int, here: str | None, step: int
+) -> int | None:
+    """The nearest line start from target in direction step (1 or -1) where
+    the records' project changes from here; None if it never does.
+
+    It gallops from target, doubling the distance, to an offset whose project
+    differs, then bisects down to two adjacent offsets. A record starts at
+    the lower one, and the other project's side begins on the next line.
+    """
+    inside, width = target, 1
+    while True:
+        outside = min(max(target + step * width, 0), size)
+        if _project_at(fh, outside, project) != here:
+            break
+        if outside in (0, size):
+            return None
+        inside, width = outside, width * 2
+    while abs(outside - inside) > 1:
+        middle = (inside + outside) // 2
+        if _project_at(fh, middle, project) == here:
+            inside = middle
+        else:
+            outside = middle
+    return _line_start(fh, max(inside, outside))
+
+
+def plan_ranges(fh: IO[bytes], size: int, project: str, count: int) -> list[tuple[int, int]]:
+    """Cut the size bytes of fh into at most count line-aligned ranges.
+
+    Each cut is the project-run start nearest to size*k/count, so that on
+    an export that lists each project's commits together, every project
+    falls in one range. A run past the last record (blank or rejected
+    lines only) counts as a run of its own. A line of PROBE_BYTES or more,
+    or PROBE_LINES lines without a record, where a probe reads leaves the
+    file in one range.
+    """
+    cuts = set()
+    try:
+        for k in range(1, count):
+            target = size * k // count
+            here = _project_at(fh, target, project)
+            edges = [edge for step in (1, -1)
+                     if (edge := _run_edge(fh, size, project, target, here, step)) is not None]
+            if edges:
+                cuts.add(min(edges, key=lambda edge: abs(edge - target)))
+    except _NoCut:
+        cuts.clear()
+    bounds = [0, *sorted(cuts - {0, size}), size]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _place(cpus: Collection[int]) -> None:
+    """Run this process on cpus; a refusal only costs speed."""
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, cpus)
+
+
+def _worker(path: str, start: int, end: int, project: str, cfg: DetectorConfig,
+            cpu: int, write_end: int, inherited: list[int]) -> NoReturn:
+    """The life of a forked child: scan one range, send the result pickled, exit."""
+    import pickle
+
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        _place({cpu})
+        scanned = scan_range(path, start, end, project, cfg)
+        with open(write_end, "wb") as pipe:
+            pickle.dump(scanned, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def scan_ranges(
+    path: str, plan: list[tuple[int, int]], project: str, cfg: DetectorConfig
+) -> list[Scanned] | None:
+    """Scan each range of plan in its own process, each on its own CPU.
+
+    This process works the largest range itself; each other range goes to
+    a forked child, which sends its result back pickled through a pipe.
+    None if any range failed. Every child is reaped and every pipe closed
+    on every path; a child still running at an error is killed.
+    """
+    import pickle
+
+    cpus = os.sched_getaffinity(0)
+    order = sorted(cpus)
+    mine = max(range(len(plan)), key=lambda i: plan[i][1] - plan[i][0])
+    children: dict[int, int] = {}  # range index: pid, until reaped
+    pipes: dict[int, int] = {}  # range index: read end of the child's pipe, until closed
+    parts: list = [None] * len(plan)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    # the children's collections then leave the parent's objects, and so
+    # its memory pages, alone
+    gc.freeze()
+    try:
+        for i, (start, end) in enumerate(plan):
+            if i == mine:
+                continue
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                return None
+            if pid == 0:
+                _worker(path, start, end, project, cfg, order[i % len(order)], write_end,
+                        [read_end, *pipes.values()])
+            children[i] = pid
+            pipes[i] = read_end
+            os.close(write_end)
+        _place({order[mine % len(order)]})
+        try:
+            parts[mine] = scan_range(path, *plan[mine], project, cfg)
+        except ChronolintError:
+            return None
+        for i in list(children):
+            with open(pipes.pop(i), "rb") as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(children.pop(i), 0)
+            if status != 0 or not data:
+                return None
+            parts[i] = pickle.loads(data)
+        return parts
+    finally:
+        for read_end in pipes.values():
+            os.close(read_end)
+        if children:
+            import signal
+
+            for pid in children.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        _place(cpus)
+
+
+def merge_ranges(parts: list[Scanned]) -> Scanned | None:
+    """The result of consecutive ranges as one; None if a project is in two."""
+    report = IngestReport()
+    counts: dict[str, int] = {}
+    anomalies: set[AnomalyRecord] = set()
+    flagged: Flagged = {}
+    for part_report, part_counts, part_anomalies, part_flagged in parts:
+        if not counts.keys().isdisjoint(part_counts):
+            return None
+        report.extend(part_report)
+        counts.update(part_counts)
+        anomalies |= part_anomalies
+        flagged.update(part_flagged)
+    return report, dict(sorted(counts.items())), anomalies, flagged
+
+
+def scan_export(
+    path: str, project: str, cfg: DetectorConfig, ranges: int | None = None
+) -> tuple[dict[str, int], set[AnomalyRecord], Flagged]:
+    """Scan a JSONL export, cut into ranges that forked processes work at once.
+
+    ranges is the number of ranges to cut; by default range_count decides.
+    If a project turns up in two ranges, or any range fails, the export is
+    scanned again in this process as one range, the path a single range
+    takes anyway; so no output depends on the ranges.
+    """
+    try:
+        with open(path, "rb") as fh:
+            count = range_count(fh) if ranges is None else ranges
+            if count > 1:
+                plan = plan_ranges(fh, os.fstat(fh.fileno()).st_size, project, count)
+                parts = scan_ranges(path, plan, project, cfg) if len(plan) > 1 else None
+                merged = None if parts is None else merge_ranges(parts)
+                if merged is not None:
+                    print_rejects(merged[0])
+                    return merged[1:]
+                fh.seek(0)
+            return scan_lines(fh, project, cfg, show_rejects=True)[1:]
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+    finally:
+        gc.unfreeze()
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
     config = load_config_file(args.config)
     cfg = detector_config_from(args, config)
     rules = fingerprint_rules_from_config(config)
-    records, ingest_report, _ = load_records(args)
-    print_rejects(ingest_report)
-    counts, anomalies, flagged = scan_corpus(group_by_project(records), cfg)
+    if args.jsonl and not args.repo:
+        counts, anomalies, flagged = scan_export(args.jsonl, args.project or args.jsonl, cfg)
+    else:
+        records, ingest_report, _ = load_records(args)
+        print_rejects(ingest_report)
+        counts, anomalies, flagged = scan_corpus(group_by_project(records), cfg)
     return finish_scan(args, counts, anomalies, flagged, cfg, rules)
 
 
@@ -501,6 +796,8 @@ def _ensure_local(entry: str, cache_dir: str | None) -> str:
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
+    import concurrent.futures  # only corpus runs a thread pool
+
     config = load_config_file(args.config)
     cfg = detector_config_from(args, config)
     rules = fingerprint_rules_from_config(config)

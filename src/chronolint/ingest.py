@@ -24,8 +24,6 @@ import json
 import operator
 import os
 import re
-import subprocess
-import tempfile
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
@@ -66,15 +64,33 @@ _HEADER_RE = re.compile(
 
 @dataclass
 class IngestReport:
-    """Outcome of one ingestion pass."""
+    """Outcome of one ingestion pass.
+
+    A reject's position is a JSONL line number, counted from 1, or the id
+    of a commit read from git. lines is the number of JSONL lines read.
+    """
 
     records_parsed: int = 0
     records_rejected: int = 0
-    rejects: list[tuple[str, str]] = field(default_factory=list)
+    lines: int = 0
+    rejected: list[tuple[int | str, str]] = field(default_factory=list)
 
-    def reject(self, position: str, reason: str) -> None:
+    def reject(self, position: int | str, reason: str) -> None:
         self.records_rejected += 1
-        self.rejects.append((position, reason))
+        self.rejected.append((position, reason))
+
+    @property
+    def rejects(self) -> list[tuple[str, str]]:
+        """Each reject as (position, reason), a line number as "line N"."""
+        return [(f"line {p}" if type(p) is int else p, reason) for p, reason in self.rejected]
+
+    def extend(self, later: IngestReport) -> None:
+        """Add the report of the lines that follow this report's lines."""
+        self.records_parsed += later.records_parsed
+        self.records_rejected += later.records_rejected
+        self.rejected += [(p + self.lines if type(p) is int else p, reason)
+                          for p, reason in later.rejected]
+        self.lines += later.lines
 
 
 def parse_offset(text: str) -> int:
@@ -143,13 +159,25 @@ def load_json_line(text: str) -> object:
         raise ValueError(str(exc)) from None
 
 
+def range_lines(fh: IO[bytes], start: int, end: int) -> Iterator[bytes]:
+    """The lines of a binary file that start in [start, end); start is a line start."""
+    fh.seek(start)
+    left = end - start
+    if left > 0:
+        for line in fh:
+            yield line
+            left -= len(line)
+            if left <= 0:
+                return
+
+
 def parse_export_stream(
-    stream: bytes | IO[bytes], project: str = ""
+    stream: bytes | Iterable[bytes], project: str = ""
 ) -> tuple[list[CommitRecord], IngestReport]:
     """Parse a JSONL export into CommitRecords.
 
-    stream is the export's bytes or an open binary file; either is read
-    line by line, so a file is never held whole. A line is accepted exactly
+    stream is the export's bytes, an open binary file or any iterable of
+    its lines; each is read line by line, so a file is never held whole. A line is accepted exactly
     when json.loads accepts it and its fields pass their checks. Malformed
     lines are rejected with positional diagnostics and never abort the
     stream. An empty stream yields an empty set.
@@ -158,23 +186,24 @@ def parse_export_stream(
     records: list[CommitRecord] = []
     append = records.append
     report = IngestReport()
+    lineno = 0
     for lineno, raw in enumerate(lines, start=1):
         if raw.isspace():  # never empty: a line holds at least its LF
             continue
         try:  # without its LF, a string cut at the line end reads as unterminated
             text = raw.decode("utf-8").rstrip("\n")
         except UnicodeDecodeError:
-            report.reject(f"line {lineno}", "undecodable bytes")
+            report.reject(lineno, "undecodable bytes")
             continue
         try:
             obj = load_json_line(text)
         # a JSONDecodeError (its msg has no position), or a ValueError for
         # an integer beyond int_max_str_digits or nesting past the limit
         except ValueError as exc:
-            report.reject(f"line {lineno}", f"invalid JSON: {getattr(exc, 'msg', exc)}")
+            report.reject(lineno, f"invalid JSON: {getattr(exc, 'msg', exc)}")
             continue
         if type(obj) is not dict:
-            report.reject(f"line {lineno}", "record is not an object")
+            report.reject(lineno, "record is not an object")
             continue
         # each field is checked once, in field order; JSON values have exact types
         try:
@@ -206,16 +235,17 @@ def parse_export_stream(
             author_time, author_tz = normalize_time(author_time, author_tz)
             commit_time, commit_tz = normalize_time(commit_time, commit_tz)
         except KeyError as exc:  # the first missing field, in field order
-            report.reject(f"line {lineno}", f"missing {exc.args[0]}")
+            report.reject(lineno, f"missing {exc.args[0]}")
             continue
         except ValueError as exc:
-            report.reject(f"line {lineno}", str(exc))
+            report.reject(lineno, str(exc))
             continue
         append(_NEW_RECORD(CommitRecord, (
             commit_id, tuple(parents), author_time, author_tz, commit_time, commit_tz,
             author_name, author_email, message, record_project, files,
         )))
     report.records_parsed = len(records)
+    report.lines = lineno
     return records, report
 
 
@@ -250,7 +280,7 @@ def git_executable() -> str:
 
 @contextlib.contextmanager
 def run_git(
-    path: str, args: list[str], stdin: IO[bytes] | int = subprocess.DEVNULL
+    path: str, args: list[str], stdin: IO[bytes] | None = None
 ) -> Iterator[subprocess.Popen]:
     """Run one git sub-command in path for the block, its stdout piped.
 
@@ -260,11 +290,16 @@ def run_git(
     reaped and the file closed. Only if it failed and no other error is in
     flight does RepositoryError name the sub-command.
     """
+    # imported here, so that a run that starts no git does not load them
+    import subprocess
+    import tempfile
+
     cmd = [git_executable(), "-C", path, *args]
     with tempfile.TemporaryFile() as err:
         try:
             proc = subprocess.Popen(
-                cmd, bufsize=1 << 16, stdin=stdin, stdout=subprocess.PIPE, stderr=err
+                cmd, bufsize=1 << 16, stdin=subprocess.DEVNULL if stdin is None else stdin,
+                stdout=subprocess.PIPE, stderr=err,
             )
         except FileNotFoundError as exc:
             raise GitEnvironmentError(f"git executable not found: {cmd[0]}") from exc
@@ -319,6 +354,8 @@ def _changed_files(path: str, ids: list[str]) -> dict[str, frozenset[str]]:
     ``--always`` prints every id fed in, in order, even with no paths after
     it, so each id is known in advance and no path is mistaken for one.
     """
+    import tempfile
+
     with tempfile.TemporaryFile() as id_file:
         id_file.write("".join(f"{oid}\n" for oid in ids).encode("ascii"))
         id_file.seek(0)  # flushes the ids, too

@@ -501,6 +501,57 @@ class TestMalformedInput:
         assert err.startswith("chronolint: bad anomaly record at line 2: ")
 
 
+class TestUnwritableOutput:
+    """An output that cannot be written exits 2 naming it, not 1 with a traceback."""
+
+    def export(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(emit_export_stream([rec(1, commit_epoch=0)]))
+        return path
+
+    def assert_cannot_write(self, capsys, path, code):
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"chronolint: cannot write {path}: No such file or directory\n")
+
+    @pytest.mark.parametrize("flag", ["--out", "--anomalies-out"])
+    def test_scan(self, tmp_path, capsys, flag):
+        missing = tmp_path / "no" / "dir" / "out"
+        code = run(["scan", "--jsonl", str(self.export(tmp_path)), "--reference", REF,
+                    flag, str(missing)])
+        self.assert_cannot_write(capsys, missing, code)
+
+    def test_scan_csv_directory(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = run(["scan", "--jsonl", str(self.export(tmp_path)), "--reference", REF,
+                    "--format", "csv", "--out", str(blocker / "csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"chronolint: cannot write {blocker / 'csv'}: ")
+
+    def test_filter(self, tmp_path, capsys):
+        missing = tmp_path / "no" / "k.jsonl"
+        code = run(["filter", "--jsonl", str(self.export(tmp_path)), "--out", str(missing)])
+        self.assert_cannot_write(capsys, missing, code)
+
+    def test_report(self, tmp_path, capsys):
+        stream = tmp_path / "a.jsonl"
+        stream.write_bytes(b"")
+        missing = tmp_path / "no" / "r.json"
+        code = run(["report", "--in", str(stream), "--out", str(missing)])
+        self.assert_cannot_write(capsys, missing, code)
+
+    def test_corpus(self, tmp_path, capsys):
+        repo = tmp_path / "r"
+        build_repo(repo, [{"key": "a", "commit_epoch": 1_600_000_000}])
+        listing = tmp_path / "list.txt"
+        listing.write_text(f"{repo}\n")
+        missing = tmp_path / "no" / "m.json"
+        code = run(["corpus", "--list", str(listing), "--reference", REF,
+                    "--out", str(missing)])
+        self.assert_cannot_write(capsys, missing, code)
+
+
 class TestCorpus:
     def make_repos(self, tmp_path):
         r1 = tmp_path / "repo1"

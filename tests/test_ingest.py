@@ -17,6 +17,7 @@ from chronolint.ingest import (
     normalize_time,
     parse_export_stream,
     parse_offset,
+    range_lines,
     read_repository,
 )
 from chronolint.graph import build_history
@@ -167,6 +168,34 @@ class TestParseExportStream:
         assert len(report.rejects) == 1
         assert report.rejects[0][0] == "line 1"
         assert report.rejects[0][1].startswith("invalid JSON: maximum recursion depth exceeded")
+
+
+class TestRanges:
+    """Reading an export in byte ranges: the lines, the line count, the rejects."""
+
+    DATA = b'{"a":1}\nnot json\n\n[]\r\nlast'
+
+    @pytest.mark.parametrize("cut", [0, 8, 17, 18, 22, 26])
+    def test_ranges_split_the_lines(self, tmp_path, cut):
+        path = tmp_path / "e.jsonl"
+        path.write_bytes(self.DATA)
+        with open(path, "rb") as fh:
+            head = list(range_lines(fh, 0, cut))
+            tail = list(range_lines(fh, cut, len(self.DATA)))
+        assert head + tail == self.DATA.splitlines(keepends=True)
+
+    @pytest.mark.parametrize("cut", [8, 17, 18, 22])
+    def test_extend_numbers_rejects_from_the_start(self, tmp_path, cut):
+        path = tmp_path / "e.jsonl"
+        path.write_bytes(self.DATA)
+        _, whole = parse_export_stream(self.DATA)
+        with open(path, "rb") as fh:
+            _, merged = parse_export_stream(range_lines(fh, 0, cut))
+            _, later = parse_export_stream(range_lines(fh, cut, len(self.DATA)))
+        merged.extend(later)
+        assert merged == whole
+        assert whole.lines == 5
+        assert [p for p, _ in whole.rejects] == ["line 1", "line 2", "line 4", "line 5"]
 
 
 class TestValidate:
