@@ -75,6 +75,9 @@ EXIT_ERROR = 2
 # x86 guest, what a scan of about 150 KiB of export takes; there a 650 KB
 # export ran about 10% faster in two ranges than in one, a 130 KB one 50% slower.
 MIN_RANGE_BYTES = 1 << 19
+# The most ranges a JSONL scan is cut into: the most CPUs it was measured
+# on (a 2-vCPU guest), where one range per CPU paid. More are untried.
+MAX_RANGES = 2
 # A probe of the cut planner reads at most this many lines of at most
 # this many bytes each, so that planning never reads much of an export.
 PROBE_LINES = 64
@@ -400,43 +403,72 @@ def finish_scan(
 
 
 Scanned = tuple[IngestReport, dict[str, int], set[AnomalyRecord], Flagged]
+Parsed = tuple[list[CommitRecord], IngestReport]
 
 
-def scan_lines(
-    lines: Iterable[bytes], project: str, cfg: DetectorConfig, show_rejects: bool = False
-) -> Scanned:
-    """Parse, group and scan the lines of a JSONL export: the work of one range.
+def parse_lines(lines: Iterable[bytes], project: str) -> Parsed:
+    """parse_export_stream, with the cyclic collector kept off the records.
 
-    With show_rejects the rejects are printed before the scan, so that they
-    precede the error of a scan that fails; otherwise the caller prints them.
     The parse makes no reference cycles and its records live to the end of
-    the scan, so the cyclic collector is kept off them: it is paused during
-    the parse and then freezes them (scan_export unfreezes).
+    the scan, so the collector is paused during the parse and then freezes
+    them (scan_export unfreezes).
     """
     collecting = gc.isenabled()
     gc.disable()
     try:
-        records, report = parse_export_stream(lines, project)
+        parsed = parse_export_stream(lines, project)
     finally:
         if collecting:
             gc.enable()
     gc.freeze()
-    if show_rejects:
-        print_rejects(report)
-    return (report, *scan_corpus(group_by_project(records), cfg))
+    return parsed
 
 
-def scan_range(path: str, start: int, end: int, project: str, cfg: DetectorConfig) -> Scanned:
+def parse_range(path: str, start: int, end: int, project: str) -> Parsed:
     with open(path, "rb") as fh:
-        return scan_lines(range_lines(fh, start, end), project, cfg)
+        return parse_lines(range_lines(fh, start, end), project)
+
+
+def scan_parsed(
+    records: list[CommitRecord], report: IngestReport, cfg: DetectorConfig
+) -> tuple[dict[str, int], set[AnomalyRecord], Flagged]:
+    """Scan a whole parsed export. Its rejects are printed first, so that
+    they precede the error of a scan that fails."""
+    print_rejects(report)
+    return scan_corpus(group_by_project(records), cfg)
+
+
+def cpu_quota(root: str = "/sys/fs/cgroup") -> int | None:
+    """The whole CPUs, at least one, that the cgroup's CPU quota allows.
+
+    Read from cgroup v2's cpu.max, else from v1's CFS quota, under root,
+    where a container sees its own cgroup. None if neither caps the CPU.
+    """
+    try:
+        with open(os.path.join(root, "cpu.max")) as fh:
+            quota, period = fh.read().split()
+    except (OSError, ValueError):
+        try:
+            with open(os.path.join(root, "cpu", "cpu.cfs_quota_us")) as fq, \
+                    open(os.path.join(root, "cpu", "cpu.cfs_period_us")) as fp:
+                quota, period = fq.read(), fp.read()
+        except OSError:
+            return None
+    try:
+        share = int(quota) / int(period)
+    except (ValueError, ZeroDivisionError):  # "max": no quota
+        return None
+    return max(1, int(share)) if share > 0 else None
 
 
 def range_count(fh: IO[bytes]) -> int:
-    """How many ranges a scan of fh is cut into: one per CPU the process may use.
+    """How many ranges a scan of fh is cut into: one per CPU it may use.
 
     One, unless os.fork and CPU placement are there, no other thread is
     alive (a forked child keeps only the thread that forked), fh is a
-    regular file, and each range would hold at least MIN_RANGE_BYTES.
+    regular file, and each range would hold at least MIN_RANGE_BYTES. The
+    CPUs are those of the affinity mask, no more than the cgroup's quota
+    allows and no more than MAX_RANGES.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
@@ -446,7 +478,8 @@ def range_count(fh: IO[bytes]) -> int:
     status = os.fstat(fh.fileno())
     if not stat.S_ISREG(status.st_mode):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), status.st_size // MIN_RANGE_BYTES))
+    cpus = min(len(os.sched_getaffinity(0)), cpu_quota() or MAX_RANGES, MAX_RANGES)
+    return max(1, min(cpus, status.st_size // MIN_RANGE_BYTES))
 
 
 class _NoCut(Exception):
@@ -546,31 +579,46 @@ def _place(cpus: Collection[int]) -> None:
 
 def _worker(path: str, start: int, end: int, project: str, cfg: DetectorConfig,
             cpu: int, write_end: int, inherited: list[int]) -> NoReturn:
-    """The life of a forked child: scan one range, send the result pickled, exit."""
-    import pickle
+    """The life of a forked child: parse one range, send its projects, scan
+    it, send the result, exit.
 
+    Each message goes pickled through the pipe. The projects go first, so
+    that the parent learns early whether ranges share one.
+    """
     code = 1
     try:
+        import pickle
+
         for fd in inherited:
             os.close(fd)
         _place({cpu})
-        scanned = scan_range(path, start, end, project, cfg)
         with open(write_end, "wb") as pipe:
-            pickle.dump(scanned, pipe, pickle.HIGHEST_PROTOCOL)
+            records, report = parse_range(path, start, end, project)
+            corpus = group_by_project(records)
+            pickle.dump(list(corpus), pipe, pickle.HIGHEST_PROTOCOL)
+            pipe.flush()
+            pickle.dump((report, *scan_corpus(corpus, cfg)), pipe, pickle.HIGHEST_PROTOCOL)
         code = 0
     finally:
         os._exit(code)
 
 
+class _Fallback(Exception):
+    """The ranges of a parallel scan cannot be merged."""
+
+
 def scan_ranges(
     path: str, plan: list[tuple[int, int]], project: str, cfg: DetectorConfig
-) -> list[Scanned] | None:
-    """Scan each range of plan in its own process, each on its own CPU.
+) -> tuple[dict[str, int], set[AnomalyRecord], Flagged]:
+    """Scan the ranges of plan at once, each in its own process on its own CPU.
 
-    This process works the largest range itself; each other range goes to
-    a forked child, which sends its result back pickled through a pipe.
-    None if any range failed. Every child is reaped and every pipe closed
-    on every path; a child still running at an error is killed.
+    This process works the largest range; each other range goes to a forked
+    child. Once all are parsed, their projects are compared. If two ranges
+    share a project, or any range fails, the children are stopped, and this
+    process parses the other ranges itself and scans the whole as one
+    (scan_parsed): the lines of the ranges are the lines of the file, in
+    order, so no output depends on the ranges. Every child is reaped and
+    every pipe closed on every path; a child still running then is killed.
     """
     import pickle
 
@@ -578,46 +626,60 @@ def scan_ranges(
     order = sorted(cpus)
     mine = max(range(len(plan)), key=lambda i: plan[i][1] - plan[i][0])
     children: dict[int, int] = {}  # range index: pid, until reaped
-    pipes: dict[int, int] = {}  # range index: read end of the child's pipe, until closed
-    parts: list = [None] * len(plan)
+    pipes: dict[int, IO[bytes]] = {}  # range index: read end of the child's pipe, until closed
+    parsed: dict[int, Parsed] = {}
+
+    def receive(i: int) -> object:
+        """The next message from range i's child; _Fallback if it sent none."""
+        try:
+            return pickle.load(pipes[i])
+        except (EOFError, pickle.UnpicklingError):
+            raise _Fallback from None
+
     sys.stdout.flush()
     sys.stderr.flush()
-    # the children's collections then leave the parent's objects, and so
-    # its memory pages, alone
-    gc.freeze()
     try:
         for i, (start, end) in enumerate(plan):
             if i == mine:
                 continue
-            read_end, write_end = os.pipe()
+            try:
+                read_end, write_end = os.pipe()
+            except OSError:
+                raise _Fallback from None
             try:
                 pid = os.fork()
             except OSError:
                 os.close(read_end)
                 os.close(write_end)
-                return None
+                raise _Fallback from None
             if pid == 0:
                 _worker(path, start, end, project, cfg, order[i % len(order)], write_end,
-                        [read_end, *pipes.values()])
+                        [read_end, *(pipe.fileno() for pipe in pipes.values())])
             children[i] = pid
-            pipes[i] = read_end
             os.close(write_end)
+            pipes[i] = open(read_end, "rb")
         _place({order[mine % len(order)]})
-        try:
-            parts[mine] = scan_range(path, *plan[mine], project, cfg)
-        except ChronolintError:
-            return None
+        records, report = parsed[mine] = parse_range(path, *plan[mine], project)
+        corpus = group_by_project(records)
+        seen = set(corpus)
+        for i in children:
+            projects = receive(i)
+            if not seen.isdisjoint(projects):
+                raise _Fallback
+            seen.update(projects)
+        parts = {mine: (report, *scan_corpus(corpus, cfg))}
         for i in list(children):
-            with open(pipes.pop(i), "rb") as pipe:
-                data = pipe.read()
-            _, status = os.waitpid(children.pop(i), 0)
-            if status != 0 or not data:
-                return None
-            parts[i] = pickle.loads(data)
-        return parts
+            parts[i] = receive(i)
+            pipes.pop(i).close()
+            os.waitpid(children.pop(i), 0)
+        merged = merge_ranges([parts[i] for i in range(len(plan))])
+        print_rejects(merged[0])
+        return merged[1:]
+    except (_Fallback, ChronolintError):
+        pass
     finally:
-        for read_end in pipes.values():
-            os.close(read_end)
+        for pipe in pipes.values():
+            pipe.close()
         if children:
             import signal
 
@@ -625,17 +687,21 @@ def scan_ranges(
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
         _place(cpus)
+    records, report = [], IngestReport()
+    for i, (start, end) in enumerate(plan):
+        part_records, part_report = parsed.pop(i, None) or parse_range(path, start, end, project)
+        records += part_records
+        report.extend(part_report)
+    return scan_parsed(records, report, cfg)
 
 
-def merge_ranges(parts: list[Scanned]) -> Scanned | None:
-    """The result of consecutive ranges as one; None if a project is in two."""
+def merge_ranges(parts: list[Scanned]) -> Scanned:
+    """The results of consecutive ranges that share no project, as one."""
     report = IngestReport()
     counts: dict[str, int] = {}
     anomalies: set[AnomalyRecord] = set()
     flagged: Flagged = {}
     for part_report, part_counts, part_anomalies, part_flagged in parts:
-        if not counts.keys().isdisjoint(part_counts):
-            return None
         report.extend(part_report)
         counts.update(part_counts)
         anomalies |= part_anomalies
@@ -649,22 +715,18 @@ def scan_export(
     """Scan a JSONL export, cut into ranges that forked processes work at once.
 
     ranges is the number of ranges to cut; by default range_count decides.
-    If a project turns up in two ranges, or any range fails, the export is
-    scanned again in this process as one range, the path a single range
-    takes anyway; so no output depends on the ranges.
+    An export in one range is parsed and scanned in this process, as
+    scan_ranges does when the ranges cannot be merged.
     """
     try:
         with open(path, "rb") as fh:
             count = range_count(fh) if ranges is None else ranges
             if count > 1:
                 plan = plan_ranges(fh, os.fstat(fh.fileno()).st_size, project, count)
-                parts = scan_ranges(path, plan, project, cfg) if len(plan) > 1 else None
-                merged = None if parts is None else merge_ranges(parts)
-                if merged is not None:
-                    print_rejects(merged[0])
-                    return merged[1:]
+                if len(plan) > 1:
+                    return scan_ranges(path, plan, project, cfg)
                 fh.seek(0)
-            return scan_lines(fh, project, cfg, show_rejects=True)[1:]
+            return scan_parsed(*parse_lines(fh, project), cfg)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     finally:

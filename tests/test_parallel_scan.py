@@ -80,13 +80,13 @@ def scan(path, ranges):
 
 @contextlib.contextmanager
 def merges_seen():
-    """The merge_ranges results of the scans in the block: None is a fallback."""
+    """The merge_ranges calls of the scans in the block; a fallback makes none."""
     seen = []
     real = cli.merge_ranges
 
     def spy(parts):
-        seen.append(real(parts))
-        return seen[-1]
+        seen.append(parts)
+        return real(parts)
 
     with mock.patch.object(cli, "merge_ranges", spy):
         yield seen
@@ -136,8 +136,25 @@ class TestSameAsOneRange:
         path = write(tmp_path, layout(random.Random(1), [40, 40, 40], interleave=True))
         with merges_seen() as seen:
             serial = assert_same_for_all_ranges(path)
-        assert seen and all(merged is None for merged in seen)
+        assert seen == []
         assert serial[0] == 1
+
+    def test_fallback_parses_each_range_once_and_scans_once(self, tmp_path):
+        path = write(tmp_path, layout(random.Random(1), [40, 40, 40], interleave=True))
+        parent, calls = os.getpid(), []
+
+        def spy(real):
+            def called(*args):
+                if os.getpid() == parent:
+                    calls.append(real.__name__)
+                return real(*args)
+            return called
+
+        with mock.patch.object(cli, "parse_range", spy(cli.parse_range)), \
+                mock.patch.object(cli, "scan_corpus", spy(cli.scan_corpus)):
+            code = scan(path, 3)[0]
+        assert code == 1
+        assert calls == ["parse_range"] * 3 + ["scan_corpus"]
 
     def test_contiguous_projects_merge(self, tmp_path):
         path = write(tmp_path, layout(random.Random(2), [40, 40, 40, 40]))
@@ -180,7 +197,7 @@ class TestSameAsOneRange:
         assert set(last.splitlines(keepends=True)) == {tail}
         with merges_seen() as seen:
             assert_same_for_all_ranges(path, counts=(3,))
-        assert seen[0] is not None
+        assert len(seen) == 1
 
     def test_long_stretch_without_records_is_not_cut(self, tmp_path):
         lines = [*project_lines(random.Random(12), "a", 30), *[b"\n"] * cli.PROBE_LINES,
@@ -197,7 +214,7 @@ class TestSameAsOneRange:
         path = write(tmp_path, [*a, *b])
         with merges_seen() as seen:
             code, report, _, _ = assert_same_for_all_ranges(path, counts=(2,))
-        assert seen[0] is not None and b'"commits":41' in report.replace(b" ", b"")
+        assert len(seen) == 1 and b'"commits":41' in report.replace(b" ", b"")
 
     def test_duplicate_line_on_both_sides_of_a_cut(self, tmp_path):
         rng = random.Random(7)
@@ -287,22 +304,23 @@ class TestProcessHygiene:
         assert gc.get_freeze_count() == 0 and gc.isenabled()
 
     def failing_children(self, action):
-        """A scan_range that does action in a forked child only."""
-        parent, real = os.getpid(), cli.scan_range
+        """A parse_range that does action in a forked child only."""
+        parent, real = os.getpid(), cli.parse_range
 
-        def scan_range(*args):
+        def parse_range(*args):
             if os.getpid() != parent:
                 action()
             return real(*args)
 
-        return mock.patch.object(cli, "scan_range", scan_range)
+        return mock.patch.object(cli, "parse_range", parse_range)
 
-    def test_worker_that_raises(self, export):
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_worker_that_raises(self, export, error):
         serial = scan(export, 1)
         fds, cpus = open_fds(), os.sched_getaffinity(0)
 
         def boom():
-            raise RuntimeError("boom")
+            raise error("boom")
 
         with self.failing_children(boom), merges_seen() as seen:
             assert scan(export, 3) == serial
@@ -318,17 +336,34 @@ class TestProcessHygiene:
         assert seen == []
         self.check_clean(fds, cpus)
 
+    def test_no_pipe_left_scans_in_one_process(self, export):
+        serial = scan(export, 1)
+        fds, cpus = open_fds(), os.sched_getaffinity(0)
+        pipes = []
+
+        def pipe():
+            if pipes:
+                raise OSError(24, "Too many open files")
+            pipes.append(real_pipe())
+            return pipes[-1]
+
+        real_pipe = os.pipe
+        with mock.patch.object(os, "pipe", pipe), merges_seen() as seen:
+            assert scan(export, 3) == serial
+        assert len(pipes) == 1 and seen == []
+        self.check_clean(fds, cpus)
+
     def test_keyboard_interrupt_in_the_parent(self, export):
         fds, cpus = open_fds(), os.sched_getaffinity(0)
         parent = os.getpid()
 
-        def scan_range(*args):
+        def parse_range(*args):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             time.sleep(60)
 
         started = time.monotonic()
-        with mock.patch.object(cli, "scan_range", scan_range), pytest.raises(KeyboardInterrupt):
+        with mock.patch.object(cli, "parse_range", parse_range), pytest.raises(KeyboardInterrupt):
             scan(export, 3)
         assert time.monotonic() - started < 30  # the sleeping children were killed
         self.check_clean(fds, cpus)
@@ -353,3 +388,31 @@ class TestProcessHygiene:
         if MANY_CPUS:  # the same scan without the thread does fork
             assert scan(export, None) == serial
             assert len(calls) == 1
+
+
+class TestRangeCount:
+    @pytest.mark.parametrize("files, cpus", [
+        ({"cpu.max": "max 100000\n"}, None),
+        ({"cpu.max": "150000 100000\n"}, 1),
+        ({"cpu.max": "250000 100000\n"}, 2),
+        ({"cpu.max": "20000 100000\n"}, 1),
+        ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
+        ({"cpu/cpu.cfs_quota_us": "300000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+        ({}, None),
+    ])
+    def test_cpu_quota(self, tmp_path, files, cpus):
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        assert cli.cpu_quota(str(tmp_path)) == cpus
+
+    @pytest.mark.skipif(not MANY_CPUS, reason="needs two CPUs")
+    @pytest.mark.parametrize("quota, most, count", [
+        (None, 2, 2), (1, 2, 1), (None, 1, 1), (8, 2, 2)])
+    def test_bounded_by_quota_and_max_ranges(self, tmp_path, monkeypatch, quota, most, count):
+        monkeypatch.setattr(cli, "cpu_quota", lambda: quota)
+        monkeypatch.setattr(cli, "MAX_RANGES", most)
+        monkeypatch.setattr(cli, "MIN_RANGE_BYTES", 1)
+        path = write(tmp_path, [b"\n"] * 10)
+        with open(path, "rb") as fh:
+            assert cli.range_count(fh) == count
