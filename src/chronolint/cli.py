@@ -17,8 +17,9 @@ import os
 import re
 import stat
 import sys
+import time
 from datetime import datetime, timezone
-from typing import IO, Collection, Iterable, NoReturn, Sequence
+from typing import IO, Callable, Collection, Iterable, Iterator, NoReturn, Sequence
 
 from . import __version__
 from .detect import (
@@ -274,7 +275,7 @@ def load_records(
     project = args.project or args.jsonl
     try:
         with open(args.jsonl, "rb") as fh:
-            records, report = parse_export_stream(fh, project)
+            records, report = parse_lines(fh, project)
     except OSError as exc:
         raise UsageError(f"cannot read {args.jsonl}: {exc}") from exc
     return records, report, project
@@ -406,20 +407,27 @@ Scanned = tuple[IngestReport, dict[str, int], set[AnomalyRecord], Flagged]
 Parsed = tuple[list[CommitRecord], IngestReport]
 
 
-def parse_lines(lines: Iterable[bytes], project: str) -> Parsed:
-    """parse_export_stream, with the cyclic collector kept off the records.
-
-    The parse makes no reference cycles and its records live to the end of
-    the scan, so the collector is paused during the parse and then freezes
-    them (scan_export unfreezes).
-    """
+@contextlib.contextmanager
+def gc_paused() -> Iterator[None]:
+    """Keep the cyclic collector off for the block, for work that makes no
+    reference cycles but many tracked objects (records are tuples)."""
     collecting = gc.isenabled()
     gc.disable()
     try:
-        parsed = parse_export_stream(lines, project)
+        yield
     finally:
         if collecting:
             gc.enable()
+
+
+def parse_lines(lines: Iterable[bytes], project: str) -> Parsed:
+    """parse_export_stream, with the cyclic collector kept off the records.
+
+    The records live to the end of the command, so the collector is paused
+    during the parse and then freezes them (main unfreezes).
+    """
+    with gc_paused():
+        parsed = parse_export_stream(lines, project)
     gc.freeze()
     return parsed
 
@@ -438,48 +446,111 @@ def scan_parsed(
     return scan_corpus(group_by_project(records), cfg)
 
 
-def cpu_quota(root: str = "/sys/fs/cgroup") -> int | None:
-    """The whole CPUs, at least one, that the cgroup's CPU quota allows.
-
-    Read from cgroup v2's cpu.max, else from v1's CFS quota, under root,
-    where a container sees its own cgroup. None if neither caps the CPU.
-    """
+def _own_cgroups(own: str) -> tuple[str, str]:
+    """This process's cgroup paths, (v2, v1 cpu controller), read from own
+    (/proc/self/cgroup); "/" for one not listed."""
+    v2 = v1 = "/"
     try:
-        with open(os.path.join(root, "cpu.max")) as fh:
-            quota, period = fh.read().split()
+        with open(own) as fh:
+            for line in fh:
+                _, controllers, path = line.rstrip("\n").split(":", 2)
+                if not controllers:
+                    v2 = path
+                elif "cpu" in controllers.split(","):
+                    v1 = path
     except (OSError, ValueError):
-        try:
-            with open(os.path.join(root, "cpu", "cpu.cfs_quota_us")) as fq, \
-                    open(os.path.join(root, "cpu", "cpu.cfs_period_us")) as fp:
-                quota, period = fq.read(), fp.read()
-        except OSError:
-            return None
+        pass
+    return v2, v1
+
+
+def _up_to(base: str, path: str) -> list[str]:
+    """The directory of cgroup path under base, then each parent up to base."""
+    parts = [part for part in path.split("/") if part not in ("", ".")]
+    if ".." in parts:  # outside the cgroup namespace: only base is known
+        parts = []
+    return [os.path.join(base, *parts[:n]) for n in range(len(parts), -1, -1)]
+
+
+def _quota_share(directory: str, v1: bool) -> float | None:
+    """The CPUs the quota set in one cgroup directory allows; None if none is."""
     try:
+        if v1:
+            with open(os.path.join(directory, "cpu.cfs_quota_us")) as fq, \
+                    open(os.path.join(directory, "cpu.cfs_period_us")) as fp:
+                quota, period = fq.read(), fp.read()
+        else:
+            with open(os.path.join(directory, "cpu.max")) as fh:
+                quota, period = fh.read().split()
         share = int(quota) / int(period)
-    except (ValueError, ZeroDivisionError):  # "max": no quota
+    # no file, or "max" (v2) or -1 (v1): no quota
+    except (OSError, ValueError, ZeroDivisionError):
         return None
-    return max(1, int(share)) if share > 0 else None
+    return share if share > 0 else None
 
 
-def range_count(fh: IO[bytes]) -> int:
-    """How many ranges a scan of fh is cut into: one per CPU it may use.
+def cpu_quota(root: str = "/sys/fs/cgroup", own: str = "/proc/self/cgroup") -> int | None:
+    """The whole CPUs, at least one, that the CPU quotas over this process allow.
 
-    One, unless os.fork and CPU placement are there, no other thread is
-    alive (a forked child keeps only the thread that forked), fh is a
-    regular file, and each range would hold at least MIN_RANGE_BYTES. The
-    CPUs are those of the affinity mask, no more than the cgroup's quota
-    allows and no more than MAX_RANGES.
+    This process's cgroup is read from own: cgroup v2's "0::" line and the
+    v1 line of the cpu controller. Every quota set from that cgroup up to
+    root counts, v2's cpu.max under root and v1's CFS quota under root/cpu,
+    and the smallest wins. A level whose directory is not there (a container
+    sees its own cgroup as root) is skipped. None if nothing caps the CPU.
+    """
+    v2, v1 = _own_cgroups(own)
+    levels = [(directory, False) for directory in _up_to(root, v2)]
+    levels += [(directory, True) for directory in _up_to(os.path.join(root, "cpu"), v1)]
+    shares = [share for directory, is_v1 in levels
+              if (share := _quota_share(directory, is_v1)) is not None]
+    return max(1, int(min(shares))) if shares else None
+
+
+def _own_stat(field: int) -> int | None:
+    """Field field (counted from 1) of /proc/self/stat, where Linux has it."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            # counted past field 2, the command name, which may hold anything
+            return int(fh.read().rsplit(b")", 1)[1].split()[field - 3])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def thread_count() -> int:
+    """This process's threads; as the OS counts them where it can, which
+    also counts a joined thread that is still exiting, and threads that
+    Python did not start."""
+    count = _own_stat(20)
+    if count is None:
+        threading = sys.modules.get("threading")
+        count = threading.active_count() if threading is not None else 1
+    return count
+
+
+def usable_cpus() -> int:
+    """How many processes may work at once: one per CPU of the affinity
+    mask, no more than the cgroup quotas allow.
+
+    One where os.fork or CPU placement is missing, or where another thread
+    is alive (a forked child keeps only the thread that forked).
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    threading = sys.modules.get("threading")
-    if threading is not None and threading.active_count() > 1:
+    if thread_count() > 1:
         return 1
+    cpus = len(os.sched_getaffinity(0))
+    return min(cpus, cpu_quota() or cpus)
+
+
+def range_count(fh: IO[bytes]) -> int:
+    """How many ranges a scan of fh is cut into: one per usable CPU.
+
+    One, unless fh is a regular file and each range would hold at least
+    MIN_RANGE_BYTES; never more than MAX_RANGES.
+    """
     status = os.fstat(fh.fileno())
     if not stat.S_ISREG(status.st_mode):
         return 1
-    cpus = min(len(os.sched_getaffinity(0)), cpu_quota() or MAX_RANGES, MAX_RANGES)
-    return max(1, min(cpus, status.st_size // MIN_RANGE_BYTES))
+    return max(1, min(usable_cpus(), MAX_RANGES, status.st_size // MIN_RANGE_BYTES))
 
 
 class _NoCut(Exception):
@@ -571,36 +642,135 @@ def plan_ranges(fh: IO[bytes], size: int, project: str, count: int) -> list[tupl
     return list(zip(bounds, bounds[1:]))
 
 
+def _own_cpu(cpus: list[int]) -> int:
+    """The CPU of cpus this process runs on (read on Linux), else the first."""
+    cpu = _own_stat(39)
+    return cpu if cpu in cpus else cpus[0]
+
+
 def _place(cpus: Collection[int]) -> None:
     """Run this process on cpus; a refusal only costs speed."""
     with contextlib.suppress(OSError):
         os.sched_setaffinity(0, cpus)
 
 
-def _worker(path: str, start: int, end: int, project: str, cfg: DetectorConfig,
-            cpu: int, write_end: int, inherited: list[int]) -> NoReturn:
-    """The life of a forked child: parse one range, send its projects, scan
-    it, send the result, exit.
+class _Sender:
+    """Sends pickled messages down a pipe without waiting for its reader.
 
-    Each message goes pickled through the pipe. The projects go first, so
-    that the parent learns early whether ranges share one.
+    What the pipe cannot take yet stays in memory until the next send, and
+    close writes the rest, waiting as it must; so a worker never stalls on
+    a parent that is busy with its own share of the work.
     """
-    code = 1
-    try:
+
+    def __init__(self, fd: int) -> None:
+        os.set_blocking(fd, False)
+        self.fd = fd
+        self.pending = bytearray()
+
+    def __call__(self, message: object) -> None:
         import pickle
 
+        self.pending += pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        self._write()
+
+    def _write(self) -> None:
+        while self.pending:
+            try:
+                written = os.write(self.fd, self.pending)
+            except BlockingIOError:
+                return
+            del self.pending[:written]
+
+    def close(self) -> None:
+        os.set_blocking(self.fd, True)
+        self._write()
+        os.close(self.fd)
+
+
+Send = Callable[[object], None]
+Work = Callable[[int, Send], None]
+
+
+def _worker(work: Work, k: int, cpu: int, write_end: int, inherited: list[int]) -> NoReturn:
+    """The life of forked worker k: close what it inherited, place itself,
+    run work(k, send), send what is left, exit."""
+    code = 1
+    try:
         for fd in inherited:
             os.close(fd)
         _place({cpu})
-        with open(write_end, "wb") as pipe:
-            records, report = parse_range(path, start, end, project)
-            corpus = group_by_project(records)
-            pickle.dump(list(corpus), pipe, pickle.HIGHEST_PROTOCOL)
-            pipe.flush()
-            pickle.dump((report, *scan_corpus(corpus, cfg)), pipe, pickle.HIGHEST_PROTOCOL)
+        send = _Sender(write_end)
+        work(k, send)
+        send.close()
         code = 0
     finally:
         os._exit(code)
+
+
+def _messages(pipe: IO[bytes]) -> Iterator[object]:
+    """The messages a worker sent, up to the end of its pipe or a torn message."""
+    import pickle
+
+    while True:
+        try:
+            yield pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            return
+
+
+@contextlib.contextmanager
+def forked(count: int, work: Work) -> Iterator[dict[int, Iterator[object]]]:
+    """Run work in up to count - 1 forked workers, each on a CPU of its own,
+    while this process, on another, runs the block.
+
+    Worker k (1 to count - 1) runs work(k, send), where send(message) passes
+    a picklable message back, and exits. The block gets each started
+    worker's messages by k, in the order sent; they end early where the
+    worker failed. Workers stop being started where os.pipe or os.fork
+    fails. This process stays on the CPU it runs on, so that it does not
+    move onto one that other work keeps busy; it is pinned there for the
+    block, and its own CPUs are restored after it. On leaving the block, on every path, every pipe is closed and
+    every worker killed if it still runs, and reaped.
+    """
+    import pickle  # imported once here, not in every worker
+
+    cpus = os.sched_getaffinity(0)
+    mine = _own_cpu(sorted(cpus))
+    order = [mine, *sorted(cpus - {mine})]
+    children: list[int] = []
+    pipes: dict[int, IO[bytes]] = {}  # k: read end of worker k's pipe
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        for k in range(1, count):
+            try:
+                read_end, write_end = os.pipe()
+            except OSError:
+                break
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                break
+            if pid == 0:
+                _worker(work, k, order[k % len(order)], write_end,
+                        [read_end, *(pipe.fileno() for pipe in pipes.values())])
+            children.append(pid)
+            os.close(write_end)
+            pipes[k] = open(read_end, "rb")
+        _place({order[0]})
+        yield {k: _messages(pipe) for k, pipe in pipes.items()}
+    finally:
+        for pipe in pipes.values():
+            pipe.close()
+        if children:
+            import signal
+
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)  # safe once it exited: it is not reaped yet
+                os.waitpid(pid, 0)
+        _place(cpus)
 
 
 class _Fallback(Exception):
@@ -613,80 +783,49 @@ def scan_ranges(
     """Scan the ranges of plan at once, each in its own process on its own CPU.
 
     This process works the largest range; each other range goes to a forked
-    child. Once all are parsed, their projects are compared. If two ranges
-    share a project, or any range fails, the children are stopped, and this
-    process parses the other ranges itself and scans the whole as one
-    (scan_parsed): the lines of the ranges are the lines of the file, in
-    order, so no output depends on the ranges. Every child is reaped and
-    every pipe closed on every path; a child still running then is killed.
+    worker, which sends the projects it parsed, then its result. Once all
+    are parsed, their projects are compared. If two ranges share a project,
+    or any range fails, the workers are stopped, and this process parses the
+    other ranges itself and scans the whole as one (scan_parsed): the lines
+    of the ranges are the lines of the file, in order, so no output depends
+    on the ranges.
     """
-    import pickle
-
-    cpus = os.sched_getaffinity(0)
-    order = sorted(cpus)
     mine = max(range(len(plan)), key=lambda i: plan[i][1] - plan[i][0])
-    children: dict[int, int] = {}  # range index: pid, until reaped
-    pipes: dict[int, IO[bytes]] = {}  # range index: read end of the child's pipe, until closed
+    others = [i for i in range(len(plan)) if i != mine]
     parsed: dict[int, Parsed] = {}
 
-    def receive(i: int) -> object:
-        """The next message from range i's child; _Fallback if it sent none."""
-        try:
-            return pickle.load(pipes[i])
-        except (EOFError, pickle.UnpicklingError):
-            raise _Fallback from None
-
-    sys.stdout.flush()
-    sys.stderr.flush()
-    try:
-        for i, (start, end) in enumerate(plan):
-            if i == mine:
-                continue
-            try:
-                read_end, write_end = os.pipe()
-            except OSError:
-                raise _Fallback from None
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise _Fallback from None
-            if pid == 0:
-                _worker(path, start, end, project, cfg, order[i % len(order)], write_end,
-                        [read_end, *(pipe.fileno() for pipe in pipes.values())])
-            children[i] = pid
-            os.close(write_end)
-            pipes[i] = open(read_end, "rb")
-        _place({order[mine % len(order)]})
-        records, report = parsed[mine] = parse_range(path, *plan[mine], project)
+    def work(k: int, send: Send) -> None:
+        records, report = parse_range(path, *plan[others[k - 1]], project)
         corpus = group_by_project(records)
-        seen = set(corpus)
-        for i in children:
-            projects = receive(i)
-            if not seen.isdisjoint(projects):
+        send(list(corpus))
+        send((report, *scan_corpus(corpus, cfg)))
+
+    def receive(messages: Iterator[object]) -> object:
+        message = next(messages, None)
+        if message is None:
+            raise _Fallback
+        return message
+
+    try:
+        with forked(len(plan), work) as workers:
+            if len(workers) < len(others):
                 raise _Fallback
-            seen.update(projects)
-        parts = {mine: (report, *scan_corpus(corpus, cfg))}
-        for i in list(children):
-            parts[i] = receive(i)
-            pipes.pop(i).close()
-            os.waitpid(children.pop(i), 0)
+            records, report = parsed[mine] = parse_range(path, *plan[mine], project)
+            corpus = group_by_project(records)
+            seen = set(corpus)
+            for messages in workers.values():
+                projects = receive(messages)
+                if not seen.isdisjoint(projects):
+                    raise _Fallback
+                seen.update(projects)
+            parts = {mine: (report, *scan_corpus(corpus, cfg))}
+            for k, messages in workers.items():
+                parts[others[k - 1]] = receive(messages)
         merged = merge_ranges([parts[i] for i in range(len(plan))])
         print_rejects(merged[0])
         return merged[1:]
     except (_Fallback, ChronolintError):
         pass
-    finally:
-        for pipe in pipes.values():
-            pipe.close()
-        if children:
-            import signal
-
-            for pid in children.values():
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        _place(cpus)
     records, report = [], IngestReport()
     for i, (start, end) in enumerate(plan):
         part_records, part_report = parsed.pop(i, None) or parse_range(path, start, end, project)
@@ -696,7 +835,8 @@ def scan_ranges(
 
 
 def merge_ranges(parts: list[Scanned]) -> Scanned:
-    """The results of consecutive ranges that share no project, as one."""
+    """The results of scans that share no project, as one: the consecutive
+    ranges of an export, or the repositories of a corpus."""
     report = IngestReport()
     counts: dict[str, int] = {}
     anomalies: set[AnomalyRecord] = set()
@@ -729,8 +869,6 @@ def scan_export(
             return scan_parsed(*parse_lines(fh, project), cfg)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    finally:
-        gc.unfreeze()
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -857,9 +995,112 @@ def _ensure_local(entry: str, cache_dir: str | None) -> str:
     return target
 
 
-def cmd_corpus(args: argparse.Namespace) -> int:
-    import concurrent.futures  # only corpus runs a thread pool
+class _Queue:
+    """The indices 0 to count - 1 in a pipe, each taken by exactly one of the
+    processes that read it.
 
+    Each index is WIDTH bytes, written in chunks of at most CHUNK bytes,
+    which a pipe takes whole or not at all, so a read of WIDTH bytes takes
+    one whole index. What the pipe cannot hold at first, the process that
+    made the queue writes as it takes indices itself; a worker must call
+    leave first. The write end is closed once every index is written, so a
+    reader finds the end of the queue at the end of the pipe.
+    """
+
+    WIDTH = 4
+    CHUNK = 512  # PIPE_BUF is at least this
+
+    def __init__(self, count: int) -> None:
+        self.unwritten = memoryview(b"".join(i.to_bytes(self.WIDTH, "big") for i in range(count)))
+        self.read_end, self.write_end = os.pipe()
+        os.set_blocking(self.write_end, False)
+        self._fill()
+
+    def _fill(self) -> None:
+        while self.unwritten:
+            try:
+                os.write(self.write_end, self.unwritten[:self.CHUNK])
+            except BlockingIOError:
+                return
+            self.unwritten = self.unwritten[self.CHUNK:]
+        self.leave()
+
+    def leave(self) -> None:
+        """Stop writing: in a worker, whose copy of the write end would keep
+        the end of the queue from every reader."""
+        if self.write_end is not None:
+            os.close(self.write_end)
+            self.write_end = None
+
+    def __iter__(self) -> Iterator[int]:
+        while True:
+            if self.write_end is not None:
+                self._fill()
+            taken = os.read(self.read_end, self.WIDTH)
+            if not taken:
+                return
+            yield int.from_bytes(taken, "big")
+
+    def __enter__(self) -> _Queue:
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.leave()
+        os.close(self.read_end)
+
+
+Outcome = Scanned | str
+
+
+def scan_repository(path: str, project: str, cfg: DetectorConfig) -> Outcome:
+    """Read and scan one repository of a corpus: what the report needs of
+    it, or the error that fails it alone.
+
+    The cyclic collector is paused: the read makes no reference cycles, and
+    its records are freed once scanned.
+    """
+    try:
+        with gc_paused():
+            records, report = read_repository(path, project)
+            return (report, *scan_corpus({project: records}, cfg))
+    except (ChronolintError, OSError) as exc:
+        return str(exc)
+
+
+def scan_repositories(
+    repos: list[tuple[str, str]], cfg: DetectorConfig, jobs: int
+) -> list[Outcome]:
+    """scan_repository over each (path, project) of repos, in up to jobs
+    processes, each on a CPU of its own.
+
+    The processes, this one among them, take the repositories one at a time
+    from a shared queue, so that a large one holds back only its own
+    process. A worker sends back each outcome as it has it. This process
+    then scans every repository whose outcome no worker sent (a worker that
+    failed or never started), so a failed worker costs time, not a result.
+    """
+    outcomes: dict[int, Outcome] = {}
+    count = min(jobs, usable_cpus(), len(repos))
+
+    def work(k: int, send: Send) -> None:
+        queue.leave()
+        for i in queue:
+            send((i, scan_repository(*repos[i], cfg)))
+
+    if count > 1:
+        # an OSError (no pipe, say) leaves the rest to the loop below
+        with contextlib.suppress(OSError), _Queue(len(repos)) as queue, \
+                forked(count, work) as workers:
+            for i in queue:
+                outcomes[i] = scan_repository(*repos[i], cfg)
+            for messages in workers.values():
+                for i, outcome in messages:
+                    outcomes[i] = outcome
+    return [outcomes[i] if i in outcomes else scan_repository(*repo, cfg)
+            for i, repo in enumerate(repos)]
+
+
+def cmd_corpus(args: argparse.Namespace) -> int:
     config = load_config_file(args.config)
     cfg = detector_config_from(args, config)
     rules = fingerprint_rules_from_config(config)
@@ -871,37 +1112,45 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if not entries:
         raise UsageError("corpus list is empty")
 
-    # detection stays in the worker so a GraphError fails only its repository
-    def scan_one(
-        entry: str,
-    ) -> tuple[dict[str, int], set[AnomalyRecord], Flagged, IngestReport]:
-        records, ingest_report = read_repository(_ensure_local(entry, args.cache), entry)
-        return (*scan_corpus({entry: records}, cfg), ingest_report)
+    paths = list(entries)
+    outcomes: list[Outcome | None] = [None] * len(entries)
+    urls = [i for i, entry in enumerate(entries) if _URL_RE.match(entry)]
+    if urls:
+        # clones wait on the network, so threads run them, all before any fork
+        import concurrent.futures
 
-    counts: dict[str, int] = {}
-    anomalies: set[AnomalyRecord] = set()
-    flagged: Flagged = {}
-    failures: dict[str, str] = {}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        futures = {pool.submit(scan_one, entry): entry for entry in entries}
-        for future in concurrent.futures.as_completed(futures):
-            entry = futures[future]
+        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            clones = {i: pool.submit(_ensure_local, entries[i], args.cache) for i in urls}
+        # a joined thread can take milliseconds more to exit, and while it
+        # does, the repositories would be read in this process alone
+        deadline = time.monotonic() + 0.1
+        while thread_count() > 1 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        for i, clone in clones.items():
             try:
-                repo_counts, found, repo_flagged, ingest_report = future.result()
+                paths[i] = clone.result()
             except (ChronolintError, OSError) as exc:
-                failures[entry] = str(exc)
-                print(f"chronolint: {entry}: {exc}", file=sys.stderr)
-                continue
-            print_rejects(ingest_report, f"chronolint: {entry}")
-            counts.update(repo_counts)
-            anomalies |= found
-            flagged.update(repo_flagged)
+                outcomes[i] = str(exc)
+    todo = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    scanned = scan_repositories([(paths[i], entries[i]) for i in todo], cfg, args.jobs)
+    for i, outcome in zip(todo, scanned):
+        outcomes[i] = outcome
 
-    if not counts:
+    # in list order, so that stderr is the same whatever --jobs is
+    failures: list[dict] = []
+    scans: list[Scanned] = []
+    for entry, outcome in zip(entries, outcomes):
+        if isinstance(outcome, str):
+            failures.append({"entry": entry, "error": outcome})
+            print(f"chronolint: {entry}: {outcome}", file=sys.stderr)
+        else:
+            print_rejects(outcome[0], f"chronolint: {entry}")
+            scans.append(outcome)
+    if not scans:
         print("chronolint: all repositories failed", file=sys.stderr)
         return EXIT_ERROR
-    failed = [{"entry": entry, "error": failures[entry]} for entry in sorted(failures)]
-    return finish_scan(args, counts, anomalies, flagged, cfg, rules, failures=failed)
+    _, counts, anomalies, flagged = merge_ranges(scans)
+    return finish_scan(args, counts, anomalies, flagged, cfg, rules, failures=failures)
 
 
 def positive_int(text: str) -> int:
@@ -999,6 +1248,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ChronolintError as exc:
         print(f"chronolint: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        gc.unfreeze()  # what parse_lines froze
 
 
 if __name__ == "__main__":

@@ -46,6 +46,7 @@ _REQUIRED_FIELDS = operator.itemgetter(
 _SCAN_ONCE = json.JSONDecoder().scan_once
 _IS_ID = COMMIT_ID_RE.fullmatch  # for strings only: it raises TypeError on others
 _NEW_RECORD = tuple.__new__  # CommitRecord without its Python __new__
+_TIME_AND_ID = operator.attrgetter("commit_time", "id")
 # one compact encoder for every export row written
 JSONL_ENCODER = json.JSONEncoder(ensure_ascii=True, separators=(",", ":"))
 # a --branches value with one of these is a glob; any other is a branch name
@@ -408,7 +409,7 @@ def read_repository(
             rev_list.stdout.close()  # cat-file holds its own copy
             commits = _read_commits(cat_file.stdout, path, report)
     files = _changed_files(path, [c[0] for c in commits]) if with_files else {}
-    records = [CommitRecord(*c, project=project, files=files.get(c[0])) for c in commits]
+    records = [_NEW_RECORD(CommitRecord, (*c, project, files.get(c[0]))) for c in commits]
     # the walk order depends on git internals; normalize for reproducibility
-    records.sort(key=lambda r: (r.commit_time, r.id))
+    records.sort(key=_TIME_AND_ID)
     return records, report

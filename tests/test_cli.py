@@ -1,9 +1,11 @@
+import gc
 import json
 import random
 import sys
 
 import pytest
 
+from chronolint import cli
 from chronolint.cli import main, parse_instant
 from chronolint.ingest import emit_export_stream, parse_export_stream, read_repository
 from helpers import (
@@ -271,6 +273,28 @@ class TestFilter:
         err = capsys.readouterr().err.splitlines()
         expected = f"chronolint: duplicate commit id {first.id} in project proj"
         assert err == [expected, expected]
+
+    @pytest.mark.parametrize("duplicate, code", [(False, 0), (True, 2)])
+    def test_records_frozen_during_the_run_only(self, tmp_path, monkeypatch, duplicate, code):
+        records = [rec(("fz", i), commit_epoch=1_500_000_000 + i) for i in range(3)]
+        if duplicate:
+            records.append(records[0])
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(emit_export_stream(records))
+        policy = tmp_path / "policy.json"
+        policy.write_text("{}")
+        frozen = []
+        real = cli.build_history
+
+        def build_history(*args):
+            frozen.append(gc.get_freeze_count())
+            return real(*args)
+
+        monkeypatch.setattr(cli, "build_history", build_history)
+        assert run(["filter", "--jsonl", str(src), "--policy", str(policy),
+                    "--out", str(tmp_path / "kept.jsonl")]) == code
+        assert frozen and frozen[0] > 0
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
 
     def test_project_blacklist(self, tmp_path):
         a = rec("a", project="keep")

@@ -406,6 +406,37 @@ class TestRangeCount:
             (tmp_path / name).write_text(text)
         assert cli.cpu_quota(str(tmp_path)) == cpus
 
+    @pytest.mark.parametrize("own, files, cpus", [
+        # v2: every level from the process's cgroup up to the root counts
+        ("0::/a/b\n", {"a/b/cpu.max": "max 100000\n", "a/cpu.max": "150000 100000\n",
+                        "cpu.max": "400000 100000\n"}, 1),
+        ("0::/a/b\n", {"a/b/cpu.max": "300000 100000\n", "cpu.max": "max 100000\n"}, 3),
+        # a level whose directory is not there, as in a container, is skipped
+        ("0::/docker/x\n", {"cpu.max": "200000 100000\n"}, 2),
+        # v1: the cpu controller's own line and directory tree
+        ("4:cpu,cpuacct:/x/y\n3:memory:/z\n0::/\n",
+         {"cpu/x/y/cpu.cfs_quota_us": "300000\n", "cpu/x/y/cpu.cfs_period_us": "100000\n",
+          "cpu/x/cpu.cfs_quota_us": "-1\n", "cpu/x/cpu.cfs_period_us": "100000\n",
+          "cpu/z/cpu.cfs_quota_us": "100000\n", "cpu/z/cpu.cfs_period_us": "100000\n"}, 3),
+        # both hierarchies, as on a hybrid host: the smaller quota wins
+        ("1:cpu:/x\n0::/y\n", {"cpu/x/cpu.cfs_quota_us": "500000\n",
+                               "cpu/x/cpu.cfs_period_us": "100000\n",
+                               "y/cpu.max": "200000 100000\n"}, 2),
+        # outside the cgroup namespace, or no cgroup file: the root alone
+        ("0::/../../x\n", {"cpu.max": "200000 100000\n", "x/cpu.max": "100000 100000\n"}, 2),
+        (None, {"cpu.max": "200000 100000\n", "a/cpu.max": "100000 100000\n"}, 2),
+        ("0::/a\n", {}, None),
+    ])
+    def test_cpu_quota_of_own_cgroup(self, tmp_path, own, files, cpus):
+        root = tmp_path / "cgroup"
+        for name, text in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(text)
+        own_file = tmp_path / "self-cgroup"
+        if own is not None:
+            own_file.write_text(own)
+        assert cli.cpu_quota(str(root), str(own_file)) == cpus
+
     @pytest.mark.skipif(not MANY_CPUS, reason="needs two CPUs")
     @pytest.mark.parametrize("quota, most, count", [
         (None, 2, 2), (1, 2, 1), (None, 1, 1), (8, 2, 2)])
