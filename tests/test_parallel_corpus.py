@@ -90,13 +90,15 @@ def open_fds():
     return set(os.listdir("/proc/self/fd"))
 
 
-@needs_fork
-class TestSameForAllJobs:
-    @pytest.fixture(autouse=True)
-    def four_cpus(self, monkeypatch):
-        """Fork as on a 4-CPU host, whatever this one has."""
-        monkeypatch.setattr(cli, "usable_cpus", lambda: 4)
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """Fork as on a 4-CPU host, whatever this one has."""
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 4)
 
+
+@needs_fork
+@pytest.mark.usefixtures("four_cpus")
+class TestSameForAllJobs:
     def test_jobs_1_2_8(self, corpus_dir):
         serial = corpus(corpus_dir, 1)
         assert serial[0] == 1
@@ -125,9 +127,8 @@ class TestSameForAllJobs:
 @needs_fork
 class TestProcessHygiene:
     @pytest.fixture
-    def clean(self, monkeypatch):
+    def clean(self):
         """Check, after the test, that the run left nothing behind."""
-        monkeypatch.setattr(cli, "usable_cpus", lambda: 4)
         fds, cpus = open_fds(), os.sched_getaffinity(0)
         yield
         with pytest.raises(ChildProcessError):
@@ -148,6 +149,7 @@ class TestProcessHygiene:
         return mock.patch.object(cli, "scan_repository", scan_repository)
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.usefixtures("four_cpus")
     def test_worker_that_raises(self, corpus_dir, clean, error):
         serial = corpus(corpus_dir, 1)
 
@@ -157,12 +159,14 @@ class TestProcessHygiene:
         with self.failing_workers(boom):
             assert corpus(corpus_dir, 3) == serial
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_worker_killed_by_a_signal(self, corpus_dir, clean):
         serial = corpus(corpus_dir, 1)
         with self.failing_workers(lambda: os.kill(os.getpid(), signal.SIGKILL)):
             assert corpus(corpus_dir, 3) == serial
 
     @pytest.mark.parametrize("pipes_made", [0, 1, 2])
+    @pytest.mark.usefixtures("four_cpus")
     def test_no_pipe_left(self, corpus_dir, clean, pipes_made):
         """No pipe for the queue (0), for the first worker (1) or the second (2)."""
         serial = corpus(corpus_dir, 1)
@@ -182,6 +186,7 @@ class TestProcessHygiene:
         if pipes_made < 2:
             assert len(scanned) == 7
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_keyboard_interrupt_in_the_parent(self, corpus_dir, clean):
         parent = os.getpid()
 
@@ -196,7 +201,7 @@ class TestProcessHygiene:
             corpus(corpus_dir, 3)
         assert time.monotonic() - started < 30  # the sleeping workers were killed
 
-    def test_live_thread_runs_in_process(self, corpus_dir, monkeypatch):
+    def test_live_thread_runs_in_process(self, corpus_dir, clean, monkeypatch):
         forks = []
         real = cli.forked
         monkeypatch.setattr(cli, "forked", lambda *a: forks.append(a) or real(*a))
