@@ -15,13 +15,12 @@ import json
 import operator
 import os
 import re
-import stat
 import sys
 import time
 from datetime import datetime, timezone
-from typing import IO, Callable, Collection, Iterable, Iterator, NoReturn, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
-from . import __version__
+from . import __version__, parallel
 from .detect import (
     DEFAULT_FINGERPRINT_RULES,
     DetectorConfig,
@@ -71,18 +70,6 @@ from .report import (
 EXIT_CLEAN = 0
 EXIT_ANOMALIES = 1
 EXIT_ERROR = 2
-# The least bytes each range of a parallel JSONL scan holds. Forking a
-# worker, placing it and passing its result back cost about 6 ms on a 2-vCPU
-# x86 guest, what a scan of about 150 KiB of export takes; there a 650 KB
-# export ran about 10% faster in two ranges than in one, a 130 KB one 50% slower.
-MIN_RANGE_BYTES = 1 << 19
-# The most ranges a JSONL scan is cut into: the most CPUs it was measured
-# on (a 2-vCPU guest), where one range per CPU paid. More are untried.
-MAX_RANGES = 2
-# A probe of the cut planner reads at most this many lines of at most
-# this many bytes each, so that planning never reads much of an export.
-PROBE_LINES = 64
-PROBE_BYTES = 1 << 16
 
 
 class UsageError(ChronolintError):
@@ -189,21 +176,41 @@ def fingerprint_rules_from_config(config: dict) -> tuple[FingerprintRule, ...]:
 
 
 def detector_config_from(args: argparse.Namespace, config: dict) -> DetectorConfig:
-    old = args.old_threshold or config.get("old_threshold")
-    reference = args.reference or config.get("reference")
-    basis = args.time_basis or config.get("time_basis") or "committer"
+    """The detector settings of the flags, else of the config, else the defaults.
+
+    Only a missing flag or key is unset: an empty value is checked as any other.
+    """
+
+    def setting(flag: str | None, key: str):
+        return flag if flag is not None else config.get(key)
+
+    old = setting(args.old_threshold, "old_threshold")
+    reference = setting(args.reference, "reference")
+    basis = setting(args.time_basis, "time_basis")
     merge_exclusion = config.get("merge_exclusion", True)
     if args.no_merge_exclusion:
         merge_exclusion = False
-    kwargs: dict = {
-        "merge_exclusion": merge_exclusion,
-        "time_basis": basis,
-    }
+    kwargs: dict = {"merge_exclusion": merge_exclusion}
+    if basis is not None:
+        kwargs["time_basis"] = basis
     if old is not None:
         kwargs["old_threshold"] = parse_instant(str(old))
     if reference is not None:
         kwargs["future_reference"] = parse_instant(str(reference))
     return DetectorConfig(**kwargs)
+
+
+def detection_from(
+    args: argparse.Namespace,
+) -> tuple[dict, DetectorConfig, tuple[FingerprintRule, ...]]:
+    """The --config file, and the detector settings and fingerprint rules of
+    it and the flags.
+
+    Every command that takes --config builds all three before it reads any
+    input, so one file and one set of flags are valid or invalid for all.
+    """
+    config = load_config_file(args.config)
+    return config, detector_config_from(args, config), fingerprint_rules_from_config(config)
 
 
 def policy_from_object(obj: dict) -> FilterPolicy:
@@ -256,29 +263,23 @@ def policy_from_object(obj: dict) -> FilterPolicy:
     return FilterPolicy(**kwargs)
 
 
-def load_records(
-    args: argparse.Namespace,
-) -> tuple[list[CommitRecord], IngestReport, str]:
+def load_records(args: argparse.Namespace) -> Parsed:
     """Load commit records from exactly one input source."""
     if bool(args.repo) == bool(args.jsonl):
         raise UsageError("exactly one of --repo or --jsonl is required")
     if args.repo:
-        project = args.project or args.repo
-        records, report = read_repository(
+        return read_repository(
             args.repo,
-            project,
+            args.project or args.repo,
             with_files=getattr(args, "with_files", False),
             first_parent=getattr(args, "first_parent", False),
             branches=getattr(args, "branches", None),
         )
-        return records, report, project
-    project = args.project or args.jsonl
     try:
         with open(args.jsonl, "rb") as fh:
-            records, report = parse_lines(fh, project)
+            return parse_lines(fh, args.project or args.jsonl)
     except OSError as exc:
         raise UsageError(f"cannot read {args.jsonl}: {exc}") from exc
-    return records, report, project
 
 
 def print_rejects(report: IngestReport, label: str = "chronolint") -> None:
@@ -446,333 +447,6 @@ def scan_parsed(
     return scan_corpus(group_by_project(records), cfg)
 
 
-def _own_cgroups(own: str) -> tuple[str, str]:
-    """This process's cgroup paths, (v2, v1 cpu controller), read from own
-    (/proc/self/cgroup); "/" for one not listed."""
-    v2 = v1 = "/"
-    try:
-        with open(own) as fh:
-            for line in fh:
-                _, controllers, path = line.rstrip("\n").split(":", 2)
-                if not controllers:
-                    v2 = path
-                elif "cpu" in controllers.split(","):
-                    v1 = path
-    except (OSError, ValueError):
-        pass
-    return v2, v1
-
-
-def _up_to(base: str, path: str) -> list[str]:
-    """The directory of cgroup path under base, then each parent up to base."""
-    parts = [part for part in path.split("/") if part not in ("", ".")]
-    if ".." in parts:  # outside the cgroup namespace: only base is known
-        parts = []
-    return [os.path.join(base, *parts[:n]) for n in range(len(parts), -1, -1)]
-
-
-def _quota_share(directory: str, v1: bool) -> float | None:
-    """The CPUs the quota set in one cgroup directory allows; None if none is."""
-    try:
-        if v1:
-            with open(os.path.join(directory, "cpu.cfs_quota_us")) as fq, \
-                    open(os.path.join(directory, "cpu.cfs_period_us")) as fp:
-                quota, period = fq.read(), fp.read()
-        else:
-            with open(os.path.join(directory, "cpu.max")) as fh:
-                quota, period = fh.read().split()
-        share = int(quota) / int(period)
-    # no file, or "max" (v2) or -1 (v1): no quota
-    except (OSError, ValueError, ZeroDivisionError):
-        return None
-    return share if share > 0 else None
-
-
-def cpu_quota(root: str = "/sys/fs/cgroup", own: str = "/proc/self/cgroup") -> int | None:
-    """The whole CPUs, at least one, that the CPU quotas over this process allow.
-
-    This process's cgroup is read from own: cgroup v2's "0::" line and the
-    v1 line of the cpu controller. Every quota set from that cgroup up to
-    root counts, v2's cpu.max under root and v1's CFS quota under root/cpu,
-    and the smallest wins. A level whose directory is not there (a container
-    sees its own cgroup as root) is skipped. None if nothing caps the CPU.
-    """
-    v2, v1 = _own_cgroups(own)
-    levels = [(directory, False) for directory in _up_to(root, v2)]
-    levels += [(directory, True) for directory in _up_to(os.path.join(root, "cpu"), v1)]
-    shares = [share for directory, is_v1 in levels
-              if (share := _quota_share(directory, is_v1)) is not None]
-    return max(1, int(min(shares))) if shares else None
-
-
-def _own_stat(field: int) -> int | None:
-    """Field field (counted from 1) of /proc/self/stat, where Linux has it."""
-    try:
-        with open("/proc/self/stat", "rb") as fh:
-            # counted past field 2, the command name, which may hold anything
-            return int(fh.read().rsplit(b")", 1)[1].split()[field - 3])
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def thread_count() -> int:
-    """This process's threads; as the OS counts them where it can, which
-    also counts a joined thread that is still exiting, and threads that
-    Python did not start."""
-    count = _own_stat(20)
-    if count is None:
-        threading = sys.modules.get("threading")
-        count = threading.active_count() if threading is not None else 1
-    return count
-
-
-def usable_cpus() -> int:
-    """How many processes may work at once: one per CPU of the affinity
-    mask, no more than the cgroup quotas allow.
-
-    One where os.fork or CPU placement is missing, or where another thread
-    is alive (a forked child keeps only the thread that forked).
-    """
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    if thread_count() > 1:
-        return 1
-    cpus = len(os.sched_getaffinity(0))
-    return min(cpus, cpu_quota() or cpus)
-
-
-def range_count(fh: IO[bytes]) -> int:
-    """How many ranges a scan of fh is cut into: one per usable CPU.
-
-    One, unless fh is a regular file and each range would hold at least
-    MIN_RANGE_BYTES; never more than MAX_RANGES.
-    """
-    status = os.fstat(fh.fileno())
-    if not stat.S_ISREG(status.st_mode):
-        return 1
-    return max(1, min(usable_cpus(), MAX_RANGES, status.st_size // MIN_RANGE_BYTES))
-
-
-class _NoCut(Exception):
-    """A probe of the cut planner would read more than it may."""
-
-
-def _probe_line(fh: IO[bytes]) -> bytes:
-    line = fh.readline(PROBE_BYTES)
-    if len(line) == PROBE_BYTES:
-        raise _NoCut
-    return line
-
-
-def _line_start(fh: IO[bytes], offset: int) -> int:
-    """The first line start at or after offset."""
-    if offset <= 0:
-        return 0
-    fh.seek(offset - 1)
-    _probe_line(fh)
-    return fh.tell()
-
-
-def _project_at(fh: IO[bytes], offset: int, project: str) -> str | None:
-    """The project of the first record whose line starts at or after offset.
-
-    None past the last record. Each line is read by parse_export_stream, so
-    what counts as a record here is what counts in the scan.
-    """
-    fh.seek(_line_start(fh, offset))
-    for _ in range(PROBE_LINES):
-        line = _probe_line(fh)
-        if not line:
-            return None
-        records, _ = parse_export_stream(line, project)
-        if records:
-            return records[0].project
-    raise _NoCut
-
-
-def _run_edge(
-    fh: IO[bytes], size: int, project: str, target: int, here: str | None, step: int
-) -> int | None:
-    """The nearest line start from target in direction step (1 or -1) where
-    the records' project changes from here; None if it never does.
-
-    It gallops from target, doubling the distance, to an offset whose project
-    differs, then bisects down to two adjacent offsets. A record starts at
-    the lower one, and the other project's side begins on the next line.
-    """
-    inside, width = target, 1
-    while True:
-        outside = min(max(target + step * width, 0), size)
-        if _project_at(fh, outside, project) != here:
-            break
-        if outside in (0, size):
-            return None
-        inside, width = outside, width * 2
-    while abs(outside - inside) > 1:
-        middle = (inside + outside) // 2
-        if _project_at(fh, middle, project) == here:
-            inside = middle
-        else:
-            outside = middle
-    return _line_start(fh, max(inside, outside))
-
-
-def plan_ranges(fh: IO[bytes], size: int, project: str, count: int) -> list[tuple[int, int]]:
-    """Cut the size bytes of fh into at most count line-aligned ranges.
-
-    Each cut is the project-run start nearest to size*k/count, so that on
-    an export that lists each project's commits together, every project
-    falls in one range. A run past the last record (blank or rejected
-    lines only) counts as a run of its own. A line of PROBE_BYTES or more,
-    or PROBE_LINES lines without a record, where a probe reads leaves the
-    file in one range.
-    """
-    cuts = set()
-    try:
-        for k in range(1, count):
-            target = size * k // count
-            here = _project_at(fh, target, project)
-            edges = [edge for step in (1, -1)
-                     if (edge := _run_edge(fh, size, project, target, here, step)) is not None]
-            if edges:
-                cuts.add(min(edges, key=lambda edge: abs(edge - target)))
-    except _NoCut:
-        cuts.clear()
-    bounds = [0, *sorted(cuts - {0, size}), size]
-    return list(zip(bounds, bounds[1:]))
-
-
-def _own_cpu(cpus: list[int]) -> int:
-    """The CPU of cpus this process runs on (read on Linux), else the first."""
-    cpu = _own_stat(39)
-    return cpu if cpu in cpus else cpus[0]
-
-
-def _place(cpus: Collection[int]) -> None:
-    """Run this process on cpus; a refusal only costs speed."""
-    with contextlib.suppress(OSError):
-        os.sched_setaffinity(0, cpus)
-
-
-class _Sender:
-    """Sends pickled messages down a pipe without waiting for its reader.
-
-    What the pipe cannot take yet stays in memory until the next send, and
-    close writes the rest, waiting as it must; so a worker never stalls on
-    a parent that is busy with its own share of the work.
-    """
-
-    def __init__(self, fd: int) -> None:
-        os.set_blocking(fd, False)
-        self.fd = fd
-        self.pending = bytearray()
-
-    def __call__(self, message: object) -> None:
-        import pickle
-
-        self.pending += pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-        self._write()
-
-    def _write(self) -> None:
-        while self.pending:
-            try:
-                written = os.write(self.fd, self.pending)
-            except BlockingIOError:
-                return
-            del self.pending[:written]
-
-    def close(self) -> None:
-        os.set_blocking(self.fd, True)
-        self._write()
-        os.close(self.fd)
-
-
-Send = Callable[[object], None]
-Work = Callable[[int, Send], None]
-
-
-def _worker(work: Work, k: int, cpu: int, write_end: int, inherited: list[int]) -> NoReturn:
-    """The life of forked worker k: close what it inherited, place itself,
-    run work(k, send), send what is left, exit."""
-    code = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        _place({cpu})
-        send = _Sender(write_end)
-        work(k, send)
-        send.close()
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _messages(pipe: IO[bytes]) -> Iterator[object]:
-    """The messages a worker sent, up to the end of its pipe or a torn message."""
-    import pickle
-
-    while True:
-        try:
-            yield pickle.load(pipe)
-        except (EOFError, pickle.UnpicklingError):
-            return
-
-
-@contextlib.contextmanager
-def forked(count: int, work: Work) -> Iterator[dict[int, Iterator[object]]]:
-    """Run work in up to count - 1 forked workers, each on a CPU of its own,
-    while this process, on another, runs the block.
-
-    Worker k (1 to count - 1) runs work(k, send), where send(message) passes
-    a picklable message back, and exits. The block gets each started
-    worker's messages by k, in the order sent; they end early where the
-    worker failed. Workers stop being started where os.pipe or os.fork
-    fails. This process stays on the CPU it runs on, so that it does not
-    move onto one that other work keeps busy; it is pinned there for the
-    block, and its own CPUs are restored after it. On leaving the block, on every path, every pipe is closed and
-    every worker killed if it still runs, and reaped.
-    """
-    import pickle  # imported once here, not in every worker
-
-    cpus = os.sched_getaffinity(0)
-    mine = _own_cpu(sorted(cpus))
-    order = [mine, *sorted(cpus - {mine})]
-    children: list[int] = []
-    pipes: dict[int, IO[bytes]] = {}  # k: read end of worker k's pipe
-    sys.stdout.flush()
-    sys.stderr.flush()
-    try:
-        for k in range(1, count):
-            try:
-                read_end, write_end = os.pipe()
-            except OSError:
-                break
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                break
-            if pid == 0:
-                _worker(work, k, order[k % len(order)], write_end,
-                        [read_end, *(pipe.fileno() for pipe in pipes.values())])
-            children.append(pid)
-            os.close(write_end)
-            pipes[k] = open(read_end, "rb")
-        _place({order[0]})
-        yield {k: _messages(pipe) for k, pipe in pipes.items()}
-    finally:
-        for pipe in pipes.values():
-            pipe.close()
-        if children:
-            import signal
-
-            for pid in children:
-                os.kill(pid, signal.SIGKILL)  # safe once it exited: it is not reaped yet
-                os.waitpid(pid, 0)
-        _place(cpus)
-
-
 class _Fallback(Exception):
     """The ranges of a parallel scan cannot be merged."""
 
@@ -794,7 +468,7 @@ def scan_ranges(
     others = [i for i in range(len(plan)) if i != mine]
     parsed: dict[int, Parsed] = {}
 
-    def work(k: int, send: Send) -> None:
+    def work(k: int, send: parallel.Send) -> None:
         records, report = parse_range(path, *plan[others[k - 1]], project)
         corpus = group_by_project(records)
         send(list(corpus))
@@ -807,7 +481,7 @@ def scan_ranges(
         return message
 
     try:
-        with forked(len(plan), work) as workers:
+        with parallel.forked(len(plan), work) as workers:
             if len(workers) < len(others):
                 raise _Fallback
             records, report = parsed[mine] = parse_range(path, *plan[mine], project)
@@ -860,9 +534,9 @@ def scan_export(
     """
     try:
         with open(path, "rb") as fh:
-            count = range_count(fh) if ranges is None else ranges
+            count = parallel.range_count(fh) if ranges is None else ranges
             if count > 1:
-                plan = plan_ranges(fh, os.fstat(fh.fileno()).st_size, project, count)
+                plan = parallel.plan_ranges(fh, os.fstat(fh.fileno()).st_size, project, count)
                 if len(plan) > 1:
                     return scan_ranges(path, plan, project, cfg)
                 fh.seek(0)
@@ -872,26 +546,22 @@ def scan_export(
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    config = load_config_file(args.config)
-    cfg = detector_config_from(args, config)
-    rules = fingerprint_rules_from_config(config)
+    _, cfg, rules = detection_from(args)
     if args.jsonl and not args.repo:
         counts, anomalies, flagged = scan_export(args.jsonl, args.project or args.jsonl, cfg)
     else:
-        records, ingest_report, _ = load_records(args)
-        print_rejects(ingest_report)
-        counts, anomalies, flagged = scan_corpus(group_by_project(records), cfg)
+        counts, anomalies, flagged = scan_parsed(*load_records(args), cfg)
     return finish_scan(args, counts, anomalies, flagged, cfg, rules)
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
-    config = load_config_file(args.config)
+    config, cfg, _ = detection_from(args)
     if args.policy:
         policy_obj = load_config_file(args.policy, known=None)
     else:
         policy_obj = config.get("policy", {})
     policy = policy_from_object(policy_obj)
-    records, ingest_report, _ = load_records(args)
+    records, ingest_report = load_records(args)
     print_rejects(ingest_report)
     corpus = drop_projects(group_by_project(records), policy.project_blacklist)
     kept = [r for recs in corpus.values() for r in recs]
@@ -899,7 +569,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     dropped = 0
     basis = policy.time_basis
     if policy.drop_flagged_kinds:
-        _, anomalies, _ = scan_corpus(corpus, detector_config_from(args, config))
+        _, anomalies, _ = scan_corpus(corpus, cfg)
         kept, gone = drop_flagged(kept, anomalies, policy.drop_flagged_kinds)
         dropped += len(gone)
     else:
@@ -995,60 +665,6 @@ def _ensure_local(entry: str, cache_dir: str | None) -> str:
     return target
 
 
-class _Queue:
-    """The indices 0 to count - 1 in a pipe, each taken by exactly one of the
-    processes that read it.
-
-    Each index is WIDTH bytes, written in chunks of at most CHUNK bytes,
-    which a pipe takes whole or not at all, so a read of WIDTH bytes takes
-    one whole index. What the pipe cannot hold at first, the process that
-    made the queue writes as it takes indices itself; a worker must call
-    leave first. The write end is closed once every index is written, so a
-    reader finds the end of the queue at the end of the pipe.
-    """
-
-    WIDTH = 4
-    CHUNK = 512  # PIPE_BUF is at least this
-
-    def __init__(self, count: int) -> None:
-        self.unwritten = memoryview(b"".join(i.to_bytes(self.WIDTH, "big") for i in range(count)))
-        self.read_end, self.write_end = os.pipe()
-        os.set_blocking(self.write_end, False)
-        self._fill()
-
-    def _fill(self) -> None:
-        while self.unwritten:
-            try:
-                os.write(self.write_end, self.unwritten[:self.CHUNK])
-            except BlockingIOError:
-                return
-            self.unwritten = self.unwritten[self.CHUNK:]
-        self.leave()
-
-    def leave(self) -> None:
-        """Stop writing: in a worker, whose copy of the write end would keep
-        the end of the queue from every reader."""
-        if self.write_end is not None:
-            os.close(self.write_end)
-            self.write_end = None
-
-    def __iter__(self) -> Iterator[int]:
-        while True:
-            if self.write_end is not None:
-                self._fill()
-            taken = os.read(self.read_end, self.WIDTH)
-            if not taken:
-                return
-            yield int.from_bytes(taken, "big")
-
-    def __enter__(self) -> _Queue:
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.leave()
-        os.close(self.read_end)
-
-
 Outcome = Scanned | str
 
 
@@ -1080,17 +696,16 @@ def scan_repositories(
     failed or never started), so a failed worker costs time, not a result.
     """
     outcomes: dict[int, Outcome] = {}
-    count = min(jobs, usable_cpus(), len(repos))
+    count = min(jobs, parallel.usable_cpus(), len(repos))
 
-    def work(k: int, send: Send) -> None:
-        queue.leave()
+    def work(k: int, send: parallel.Send) -> None:
         for i in queue:
             send((i, scan_repository(*repos[i], cfg)))
 
     if count > 1:
-        # an OSError (no pipe, say) leaves the rest to the loop below
-        with contextlib.suppress(OSError), _Queue(len(repos)) as queue, \
-                forked(count, work) as workers:
+        # an OSError (no file for the queue, say) leaves the rest to the loop below
+        with contextlib.suppress(OSError), parallel._Queue(len(repos)) as queue, \
+                parallel.forked(count, work) as workers:
             for i in queue:
                 outcomes[i] = scan_repository(*repos[i], cfg)
             for messages in workers.values():
@@ -1101,9 +716,7 @@ def scan_repositories(
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
-    config = load_config_file(args.config)
-    cfg = detector_config_from(args, config)
-    rules = fingerprint_rules_from_config(config)
+    _, cfg, rules = detection_from(args)
     try:
         with open(args.list, "r", encoding="utf-8") as fh:
             entries = sorted({ln.strip() for ln in fh if ln.strip()})
@@ -1124,7 +737,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         # a joined thread can take milliseconds more to exit, and while it
         # does, the repositories would be read in this process alone
         deadline = time.monotonic() + 0.1
-        while thread_count() > 1 and time.monotonic() < deadline:
+        while parallel.thread_count() > 1 and time.monotonic() < deadline:
             time.sleep(0.001)
         for i, clone in clones.items():
             try:
@@ -1168,8 +781,6 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--repo", help="path to a git repository")
     parser.add_argument("--jsonl", help="path to a JSONL commit export")
     parser.add_argument("--project", help="project label for the input")
-    parser.add_argument("--with-files", action="store_true",
-                        help="collect changed-file lists (slower)")
     parser.add_argument("--first-parent", action="store_true",
                         help="walk first-parent history only")
     parser.add_argument("--branches", metavar="NAME|GLOB",
@@ -1214,6 +825,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_filter = sub.add_parser("filter", help="apply a mitigation policy to commit records")
     _add_input_options(p_filter)
     _add_detector_options(p_filter)
+    p_filter.add_argument("--with-files", action="store_true",
+                          help="collect changed-file lists (slower)")
     p_filter.add_argument("--policy", help="JSON filter policy file")
     p_filter.add_argument("--out", help="write the filtered JSONL here")
     p_filter.set_defaults(func=cmd_filter)

@@ -36,11 +36,6 @@ def time_getter(basis: str) -> Callable[[CommitRecord], int]:
     raise ValueError(f"unknown time basis: {basis!r}")
 
 
-def select_time_basis(record: CommitRecord, basis: str = "author") -> int:
-    """Return the record's author or committer time per policy."""
-    return time_getter(basis)(record)
-
-
 def drop_pre_epoch(
     records: Iterable[CommitRecord],
     min_epoch_seconds: int = 1,
@@ -140,10 +135,8 @@ def coalesce(
     """
     if window_seconds <= 0:
         raise ValueError("coalesce window must be positive")
-    ordered = sorted(
-        records,
-        key=lambda r: (r.author_email, select_time_basis(r, basis), r.id),
-    )
+    time_of = time_getter(basis)
+    ordered = sorted(records, key=lambda r: (r.author_email, time_of(r), r.id))
     changesets: list[Changeset] = []
     group: list[CommitRecord] = []
 
@@ -155,8 +148,8 @@ def coalesce(
             Changeset(
                 member_ids=tuple(r.id for r in group),
                 author_email=group[0].author_email,
-                start_time=select_time_basis(group[0], basis),
-                end_time=select_time_basis(group[-1], basis),
+                start_time=time_of(group[0]),
+                end_time=time_of(group[-1]),
                 files=files,
             )
         )
@@ -165,7 +158,7 @@ def coalesce(
     for r in ordered:
         if group:
             prev = group[-1]
-            gap = select_time_basis(r, basis) - select_time_basis(prev, basis)
+            gap = time_of(r) - time_of(prev)
             if r.author_email != prev.author_email or gap > window_seconds:
                 flush()
         group.append(r)

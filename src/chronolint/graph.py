@@ -1,22 +1,11 @@
-"""Commit DAG construction and deterministic topological linearization.
-
-Also builds the time-file graph: edges between commits ordered strictly in
-time that touch at least one file in common.
-"""
+"""Commit DAG construction and deterministic topological linearization."""
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Iterable
 
 from .model import CommitRecord, GraphError, RepoHistory
-
-
-@dataclass(frozen=True)
-class TimeFileEdge:
-    from_id: str
-    to_id: str
 
 
 def build_history(records: Iterable[CommitRecord], project: str) -> RepoHistory:
@@ -73,29 +62,3 @@ def build_history(records: Iterable[CommitRecord], project: str) -> RepoHistory:
 def linearize(history: RepoHistory) -> list[CommitRecord]:
     """Return commits in the history's topological order."""
     return list(map(history.commits.__getitem__, history.order))
-
-
-def time_file_graph(records: Iterable[CommitRecord]) -> set[TimeFileEdge]:
-    """Edges (c1 -> c2) where c1 is strictly earlier and shares a file with c2.
-
-    Every record must carry a changed-file set; strictness means commits
-    with equal timestamps are never connected, so the result is a DAG.
-    """
-    records = list(records)
-    missing = sorted(r.id for r in records if r.files is None)
-    if missing:
-        raise ValueError(f"records lack changed-file lists: {', '.join(missing)}")
-
-    by_file: dict[str, list[CommitRecord]] = {}
-    for r in records:
-        for f in r.files or ():
-            by_file.setdefault(f, []).append(r)
-
-    edges: set[TimeFileEdge] = set()
-    for members in by_file.values():
-        members.sort(key=lambda r: (r.commit_time, r.id))
-        for i, earlier in enumerate(members):
-            for later in members[i + 1:]:
-                if earlier.commit_time < later.commit_time:
-                    edges.add(TimeFileEdge(from_id=earlier.id, to_id=later.id))
-    return edges

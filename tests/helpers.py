@@ -103,20 +103,6 @@ def replay_linear_loop(sequence: list[CommitRecord], merge_exclusion: bool = Tru
     return flagged
 
 
-def pairwise_time_file_edges(records: list[CommitRecord]):
-    """O(n^2) evaluation of the shared-file, strictly-earlier edge rule."""
-    edges = set()
-    for a in records:
-        for b in records:
-            if (
-                a.id != b.id
-                and a.commit_time < b.commit_time
-                and (a.files or frozenset()) & (b.files or frozenset())
-            ):
-                edges.add((a.id, b.id))
-    return edges
-
-
 # ---------------------------------------------------------------------------
 # the JSONL reader before its per-line loop was rebuilt around the C scanner:
 # one json.loads call per line and one nested check per field

@@ -210,6 +210,21 @@ class TestFilter:
         kept, _ = parse_export_stream(out.read_bytes())
         assert [r.id for r in kept] == [good.id]
 
+    def test_with_files_is_a_filter_flag_only(self, tmp_path, capsys):
+        """filter writes the changed paths; no scan output reads them, so
+        scan has no such flag."""
+        repo = tmp_path / "r"
+        build_repo(repo, [{"key": "a", "commit_epoch": 1_600_000_000,
+                           "files": {"src/x.py": "x\n"}}])
+        out = tmp_path / "out.jsonl"
+        assert run(["filter", "--repo", str(repo), "--with-files", "--out", str(out)]) == 0
+        (kept,), _ = parse_export_stream(out.read_bytes())
+        assert "src/x.py" in kept.files
+        with pytest.raises(SystemExit) as exc:
+            run(["scan", "--repo", str(repo), "--with-files"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --with-files" in capsys.readouterr().err
+
     def test_drop_flagged_rescan_clean(self, tmp_path):
         p = rec("p", commit_epoch=1000, author_epoch=1000)
         c = rec("c", commit_epoch=900, author_epoch=900, parents=(p.id,))
@@ -364,6 +379,36 @@ class TestMalformedInput:
         assert run(["scan", "--jsonl", str(src), "--config", str(cfg), "--reference", REF,
                     "--out", str(tmp_path / "r.json")]) == 2
         assert capsys.readouterr().err == f"chronolint: {message}\n"
+
+    @pytest.mark.parametrize("command", ["scan", "filter", "corpus"])
+    @pytest.mark.parametrize("flags, config, message", [
+        (["--old-threshold", "nonsense"], {}, "unparseable instant: 'nonsense'"),
+        (["--old-threshold", "2030-01-01", "--reference", "2020-01-01"], {},
+         "old threshold must precede the future reference"),
+        ([], {"time_basis": "bogus"}, "unknown time basis: 'bogus'"),
+        ([], {"fingerprint_rules": [{"name": "r", "pattern": "("}]},
+         "fingerprint rule 'r': bad pattern: missing ), unterminated subpattern at position 0"),
+        (["--reference="], {}, "unparseable instant: ''"),
+        (["--old-threshold="], {}, "unparseable instant: ''"),
+        ([], {"time_basis": ""}, "unknown time basis: ''"),
+    ], ids=["threshold-garbage", "threshold-after-reference", "basis-bogus", "rule-pattern",
+            "reference-empty", "threshold-empty", "basis-empty"])
+    def test_bad_detector_setting_in_every_command(self, tmp_path, capsys, command, flags,
+                                                   config, message):
+        """One set of flags and one config are valid or invalid for every
+        command, and an empty value is a bad value, not an unset one."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(emit_export_stream([rec("a", commit_epoch=1_500_000_000)]))
+        build_repo(tmp_path / "r", [{"key": "a", "commit_epoch": 1_500_000_000}])
+        listing = tmp_path / "repos.txt"
+        listing.write_text(f"{tmp_path / 'r'}\n")
+        out = tmp_path / "out"
+        source = ["--list", str(listing)] if command == "corpus" else ["--jsonl", str(src)]
+        assert run([command, *source, *flags, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"chronolint: {message}\n"
+        assert not out.exists()
 
     def test_duplicate_rules_rejected_before_reading_input(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

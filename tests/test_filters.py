@@ -11,7 +11,6 @@ from chronolint.filters import (
     drop_flagged,
     drop_pre_epoch,
     drop_projects,
-    select_time_basis,
     time_window,
 )
 from chronolint.graph import build_history
@@ -154,17 +153,6 @@ class TestDropFlagged:
         )
         with pytest.raises(ConsistencyError):
             drop_flagged([rec("other")], ghost, {AnomalyKind.OUT_OF_ORDER_PARENT})
-
-
-class TestTimeBasis:
-    def test_identical_dates_same_result(self):
-        r = rec("a", commit_epoch=100)
-        assert select_time_basis(r, "author") == select_time_basis(r, "committer")
-
-    def test_rebased_commit(self):
-        r = rec("a", commit_epoch=200, author_epoch=100)
-        assert select_time_basis(r, "author") == 100
-        assert select_time_basis(r, "committer") == 200
 
 
 class TestCoalesce:

@@ -2,12 +2,11 @@ import random
 
 import pytest
 
-from chronolint.graph import TimeFileEdge, build_history, linearize, time_file_graph
+from chronolint.graph import build_history, linearize
 from chronolint.model import GraphError
 from helpers import (
     fake_hash,
     is_valid_topological_order,
-    pairwise_time_file_edges,
     random_records,
     rec,
 )
@@ -89,50 +88,3 @@ class TestLinearize:
         positions = {r.id: i for i, r in enumerate(seq)}
         assert positions[m.id] > positions[b.id]
         assert positions[m.id] > positions[c.id]
-
-
-class TestTimeFileGraph:
-    def test_shared_file_edge(self):
-        c1 = rec("c1", commit_epoch=1, files=frozenset({"a"}))
-        c2 = rec("c2", commit_epoch=2, files=frozenset({"a", "b"}))
-        assert time_file_graph([c1, c2]) == {TimeFileEdge(c1.id, c2.id)}
-
-    def test_disjoint_files_no_edge(self):
-        c1 = rec("c1", commit_epoch=1, files=frozenset({"a"}))
-        c2 = rec("c2", commit_epoch=2, files=frozenset({"b"}))
-        assert time_file_graph([c1, c2]) == set()
-
-    def test_equal_times_no_edge(self):
-        c1 = rec("c1", commit_epoch=5, files=frozenset({"a"}))
-        c2 = rec("c2", commit_epoch=5, files=frozenset({"a"}))
-        assert time_file_graph([c1, c2]) == set()
-
-    def test_missing_files_precondition(self):
-        c1 = rec("c1", commit_epoch=1, files=frozenset({"a"}))
-        c2 = rec("c2", commit_epoch=2)
-        with pytest.raises(ValueError, match=c2.id):
-            time_file_graph([c1, c2])
-
-    def test_matches_pairwise_oracle(self):
-        rng = random.Random(4321)
-        for _ in range(20):
-            records = [
-                rec(
-                    ("tf", i, rng.random()),
-                    commit_epoch=rng.randint(0, 10) * 100,
-                    files=frozenset(rng.sample("abcdef", rng.randint(1, 3))),
-                )
-                for i in range(20)
-            ]
-            edges = {(e.from_id, e.to_id) for e in time_file_graph(records)}
-            assert edges == pairwise_time_file_edges(records)
-
-    def test_antisymmetry(self):
-        rng = random.Random(7)
-        records = [
-            rec(("anti", i), commit_epoch=rng.randint(0, 5) * 10,
-                files=frozenset({"shared"}))
-            for i in range(15)
-        ]
-        edges = {(e.from_id, e.to_id) for e in time_file_graph(records)}
-        assert not any((b, a) in edges for a, b in edges)

@@ -1,0 +1,40 @@
+"""Only ``parallel`` forks, makes pipes, places processes or reads their state.
+
+Fork safety, pipe and fd hygiene and CPU placement are each got right in one
+module. This keeps them from spreading back into the commands: outside
+``parallel.py``, no module of the package may call ``os.fork``, ``os.pipe``,
+``os.sched_setaffinity`` or ``os.sched_getaffinity``, or name
+``/proc/self/stat`` or ``/sys/fs/cgroup``.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "chronolint"
+CALLS = frozenset(("fork", "pipe", "sched_setaffinity", "sched_getaffinity"))
+PATHS = ("/proc/self/stat", "/sys/fs/cgroup")
+
+
+def process_mentions(tree):
+    """Each node that names one of CALLS on os, or holds one of PATHS."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in CALLS \
+                and isinstance(node.value, ast.Name) and node.value.id == "os":
+            yield node
+        elif isinstance(node, ast.ImportFrom) and node.module == "os" \
+                and any(alias.name in CALLS for alias in node.names):
+            yield node
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and any(path in node.value for path in PATHS):
+            yield node
+
+
+def test_only_parallel_forks_pipes_and_places():
+    modules = sorted(SRC.glob("*.py"))
+    assert {path.name for path in modules} >= {"cli.py", "parallel.py"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules if path.name != "parallel.py"
+        for node in process_mentions(ast.parse(path.read_text("utf-8")))
+    ]
+    assert found == []

@@ -13,6 +13,7 @@ import os
 import random
 import signal
 import sys
+import tempfile
 import threading
 import time
 import warnings
@@ -20,7 +21,7 @@ from unittest import mock
 
 import pytest
 
-from chronolint import cli
+from chronolint import cli, parallel
 from helpers import build_repo, write_raw_commit
 
 REF = "2021-01-01T00:00:00+00:00"
@@ -93,7 +94,7 @@ def open_fds():
 @pytest.fixture
 def four_cpus(monkeypatch):
     """Fork as on a 4-CPU host, whatever this one has."""
-    monkeypatch.setattr(cli, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
 
 
 @needs_fork
@@ -165,25 +166,36 @@ class TestProcessHygiene:
         with self.failing_workers(lambda: os.kill(os.getpid(), signal.SIGKILL)):
             assert corpus(corpus_dir, 3) == serial
 
-    @pytest.mark.parametrize("pipes_made", [0, 1, 2])
+    @pytest.mark.parametrize("lacking", [0, 1, 2])
     @pytest.mark.usefixtures("four_cpus")
-    def test_no_pipe_left(self, corpus_dir, clean, pipes_made):
-        """No pipe for the queue (0), for the first worker (1) or the second (2)."""
+    def test_no_pipe_left(self, corpus_dir, clean, lacking):
+        """The queue's file cannot be made (0), or there is no pipe for the
+        first worker (1) or the second (2)."""
         serial = corpus(corpus_dir, 1)
         real_pipe, pipes = os.pipe, []
+        real_file, refused = tempfile.TemporaryFile, []
+        pipes_made = max(lacking - 1, 0)
 
         def pipe():
-            if sys._getframe(1).f_globals["__name__"] != cli.__name__:
+            if sys._getframe(1).f_globals["__name__"] != parallel.__name__:
                 return real_pipe()  # git's pipes
             if len(pipes) == pipes_made:
                 raise OSError(24, "Too many open files")
             pipes.append(real_pipe())
             return pipes[-1]
 
-        with mock.patch.object(os, "pipe", pipe), parent_scans() as scanned:
+        def temporary_file(*args, **kwargs):
+            if lacking or sys._getframe(1).f_globals["__name__"] != parallel.__name__:
+                return real_file(*args, **kwargs)  # git's stderr
+            refused.append(args)
+            raise OSError(28, "No space left on device")
+
+        with mock.patch.object(os, "pipe", pipe), \
+                mock.patch.object(tempfile, "TemporaryFile", temporary_file), \
+                parent_scans() as scanned:
             assert corpus(corpus_dir, 3) == serial
-        assert len(pipes) == pipes_made
-        if pipes_made < 2:
+        assert len(pipes) == pipes_made and len(refused) == (lacking == 0)
+        if lacking < 2:
             assert len(scanned) == 7
 
     @pytest.mark.usefixtures("four_cpus")
@@ -203,8 +215,8 @@ class TestProcessHygiene:
 
     def test_live_thread_runs_in_process(self, corpus_dir, clean, monkeypatch):
         forks = []
-        real = cli.forked
-        monkeypatch.setattr(cli, "forked", lambda *a: forks.append(a) or real(*a))
+        real = parallel.forked
+        monkeypatch.setattr(parallel, "forked", lambda *a: forks.append(a) or real(*a))
         serial = corpus(corpus_dir, 1)
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
@@ -217,19 +229,18 @@ class TestProcessHygiene:
             stop.set()
             thread.join()
         assert forks == []
-        if cli.usable_cpus() > 1:  # the same run without the thread does fork
+        if parallel.usable_cpus() > 1:  # the same run without the thread does fork
             assert corpus(corpus_dir, 2) == serial
             assert len(forks) == 1
 
 
 @needs_fork
 def test_queue_gives_each_index_once():
-    """More indices than a pipe holds, and more processes than CPUs: every
-    index is taken, by one process, within a minute."""
+    """Many indices, and more processes than CPUs: every index is taken, by
+    one process, within a minute."""
     count = 40_000
 
     def work(k, send):
-        queue.leave()
         send(list(queue))
 
     def too_slow(signum, frame):
@@ -238,8 +249,8 @@ def test_queue_gives_each_index_once():
     previous = signal.signal(signal.SIGALRM, too_slow)
     signal.alarm(60)
     try:
-        with cli._Queue(count) as queue, cli.forked(len(os.sched_getaffinity(0)) + 2,
-                                                    work) as workers:
+        with parallel._Queue(count) as queue, \
+                parallel.forked(len(os.sched_getaffinity(0)) + 2, work) as workers:
             taken = list(queue)
             for messages in workers.values():
                 taken += next(messages)
@@ -253,7 +264,7 @@ def test_queue_gives_each_index_once():
 def test_workers_forked_once_the_clone_threads_are_gone(tmp_path, monkeypatch):
     """URLs are cloned in threads; every run still forks its workers, after
     the last clone thread has exited, and gives the same report."""
-    if cli.usable_cpus() < 2:
+    if parallel.usable_cpus() < 2:
         pytest.skip("needs two usable CPUs")
     entries = []
     for name in ("x", "y"):
@@ -261,8 +272,8 @@ def test_workers_forked_once_the_clone_threads_are_gone(tmp_path, monkeypatch):
         entries.append(f"file://{tmp_path / name}")
     (tmp_path / "list.txt").write_text("".join(f"{entry}\n" for entry in entries))
     forks = []
-    real = cli.forked
-    monkeypatch.setattr(cli, "forked", lambda *a: forks.append(a) or real(*a))
+    real = parallel.forked
+    monkeypatch.setattr(parallel, "forked", lambda *a: forks.append(a) or real(*a))
     reports = set()
     for _ in range(8):
         with warnings.catch_warnings():

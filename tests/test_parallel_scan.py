@@ -23,7 +23,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chronolint import cli
+from chronolint import cli, parallel
 from chronolint.ingest import emit_export_stream, parse_export_stream
 from helpers import fake_hash, rec
 
@@ -168,7 +168,7 @@ class TestSameAsOneRange:
                  *project_lines(rng, "b", 30), b"[]\n", *project_lines(rng, "c", 30)]
         path = write(tmp_path, lines)
         with open(path, "rb") as fh:
-            plan = cli.plan_ranges(fh, path.stat().st_size, str(path), 3)
+            plan = parallel.plan_ranges(fh, path.stat().st_size, str(path), 3)
         assert len(plan) == 3
         code, _, _, stderr = assert_same_for_all_ranges(path)
         assert stderr.splitlines() == [
@@ -192,7 +192,7 @@ class TestSameAsOneRange:
         lines = [*project_lines(rng, "a", 3), *project_lines(rng, "b", 3), *[tail] * 50]
         path = write(tmp_path, lines)
         with open(path, "rb") as fh:
-            plan = cli.plan_ranges(fh, path.stat().st_size, str(path), 3)
+            plan = parallel.plan_ranges(fh, path.stat().st_size, str(path), 3)
         last = path.read_bytes()[plan[-1][0]:]
         assert set(last.splitlines(keepends=True)) == {tail}
         with merges_seen() as seen:
@@ -200,11 +200,12 @@ class TestSameAsOneRange:
         assert len(seen) == 1
 
     def test_long_stretch_without_records_is_not_cut(self, tmp_path):
-        lines = [*project_lines(random.Random(12), "a", 30), *[b"\n"] * cli.PROBE_LINES,
+        lines = [*project_lines(random.Random(12), "a", 30), *[b"\n"] * parallel.PROBE_LINES,
                  *project_lines(random.Random(13), "b", 2)]
         path = write(tmp_path, lines)
         with open(path, "rb") as fh:
-            assert cli.plan_ranges(fh, path.stat().st_size, "x", 2) == [(0, path.stat().st_size)]
+            assert parallel.plan_ranges(fh, path.stat().st_size, "x", 2) == [
+                (0, path.stat().st_size)]
 
     def test_same_id_in_two_projects_across_a_cut(self, tmp_path):
         rng = random.Random(6)
@@ -269,7 +270,7 @@ class TestPlanRanges:
             path = write(tmp_path, lines)
             count = rng.randint(2, 6)
             with open(path, "rb") as fh:
-                plan = cli.plan_ranges(fh, len(data), "default", count)
+                plan = parallel.plan_ranges(fh, len(data), "default", count)
             assert plan[0][0] == 0 and plan[-1][1] == len(data)
             assert all(end == start for (_, end), (start, _) in zip(plan, plan[1:]))
             assert len(plan) <= count
@@ -287,7 +288,7 @@ class TestPlanRanges:
     def test_one_project_is_one_range(self, tmp_path):
         path = write(tmp_path, project_lines(random.Random(10), "a", 50))
         with open(path, "rb") as fh:
-            assert cli.plan_ranges(fh, path.stat().st_size, "x", 4) == [
+            assert parallel.plan_ranges(fh, path.stat().st_size, "x", 4) == [
                 (0, path.stat().st_size)]
 
 
@@ -369,7 +370,7 @@ class TestProcessHygiene:
         self.check_clean(fds, cpus)
 
     def test_live_thread_keeps_one_range(self, export, monkeypatch):
-        monkeypatch.setattr(cli, "MIN_RANGE_BYTES", 1)
+        monkeypatch.setattr(parallel, "MIN_RANGE_BYTES", 1)
         calls = []
         real = cli.scan_ranges
         monkeypatch.setattr(cli, "scan_ranges", lambda *a: calls.append(a) or real(*a))
@@ -404,7 +405,7 @@ class TestRangeCount:
         for name, text in files.items():
             (tmp_path / name).parent.mkdir(exist_ok=True)
             (tmp_path / name).write_text(text)
-        assert cli.cpu_quota(str(tmp_path)) == cpus
+        assert parallel.cpu_quota(str(tmp_path)) == cpus
 
     @pytest.mark.parametrize("own, files, cpus", [
         # v2: every level from the process's cgroup up to the root counts
@@ -435,15 +436,15 @@ class TestRangeCount:
         own_file = tmp_path / "self-cgroup"
         if own is not None:
             own_file.write_text(own)
-        assert cli.cpu_quota(str(root), str(own_file)) == cpus
+        assert parallel.cpu_quota(str(root), str(own_file)) == cpus
 
     @pytest.mark.skipif(not MANY_CPUS, reason="needs two CPUs")
     @pytest.mark.parametrize("quota, most, count", [
         (None, 2, 2), (1, 2, 1), (None, 1, 1), (8, 2, 2)])
     def test_bounded_by_quota_and_max_ranges(self, tmp_path, monkeypatch, quota, most, count):
-        monkeypatch.setattr(cli, "cpu_quota", lambda: quota)
-        monkeypatch.setattr(cli, "MAX_RANGES", most)
-        monkeypatch.setattr(cli, "MIN_RANGE_BYTES", 1)
+        monkeypatch.setattr(parallel, "cpu_quota", lambda: quota)
+        monkeypatch.setattr(parallel, "MAX_RANGES", most)
+        monkeypatch.setattr(parallel, "MIN_RANGE_BYTES", 1)
         path = write(tmp_path, [b"\n"] * 10)
         with open(path, "rb") as fh:
-            assert cli.range_count(fh) == count
+            assert parallel.range_count(fh) == count
