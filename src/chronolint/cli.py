@@ -18,7 +18,7 @@ import re
 import sys
 import time
 from datetime import datetime, timezone
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from . import __version__, parallel
 from .detect import (
@@ -132,7 +132,9 @@ def reject_unknown_keys(obj: dict, known: Collection[str], what: str) -> None:
 
 
 def load_config_file(path: str | None, known: Collection[str] | None = CONFIG_KEYS) -> dict:
-    """Read a JSON object from path, {} for None; with known, check its keys.
+    """Read a JSON object from path, {} for None; with known, check its keys
+    and drop its null values, so that a null key takes its default as a
+    missing one does.
 
     A config's ``policy`` is checked too, whichever command reads the config,
     so one file is valid or invalid for every command.
@@ -150,6 +152,7 @@ def load_config_file(path: str | None, known: Collection[str] | None = CONFIG_KE
         raise UsageError(f"config {path} is not a JSON object")
     if known is not None:
         reject_unknown_keys(obj, known, "config")
+        obj = {key: value for key, value in obj.items() if value is not None}
         if "policy" in obj:
             policy_from_object(obj["policy"])
     return obj
@@ -447,58 +450,33 @@ def scan_parsed(
     return scan_corpus(group_by_project(records), cfg)
 
 
-class _Fallback(Exception):
-    """The ranges of a parallel scan cannot be merged."""
-
-
 def scan_ranges(
     path: str, plan: list[tuple[int, int]], project: str, cfg: DetectorConfig
 ) -> tuple[dict[str, int], set[AnomalyRecord], Flagged]:
-    """Scan the ranges of plan at once, each in its own process on its own CPU.
+    """Scan the ranges of plan at once, as units of parallel.share.
 
-    This process works the largest range; each other range goes to a forked
-    worker, which sends the projects it parsed, then its result. Once all
-    are parsed, their projects are compared. If two ranges share a project,
-    or any range fails, the workers are stopped, and this process parses the
-    other ranges itself and scans the whole as one (scan_parsed): the lines
-    of the ranges are the lines of the file, in order, so no output depends
-    on the ranges.
+    A unit parses its range, its keys are the range's projects, and its
+    finish scans them. The largest range is unit 0, which this process
+    works. If two ranges share a project, or any range fails, this process
+    parses the ranges it has not parsed yet and scans the whole as one
+    (scan_parsed): the lines of the ranges are the lines of the file, in
+    order, so no output depends on the ranges.
     """
-    mine = max(range(len(plan)), key=lambda i: plan[i][1] - plan[i][0])
-    others = [i for i in range(len(plan)) if i != mine]
+    order = sorted(range(len(plan)), key=lambda i: plan[i][0] - plan[i][1])
     parsed: dict[int, Parsed] = {}
 
-    def work(k: int, send: parallel.Send) -> None:
-        records, report = parse_range(path, *plan[others[k - 1]], project)
+    def prepare(unit: int) -> tuple[list[str], Callable[[], Scanned]]:
+        i = order[unit]
+        records, report = parsed[i] = parse_range(path, *plan[i], project)
         corpus = group_by_project(records)
-        send(list(corpus))
-        send((report, *scan_corpus(corpus, cfg)))
-
-    def receive(messages: Iterator[object]) -> object:
-        message = next(messages, None)
-        if message is None:
-            raise _Fallback
-        return message
+        return list(corpus), lambda: (report, *scan_corpus(corpus, cfg))
 
     try:
-        with parallel.forked(len(plan), work) as workers:
-            if len(workers) < len(others):
-                raise _Fallback
-            records, report = parsed[mine] = parse_range(path, *plan[mine], project)
-            corpus = group_by_project(records)
-            seen = set(corpus)
-            for messages in workers.values():
-                projects = receive(messages)
-                if not seen.isdisjoint(projects):
-                    raise _Fallback
-                seen.update(projects)
-            parts = {mine: (report, *scan_corpus(corpus, cfg))}
-            for k, messages in workers.items():
-                parts[others[k - 1]] = receive(messages)
-        merged = merge_ranges([parts[i] for i in range(len(plan))])
+        parts = parallel.share(len(plan), len(plan), prepare)
+        merged = merge_ranges([parts[order.index(i)] for i in range(len(plan))])
         print_rejects(merged[0])
         return merged[1:]
-    except (_Fallback, ChronolintError):
+    except (parallel.Shared, ChronolintError):
         pass
     records, report = [], IngestReport()
     for i, (start, end) in enumerate(plan):
@@ -524,17 +502,17 @@ def merge_ranges(parts: list[Scanned]) -> Scanned:
 
 
 def scan_export(
-    path: str, project: str, cfg: DetectorConfig, ranges: int | None = None
+    path: str, project: str, cfg: DetectorConfig
 ) -> tuple[dict[str, int], set[AnomalyRecord], Flagged]:
-    """Scan a JSONL export, cut into ranges that forked processes work at once.
+    """Scan a JSONL export, cut into as many ranges as range_count says,
+    which forked processes work at once.
 
-    ranges is the number of ranges to cut; by default range_count decides.
     An export in one range is parsed and scanned in this process, as
     scan_ranges does when the ranges cannot be merged.
     """
     try:
         with open(path, "rb") as fh:
-            count = parallel.range_count(fh) if ranges is None else ranges
+            count = parallel.range_count(fh)
             if count > 1:
                 plan = parallel.plan_ranges(fh, os.fstat(fh.fileno()).st_size, project, count)
                 if len(plan) > 1:
@@ -687,32 +665,14 @@ def scan_repositories(
     repos: list[tuple[str, str]], cfg: DetectorConfig, jobs: int
 ) -> list[Outcome]:
     """scan_repository over each (path, project) of repos, in up to jobs
-    processes, each on a CPU of its own.
+    processes: each repository is a unit of parallel.share, scanned when it
+    is prepared, and with no keys."""
 
-    The processes, this one among them, take the repositories one at a time
-    from a shared queue, so that a large one holds back only its own
-    process. A worker sends back each outcome as it has it. This process
-    then scans every repository whose outcome no worker sent (a worker that
-    failed or never started), so a failed worker costs time, not a result.
-    """
-    outcomes: dict[int, Outcome] = {}
-    count = min(jobs, parallel.usable_cpus(), len(repos))
+    def prepare(i: int) -> tuple[tuple[()], Callable[[], Outcome]]:
+        outcome = scan_repository(*repos[i], cfg)
+        return (), lambda: outcome
 
-    def work(k: int, send: parallel.Send) -> None:
-        for i in queue:
-            send((i, scan_repository(*repos[i], cfg)))
-
-    if count > 1:
-        # an OSError (no file for the queue, say) leaves the rest to the loop below
-        with contextlib.suppress(OSError), parallel._Queue(len(repos)) as queue, \
-                parallel.forked(count, work) as workers:
-            for i in queue:
-                outcomes[i] = scan_repository(*repos[i], cfg)
-            for messages in workers.values():
-                for i, outcome in messages:
-                    outcomes[i] = outcome
-    return [outcomes[i] if i in outcomes else scan_repository(*repo, cfg)
-            for i, repo in enumerate(repos)]
+    return parallel.share(jobs, len(repos), prepare)
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:

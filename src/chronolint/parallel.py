@@ -1,10 +1,12 @@
 """The process layer: how many processes a run may use, where each runs,
 and how forked workers start, report back and end.
 
-The commands' drivers (``cli.scan_ranges`` and ``cli.scan_repositories``)
-decide what the processes do. This module holds every ``os.fork``,
-``os.pipe`` and CPU placement of the package, and every read of ``/proc``
-or the cgroup files; git's own processes are started by ``ingest.run_git``.
+``share`` is the one driver of parallel work: a command gives it units
+(``cli.scan_ranges`` the byte ranges of a JSONL export,
+``cli.scan_repositories`` the repositories of a corpus). This module holds
+every ``os.fork``, ``os.pipe`` and CPU placement of the package, and every
+read of ``/proc`` or the cgroup files; git's own processes are started by
+``ingest.run_git``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import contextlib
 import os
 import stat
 import sys
-from typing import IO, Callable, Collection, Iterator, NoReturn
+from typing import IO, Callable, Collection, Hashable, Iterator, NoReturn
 
 from .ingest import parse_export_stream
 
@@ -239,54 +241,19 @@ def _place(cpus: Collection[int]) -> None:
         os.sched_setaffinity(0, cpus)
 
 
-class _Sender:
-    """Sends pickled messages down a pipe without waiting for its reader.
-
-    What the pipe cannot take yet stays in memory until the next send, and
-    close writes the rest, waiting as it must; so a worker never stalls on
-    a parent that is busy with its own share of the work.
-    """
-
-    def __init__(self, fd: int) -> None:
-        os.set_blocking(fd, False)
-        self.fd = fd
-        self.pending = bytearray()
-
-    def __call__(self, message: object) -> None:
-        import pickle
-
-        self.pending += pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-        self._write()
-
-    def _write(self) -> None:
-        while self.pending:
-            try:
-                written = os.write(self.fd, self.pending)
-            except BlockingIOError:
-                return
-            del self.pending[:written]
-
-    def close(self) -> None:
-        os.set_blocking(self.fd, True)
-        self._write()
-        os.close(self.fd)
+Work = Callable[[IO[bytes]], None]
 
 
-Send = Callable[[object], None]
-Work = Callable[[int, Send], None]
-
-
-def _worker(work: Work, k: int, cpu: int, write_end: int, inherited: list[int]) -> NoReturn:
-    """The life of forked worker k: close what it inherited, place itself,
-    run work(k, send), send what is left, exit."""
+def _worker(work: Work, cpu: int, write_end: int, inherited: list[int]) -> NoReturn:
+    """The life of a forked worker: close what it inherited, place itself,
+    run work(out) with out its end of the pipe, flush out, exit."""
     code = 1
     try:
         for fd in inherited:
             os.close(fd)
         _place({cpu})
-        send = _Sender(write_end)
-        work(k, send)
-        send.close()
+        with open(write_end, "wb") as out:
+            work(out)
         code = 0
     finally:
         os._exit(code)
@@ -308,18 +275,16 @@ def forked(count: int, work: Work) -> Iterator[dict[int, Iterator[object]]]:
     """Run work in up to count - 1 forked workers, each on a CPU of its own,
     while this process, on another, runs the block.
 
-    Worker k (1 to count - 1) runs work(k, send), where send(message) passes
-    a picklable message back, and exits. The block gets each started
-    worker's messages by k, in the order sent; they end early where the
-    worker failed. Workers stop being started where os.pipe or os.fork
-    fails. This process stays on the CPU it runs on, so that it does not
-    move onto one that other work keeps busy; it is pinned there for the
-    block, and its own CPUs are restored after it. On leaving the block, on
-    every path, every pipe is closed and every worker killed if it still
-    runs, and reaped.
+    Worker k (1 to count - 1) runs work(out), where out is a buffered file
+    on a pipe to this process, and exits. The block gets the messages each
+    started worker pickled to out by k, in the order written; they end
+    early where the worker failed. Workers stop being started where os.pipe
+    or os.fork fails. This process stays on the CPU it runs on, so that it
+    does not move onto one that other work keeps busy; it is pinned there
+    for the block, and its own CPUs are restored after it. On leaving the
+    block, on every path, every pipe is closed and every worker killed if it
+    still runs, and reaped.
     """
-    import pickle  # imported once here, not in every worker
-
     cpus = os.sched_getaffinity(0)
     mine = _own_cpu(sorted(cpus))
     order = [mine, *sorted(cpus - {mine})]
@@ -340,7 +305,7 @@ def forked(count: int, work: Work) -> Iterator[dict[int, Iterator[object]]]:
                 os.close(write_end)
                 break
             if pid == 0:
-                _worker(work, k, order[k % len(order)], write_end,
+                _worker(work, order[k % len(order)], write_end,
                         [read_end, *(pipe.fileno() for pipe in pipes.values())])
             children.append(pid)
             os.close(write_end)
@@ -373,7 +338,7 @@ class _Queue:
     WIDTH = 4
 
     def __init__(self, count: int) -> None:
-        import tempfile  # loads random and shutil, which only a corpus run needs
+        import tempfile  # loads random and shutil, which only a parallel run needs
 
         self.file = tempfile.TemporaryFile()
         try:
@@ -392,3 +357,73 @@ class _Queue:
 
     def __exit__(self, *exc: object) -> None:
         self.file.close()
+
+
+class Shared(Exception):
+    """Two units of a share hold one key."""
+
+
+Prepare = Callable[[int], tuple[Collection[Hashable], Callable[[], object]]]
+
+
+def share(count: int, units: int, prepare: Prepare) -> list[object]:
+    """The results of units 0 to units - 1, in that order, worked by up to
+    count processes at once, each on a CPU of its own.
+
+    prepare(i) does the first step of unit i and returns the unit's keys and
+    a finish() that returns its result. The processes are this one, which
+    takes unit 0 before it forks, and forked workers, no more in all than
+    usable_cpus() and units. They take the other units one at a time from a
+    _Queue, so that a large unit holds back only its own process. Each
+    prepares every unit it takes. Once the queue is empty, a worker sends
+    the keys of its units, then finishes them and sends their results. This
+    process finishes none of its units until every worker has sent all its
+    keys, and raises Shared, the workers killed, at the first key that two
+    units hold. A unit whose result no worker sent (one raised, was killed
+    or never started, or the queue had no file) is prepared and finished
+    here: a failed worker costs time, never a result.
+    """
+    import pickle  # imported once here, not in every worker
+
+    owner: dict[Hashable, int] = {}
+    results: dict[int, object] = {}
+
+    def claim(i: int, keys: Collection[Hashable]) -> None:
+        for key in keys:
+            if owner.setdefault(key, i) != i:
+                raise Shared(key)
+
+    def take(i: int) -> Callable[[], object]:
+        keys, finish = prepare(i)
+        claim(i, keys)
+        return finish
+
+    def work(out: IO[bytes]) -> None:
+        held = []
+        for i in queue:
+            keys, finish = prepare(i)
+            pickle.dump((i, keys), out, pickle.HIGHEST_PROTOCOL)
+            held.append((i, finish))
+        pickle.dump(None, out)  # the queue is empty: every key is sent
+        out.flush()
+        for i, finish in held:
+            pickle.dump((i, finish()), out, pickle.HIGHEST_PROTOCOL)
+
+    processes = min(count, usable_cpus(), units)
+    if processes > 1:
+        # an OSError (no file for the queue, say) leaves every unit to the loop below
+        with contextlib.suppress(OSError), _Queue(units) as queue:
+            first = next(iter(queue))  # taken before the fork, so unit 0 is this process's
+            with forked(processes, work) as workers:
+                held = {first: take(first)}
+                for i in queue:
+                    held[i] = take(i)
+                for messages in workers.values():
+                    for message in messages:
+                        if message is None:
+                            break
+                        claim(*message)
+                results.update((i, finish()) for i, finish in held.items())
+                for messages in workers.values():
+                    results.update(messages)
+    return [results[i] if i in results else take(i)() for i in range(units)]

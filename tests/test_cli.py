@@ -410,6 +410,28 @@ class TestMalformedInput:
         assert capsys.readouterr().err == f"chronolint: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["scan", "filter", "corpus"])
+    @pytest.mark.parametrize("key", sorted(cli.CONFIG_KEYS))
+    def test_null_config_value_is_unset(self, tmp_path, capsys, command, key):
+        """A config key whose value is null takes the default, as a missing key does."""
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(emit_export_stream([rec("a", commit_epoch=0),
+                                            rec("b", commit_epoch=1_500_000_000)]))
+        build_repo(tmp_path / "r", [{"key": "a", "commit_epoch": 0}])
+        listing = tmp_path / "repos.txt"
+        listing.write_text(f"{tmp_path / 'r'}\n")
+        source = ["--list", str(listing)] if command == "corpus" else ["--jsonl", str(src)]
+        outputs = []
+        for config in ({}, {key: None}):
+            cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+            cfg.write_text(json.dumps(config))
+            code = run([command, *source, "--config", str(cfg), "--reference", REF,
+                        "--out", str(out)])
+            outputs.append((code, out.read_bytes(), capsys.readouterr()))
+            out.unlink()
+        assert outputs[0][0] != 2
+        assert outputs[1] == outputs[0]
+
     def test_duplicate_rules_rejected_before_reading_input(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"fingerprint_rules": [

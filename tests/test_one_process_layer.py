@@ -4,7 +4,9 @@ Fork safety, pipe and fd hygiene and CPU placement are each got right in one
 module. This keeps them from spreading back into the commands: outside
 ``parallel.py``, no module of the package may call ``os.fork``, ``os.pipe``,
 ``os.sched_setaffinity`` or ``os.sched_getaffinity``, or name
-``/proc/self/stat`` or ``/sys/fs/cgroup``.
+``/proc/self/stat`` or ``/sys/fs/cgroup``. Nor may it name
+``parallel.forked`` or a private name of ``parallel``: a command's parallel
+work goes through ``parallel.share``, the one driver.
 """
 
 import ast
@@ -29,12 +31,36 @@ def process_mentions(tree):
             yield node
 
 
-def test_only_parallel_forks_pipes_and_places():
+def driver_mentions(tree):
+    """Each node that names parallel.forked or a private name of parallel."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "parallel" and is_hidden(node.attr):
+            yield node
+        elif isinstance(node, ast.ImportFrom) \
+                and node.module in ("parallel", "chronolint.parallel") \
+                and any(is_hidden(alias.name) for alias in node.names):
+            yield node
+
+
+def is_hidden(name):
+    return name == "forked" or name.startswith("_")
+
+
+def mentions(find):
+    """path:line of each node find yields in a module other than parallel.py."""
     modules = sorted(SRC.glob("*.py"))
     assert {path.name for path in modules} >= {"cli.py", "parallel.py"}
-    found = [
+    return [
         f"{path.name}:{node.lineno}"
         for path in modules if path.name != "parallel.py"
-        for node in process_mentions(ast.parse(path.read_text("utf-8")))
+        for node in find(ast.parse(path.read_text("utf-8")))
     ]
-    assert found == []
+
+
+def test_only_parallel_forks_pipes_and_places():
+    assert mentions(process_mentions) == []
+
+
+def test_only_parallel_drives_workers():
+    assert mentions(driver_mentions) == []

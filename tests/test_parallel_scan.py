@@ -1,13 +1,13 @@
 """A JSONL scan cut into ranges gives the outputs of a scan in one range.
 
-``cli.scan_export`` takes the number of ranges as an argument; these tests
-force it to 1-4 and compare the report, the anomaly stream, stderr and the
-exit code with the one-range scan byte for byte. They also check the cut
-planner and that no child process or pipe outlives a scan on any path.
+These tests force the number of ranges to 1-4 through
+``parallel.range_count``, and the usable CPUs to four, and compare the
+report, the anomaly stream, stderr and the exit code with the one-range scan
+byte for byte. They also check the cut planner and that no child process or
+pipe outlives a scan on any path.
 """
 
 import contextlib
-import functools
 import gc
 import io
 import os
@@ -28,7 +28,6 @@ from chronolint.ingest import emit_export_stream, parse_export_stream
 from helpers import fake_hash, rec
 
 REF = "2021-01-01T00:00:00+00:00"
-SCAN_EXPORT = cli.scan_export
 JUNK = [b"\n", b"  \t\n", b"not json\n", b'{"id": 1}\n', b"\xff\xfe\n", b"[]\n"]
 MANY_CPUS = len(os.sched_getaffinity(0)) >= 2 if hasattr(os, "sched_getaffinity") else False
 
@@ -64,11 +63,13 @@ def read(path):
 
 
 def scan(path, ranges):
-    """(exit code, report, anomaly stream, stderr) of a scan cut into ranges."""
+    """(exit code, report, anomaly stream, stderr) of a scan cut into ranges;
+    None leaves the count to range_count."""
     out_dir = Path(path).parent
     report, stream = out_dir / f"report{ranges}.json", out_dir / f"anomalies{ranges}.jsonl"
     err = io.StringIO()
-    with mock.patch.object(cli, "scan_export", functools.partial(SCAN_EXPORT, ranges=ranges)), \
+    count = mock.patch.object(parallel, "range_count", lambda fh: ranges)
+    with count if ranges is not None else contextlib.nullcontext(), \
             contextlib.redirect_stderr(err):
         code = cli.main(["scan", "--jsonl", str(path), "--reference", REF,
                          "--out", str(report), "--anomalies-out", str(stream)])
@@ -118,6 +119,7 @@ def write(tmp_path, lines, final_lf=True):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.usefixtures("four_cpus")
 class TestSameAsOneRange:
     @settings(max_examples=25, deadline=None)
     @given(sizes=st.lists(st.integers(1, 30), min_size=1, max_size=5),
@@ -316,6 +318,7 @@ class TestProcessHygiene:
         return mock.patch.object(cli, "parse_range", parse_range)
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.usefixtures("four_cpus")
     def test_worker_that_raises(self, export, error):
         serial = scan(export, 1)
         fds, cpus = open_fds(), os.sched_getaffinity(0)
@@ -325,18 +328,20 @@ class TestProcessHygiene:
 
         with self.failing_children(boom), merges_seen() as seen:
             assert scan(export, 3) == serial
-        assert seen == []
+        assert len(seen) == 1
         self.check_clean(fds, cpus)
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_worker_killed_by_a_signal(self, export):
         serial = scan(export, 1)
         fds, cpus = open_fds(), os.sched_getaffinity(0)
         with self.failing_children(lambda: os.kill(os.getpid(), signal.SIGKILL)), \
                 merges_seen() as seen:
             assert scan(export, 3) == serial
-        assert seen == []
+        assert len(seen) == 1
         self.check_clean(fds, cpus)
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_no_pipe_left_scans_in_one_process(self, export):
         serial = scan(export, 1)
         fds, cpus = open_fds(), os.sched_getaffinity(0)
@@ -351,9 +356,10 @@ class TestProcessHygiene:
         real_pipe = os.pipe
         with mock.patch.object(os, "pipe", pipe), merges_seen() as seen:
             assert scan(export, 3) == serial
-        assert len(pipes) == 1 and seen == []
+        assert len(pipes) == 1 and len(seen) == 1
         self.check_clean(fds, cpus)
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_keyboard_interrupt_in_the_parent(self, export):
         fds, cpus = open_fds(), os.sched_getaffinity(0)
         parent = os.getpid()
