@@ -376,12 +376,14 @@ def share(count: int, units: int, prepare: Prepare) -> list[object]:
     usable_cpus() and units. They take the other units one at a time from a
     _Queue, so that a large unit holds back only its own process. Each
     prepares every unit it takes. Once the queue is empty, a worker sends
-    the keys of its units, then finishes them and sends their results. This
-    process finishes none of its units until every worker has sent all its
-    keys, and raises Shared, the workers killed, at the first key that two
-    units hold. A unit whose result no worker sent (one raised, was killed
-    or never started, or the queue had no file) is prepared and finished
-    here: a failed worker costs time, never a result.
+    the keys of all its units in one message, then finishes them and sends
+    their results: it writes nothing while it takes units, so a full pipe
+    never holds it back from the queue. This process finishes no unit until
+    every key is known, its own and those of units whose worker failed
+    before sending theirs; it raises Shared, the workers killed, at the
+    first key two units hold. A unit whose result no worker sent (one
+    raised, was killed or never started, or the queue had no file) is
+    worked here: a failed worker costs time, never a result.
     """
     import pickle  # imported once here, not in every worker
 
@@ -399,31 +401,33 @@ def share(count: int, units: int, prepare: Prepare) -> list[object]:
         return finish
 
     def work(out: IO[bytes]) -> None:
-        held = []
-        for i in queue:
-            keys, finish = prepare(i)
-            pickle.dump((i, keys), out, pickle.HIGHEST_PROTOCOL)
-            held.append((i, finish))
-        pickle.dump(None, out)  # the queue is empty: every key is sent
-        out.flush()
-        for i, finish in held:
+        held = [(i, *prepare(i)) for i in queue]
+        pickle.dump([(i, keys) for i, keys, _ in held], out, pickle.HIGHEST_PROTOCOL)
+        out.flush()  # every key is sent before any unit is finished
+        for i, _, finish in held:
             pickle.dump((i, finish()), out, pickle.HIGHEST_PROTOCOL)
 
     processes = min(count, usable_cpus(), units)
+    queue = None
     if processes > 1:
-        # an OSError (no file for the queue, say) leaves every unit to the loop below
-        with contextlib.suppress(OSError), _Queue(units) as queue:
+        with contextlib.suppress(OSError):  # no file leaves every unit to the end
+            queue = _Queue(units)
+    if queue is not None:
+        with queue:
             first = next(iter(queue))  # taken before the fork, so unit 0 is this process's
             with forked(processes, work) as workers:
                 held = {first: take(first)}
                 for i in queue:
                     held[i] = take(i)
+                sent = set()
                 for messages in workers.values():
-                    for message in messages:
-                        if message is None:
-                            break
-                        claim(*message)
+                    for i, keys in next(messages, ()):
+                        claim(i, keys)
+                        sent.add(i)
+                lost = [i for i in range(units) if i not in held and i not in sent]
+                held.update((i, take(i)) for i in lost)  # their workers failed before sending keys
                 results.update((i, finish()) for i, finish in held.items())
                 for messages in workers.values():
                     results.update(messages)
-    return [results[i] if i in results else take(i)() for i in range(units)]
+    rest = {i: take(i) for i in range(units) if i not in results}  # every key before any finish
+    return [results[i] if i in results else rest[i]() for i in range(units)]

@@ -79,6 +79,34 @@ class TestShare:
         assert finished == []
         assert_no_children()
 
+    @pytest.mark.parametrize("unit", [1, 5])
+    def test_shared_key_of_a_lost_unit_raises_before_any_finish(self, unit):
+        """The keys of a unit whose worker died before sending them are
+        claimed here before this process finishes any unit."""
+        parent = os.getpid()
+        keys = [[f"k{i}"] for i in range(6)]
+        for i in (0, unit):
+            keys[i].append("both")
+        prepare, _, finished = units_of(keys, parent, kill=("prepare", unit))
+        with pytest.raises(parallel.Shared):
+            parallel.share(3, 6, prepare)
+        assert finished == []
+        assert_no_children()
+
+    def test_workers_take_their_share_of_many_units(self):
+        """A worker writes nothing while it takes units, so it takes its
+        share of many, not only as many as its messages fit in a pipe."""
+        parent = os.getpid()
+        units = 20000
+
+        def prepare(i):
+            time.sleep(0.00005)
+            return (), os.getpid
+
+        results = parallel.share(2, units, prepare)
+        assert results.count(parent) < 0.65 * units
+        assert_no_children()
+
     @pytest.mark.parametrize("step", ["prepare", "finish"])
     @pytest.mark.parametrize("unit", [1, 2, 5])
     def test_killed_worker_costs_no_result(self, step, unit):
