@@ -7,7 +7,6 @@ stdout carries data only; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import gc
 import itertools
@@ -18,7 +17,7 @@ import re
 import sys
 import time
 from datetime import datetime, timezone
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from . import __version__, parallel
 from .detect import (
@@ -77,12 +76,16 @@ class UsageError(ChronolintError):
 
 
 def parse_instant(text: str) -> int:
-    """Parse an ISO-8601 date/datetime (or a raw epoch integer) to epoch seconds."""
+    """Parse an ISO-8601 date/datetime (or a raw epoch integer) to epoch seconds.
+
+    A trailing Z is read as +00:00, as render_instant writes it; fromisoformat
+    accepts Z only from Python 3.11 on.
+    """
     try:
         epoch = int(text)
     except ValueError:
         try:
-            dt = datetime.fromisoformat(text)
+            dt = datetime.fromisoformat(text[:-1] + "+00:00" if text.endswith("Z") else text)
         except ValueError as exc:
             raise UsageError(f"unparseable instant: {text!r}") from exc
         if dt.tzinfo is None:
@@ -219,7 +222,9 @@ def detection_from(
 def policy_from_object(obj: dict) -> FilterPolicy:
     """Build a FilterPolicy from its JSON form.
 
-    A bad value raises ConfigError naming its key.
+    A bad value raises ConfigError naming its key. A null value takes the
+    default, as a missing key does, except that a null min_epoch_seconds is
+    no pre-epoch floor.
     """
 
     def instant(key: str, value) -> int:
@@ -237,6 +242,8 @@ def policy_from_object(obj: dict) -> FilterPolicy:
     if not isinstance(obj, dict):
         raise ConfigError(f"policy is not a JSON object: {obj!r}")
     reject_unknown_keys(obj, POLICY_KEYS, "policy")
+    obj = {key: value for key, value in obj.items()
+           if value is not None or key == "min_epoch_seconds"}
     kwargs: dict = {}
     if "min_epoch_seconds" in obj:
         value = obj["min_epoch_seconds"]
@@ -280,7 +287,7 @@ def load_records(args: argparse.Namespace) -> Parsed:
         )
     try:
         with open(args.jsonl, "rb") as fh:
-            return parse_lines(fh, args.project or args.jsonl)
+            return parse_export_stream(fh, args.project or args.jsonl)
     except OSError as exc:
         raise UsageError(f"cannot read {args.jsonl}: {exc}") from exc
 
@@ -411,34 +418,9 @@ Scanned = tuple[IngestReport, dict[str, int], set[AnomalyRecord], Flagged]
 Parsed = tuple[list[CommitRecord], IngestReport]
 
 
-@contextlib.contextmanager
-def gc_paused() -> Iterator[None]:
-    """Keep the cyclic collector off for the block, for work that makes no
-    reference cycles but many tracked objects (records are tuples)."""
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if collecting:
-            gc.enable()
-
-
-def parse_lines(lines: Iterable[bytes], project: str) -> Parsed:
-    """parse_export_stream, with the cyclic collector kept off the records.
-
-    The records live to the end of the command, so the collector is paused
-    during the parse and then freezes them (main unfreezes).
-    """
-    with gc_paused():
-        parsed = parse_export_stream(lines, project)
-    gc.freeze()
-    return parsed
-
-
 def parse_range(path: str, start: int, end: int, project: str) -> Parsed:
     with open(path, "rb") as fh:
-        return parse_lines(range_lines(fh, start, end), project)
+        return parse_export_stream(range_lines(fh, start, end), project)
 
 
 def scan_parsed(
@@ -518,7 +500,7 @@ def scan_export(
                 if len(plan) > 1:
                     return scan_ranges(path, plan, project, cfg)
                 fh.seek(0)
-            return scan_parsed(*parse_lines(fh, project), cfg)
+            return scan_parsed(*parse_export_stream(fh, project), cfg)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
@@ -648,15 +630,10 @@ Outcome = Scanned | str
 
 def scan_repository(path: str, project: str, cfg: DetectorConfig) -> Outcome:
     """Read and scan one repository of a corpus: what the report needs of
-    it, or the error that fails it alone.
-
-    The cyclic collector is paused: the read makes no reference cycles, and
-    its records are freed once scanned.
-    """
+    it, or the error that fails it alone."""
     try:
-        with gc_paused():
-            records, report = read_repository(path, project)
-            return (report, *scan_corpus({project: records}, cfg))
+        records, report = read_repository(path, project)
+        return (report, *scan_corpus({project: records}, cfg))
     except (ChronolintError, OSError) as exc:
         return str(exc)
 
@@ -680,7 +657,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     try:
         with open(args.list, "r", encoding="utf-8") as fh:
             entries = sorted({ln.strip() for ln in fh if ln.strip()})
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {args.list}: {exc}") from exc
     if not entries:
         raise UsageError("corpus list is empty")
@@ -814,15 +791,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # The cyclic collector is off for the whole command, in forked workers
+    # too: the few hundred objects a command leaves in reference cycles,
+    # argparse's mostly, do not grow with its input, while a run holds many
+    # tracked objects (records are tuples) that each collection would walk.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ChronolintError as exc:
         print(f"chronolint: {exc}", file=sys.stderr)
         return EXIT_ERROR
     finally:
-        gc.unfreeze()  # what parse_lines froze
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -47,6 +47,19 @@ class TestParseInstant:
         with pytest.raises(UsageError):
             parse_instant("not-a-date")
 
+    def test_rendered_reference_reads_back(self, tmp_path):
+        """A report's meta.future_reference, with its Z, is a valid --reference."""
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(emit_export_stream([rec("a", commit_epoch=utc_epoch(2030))]))
+        reports = []
+        for reference in ("2021-01-01T00:00:00Z", "2021-01-01T00:00:00+00:00"):
+            out = tmp_path / "r.json"
+            assert run(["scan", "--jsonl", str(src), "--reference", reference,
+                        "--out", str(out)]) == 1
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["meta"]["future_reference"] == "2021-01-01T00:00:00Z"
+
 
 class TestScan:
     def test_clean_repo_exit_zero(self, tmp_path):
@@ -289,27 +302,35 @@ class TestFilter:
         expected = f"chronolint: duplicate commit id {first.id} in project proj"
         assert err == [expected, expected]
 
+    @pytest.mark.parametrize("caller_collects", [True, False])
     @pytest.mark.parametrize("duplicate, code", [(False, 0), (True, 2)])
-    def test_records_frozen_during_the_run_only(self, tmp_path, monkeypatch, duplicate, code):
-        records = [rec(("fz", i), commit_epoch=1_500_000_000 + i) for i in range(3)]
+    def test_collector_off_during_the_run_only(
+        self, tmp_path, monkeypatch, duplicate, code, caller_collects
+    ):
+        records = [rec(("gc", i), commit_epoch=1_500_000_000 + i) for i in range(3)]
         if duplicate:
             records.append(records[0])
         src = tmp_path / "in.jsonl"
         src.write_bytes(emit_export_stream(records))
         policy = tmp_path / "policy.json"
         policy.write_text("{}")
-        frozen = []
+        collecting = []
         real = cli.build_history
 
         def build_history(*args):
-            frozen.append(gc.get_freeze_count())
+            collecting.append(gc.isenabled())
             return real(*args)
 
         monkeypatch.setattr(cli, "build_history", build_history)
-        assert run(["filter", "--jsonl", str(src), "--policy", str(policy),
-                    "--out", str(tmp_path / "kept.jsonl")]) == code
-        assert frozen and frozen[0] > 0
-        assert gc.get_freeze_count() == 0 and gc.isenabled()
+        if not caller_collects:
+            gc.disable()
+        try:
+            assert run(["filter", "--jsonl", str(src), "--policy", str(policy),
+                        "--out", str(tmp_path / "kept.jsonl")]) == code
+            assert gc.isenabled() is caller_collects
+        finally:
+            gc.enable()
+        assert collecting and not any(collecting)
 
     def test_project_blacklist(self, tmp_path):
         a = rec("a", project="keep")
@@ -431,6 +452,41 @@ class TestMalformedInput:
             out.unlink()
         assert outputs[0][0] != 2
         assert outputs[1] == outputs[0]
+
+    @pytest.mark.parametrize("command, flag", [("filter", "--policy"), ("filter", "--config"),
+                                               ("scan", "--config")])
+    @pytest.mark.parametrize("key", ["cutoff", "cutoff_mode", "window", "project_blacklist",
+                                     "drop_flagged_kinds", "time_basis"])
+    def test_null_policy_value_is_unset(self, tmp_path, capsys, command, flag, key):
+        """A policy key whose value is null takes the default, as a missing key does."""
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(emit_export_stream([rec("a", commit_epoch=0),
+                                            rec("b", commit_epoch=1_500_000_000)]))
+        outputs = []
+        for policy in ({}, {key: None}):
+            path, out = tmp_path / "policy.json", tmp_path / "out"
+            path.write_text(json.dumps(policy if flag == "--policy" else {"policy": policy}))
+            code = run([command, "--jsonl", str(src), flag, str(path), "--reference", REF,
+                        "--out", str(out)])
+            outputs.append((code, out.read_bytes(), capsys.readouterr()))
+            out.unlink()
+        assert outputs[0][0] != 2
+        assert outputs[1] == outputs[0]
+
+    def test_null_min_epoch_seconds_keeps_every_commit(self, tmp_path):
+        """A null min_epoch_seconds is no pre-epoch floor; a missing one is the default 1."""
+        records = [rec("a", commit_epoch=0, author_epoch=0),
+                   rec("b", commit_epoch=1_500_000_000, author_epoch=1_500_000_000)]
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(emit_export_stream(records))
+        kept = []
+        for policy in ({}, {"min_epoch_seconds": None}):
+            path, out = tmp_path / "policy.json", tmp_path / "out.jsonl"
+            path.write_text(json.dumps(policy))
+            assert run(["filter", "--jsonl", str(src), "--policy", str(path),
+                        "--out", str(out)]) == 0
+            kept.append(len(out.read_bytes().splitlines()))
+        assert kept == [1, 2]
 
     def test_duplicate_rules_rejected_before_reading_input(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -653,6 +709,15 @@ class TestCorpus:
         r2 = tmp_path / "repo2"
         build_repo(r2, [{"key": "a", "commit_epoch": 1_500_000_000}])
         return r1, r2
+
+    def test_list_not_utf8_exit_two(self, tmp_path, capsys):
+        listing = tmp_path / "list.txt"
+        listing.write_bytes(b"\xff\xfe\n")
+        assert run(["corpus", "--list", str(listing), "--reference", REF,
+                    "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"chronolint: cannot read {listing}: ")
+        assert err.count("\n") == 1
 
     def test_merged_totals_additive(self, tmp_path):
         r1, r2 = self.make_repos(tmp_path)
