@@ -134,30 +134,18 @@ def reject_unknown_keys(obj: dict, known: Collection[str], what: str) -> None:
             raise ConfigError(f"{what} {key}: unknown key")
 
 
-def load_config_file(path: str | None, known: Collection[str] | None = CONFIG_KEYS) -> dict:
-    """Read a JSON object from path, {} for None; with known, check its keys
-    and drop its null values, so that a null key takes its default as a
-    missing one does.
-
-    A config's ``policy`` is checked too, whichever command reads the config,
-    so one file is valid or invalid for every command.
-    """
-    if path is None:
-        return {}
+def read_json_object(path: str, what: str) -> dict:
+    """The JSON object in the file at path; what, "config" or "policy",
+    names the file in its errors."""
     try:
         with open(path, "rb") as fh:
             obj = json.load(fh)
     # ValueError: bad JSON or UTF-8, or an integer beyond int_max_str_digits;
     # RecursionError: JSON nested past the recursion limit
     except (OSError, ValueError, RecursionError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(obj, dict):
-        raise UsageError(f"config {path} is not a JSON object")
-    if known is not None:
-        reject_unknown_keys(obj, known, "config")
-        obj = {key: value for key, value in obj.items() if value is not None}
-        if "policy" in obj:
-            policy_from_object(obj["policy"])
+        raise UsageError(f"{what} {path} is not a JSON object")
     return obj
 
 
@@ -204,19 +192,6 @@ def detector_config_from(args: argparse.Namespace, config: dict) -> DetectorConf
     if reference is not None:
         kwargs["future_reference"] = parse_instant(str(reference))
     return DetectorConfig(**kwargs)
-
-
-def detection_from(
-    args: argparse.Namespace,
-) -> tuple[dict, DetectorConfig, tuple[FingerprintRule, ...]]:
-    """The --config file, and the detector settings and fingerprint rules of
-    it and the flags.
-
-    Every command that takes --config builds all three before it reads any
-    input, so one file and one set of flags are valid or invalid for all.
-    """
-    config = load_config_file(args.config)
-    return config, detector_config_from(args, config), fingerprint_rules_from_config(config)
 
 
 def policy_from_object(obj: dict) -> FilterPolicy:
@@ -273,17 +248,46 @@ def policy_from_object(obj: dict) -> FilterPolicy:
     return FilterPolicy(**kwargs)
 
 
+def settings_from(
+    args: argparse.Namespace,
+) -> tuple[DetectorConfig, tuple[FingerprintRule, ...], FilterPolicy]:
+    """The detector settings, fingerprint rules and filter policy of a
+    command's flags and files; for scan and filter, a check of the input
+    flags too.
+
+    Every command builds them before it reads any input, so one file and one
+    set of flags are valid or invalid for all, and the first error reported
+    does not depend on the input. A config key whose value is null takes its
+    default, as a missing key does. The config's policy is checked whichever
+    command reads the config; filter's --policy replaces it.
+    """
+    config = read_json_object(args.config, "config") if args.config is not None else {}
+    reject_unknown_keys(config, CONFIG_KEYS, "config")
+    config = {key: value for key, value in config.items() if value is not None}
+    policy = policy_from_object(config.get("policy", {}))
+    cfg, rules = detector_config_from(args, config), fingerprint_rules_from_config(config)
+    if getattr(args, "policy", None):
+        policy = policy_from_object(read_json_object(args.policy, "policy"))
+    if "jsonl" in args:  # scan and filter read one input source
+        if bool(args.repo) == bool(args.jsonl):
+            raise UsageError("exactly one of --repo or --jsonl is required")
+        if args.jsonl:
+            # a JSONL export has no git history for these flags to narrow
+            for flag in ("first_parent", "branches", "with_files"):
+                if vars(args).get(flag) not in (None, False):
+                    raise UsageError(f"--{flag.replace('_', '-')} applies to --repo only")
+    return cfg, rules, policy
+
+
 def load_records(args: argparse.Namespace) -> Parsed:
-    """Load commit records from exactly one input source."""
-    if bool(args.repo) == bool(args.jsonl):
-        raise UsageError("exactly one of --repo or --jsonl is required")
+    """Load commit records from the one input source that settings_from checked."""
     if args.repo:
         return read_repository(
             args.repo,
             args.project or args.repo,
             with_files=getattr(args, "with_files", False),
-            first_parent=getattr(args, "first_parent", False),
-            branches=getattr(args, "branches", None),
+            first_parent=args.first_parent,
+            branches=args.branches,
         )
     try:
         with open(args.jsonl, "rb") as fh:
@@ -506,8 +510,8 @@ def scan_export(
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    _, cfg, rules = detection_from(args)
-    if args.jsonl and not args.repo:
+    cfg, rules, _ = settings_from(args)
+    if args.jsonl:
         counts, anomalies, flagged = scan_export(args.jsonl, args.project or args.jsonl, cfg)
     else:
         counts, anomalies, flagged = scan_parsed(*load_records(args), cfg)
@@ -515,12 +519,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
-    config, cfg, _ = detection_from(args)
-    if args.policy:
-        policy_obj = load_config_file(args.policy, known=None)
-    else:
-        policy_obj = config.get("policy", {})
-    policy = policy_from_object(policy_obj)
+    cfg, _, policy = settings_from(args)
     records, ingest_report = load_records(args)
     print_rejects(ingest_report)
     corpus = drop_projects(group_by_project(records), policy.project_blacklist)
@@ -534,8 +533,8 @@ def cmd_filter(args: argparse.Namespace) -> int:
         dropped += len(gone)
     else:
         # build the histories anyway, so filter rejects what scan rejects
-        for project, recs in corpus.items():
-            build_history(recs, project)
+        for project in sorted(corpus):
+            build_history(corpus[project], project)
     if policy.min_epoch_seconds is not None:
         kept, gone = drop_pre_epoch(kept, policy.min_epoch_seconds, basis)
         dropped += len(gone)
@@ -605,23 +604,19 @@ def _cache_path(cache_dir: str, url: str) -> str:
     return os.path.join(cache_dir, f"{safe}-{digest[:16]}")
 
 
-def _ensure_local(entry: str, cache_dir: str | None) -> str:
-    """Resolve a corpus list entry to a local repository path, cloning URLs."""
-    if not _URL_RE.match(entry):
-        return entry
-    if cache_dir is None:
-        raise UsageError(f"--cache is required for remote repositories: {entry}")
-    target = _cache_path(cache_dir, entry)
+def _ensure_local(url: str, cache_dir: str) -> str:
+    """The local repository path of a corpus list URL, cloned into cache_dir."""
+    target = _cache_path(cache_dir, url)
     if not os.path.isdir(target):
         os.makedirs(cache_dir, exist_ok=True)
         # absolute, as git runs in the cache directory
-        with run_git(cache_dir, ["clone", "--quiet", entry, os.path.abspath(target)]) as clone:
+        with run_git(cache_dir, ["clone", "--quiet", url, os.path.abspath(target)]) as clone:
             clone.stdout.read()  # empty, but a hook may print
     with run_git(target, ["rev-parse", "--is-shallow-repository"]) as rev_parse:
         shallow = rev_parse.stdout.read().strip() == b"true"
     if shallow:
         # full history is required for timestamp analysis
-        raise ChronolintError(f"shallow clone refused: {entry}")
+        raise ChronolintError(f"shallow clone refused: {url}")
     return target
 
 
@@ -653,7 +648,7 @@ def scan_repositories(
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
-    _, cfg, rules = detection_from(args)
+    cfg, rules, _ = settings_from(args)
     try:
         with open(args.list, "r", encoding="utf-8") as fh:
             entries = sorted({ln.strip() for ln in fh if ln.strip()})
@@ -666,6 +661,8 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     outcomes: list[Outcome | None] = [None] * len(entries)
     urls = [i for i, entry in enumerate(entries) if _URL_RE.match(entry)]
     if urls:
+        if args.cache is None:
+            raise UsageError(f"--cache is required for remote repositories: {entries[urls[0]]}")
         # clones wait on the network, so threads run them, all before any fork
         import concurrent.futures
 

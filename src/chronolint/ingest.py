@@ -35,8 +35,9 @@ MAX_EPOCH_ABS = 2**62
 MAX_OFFSET_MINUTES = 1440
 
 _OFFSET_RE = re.compile(r"([+-])(\d\d)(\d\d)", re.ASCII)
-# minutes of each zone text that parsed: at most 2 * 1441 texts, and
-# threads may share it, as a text always parses to the same minutes
+# minutes of each zone text that parsed: at most 2 * 1441 texts, and a
+# forked worker may start from its parent's copy, as a text always parses
+# to the same minutes
 _OFFSET_MINUTES: dict[str, int] = {}
 _REQUIRED_FIELDS = operator.itemgetter(
     "id", "parents", "author_time", "author_tz", "commit_time", "commit_tz",

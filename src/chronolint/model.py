@@ -1,9 +1,10 @@
 """Core domain types shared by all chronolint modules.
 
-All types here are immutable after construction and safe to share between
-worker threads. Structural validity of commit records is checked outside
-the constructors: hash shapes and time bounds in :mod:`chronolint.ingest`,
-duplicate ids and parent cycles in :mod:`chronolint.graph`.
+All types here are immutable after construction; a forked worker gets its
+own copy of each, and its results come back pickled. Structural validity of
+commit records is checked outside the constructors: hash shapes and time
+bounds in :mod:`chronolint.ingest`, duplicate ids and parent cycles in
+:mod:`chronolint.graph`.
 """
 
 from __future__ import annotations

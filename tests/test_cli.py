@@ -1,7 +1,11 @@
 import gc
 import json
+import os
 import random
+import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,14 +15,17 @@ from chronolint.ingest import emit_export_stream, parse_export_stream, read_repo
 from helpers import (
     assert_reaped,
     build_repo,
+    fake_hash,
     planted_corpus,
     rec,
     record_processes,
+    replay_linear_loop,
     utc_epoch,
     write_raw_commit,
 )
 
 REF = "2021-01-01T00:00:00+00:00"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def canonical(records):
@@ -33,6 +40,11 @@ def run(args):
 def read_json(path):
     with open(path, "rb") as fh:
         return json.load(fh)
+
+
+def planted_export(path, seed=3):
+    corpus, _ = planted_corpus(random.Random(seed), repos=3, commits_per_repo=40)
+    path.write_bytes(emit_export_stream([r for recs in corpus.values() for r in recs]))
 
 
 class TestParseInstant:
@@ -207,6 +219,89 @@ class TestScan:
         assert (outdir / "anomalies.csv").exists()
         assert (outdir / "cutoff_table.csv").exists()
 
+    def test_custom_fingerprint_rules_replace_the_defaults(self, tmp_path):
+        rules = [{"name": "imported", "pattern": "imported-from", "case_insensitive": True},
+                 {"name": "svn", "pattern": "git-svn-id"}]
+        messages = ["Imported-From: cvs", "IMPORTED-FROM x\n\ngit-svn-id: y", "imported-from",
+                    "git-svn-id: z", "GIT-SVN-ID: w", "Change-Id: I1", "Reviewed-by: x"]
+        records = [rec(("fp", i), commit_epoch=0 if i % 3 else 1_500_000_000 + i, message=m)
+                   for i, m in enumerate(messages * 3)]
+        src, cfg = tmp_path / "in.jsonl", tmp_path / "cfg.json"
+        src.write_bytes(emit_export_stream(records))
+        cfg.write_text(json.dumps({"fingerprint_rules": rules}))
+        out, anomalies = tmp_path / "r.json", tmp_path / "a.jsonl"
+        assert run(["scan", "--jsonl", str(src), "--config", str(cfg), "--reference", REF,
+                    "--out", str(out), "--anomalies-out", str(anomalies)]) == 1
+        flagged = {json.loads(line)["commit_id"] for line in anomalies.read_text().splitlines()}
+        flagged_messages = [r.message for r in records if r.id in flagged]
+
+        def count(pattern, flags=0):
+            return sum(bool(re.search(pattern, m, flags)) for m in flagged_messages)
+
+        expected = {"imported": count("imported-from", re.IGNORECASE), "svn": count("git-svn-id")}
+        assert read_json(out)["fingerprints"] == expected
+        assert expected["imported"] > count("imported-from") > 0
+
+    def test_no_merge_exclusion_flags_the_merge_pairs(self, tmp_path):
+        rng = random.Random(7)
+        chain = []
+        for i in range(60):
+            epoch = 1_500_000_000 + 100 * i + rng.randrange(-900, 900)
+            chain.append(rec(("mx", i), commit_epoch=epoch,
+                             message="Merge branch 'topic'" if rng.random() < 0.3 else "update",
+                             parents=(chain[-1].id,) if chain else ()))
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(emit_export_stream(chain))
+        found = []
+        for flags in ([], ["--no-merge-exclusion"]):
+            anomalies = tmp_path / "a.jsonl"
+            assert run(["scan", "--jsonl", str(src), *flags, "--reference", REF,
+                        "--out", str(tmp_path / "r.json"), "--anomalies-out", str(anomalies)]) == 1
+            rows = [json.loads(line) for line in anomalies.read_text().splitlines()]
+            found.append({row["commit_id"] for row in rows if row["kind"] == "out_of_order_linear"})
+        assert found == [replay_linear_loop(chain),
+                         replay_linear_loop(chain, merge_exclusion=False)]
+        assert found[1] > found[0]
+
+    def test_csv_to_stdout_joins_the_directory_tables(self, tmp_path, capsysbinary):
+        tables = ["anomalies", "top_projects", "top_authors", "cutoff_table", "fingerprints",
+                  "tokens"]
+        src, outdir = tmp_path / "in.jsonl", tmp_path / "csv"
+        planted_export(src)
+        argv = ["scan", "--jsonl", str(src), "--reference", REF, "--format", "csv"]
+        assert run([*argv, "--out", str(outdir)]) == 1
+        assert run(argv) == 1
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(f"{t}.csv" for t in tables)
+        assert capsysbinary.readouterr().out == b"\n".join(
+            f"# {t}\n".encode() + (outdir / f"{t}.csv").read_bytes() for t in tables)
+
+    def test_text_report_lists_the_top_rows(self, tmp_path, capsys):
+        src, out = tmp_path / "in.jsonl", tmp_path / "r.json"
+        planted_export(src)
+        argv = ["scan", "--jsonl", str(src), "--reference", REF, "--top", "2"]
+        assert run([*argv, "--out", str(out)]) == 1
+        assert run([*argv, "--format", "text"]) == 1
+        report, lines = read_json(out), capsys.readouterr().out.splitlines()
+        for title, table in (("top projects:", "top_projects"), ("top authors:", "top_authors")):
+            rows = [f"  {r['count']:>6}  {r['key']}" for r in report[table]]
+            at = lines.index(title) + 1
+            assert len(rows) == 2
+            assert lines[at:at + 2] == rows
+            assert not lines[at + 2].startswith("  ")
+
+    def test_jsonl_from_a_pipe(self, tmp_path):
+        """A pipe is read as one range, and gives the report the file gives."""
+        src, out = tmp_path / "in.jsonl", tmp_path / "r.json"
+        planted_export(src)
+        assert run(["scan", "--jsonl", str(src), "--reference", REF, "--out", str(out)]) == 1
+        piped = subprocess.run(
+            [sys.executable, "-m", "chronolint.cli", "scan", "--jsonl", "/dev/stdin",
+             "--reference", REF],
+            input=src.read_bytes(), env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, check=False)
+        assert (piped.returncode, piped.stderr) == (1, b"")
+        assert piped.stdout == out.read_bytes()
+
 
 class TestFilter:
     def test_min_epoch_drops_zero_commits(self, tmp_path):
@@ -222,6 +317,36 @@ class TestFilter:
         assert code == 0
         kept, _ = parse_export_stream(out.read_bytes())
         assert [r.id for r in kept] == [good.id]
+
+    @pytest.mark.parametrize("basis", ["author", "committer"])
+    def test_cutoff_after_and_window(self, tmp_path, capsysbinary, basis):
+        rng = random.Random(11)
+        low, high = utc_epoch(2019), utc_epoch(2023)
+        records = [rec(("cw", i), commit_epoch=rng.randrange(low, high),
+                       author_epoch=rng.randrange(low, high), project=f"p{i % 3}")
+                   for i in range(200)]
+        src, path = tmp_path / "in.jsonl", tmp_path / "policy.json"
+        src.write_bytes(emit_export_stream(records))
+        path.write_text(json.dumps({"min_epoch_seconds": None, "cutoff": "2022-03-01",
+                                    "cutoff_mode": "after",
+                                    "window": ["2020-01-01", "2022-06-30T12:00:00"],
+                                    "time_basis": basis}))
+        cutoff, start, end = utc_epoch(2022, 3, 1), utc_epoch(2020), utc_epoch(2022, 6, 30, 12)
+        kept = []
+        for r in records:
+            t = r.author_time if basis == "author" else r.commit_time
+            if t <= cutoff and start <= t <= end:
+                kept.append(r)
+        assert 0 < len(kept) < len(records)
+        summary = json.dumps({"kept": len(kept), "dropped": len(records) - len(kept),
+                              "dropped_blacklisted_projects": 0}).encode() + b"\n"
+        argv = ["filter", "--jsonl", str(src), "--policy", str(path)]
+        out = tmp_path / "kept.jsonl"
+        assert run([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == canonical(kept)
+        assert capsysbinary.readouterr() == (summary, b"")
+        assert run(argv) == 0
+        assert capsysbinary.readouterr() == (canonical(kept), summary)
 
     def test_with_files_is_a_filter_flag_only(self, tmp_path, capsys):
         """filter writes the changed paths; no scan output reads them, so
@@ -301,6 +426,24 @@ class TestFilter:
         err = capsys.readouterr().err.splitlines()
         expected = f"chronolint: duplicate commit id {first.id} in project proj"
         assert err == [expected, expected]
+
+    def test_histories_checked_in_project_order(self, tmp_path, capsys):
+        """filter reports the first bad history in project order, as scan
+        does, whether or not its policy drops flagged commits."""
+        cycle = [rec("x", parents=(fake_hash("y"),), project="b"),
+                 rec("y", parents=(fake_hash("x"),), project="b")]
+        duplicate = [rec("d", project="a"), rec("d", commit_epoch=1_600_000_060, project="a")]
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(emit_export_stream(cycle + duplicate))
+        policy = tmp_path / "policy.json"
+        for body in ({"drop_flagged_kinds": ["future"]}, {}):
+            policy.write_text(json.dumps(body))
+            assert run(["filter", "--jsonl", str(src), "--policy", str(policy),
+                        "--reference", REF, "--out", str(tmp_path / "kept.jsonl")]) == 2
+        assert run(["scan", "--jsonl", str(src), "--reference", REF,
+                    "--out", str(tmp_path / "r.json")]) == 2
+        expected = f"chronolint: duplicate commit id {fake_hash('d')} in project a"
+        assert capsys.readouterr().err.splitlines() == [expected] * 3
 
     @pytest.mark.parametrize("caller_collects", [True, False])
     @pytest.mark.parametrize("duplicate, code", [(False, 0), (True, 2)])
@@ -431,6 +574,22 @@ class TestMalformedInput:
         assert capsys.readouterr().err == f"chronolint: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["scan", "--first-parent"], "--first-parent"),
+        (["scan", "--branches", "x*"], "--branches"),
+        (["filter", "--first-parent"], "--first-parent"),
+        (["filter", "--branches", "main"], "--branches"),
+        (["filter", "--with-files"], "--with-files"),
+    ])
+    def test_git_walk_flag_with_jsonl(self, tmp_path, capsys, argv, flag):
+        """A JSONL export has no git history to walk, so a git-walk flag with
+        --jsonl is an error before any input is read, never ignored."""
+        out = tmp_path / "out"
+        assert run([*argv, "--jsonl", str(tmp_path / "missing.jsonl"), "--reference", REF,
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"chronolint: {flag} applies to --repo only\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["scan", "filter", "corpus"])
     @pytest.mark.parametrize("key", sorted(cli.CONFIG_KEYS))
     def test_null_config_value_is_unset(self, tmp_path, capsys, command, key):
@@ -521,7 +680,29 @@ class TestMalformedInput:
         assert run([command, "--jsonl", str(src), flag, str(cfg),
                     "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(
-            f"chronolint: cannot read config {cfg}: maximum recursion depth exceeded")
+            f"chronolint: cannot read {flag[2:]} {cfg}: maximum recursion depth exceeded")
+
+    @pytest.mark.parametrize("flag", ["--config", "--policy"])
+    @pytest.mark.parametrize("body", [b"[]", b'"policy"', None],
+                             ids=["array", "string", "directory"])
+    def test_settings_file_unreadable_or_not_an_object(self, tmp_path, capsys, flag, body):
+        """Each settings file is named in its own read errors, before any input is read."""
+        what = flag[2:]
+        path = tmp_path / f"{what}.json"
+        if body is None:
+            path.mkdir()
+        else:
+            path.write_bytes(body)
+        command = "scan" if flag == "--config" else "filter"
+        out = tmp_path / "out"
+        assert run([command, "--jsonl", str(tmp_path / "missing.jsonl"), flag, str(path),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        if body is None:
+            assert err.startswith(f"chronolint: cannot read {what} {path}: [Errno 21] ")
+        else:
+            assert err == f"chronolint: {what} {path} is not a JSON object\n"
+        assert not out.exists()
 
     def test_jsonl_line_nested_past_recursion_limit(self, tmp_path, capsys):
         src = tmp_path / "in.jsonl"
@@ -718,6 +899,21 @@ class TestCorpus:
         err = capsys.readouterr().err
         assert err.startswith(f"chronolint: cannot read {listing}: ")
         assert err.count("\n") == 1
+
+    def test_url_without_cache_exit_two_before_any_clone(self, tmp_path, monkeypatch, capsys):
+        r1, _ = self.make_repos(tmp_path)
+        urls = [f"file://{tmp_path / 'b'}", f"file://{tmp_path / 'a'}"]
+        listing = tmp_path / "list.txt"
+        listing.write_text(f"{urls[0]}\n{r1}\n{urls[1]}\n")
+        started = record_processes(monkeypatch)
+        out = tmp_path / "o.json"
+        assert run(["corpus", "--list", str(listing), "--reference", REF,
+                    "--out", str(out)]) == 2
+        # the first URL of the sorted list
+        assert capsys.readouterr().err == (
+            f"chronolint: --cache is required for remote repositories: {urls[1]}\n")
+        assert started == []
+        assert not out.exists()
 
     def test_merged_totals_additive(self, tmp_path):
         r1, r2 = self.make_repos(tmp_path)
