@@ -17,7 +17,7 @@ import re
 import sys
 import time
 from datetime import datetime, timezone
-from typing import Callable, Collection, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Sequence
 
 from . import __version__, parallel
 from .detect import (
@@ -65,6 +65,9 @@ from .report import (
     token_frequencies,
     top_n,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 EXIT_CLEAN = 0
 EXIT_ANOMALIES = 1
@@ -266,7 +269,7 @@ def settings_from(
     config = {key: value for key, value in config.items() if value is not None}
     policy = policy_from_object(config.get("policy", {}))
     cfg, rules = detector_config_from(args, config), fingerprint_rules_from_config(config)
-    if getattr(args, "policy", None):
+    if getattr(args, "policy", None) is not None:
         policy = policy_from_object(read_json_object(args.policy, "policy"))
     if "jsonl" in args:  # scan and filter read one input source
         if bool(args.repo) == bool(args.jsonl):
@@ -316,40 +319,42 @@ def group_by_project(records: Iterable[CommitRecord]) -> dict[str, list[CommitRe
     return corpus
 
 
-Flagged = dict[tuple[str, str], CommitRecord]
+@dataclasses.dataclass
+class Scan:
+    """The result of a scan, all that its report and anomaly stream read:
+    the ingest report of its input, each project's commit count, the
+    anomalies, and the flagged records keyed by (project, commit id)."""
+
+    ingest: IngestReport
+    counts: dict[str, int]
+    anomalies: set[AnomalyRecord]
+    flagged: dict[tuple[str, str], CommitRecord]
 
 
 def scan_corpus(
-    corpus: dict[str, list[CommitRecord]], cfg: DetectorConfig
-) -> tuple[dict[str, int], set[AnomalyRecord], Flagged]:
-    """Build each project's history and run every detector over it.
+    corpus: dict[str, list[CommitRecord]], cfg: DetectorConfig, ingest: IngestReport
+) -> Scan:
+    """Build each project's history and run every detector over it; the
+    result carries ingest, the report of the read that gave corpus.
 
     The only place histories are built and detectors run for a command.
-    Returns each project's commit count, the anomalies, and the flagged
-    records keyed by (project, commit id): all the report tail reads.
     """
-    counts: dict[str, int] = {}
-    anomalies: set[AnomalyRecord] = set()
-    flagged: Flagged = {}
+    scan = Scan(ingest, {}, set(), {})
     for project in sorted(corpus):
         history = build_history(corpus[project], project)
         found = run_all_detectors(history, cfg)
-        counts[project] = len(history)
-        anomalies |= found
-        flagged.update({(project, a.commit_id): history.commits[a.commit_id] for a in found})
-    return counts, anomalies, flagged
+        scan.counts[project] = len(history)
+        scan.anomalies |= found
+        scan.flagged.update({(project, a.commit_id): history.commits[a.commit_id] for a in found})
+    return scan
 
 
 def build_report(
-    counts: dict[str, int],
-    anomalies: set[AnomalyRecord],
-    flagged: Flagged,
-    cfg: DetectorConfig,
-    rules: Sequence[FingerprintRule],
-    top: int = 20,
+    scan: Scan, cfg: DetectorConfig, rules: Sequence[FingerprintRule], top: int = 20
 ) -> ScanReport:
     """Assemble the full scan report: totals, tables, fingerprints, tokens."""
-    report = summarize(counts, anomalies)
+    anomalies = scan.anomalies
+    report = summarize(scan.counts, anomalies)
     report.meta = {
         "tool_version": __version__,
         "scan_time": render_instant(cfg.future_reference),
@@ -360,11 +365,11 @@ def build_report(
     }
     report.top_projects = top_n(anomalies, key="project", n=top)
     report.top_authors = top_n(anomalies, key="author", n=top, authors={
-        commit: (r.author_name, r.author_email) for commit, r in flagged.items()
+        commit: (r.author_name, r.author_email) for commit, r in scan.flagged.items()
     })
     if anomalies:
         report.cutoff_table = cutoff_table(anomalies, observed_years(anomalies))
-    messages = [sanitize_message(r.message) for r in flagged.values()]
+    messages = [sanitize_message(r.message) for r in scan.flagged.values()]
     report.fingerprints = scan_fingerprints(messages, rules)
     report.tokens = ranked_tokens(token_frequencies(messages), limit=50)
     return report
@@ -401,24 +406,21 @@ def write_report(report: ScanReport, format: str, out: str | None) -> None:
 
 def finish_scan(
     args: argparse.Namespace,
-    counts: dict[str, int],
-    anomalies: set[AnomalyRecord],
-    flagged: Flagged,
+    scan: Scan,
     cfg: DetectorConfig,
     rules: Sequence[FingerprintRule],
     failures: list[dict] | None = None,
 ) -> int:
     """Write the report and anomaly stream of a scan; return its exit code."""
-    report = build_report(counts, anomalies, flagged, cfg, rules, top=args.top)
+    report = build_report(scan, cfg, rules, top=args.top)
     if failures is not None:
         report.meta["failures"] = failures
     write_report(report, args.format, args.out)
     if args.anomalies_out:
-        write_file(args.anomalies_out, emit_anomaly_stream(anomalies, flagged))
-    return EXIT_ANOMALIES if anomalies else EXIT_CLEAN
+        write_file(args.anomalies_out, emit_anomaly_stream(scan.anomalies, scan.flagged))
+    return EXIT_ANOMALIES if scan.anomalies else EXIT_CLEAN
 
 
-Scanned = tuple[IngestReport, dict[str, int], set[AnomalyRecord], Flagged]
 Parsed = tuple[list[CommitRecord], IngestReport]
 
 
@@ -427,18 +429,14 @@ def parse_range(path: str, start: int, end: int, project: str) -> Parsed:
         return parse_export_stream(range_lines(fh, start, end), project)
 
 
-def scan_parsed(
-    records: list[CommitRecord], report: IngestReport, cfg: DetectorConfig
-) -> tuple[dict[str, int], set[AnomalyRecord], Flagged]:
+def scan_parsed(records: list[CommitRecord], report: IngestReport, cfg: DetectorConfig) -> Scan:
     """Scan a whole parsed export. Its rejects are printed first, so that
     they precede the error of a scan that fails."""
     print_rejects(report)
-    return scan_corpus(group_by_project(records), cfg)
+    return scan_corpus(group_by_project(records), cfg, report)
 
 
-def scan_ranges(
-    path: str, plan: list[tuple[int, int]], project: str, cfg: DetectorConfig
-) -> tuple[dict[str, int], set[AnomalyRecord], Flagged]:
+def scan_ranges(path: str, plan: list[tuple[int, int]], project: str, cfg: DetectorConfig) -> Scan:
     """Scan the ranges of plan at once, as units of parallel.share.
 
     A unit parses its range, its keys are the range's projects, and its
@@ -451,17 +449,17 @@ def scan_ranges(
     order = sorted(range(len(plan)), key=lambda i: plan[i][0] - plan[i][1])
     parsed: dict[int, Parsed] = {}
 
-    def prepare(unit: int) -> tuple[list[str], Callable[[], Scanned]]:
+    def prepare(unit: int) -> tuple[list[str], Callable[[], Scan]]:
         i = order[unit]
         records, report = parsed[i] = parse_range(path, *plan[i], project)
         corpus = group_by_project(records)
-        return list(corpus), lambda: (report, *scan_corpus(corpus, cfg))
+        return list(corpus), lambda: scan_corpus(corpus, cfg, report)
 
     try:
         parts = parallel.share(len(plan), len(plan), prepare)
         merged = merge_ranges([parts[order.index(i)] for i in range(len(plan))])
-        print_rejects(merged[0])
-        return merged[1:]
+        print_rejects(merged.ingest)
+        return merged
     except (parallel.Shared, ChronolintError):
         pass
     records, report = [], IngestReport()
@@ -472,24 +470,19 @@ def scan_ranges(
     return scan_parsed(records, report, cfg)
 
 
-def merge_ranges(parts: list[Scanned]) -> Scanned:
-    """The results of scans that share no project, as one: the consecutive
-    ranges of an export, or the repositories of a corpus."""
-    report = IngestReport()
-    counts: dict[str, int] = {}
-    anomalies: set[AnomalyRecord] = set()
-    flagged: Flagged = {}
-    for part_report, part_counts, part_anomalies, part_flagged in parts:
-        report.extend(part_report)
-        counts.update(part_counts)
-        anomalies |= part_anomalies
-        flagged.update(part_flagged)
-    return report, dict(sorted(counts.items())), anomalies, flagged
+def merge_ranges(parts: list[Scan]) -> Scan:
+    """The scans that share no project, as one: the consecutive ranges of
+    an export, or the repositories of a corpus."""
+    merged = Scan(IngestReport(), {}, set(), {})
+    for part in parts:
+        merged.ingest.extend(part.ingest)
+        merged.counts.update(part.counts)
+        merged.anomalies |= part.anomalies
+        merged.flagged.update(part.flagged)
+    return merged
 
 
-def scan_export(
-    path: str, project: str, cfg: DetectorConfig
-) -> tuple[dict[str, int], set[AnomalyRecord], Flagged]:
+def scan_export(path: str, project: str, cfg: DetectorConfig) -> Scan:
     """Scan a JSONL export, cut into as many ranges as range_count says,
     which forked processes work at once.
 
@@ -512,10 +505,10 @@ def scan_export(
 def cmd_scan(args: argparse.Namespace) -> int:
     cfg, rules, _ = settings_from(args)
     if args.jsonl:
-        counts, anomalies, flagged = scan_export(args.jsonl, args.project or args.jsonl, cfg)
+        scan = scan_export(args.jsonl, args.project or args.jsonl, cfg)
     else:
-        counts, anomalies, flagged = scan_parsed(*load_records(args), cfg)
-    return finish_scan(args, counts, anomalies, flagged, cfg, rules)
+        scan = scan_parsed(*load_records(args), cfg)
+    return finish_scan(args, scan, cfg, rules)
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
@@ -528,7 +521,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     dropped = 0
     basis = policy.time_basis
     if policy.drop_flagged_kinds:
-        _, anomalies, _ = scan_corpus(corpus, cfg)
+        anomalies = scan_corpus(corpus, cfg, ingest_report).anomalies
         kept, gone = drop_flagged(kept, anomalies, policy.drop_flagged_kinds)
         dropped += len(gone)
     else:
@@ -620,21 +613,25 @@ def _ensure_local(url: str, cache_dir: str) -> str:
     return target
 
 
-Outcome = Scanned | str
+Outcome = Scan | str
 
 
-def scan_repository(path: str, project: str, cfg: DetectorConfig) -> Outcome:
+def scan_repository(path: str | Future[str], project: str, cfg: DetectorConfig) -> Outcome:
     """Read and scan one repository of a corpus: what the report needs of
-    it, or the error that fails it alone."""
+    it, or the error that fails it alone. path is a local path, or the
+    finished clone of a URL, which gives the path or raises the clone's
+    error."""
     try:
+        if not isinstance(path, str):
+            path = path.result()
         records, report = read_repository(path, project)
-        return (report, *scan_corpus({project: records}, cfg))
+        return scan_corpus({project: records}, cfg, report)
     except (ChronolintError, OSError) as exc:
         return str(exc)
 
 
 def scan_repositories(
-    repos: list[tuple[str, str]], cfg: DetectorConfig, jobs: int
+    repos: list[tuple[str | Future[str], str]], cfg: DetectorConfig, jobs: int
 ) -> list[Outcome]:
     """scan_repository over each (path, project) of repos, in up to jobs
     processes: each repository is a unit of parallel.share, scanned when it
@@ -657,47 +654,38 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if not entries:
         raise UsageError("corpus list is empty")
 
-    paths = list(entries)
-    outcomes: list[Outcome | None] = [None] * len(entries)
-    urls = [i for i, entry in enumerate(entries) if _URL_RE.match(entry)]
+    clones: dict[str, Future[str]] = {}
+    urls = [entry for entry in entries if _URL_RE.match(entry)]
     if urls:
         if args.cache is None:
-            raise UsageError(f"--cache is required for remote repositories: {entries[urls[0]]}")
+            raise UsageError(f"--cache is required for remote repositories: {urls[0]}")
         # clones wait on the network, so threads run them, all before any fork
         import concurrent.futures
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            clones = {i: pool.submit(_ensure_local, entries[i], args.cache) for i in urls}
+            clones = {url: pool.submit(_ensure_local, url, args.cache) for url in urls}
         # a joined thread can take milliseconds more to exit, and while it
         # does, the repositories would be read in this process alone
         deadline = time.monotonic() + 0.1
         while parallel.thread_count() > 1 and time.monotonic() < deadline:
             time.sleep(0.001)
-        for i, clone in clones.items():
-            try:
-                paths[i] = clone.result()
-            except (ChronolintError, OSError) as exc:
-                outcomes[i] = str(exc)
-    todo = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    scanned = scan_repositories([(paths[i], entries[i]) for i in todo], cfg, args.jobs)
-    for i, outcome in zip(todo, scanned):
-        outcomes[i] = outcome
+    outcomes = scan_repositories(
+        [(clones.get(entry, entry), entry) for entry in entries], cfg, args.jobs)
 
     # in list order, so that stderr is the same whatever --jobs is
     failures: list[dict] = []
-    scans: list[Scanned] = []
+    scans: list[Scan] = []
     for entry, outcome in zip(entries, outcomes):
         if isinstance(outcome, str):
             failures.append({"entry": entry, "error": outcome})
             print(f"chronolint: {entry}: {outcome}", file=sys.stderr)
         else:
-            print_rejects(outcome[0], f"chronolint: {entry}")
+            print_rejects(outcome.ingest, f"chronolint: {entry}")
             scans.append(outcome)
     if not scans:
         print("chronolint: all repositories failed", file=sys.stderr)
         return EXIT_ERROR
-    _, counts, anomalies, flagged = merge_ranges(scans)
-    return finish_scan(args, counts, anomalies, flagged, cfg, rules, failures=failures)
+    return finish_scan(args, merge_ranges(scans), cfg, rules, failures=failures)
 
 
 def positive_int(text: str) -> int:

@@ -73,13 +73,15 @@ class IngestReport:
     """
 
     records_parsed: int = 0
-    records_rejected: int = 0
     lines: int = 0
     rejected: list[tuple[int | str, str]] = field(default_factory=list)
 
     def reject(self, position: int | str, reason: str) -> None:
-        self.records_rejected += 1
         self.rejected.append((position, reason))
+
+    @property
+    def records_rejected(self) -> int:
+        return len(self.rejected)
 
     @property
     def rejects(self) -> list[tuple[str, str]]:
@@ -89,7 +91,6 @@ class IngestReport:
     def extend(self, later: IngestReport) -> None:
         """Add the report of the lines that follow this report's lines."""
         self.records_parsed += later.records_parsed
-        self.records_rejected += later.records_rejected
         self.rejected += [(p + self.lines if type(p) is int else p, reason)
                           for p, reason in later.rejected]
         self.lines += later.lines

@@ -107,9 +107,11 @@ class AnomalyRecord(NamedTuple):
 class FilterPolicy:
     """Configuration for the mitigation filters.
 
-    time_basis selects which of the two commit dates every filter (and the
-    parent-order detector, when told to) reads; author date is the default
-    because rebases and cherry-picks rewrite the committer date.
+    time_basis selects which of the two commit dates the cutoff, window and
+    pre-epoch filters read; author date is the default because rebases and
+    cherry-picks rewrite the committer date. The detectors, and so
+    drop_flagged_kinds, read DetectorConfig.time_basis instead (--time-basis,
+    default committer).
     """
 
     min_epoch_seconds: int | None = 1

@@ -11,7 +11,9 @@ import pytest
 
 from chronolint import cli
 from chronolint.cli import main, parse_instant
+from chronolint.detect import sanitize_message, scan_fingerprints
 from chronolint.ingest import emit_export_stream, parse_export_stream, read_repository
+from chronolint.report import ranked_tokens, token_frequencies
 from helpers import (
     assert_reaped,
     build_repo,
@@ -131,6 +133,43 @@ class TestScan:
         assert report["anomalies"]["out_of_order_parent"]["count"] == len(
             {cid for cid, _ in manifest["out_of_order_parent"]}
         )
+
+    @pytest.mark.parametrize("source", ["jsonl", "git"])
+    def test_non_ascii_flagged_message(self, tmp_path, source):
+        """A flagged message that is not ASCII reaches the fingerprints and
+        tokens as sanitize_message gives it: from JSONL any character, from
+        git any byte, one that is not UTF-8 as U+FFFD."""
+        if source == "jsonl":
+            message = "Imported caf\u00e9 git-svn-id r1\n"
+            src = tmp_path / "in.jsonl"
+            src.write_bytes(emit_export_stream([rec("a", commit_epoch=0, message=message),
+                                                rec("b", message="fix")]))
+            argv = ["--jsonl", str(src)]
+        else:
+            message = "Imported caf\udcff git-svn-id r1\n"
+            repo = tmp_path / "r"
+            build_repo(repo, [{"key": "b", "commit_epoch": 1_600_000_000, "message": "fix"}])
+            write_raw_commit(repo, "author A <a@example.com> 0 +0000\n"
+                                   "committer A <a@example.com> 0 +0000\n", message, "zero")
+            argv = ["--repo", str(repo)]
+        sanitized = sanitize_message(message)
+        assert sanitized == message.replace("\udcff", "\ufffd")
+        out = tmp_path / "r.json"
+        assert run(["scan", *argv, "--reference", REF, "--out", str(out)]) == 1
+        report = read_json(out)
+        assert report["anomalies"]["zero_epoch"]["count"] == 1
+        assert report["fingerprints"] == scan_fingerprints([sanitized])
+        assert report["fingerprints"]["git-svn-id"] == 1
+        assert report["tokens"] == [{"token": t, "count": c} for t, c in
+                                    ranked_tokens(token_frequencies([sanitized]), limit=50)]
+
+    def test_old_threshold_before_year_one_written_as_epoch(self, tmp_path):
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(emit_export_stream([rec("a")]))
+        out = tmp_path / "r.json"
+        assert run(["scan", "--jsonl", str(src), "--old-threshold=-99999999999",
+                    "--reference", REF, "--out", str(out)]) == 0
+        assert read_json(out)["meta"]["old_threshold"] == "epoch:-99999999999"
 
     def test_conflicting_inputs_exit_two(self, tmp_path):
         code = run(["scan", "--repo", "x", "--jsonl", "y"])
@@ -304,6 +343,13 @@ class TestScan:
 
 
 class TestFilter:
+    def test_missing_input_exit_two(self, tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"
+        out = tmp_path / "out.jsonl"
+        assert run(["filter", "--jsonl", str(missing), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"chronolint: cannot read {missing}: ")
+        assert not out.exists()
+
     def test_min_epoch_drops_zero_commits(self, tmp_path):
         zero = rec("z", commit_epoch=0)
         good = rec("g", commit_epoch=1_600_000_000)
@@ -647,6 +693,51 @@ class TestMalformedInput:
             kept.append(len(out.read_bytes().splitlines()))
         assert kept == [1, 2]
 
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_empty_policy_flag_is_a_bad_value(self, tmp_path, capsys, with_config):
+        """--policy "" is read as the path "", as --config "" is, and never
+        leaves the config's policy in force."""
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(emit_export_stream([rec("a", commit_epoch=0, author_epoch=0)]))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"policy": {"min_epoch_seconds": None}}))
+        config = ["--config", str(cfg)] if with_config else []
+        out = tmp_path / "out.jsonl"
+        assert run(["filter", "--jsonl", str(src), "--policy", "", *config,
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("chronolint: cannot read policy : ")
+        assert not out.exists()
+
+    def test_unknown_cutoff_mode(self, tmp_path, capsys):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps({"cutoff_mode": "sideways"}))
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(emit_export_stream([rec("a")]))
+        out = tmp_path / "kept.jsonl"
+        assert run(["filter", "--jsonl", str(src), "--policy", str(path),
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "chronolint: unknown cutoff mode: 'sideways'\n"
+        assert not out.exists()
+
+    def test_reference_out_of_sanity_bounds(self, tmp_path, capsys):
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(emit_export_stream([rec("a")]))
+        out = tmp_path / "r.json"
+        assert run(["scan", "--jsonl", str(src), "--reference", str(2**62),
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"chronolint: unparseable instant: '{2**62}': epoch out of sanity bounds: ")
+        assert not out.exists()
+
+    def test_count_flag_not_an_integer(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["scan", "--jsonl", str(tmp_path / "in.jsonl"), "--top", "x",
+                 "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--top: not an integer: 'x'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_duplicate_rules_rejected_before_reading_input(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"fingerprint_rules": [
@@ -890,6 +981,13 @@ class TestCorpus:
         r2 = tmp_path / "repo2"
         build_repo(r2, [{"key": "a", "commit_epoch": 1_500_000_000}])
         return r1, r2
+
+    def test_list_of_blank_lines_exit_two(self, tmp_path, capsys):
+        listing = tmp_path / "list.txt"
+        listing.write_text("\n  \n\t\n")
+        assert run(["corpus", "--list", str(listing), "--reference", REF,
+                    "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == "chronolint: corpus list is empty\n"
 
     def test_list_not_utf8_exit_two(self, tmp_path, capsys):
         listing = tmp_path / "list.txt"

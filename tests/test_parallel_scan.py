@@ -209,6 +209,24 @@ class TestSameAsOneRange:
             assert parallel.plan_ranges(fh, path.stat().st_size, "x", 2) == [
                 (0, path.stat().st_size)]
 
+    def test_long_line_where_the_planner_probes_is_not_cut(self, tmp_path):
+        """A line the planner's probe cannot read whole leaves the export in
+        one range, scanned as a forced one-range scan is."""
+        rng = random.Random(14)
+        long = rec("long", commit_epoch=0, project="a",
+                   message="x" * (4 * parallel.PROBE_BYTES))
+        lines = [*project_lines(rng, "a", 10), *emit_export_stream([long]).splitlines(True),
+                 *project_lines(rng, "b", 10)]
+        path = write(tmp_path, lines)
+        size = path.stat().st_size
+        start = path.read_bytes().index(b'"message":"xxx')
+        assert start < size // 2 < start + 4 * parallel.PROBE_BYTES - parallel.PROBE_BYTES
+        with open(path, "rb") as fh:
+            assert parallel.plan_ranges(fh, size, str(path), 2) == [(0, size)]
+        with merges_seen() as seen:
+            serial = assert_same_for_all_ranges(path, counts=(2,))
+        assert seen == [] and serial[0] == 1
+
     def test_same_id_in_two_projects_across_a_cut(self, tmp_path):
         rng = random.Random(6)
         a, b = project_lines(rng, "a", 20), project_lines(rng, "b", 20)
