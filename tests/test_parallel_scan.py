@@ -220,7 +220,7 @@ class TestSameAsOneRange:
         path = write(tmp_path, lines)
         size = path.stat().st_size
         start = path.read_bytes().index(b'"message":"xxx')
-        assert start < size // 2 < start + 4 * parallel.PROBE_BYTES - parallel.PROBE_BYTES
+        assert start < size // 2 < start + 3 * parallel.PROBE_BYTES  # a probe there reads too far
         with open(path, "rb") as fh:
             assert parallel.plan_ranges(fh, size, str(path), 2) == [(0, size)]
         with merges_seen() as seen:
