@@ -16,8 +16,9 @@ import os
 import re
 import sys
 import time
+from collections import Counter
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING, Callable, Collection, Iterable, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Collection, Iterable, Sequence, TypeVar
 
 from . import __version__, parallel
 from .detect import (
@@ -283,20 +284,14 @@ def settings_from(
 
 
 def load_records(args: argparse.Namespace) -> Parsed:
-    """Load commit records from the one input source that settings_from checked."""
-    if args.repo:
-        return read_repository(
-            args.repo,
-            args.project or args.repo,
-            with_files=getattr(args, "with_files", False),
-            first_parent=args.first_parent,
-            branches=args.branches,
-        )
-    try:
-        with open(args.jsonl, "rb") as fh:
-            return parse_export_stream(fh, args.project or args.jsonl)
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.jsonl}: {exc}") from exc
+    """Read the commit records of --repo, which settings_from checked."""
+    return read_repository(
+        args.repo,
+        args.project or args.repo,
+        with_files=getattr(args, "with_files", False),
+        first_parent=args.first_parent,
+        branches=args.branches,
+    )
 
 
 def print_rejects(report: IngestReport, label: str = "chronolint") -> None:
@@ -319,39 +314,66 @@ def group_by_project(records: Iterable[CommitRecord]) -> dict[str, list[CommitRe
     return corpus
 
 
+Corpus = dict[str, list[CommitRecord]]
+
+
 @dataclasses.dataclass
 class Scan:
-    """The result of a scan, all that its report and anomaly stream read:
-    the ingest report of its input, each project's commit count, the
-    anomalies, and the flagged records keyed by (project, commit id)."""
+    """The result of a scan, all that its report and anomaly stream read.
+
+    A unit of a scan finishes its own share of them, so that no commit
+    record leaves it: the ingest report of its input, each project's commit
+    count, the anomalies, then, over its flagged (project, commit id)
+    pairs, each rule's fingerprint count and each token's count in their
+    sanitized messages, and their authors as (name, email). rows holds
+    each project's anomaly stream rows, when the command writes the stream.
+    """
 
     ingest: IngestReport
-    counts: dict[str, int]
-    anomalies: set[AnomalyRecord]
-    flagged: dict[tuple[str, str], CommitRecord]
+    counts: dict[str, int] = dataclasses.field(default_factory=dict)
+    anomalies: set[AnomalyRecord] = dataclasses.field(default_factory=set)
+    fingerprints: dict[str, int] = dataclasses.field(default_factory=dict)
+    tokens: dict[str, int] = dataclasses.field(default_factory=dict)
+    authors: dict[tuple[str, str], tuple[str, str]] = dataclasses.field(default_factory=dict)
+    rows: dict[str, bytes] = dataclasses.field(default_factory=dict)
 
 
 def scan_corpus(
-    corpus: dict[str, list[CommitRecord]], cfg: DetectorConfig, ingest: IngestReport
+    corpus: Corpus,
+    cfg: DetectorConfig,
+    ingest: IngestReport,
+    rules: Sequence[FingerprintRule] | None = None,
+    rows: bool = False,
 ) -> Scan:
     """Build each project's history and run every detector over it; the
     result carries ingest, the report of the read that gave corpus.
 
-    The only place histories are built and detectors run for a command.
+    With rules, it also carries the tallies of the flagged commits, and
+    with rows their anomaly stream rows; filter, which reads only the
+    anomalies, asks for neither. The only place histories are built and
+    detectors run for a command.
     """
-    scan = Scan(ingest, {}, set(), {})
+    scan = Scan(ingest)
+    flagged: dict[tuple[str, str], CommitRecord] = {}
     for project in sorted(corpus):
         history = build_history(corpus[project], project)
         found = run_all_detectors(history, cfg)
         scan.counts[project] = len(history)
         scan.anomalies |= found
-        scan.flagged.update({(project, a.commit_id): history.commits[a.commit_id] for a in found})
+        commits = {(project, a.commit_id): history.commits[a.commit_id] for a in found}
+        flagged.update(commits)
+        if rows and found:
+            scan.rows[project] = emit_anomaly_stream(found, commits)
+    if rules is None:
+        return scan
+    messages = [sanitize_message(r.message) for r in flagged.values()]
+    scan.fingerprints = scan_fingerprints(messages, rules)
+    scan.tokens = token_frequencies(messages)
+    scan.authors = {commit: (r.author_name, r.author_email) for commit, r in flagged.items()}
     return scan
 
 
-def build_report(
-    scan: Scan, cfg: DetectorConfig, rules: Sequence[FingerprintRule], top: int = 20
-) -> ScanReport:
+def build_report(scan: Scan, cfg: DetectorConfig, top: int = 20) -> ScanReport:
     """Assemble the full scan report: totals, tables, fingerprints, tokens."""
     anomalies = scan.anomalies
     report = summarize(scan.counts, anomalies)
@@ -364,14 +386,11 @@ def build_report(
         "merge_exclusion": cfg.merge_exclusion,
     }
     report.top_projects = top_n(anomalies, key="project", n=top)
-    report.top_authors = top_n(anomalies, key="author", n=top, authors={
-        commit: (r.author_name, r.author_email) for commit, r in scan.flagged.items()
-    })
+    report.top_authors = top_n(anomalies, key="author", n=top, authors=scan.authors)
     if anomalies:
         report.cutoff_table = cutoff_table(anomalies, observed_years(anomalies))
-    messages = [sanitize_message(r.message) for r in scan.flagged.values()]
-    report.fingerprints = scan_fingerprints(messages, rules)
-    report.tokens = ranked_tokens(token_frequencies(messages), limit=50)
+    report.fingerprints = scan.fingerprints
+    report.tokens = ranked_tokens(scan.tokens, limit=50)
     return report
 
 
@@ -404,24 +423,44 @@ def write_report(report: ScanReport, format: str, out: str | None) -> None:
     write_output(emit(report, format), out)
 
 
+def in_project_order(chunks: dict[str, bytes]) -> bytes:
+    """The chunks of each project's lines, joined in project order."""
+    return b"".join(chunks[project] for project in sorted(chunks))
+
+
 def finish_scan(
     args: argparse.Namespace,
     scan: Scan,
     cfg: DetectorConfig,
-    rules: Sequence[FingerprintRule],
     failures: list[dict] | None = None,
 ) -> int:
     """Write the report and anomaly stream of a scan; return its exit code."""
-    report = build_report(scan, cfg, rules, top=args.top)
+    report = build_report(scan, cfg, top=args.top)
     if failures is not None:
         report.meta["failures"] = failures
     write_report(report, args.format, args.out)
     if args.anomalies_out:
-        write_file(args.anomalies_out, emit_anomaly_stream(scan.anomalies, scan.flagged))
+        # the stream is sorted by project first, and each project's rows
+        # were rendered whole by the one unit that scanned it
+        write_file(args.anomalies_out, in_project_order(scan.rows))
     return EXIT_ANOMALIES if scan.anomalies else EXIT_CLEAN
 
 
 Parsed = tuple[list[CommitRecord], IngestReport]
+Result = TypeVar("Result")
+# A unit's work on the projects of its input and the ingest report of the
+# read that gave them. Its result carries that report, as ingest.
+Step = Callable[[Corpus, IngestReport], Result]
+Merge = Callable[[list[Result]], Result]
+
+
+def scan_step(
+    args: argparse.Namespace, cfg: DetectorConfig, rules: Sequence[FingerprintRule]
+) -> Step[Scan]:
+    """The unit step of scan and corpus: scan_corpus with every tally, and
+    with the anomaly rows when --anomalies-out asks for them."""
+    rows = bool(args.anomalies_out)
+    return lambda corpus, ingest: scan_corpus(corpus, cfg, ingest, rules, rows)
 
 
 def parse_range(path: str, start: int, end: int, project: str) -> Parsed:
@@ -429,99 +468,119 @@ def parse_range(path: str, start: int, end: int, project: str) -> Parsed:
         return parse_export_stream(range_lines(fh, start, end), project)
 
 
-def scan_parsed(records: list[CommitRecord], report: IngestReport, cfg: DetectorConfig) -> Scan:
-    """Scan a whole parsed export. Its rejects are printed first, so that
-    they precede the error of a scan that fails."""
+def scan_parsed(records: list[CommitRecord], report: IngestReport, step: Step[Result]) -> Result:
+    """Run step once over a whole parsed input. Its rejects are printed
+    first, so that they precede the error of a step that fails."""
     print_rejects(report)
-    return scan_corpus(group_by_project(records), cfg, report)
+    return step(group_by_project(records), report)
 
 
-def scan_ranges(path: str, plan: list[tuple[int, int]], project: str, cfg: DetectorConfig) -> Scan:
-    """Scan the ranges of plan at once, as units of parallel.share.
+def scan_ranges(
+    fh: IO[bytes], path: str, project: str, count: int, step: Step[Result], merge: Merge
+) -> Result:
+    """Run step over the regular file fh, at path, cut into at most count
+    ranges that forked processes work at once, as units of parallel.share.
 
-    A unit parses its range, its keys are the range's projects, and its
-    finish scans them. The largest range is unit 0, which this process
-    works. If two ranges share a project, or any range fails, this process
-    parses the ranges it has not parsed yet and scans the whole as one
+    plan_ranges cuts the file at the starts of project runs. A unit parses
+    its range, its keys are the range's projects, and its finish runs step
+    over them; merge joins their results in file order. The largest range
+    is unit 0, which this process works. If the plan has one range, two
+    ranges share a project, or any range fails, this process parses the
+    ranges it has not parsed yet and runs step once over the whole
     (scan_parsed): the lines of the ranges are the lines of the file, in
     order, so no output depends on the ranges.
     """
+    plan = parallel.plan_ranges(fh, os.fstat(fh.fileno()).st_size, project, count)
     order = sorted(range(len(plan)), key=lambda i: plan[i][0] - plan[i][1])
     parsed: dict[int, Parsed] = {}
 
-    def prepare(unit: int) -> tuple[list[str], Callable[[], Scan]]:
+    def prepare(unit: int) -> tuple[list[str], Callable[[], Result]]:
         i = order[unit]
         records, report = parsed[i] = parse_range(path, *plan[i], project)
         corpus = group_by_project(records)
-        return list(corpus), lambda: scan_corpus(corpus, cfg, report)
+        return list(corpus), lambda: step(corpus, report)
 
-    try:
-        parts = parallel.share(len(plan), len(plan), prepare)
-        merged = merge_ranges([parts[order.index(i)] for i in range(len(plan))])
-        print_rejects(merged.ingest)
-        return merged
-    except (parallel.Shared, ChronolintError):
-        pass
+    if len(plan) > 1:
+        try:
+            parts = dict(zip(order, parallel.share(len(plan), len(plan), prepare)))
+            merged = merge([parts[i] for i in range(len(plan))])
+            print_rejects(merged.ingest)
+            return merged
+        except (parallel.Shared, ChronolintError):
+            pass
     records, report = [], IngestReport()
     for i, (start, end) in enumerate(plan):
         part_records, part_report = parsed.pop(i, None) or parse_range(path, start, end, project)
         records += part_records
         report.extend(part_report)
-    return scan_parsed(records, report, cfg)
+    return scan_parsed(records, report, step)
 
 
 def merge_ranges(parts: list[Scan]) -> Scan:
     """The scans that share no project, as one: the consecutive ranges of
     an export, or the repositories of a corpus."""
-    merged = Scan(IngestReport(), {}, set(), {})
+    merged = Scan(IngestReport(), fingerprints=Counter(), tokens=Counter())
     for part in parts:
         merged.ingest.extend(part.ingest)
         merged.counts.update(part.counts)
         merged.anomalies |= part.anomalies
-        merged.flagged.update(part.flagged)
+        merged.fingerprints.update(part.fingerprints)  # a Counter adds
+        merged.tokens.update(part.tokens)
+        merged.authors.update(part.authors)
+        merged.rows.update(part.rows)
     return merged
 
 
-def scan_export(path: str, project: str, cfg: DetectorConfig) -> Scan:
-    """Scan a JSONL export, cut into as many ranges as range_count says,
-    which forked processes work at once.
+def scan_input(args: argparse.Namespace, step: Step[Result], merge: Merge) -> Result:
+    """Run step over the one input source that settings_from checked.
 
-    An export in one range is parsed and scanned in this process, as
-    scan_ranges does when the ranges cannot be merged.
+    A JSONL export is cut into as many ranges as range_count says
+    (scan_ranges). In one range, a pipe's among them, it is opened once,
+    parsed and stepped over in this process, as a repository is.
     """
+    if args.repo:
+        return scan_parsed(*load_records(args), step)
+    path, project = args.jsonl, args.project or args.jsonl
     try:
         with open(path, "rb") as fh:
             count = parallel.range_count(fh)
             if count > 1:
-                plan = parallel.plan_ranges(fh, os.fstat(fh.fileno()).st_size, project, count)
-                if len(plan) > 1:
-                    return scan_ranges(path, plan, project, cfg)
-                fh.seek(0)
-            return scan_parsed(*parse_export_stream(fh, project), cfg)
+                return scan_ranges(fh, path, project, count, step, merge)
+            return scan_parsed(*parse_export_stream(fh, project), step)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
     cfg, rules, _ = settings_from(args)
-    if args.jsonl:
-        scan = scan_export(args.jsonl, args.project or args.jsonl, cfg)
-    else:
-        scan = scan_parsed(*load_records(args), cfg)
-    return finish_scan(args, scan, cfg, rules)
+    return finish_scan(args, scan_input(args, scan_step(args, cfg, rules), merge_ranges), cfg)
 
 
-def cmd_filter(args: argparse.Namespace) -> int:
-    cfg, _, policy = settings_from(args)
-    records, ingest_report = load_records(args)
-    print_rejects(ingest_report)
-    corpus = drop_projects(group_by_project(records), policy.project_blacklist)
+@dataclasses.dataclass
+class Kept:
+    """The result of a filter: the ingest report of its input, the counts
+    of its summary line, and each project's kept records as export lines."""
+
+    ingest: IngestReport
+    kept: int
+    dropped: int
+    blacklisted: int
+    lines: dict[str, bytes]
+
+
+def filter_corpus(
+    corpus: Corpus, ingest: IngestReport, cfg: DetectorConfig, policy: FilterPolicy
+) -> Kept:
+    """The unit step of filter: drop the blacklisted projects, then the
+    flagged, pre-epoch, cut-off and out-of-window records of the rest."""
+    listed = sum(map(len, corpus.values()))
+    corpus = drop_projects(corpus, policy.project_blacklist)
     kept = [r for recs in corpus.values() for r in recs]
-    blacklisted = len(records) - len(kept)
+    blacklisted = listed - len(kept)
     dropped = 0
     basis = policy.time_basis
     if policy.drop_flagged_kinds:
-        anomalies = scan_corpus(corpus, cfg, ingest_report).anomalies
+        anomalies = scan_corpus(corpus, cfg, ingest).anomalies
         kept, gone = drop_flagged(kept, anomalies, policy.drop_flagged_kinds)
         dropped += len(gone)
     else:
@@ -540,11 +599,34 @@ def cmd_filter(args: argparse.Namespace) -> int:
         kept = windowed
 
     kept.sort(key=lambda r: (r.project, r.commit_time, r.id))
-    write_output(emit_export_stream(kept), args.out)
+    lines = {project: emit_export_stream(run)
+             for project, run in itertools.groupby(kept, key=_PROJECT)}
+    return Kept(ingest, len(kept), dropped, blacklisted, lines)
+
+
+def merge_kept(parts: list[Kept]) -> Kept:
+    """The filter results of ranges that share no project, as one."""
+    merged = Kept(IngestReport(), 0, 0, 0, {})
+    for part in parts:
+        merged.ingest.extend(part.ingest)
+        merged.kept += part.kept
+        merged.dropped += part.dropped
+        merged.blacklisted += part.blacklisted
+        merged.lines.update(part.lines)
+    return merged
+
+
+def cmd_filter(args: argparse.Namespace) -> int:
+    cfg, _, policy = settings_from(args)
+    result = scan_input(
+        args, lambda corpus, ingest: filter_corpus(corpus, ingest, cfg, policy), merge_kept)
+    # kept records are sorted by project first, and each project's lines
+    # were emitted whole by the one unit that filtered it
+    write_output(in_project_order(result.lines), args.out)
     summary = {
-        "kept": len(kept),
-        "dropped": dropped + blacklisted,
-        "dropped_blacklisted_projects": blacklisted,
+        "kept": result.kept,
+        "dropped": result.dropped + result.blacklisted,
+        "dropped_blacklisted_projects": result.blacklisted,
     }
     if args.out is not None:
         print(json.dumps(summary))
@@ -616,32 +698,60 @@ def _ensure_local(url: str, cache_dir: str) -> str:
 Outcome = Scan | str
 
 
-def scan_repository(path: str | Future[str], project: str, cfg: DetectorConfig) -> Outcome:
-    """Read and scan one repository of a corpus: what the report needs of
-    it, or the error that fails it alone. path is a local path, or the
-    finished clone of a URL, which gives the path or raises the clone's
-    error."""
+def scan_repository(path: str | Future[str], project: str, step: Step[Scan]) -> Outcome:
+    """Read one repository of a corpus and run step over it: what the
+    report needs of it, or the error that fails it alone. path is a local
+    path, or the finished clone of a URL, which gives the path or raises the
+    clone's error."""
     try:
         if not isinstance(path, str):
             path = path.result()
         records, report = read_repository(path, project)
-        return scan_corpus({project: records}, cfg, report)
+        return step({project: records}, report)
     except (ChronolintError, OSError) as exc:
         return str(exc)
 
 
+def object_store_size(path: str | Future[str]) -> int:
+    """The bytes of the files under a repository's object store, .git/objects
+    or a bare repository's objects; 0 for a store that cannot be read, or a
+    clone that failed."""
+    if not isinstance(path, str):
+        if path.exception() is not None:
+            return 0
+        path = path.result()
+    objects = os.path.join(path, ".git", "objects")
+    if not os.path.isdir(objects):
+        objects = os.path.join(path, "objects")
+    size = 0
+    for directory, _, names in os.walk(objects):  # an unreadable directory is skipped
+        for name in names:
+            try:
+                size += os.lstat(os.path.join(directory, name)).st_size
+            except OSError:
+                pass
+    return size
+
+
 def scan_repositories(
-    repos: list[tuple[str | Future[str], str]], cfg: DetectorConfig, jobs: int
+    repos: list[tuple[str | Future[str], str]], step: Step[Scan], jobs: int
 ) -> list[Outcome]:
     """scan_repository over each (path, project) of repos, in up to jobs
     processes: each repository is a unit of parallel.share, scanned when it
-    is prepared, and with no keys."""
+    is prepared, and with no keys.
 
-    def prepare(i: int) -> tuple[tuple[()], Callable[[], Outcome]]:
-        outcome = scan_repository(*repos[i], cfg)
+    The units go out largest object store first, ties in the order of
+    repos, so that the largest is not the last to start; the outcomes come
+    back in the order of repos.
+    """
+    order = sorted(range(len(repos)), key=lambda i: -object_store_size(repos[i][0]))
+
+    def prepare(unit: int) -> tuple[tuple[()], Callable[[], Outcome]]:
+        outcome = scan_repository(*repos[order[unit]], step)
         return (), lambda: outcome
 
-    return parallel.share(jobs, len(repos), prepare)
+    outcomes = dict(zip(order, parallel.share(jobs, len(repos), prepare)))
+    return [outcomes[i] for i in range(len(repos))]
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
@@ -669,8 +779,8 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         deadline = time.monotonic() + 0.1
         while parallel.thread_count() > 1 and time.monotonic() < deadline:
             time.sleep(0.001)
-    outcomes = scan_repositories(
-        [(clones.get(entry, entry), entry) for entry in entries], cfg, args.jobs)
+    outcomes = scan_repositories([(clones.get(entry, entry), entry) for entry in entries],
+                                 scan_step(args, cfg, rules), args.jobs)
 
     # in list order, so that stderr is the same whatever --jobs is
     failures: list[dict] = []
@@ -685,7 +795,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if not scans:
         print("chronolint: all repositories failed", file=sys.stderr)
         return EXIT_ERROR
-    return finish_scan(args, merge_ranges(scans), cfg, rules, failures=failures)
+    return finish_scan(args, merge_ranges(scans), cfg, failures=failures)
 
 
 def positive_int(text: str) -> int:

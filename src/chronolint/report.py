@@ -26,6 +26,10 @@ from .ingest import MAX_EPOCH_ABS, format_offset, load_json_line, normalize_time
 from .model import AnomalyKind, AnomalyRecord, CommitRecord, is_commit_hash
 
 TOKEN_RE = re.compile(r"[0-9a-z/_-]+")
+# Each byte of a token kept, every other byte made a space, so that the
+# words of a message's ASCII encoding are the tokens TOKEN_RE finds in it;
+# a character outside ASCII, never in a token, is encoded as "?" first.
+_TOKEN_BYTES = bytes(c if TOKEN_RE.fullmatch(chr(c)) else 0x20 for c in range(256))
 
 @dataclass(frozen=True)
 class CutoffRow:
@@ -176,12 +180,13 @@ def token_frequencies(
     character are discarded.
     """
     stop = frozenset(stopwords) if stopwords is not None else default_stopwords()
-    counts: Counter[str] = Counter()
+    counts: Counter[bytes] = Counter()
     for message in messages:
-        counts.update(TOKEN_RE.findall(message.lower()))
+        counts.update(message.lower().encode("ascii", "replace").translate(_TOKEN_BYTES).split())
     # dropped once per distinct token; a token is [0-9a-z/_-]+, so it has
     # an alphanumeric unless it is all "/", "_" and "-"
-    return {t: c for t, c in counts.items() if t not in stop and t.strip("/_-")}
+    return {token: c for t, c in counts.items()
+            if (token := t.decode("ascii")) not in stop and token.strip("/_-")}
 
 
 def ranked_tokens(counts: Mapping[str, int], limit: int | None = None) -> list[tuple[str, int]]:
@@ -311,6 +316,10 @@ def anomaly_sort_key(a: AnomalyRecord) -> tuple:
     )
 
 
+# each kind's value as a JSON string, for the rows of the anomaly stream
+_QUOTED_KINDS = {kind: encode_basestring_ascii(kind.value) for kind in AnomalyKind}
+
+
 def emit_anomaly_stream(
     anomalies: Iterable[AnomalyRecord],
     commits: Mapping[tuple[str, str], CommitRecord] | None = None,
@@ -323,10 +332,11 @@ def emit_anomaly_stream(
     author_name, author_email and message from its commit in ``commits``, a
     (project, commit id) -> record map, when given. The rows of one commit
     are adjacent once sorted, so its enrichment is encoded once for all of
-    them.
+    them; a zone is rendered once for all the rows that hold it.
     """
     commits = commits or {}
     quoted = encode_basestring_ascii  # a str as a JSON string, ASCII-escaped
+    zones: dict[int, str] = {}
     lines = []
     current = None
     for a in sorted(anomalies, key=anomaly_sort_key):
@@ -339,17 +349,19 @@ def emit_anomaly_stream(
                 f',"author_email":{quoted(r.author_email)}'
                 f',"message":{quoted(r.message)}}}'
             )
-        row = (f'{{"kind":{quoted(a.kind.value)},{ids},'
-               f'"observed_epoch":{a.observed},'
-               f'"observed_tz":{quoted(format_offset(a.observed_tz))}')
+        zone = zones.get(a.observed_tz)
+        if zone is None:
+            zone = zones[a.observed_tz] = quoted(format_offset(a.observed_tz))
+        row = (f'{{"kind":{_QUOTED_KINDS[a.kind]},{ids},'
+               f'"observed_epoch":{a.observed},"observed_tz":{zone}')
         if a.reference is not None:
             row += f',"reference_epoch":{a.reference}'
         if a.counterpart_id is not None:
             row += f',"counterpart_id":{quoted(a.counterpart_id)}'
         if a.delta_seconds is not None:
             row += f',"delta_seconds":{a.delta_seconds}'
-        lines.append(f"{row}{enrichment}\n".encode("ascii"))
-    return b"".join(lines)
+        lines.append(f"{row}{enrichment}\n")
+    return "".join(lines).encode("ascii")
 
 
 def parse_anomaly_stream(stream: bytes | IO[bytes]) -> tuple[
