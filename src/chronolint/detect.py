@@ -56,7 +56,8 @@ DEFAULT_FINGERPRINT_RULES: tuple[FingerprintRule, ...] = (
     FingerprintRule("Reviewed-by", r"Reviewed-by"),
     FingerprintRule("Change-Id", r"Change-Id"),
     FingerprintRule("rebase_source", r"rebase_source"),
-    FingerprintRule("hg", r"\bhg\b", case_insensitive=True),
+    # matches exactly what \bhg\b matches; a leading \b is tried at every position
+    FingerprintRule("hg", r"hg\b(?<!\whg)", case_insensitive=True),
     FingerprintRule("MOE|push_codebase", r"MOE|push_codebase"),
 )
 

@@ -3,9 +3,12 @@ and how forked workers start, report back and end.
 
 ``share`` is the one driver of parallel work: a command gives it units
 (``cli.scan_ranges`` the byte ranges of a JSONL export,
-``cli.scan_repositories`` the repositories of a corpus). This module holds
-every ``os.fork``, ``os.pipe`` and CPU placement of the package, and every
-read of ``/proc`` or the cgroup files; git's own processes are started by
+``cli.scan_repositories`` the repositories of a corpus). A worker sends the
+keys of its units through a pipe and their results through an unlinked file,
+which this process reads once the worker has exited, so a large result never
+waits for this process to read it. This module holds every ``os.fork``,
+``os.pipe``, worker file and CPU placement of the package, and every read of
+``/proc`` or the cgroup files; git's own processes are started by
 ``ingest.run_git``.
 """
 
@@ -241,33 +244,44 @@ def _place(cpus: Collection[int]) -> None:
         os.sched_setaffinity(0, cpus)
 
 
-Work = Callable[[IO[bytes]], None]
+Work = Callable[[IO[bytes], IO[bytes]], None]
 
 
-def _worker(work: Work, cpu: int, write_end: int, inherited: list[int]) -> NoReturn:
+def _worker(work: Work, cpu: int, write_end: int, results: int, inherited: list[int]) -> NoReturn:
     """The life of a forked worker: close what it inherited, place itself,
-    run work(out) with out its end of the pipe, flush out, exit."""
+    run work(out, file) with out its end of the pipe and file its results
+    file, flush and close the file, then the pipe, exit."""
     code = 1
     try:
         for fd in inherited:
             os.close(fd)
         _place({cpu})
-        with open(write_end, "wb") as out:
-            work(out)
+        # closed in reverse: the end of the pipe tells that the file is whole
+        with open(write_end, "wb") as out, open(results, "wb") as file:
+            work(out, file)
         code = 0
     finally:
         os._exit(code)
 
 
-def _messages(pipe: IO[bytes]) -> Iterator[object]:
-    """The messages a worker sent, up to the end of its pipe or a torn message."""
+def _loaded(file: IO[bytes]) -> Iterator[object]:
+    """The messages pickled to file, up to its end or a torn message."""
     import pickle
 
     while True:
         try:
-            yield pickle.load(pipe)
+            yield pickle.load(file)
         except (EOFError, pickle.UnpicklingError):
             return
+
+
+def _messages(pipe: IO[bytes], results: IO[bytes]) -> Iterator[object]:
+    """The messages a worker sent through its pipe, then, once the pipe is at
+    its end, those it wrote to its results file, from the file's start."""
+    yield from _loaded(pipe)
+    pipe.read()  # after a torn message, too, the file is read only once the worker is gone
+    results.seek(0)
+    yield from _loaded(results)
 
 
 @contextlib.contextmanager
@@ -275,26 +289,34 @@ def forked(count: int, work: Work) -> Iterator[dict[int, Iterator[object]]]:
     """Run work in up to count - 1 forked workers, each on a CPU of its own,
     while this process, on another, runs the block.
 
-    Worker k (1 to count - 1) runs work(out), where out is a buffered file
-    on a pipe to this process, and exits. The block gets the messages each
-    started worker pickled to out by k, in the order written; they end
-    early where the worker failed. Workers stop being started where os.pipe
-    or os.fork fails. This process stays on the CPU it runs on, so that it
-    does not move onto one that other work keeps busy; it is pinned there
-    for the block, and its own CPUs are restored after it. On leaving the
-    block, on every path, every pipe is closed and every worker killed if it
+    Worker k (1 to count - 1) runs work(out, file) and exits: out is a
+    buffered file on a pipe to this process, file one on an unlinked
+    temporary file made for worker k before the fork. The block gets, by k,
+    the messages each started worker pickled: those to out in the order
+    written, then, once out is at its end (the worker has exited), those to
+    file in the order written. So a worker never waits for this process to
+    read what it writes to file. The messages end early where the worker
+    failed. Workers stop being started where the file, os.pipe or os.fork
+    fails. This process stays on the CPU it runs on, so that it does not
+    move onto one that other work keeps busy; it is pinned there for the
+    block, and its own CPUs are restored after it. On leaving the block, on
+    every path, every pipe and file is closed and every worker killed if it
     still runs, and reaped.
     """
+    import tempfile  # loads random and shutil, which only a parallel run needs
+
     cpus = os.sched_getaffinity(0)
     mine = _own_cpu(sorted(cpus))
     order = [mine, *sorted(cpus - {mine})]
     children: list[int] = []
     pipes: dict[int, IO[bytes]] = {}  # k: read end of worker k's pipe
+    files: dict[int, IO[bytes]] = {}  # k: worker k's results file
     sys.stdout.flush()
     sys.stderr.flush()
     try:
         for k in range(1, count):
             try:
+                files[k] = tempfile.TemporaryFile()
                 read_end, write_end = os.pipe()
             except OSError:
                 break
@@ -305,16 +327,17 @@ def forked(count: int, work: Work) -> Iterator[dict[int, Iterator[object]]]:
                 os.close(write_end)
                 break
             if pid == 0:
-                _worker(work, order[k % len(order)], write_end,
-                        [read_end, *(pipe.fileno() for pipe in pipes.values())])
+                inherited = [*pipes.values(), *(files[j] for j in pipes)]
+                _worker(work, order[k % len(order)], write_end, files[k].fileno(),
+                        [read_end, *(file.fileno() for file in inherited)])
             children.append(pid)
             os.close(write_end)
             pipes[k] = open(read_end, "rb")
         _place({order[0]})
-        yield {k: _messages(pipe) for k, pipe in pipes.items()}
+        yield {k: _messages(pipe, files[k]) for k, pipe in pipes.items()}
     finally:
-        for pipe in pipes.values():
-            pipe.close()
+        for file in [*pipes.values(), *files.values()]:
+            file.close()
         if children:
             import signal
 
@@ -376,9 +399,11 @@ def share(count: int, units: int, prepare: Prepare) -> list[object]:
     usable_cpus() and units. They take the other units one at a time from a
     _Queue, so that a large unit holds back only its own process. Each
     prepares every unit it takes. Once the queue is empty, a worker sends
-    the keys of all its units in one message, then finishes them and sends
-    their results: it writes nothing while it takes units, so a full pipe
-    never holds it back from the queue. This process finishes no unit until
+    the keys of all its units in one message through its pipe, then
+    finishes them and writes their results to its file: it writes nothing
+    while it takes units, so a full pipe never holds it back from the queue,
+    and it writes its results while this process works, without waiting for
+    this process to read them. This process finishes no unit until
     every key is known, its own and those of units whose worker failed
     before sending theirs; it raises Shared, the workers killed, at the
     first key two units hold. A unit whose result no worker sent (one
@@ -400,12 +425,13 @@ def share(count: int, units: int, prepare: Prepare) -> list[object]:
         claim(i, keys)
         return finish
 
-    def work(out: IO[bytes]) -> None:
+    def work(out: IO[bytes], file: IO[bytes]) -> None:
         held = [(i, *prepare(i)) for i in queue]
         pickle.dump([(i, keys) for i, keys, _ in held], out, pickle.HIGHEST_PROTOCOL)
         out.flush()  # every key is sent before any unit is finished
         for i, _, finish in held:
-            pickle.dump((i, finish()), out, pickle.HIGHEST_PROTOCOL)
+            pickle.dump((i, finish()), file, pickle.HIGHEST_PROTOCOL)
+            file.flush()  # so that a worker killed later has still sent it
 
     processes = min(count, usable_cpus(), units)
     queue = None

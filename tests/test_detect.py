@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -218,6 +220,23 @@ class TestFingerprints:
         miss = rec("b", message="on the highway")
         assert scan_fingerprints([hit.message])["hg"] == 1
         assert scan_fingerprints([miss.message])["hg"] == 0
+
+    def test_hg_rule_matches_word_boundary_oracle(self):
+        """The default hg pattern finds "hg" where \\bhg\\b does: on every
+        string of length 1-4 over a mix of cased, word and non-word
+        characters, and beside non-ASCII word characters."""
+        (rule,) = [rule for rule in DEFAULT_FINGERPRINT_RULES if rule.name == "hg"]
+        assert rule.case_insensitive
+        pattern, oracle = rule.compile(), re.compile(r"\bhg\b", re.IGNORECASE)
+        alphabet = "hHgG_1éßİ-xK "
+        strings = ["".join(chars) for n in range(1, 5)
+                   for chars in itertools.product(alphabet, repeat=n)]
+        for neighbour in "ǅ٣²ſKĥğ中ⅷ́  ·":
+            strings += [f"{neighbour}hg", f"hg{neighbour}", f"{neighbour}HG{neighbour}",
+                        f"{neighbour} hG", f"Hg {neighbour}"]
+        mismatched = [s for s in strings
+                      if bool(pattern.search(s)) != bool(oracle.search(s))]
+        assert mismatched == []
 
     def test_planted_counts(self):
         plants = {

@@ -193,6 +193,34 @@ class TestProcessHygiene:
         if lacking < 2:
             assert len(scanned) == 7
 
+    @pytest.mark.parametrize("lacking", [1, 2])
+    @pytest.mark.usefixtures("four_cpus")
+    def test_no_result_file(self, corpus_dir, clean, lacking):
+        """There is no results file for the first worker (1) or the second
+        (2): the outputs are the same, and fewer workers run."""
+        serial = corpus(corpus_dir, 1)
+        real_file, made = tempfile.TemporaryFile, []
+        real_fork, forks = os.fork, []
+
+        def temporary_file(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] != parallel.__name__:
+                return real_file(*args, **kwargs)  # git's stderr
+            if len(made) == lacking:  # the queue's file, then one per worker
+                raise OSError(28, "No space left on device")
+            made.append(args)
+            return real_file(*args, **kwargs)
+
+        def fork():
+            forks.append(None)
+            return real_fork()
+
+        with mock.patch.object(tempfile, "TemporaryFile", temporary_file), \
+                mock.patch.object(os, "fork", fork), parent_scans() as scanned:
+            assert corpus(corpus_dir, 3) == serial
+        assert len(made) == lacking and len(forks) == lacking - 1
+        if lacking == 1:
+            assert len(scanned) == 7
+
     @pytest.mark.usefixtures("four_cpus")
     def test_keyboard_interrupt_in_the_parent(self, corpus_dir, clean):
         parent = os.getpid()
@@ -235,7 +263,7 @@ def test_queue_gives_each_index_once():
     one process, within a minute."""
     count = 40_000
 
-    def work(out):
+    def work(out, file):
         pickle.dump(list(queue), out)
 
     def too_slow(signum, frame):

@@ -393,6 +393,52 @@ class TestProcessHygiene:
         assert time.monotonic() - started < 30  # the sleeping children were killed
         self.check_clean(fds, cpus)
 
+    @pytest.mark.usefixtures("four_cpus")
+    def test_nothing_left_in_the_temporary_directory(self, tmp_path, monkeypatch):
+        """The queue and the workers' results files are unlinked temporary
+        files: none is left behind by a scan that exits 0, one that exits 2,
+        or one interrupted in this process."""
+        rng = random.Random(12)
+        x, y = fake_hash("x"), fake_hash("y")
+        cycle = [rec("x", parents=(y,), project="b"), rec("y", parents=(x,), project="b")]
+        exports = []
+        for name, lines in [
+            ("clean", layout(rng, [30, 30, 30])),
+            ("cycle", [*project_lines(rng, "a", 30),
+                       *emit_export_stream(cycle).splitlines(keepends=True),
+                       *project_lines(rng, "c", 30)]),
+        ]:
+            (tmp_path / name).mkdir()
+            exports.append(write(tmp_path / name, lines))
+        temporary = tmp_path / "tmp"
+        temporary.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temporary))
+        real_file, made = tempfile.TemporaryFile, []
+
+        def temporary_file(*args, **kwargs):
+            made.append(tempfile.gettempdir())
+            return real_file(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+        fds, cpus = open_fds(), os.sched_getaffinity(0)
+        parent, real = os.getpid(), cli.parse_range
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                time.sleep(0.3)  # the workers write their results meanwhile
+                raise KeyboardInterrupt
+            return real(*args)
+
+        for path, code in zip(exports, (1, 2)):
+            assert scan(path, 3)[0] == code
+            assert list(temporary.iterdir()) == []
+        with mock.patch.object(cli, "parse_range", interrupted), \
+                pytest.raises(KeyboardInterrupt):
+            scan(exports[0], 3)
+        assert list(temporary.iterdir()) == []
+        assert made == [str(temporary)] * 9  # the queue and two workers' files, thrice
+        self.check_clean(fds, cpus)
+
     def test_live_thread_keeps_one_range(self, export, monkeypatch):
         monkeypatch.setattr(parallel, "MIN_RANGE_BYTES", 1)
         calls = []

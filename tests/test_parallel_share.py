@@ -130,3 +130,85 @@ class TestShare:
         prepare, prepared, finished = units_of([[i] for i in range(4)], parent)
         assert [pid for _, pid in parallel.share(4, 4, prepare)] == [parent] * 4
         assert prepared == finished == [0, 1, 2, 3]
+
+
+@needs_fork
+@pytest.mark.usefixtures("four_cpus")
+class TestResultsFile:
+    """A worker writes its results to a file of its own, not to its pipe."""
+
+    @pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
+    def test_large_result_does_not_wait_for_this_process(self):
+        """A worker whose units return 1 MB each has exited while this process
+        is still inside its own finish: no result waits for this process to
+        read it, as one would in a pipe's 64 KiB."""
+        parent = os.getpid()
+        seen = []
+
+        def exited_child():
+            """A child that has exited and is not reaped yet, left so."""
+            return os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+
+        def prepare(i):
+            if os.getpid() == parent and i == 0:
+                time.sleep(0.2)  # the worker takes the other units
+
+            def finish():
+                if os.getpid() == parent:
+                    deadline = time.monotonic() + 5
+                    while (child := exited_child()) is None and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    seen.append(child)
+                return i * i, os.getpid(), bytes(1 << 20)
+
+            return [i], finish
+
+        results = parallel.share(2, 3, prepare)
+        assert [(square, len(payload)) for square, _, payload in results] == [
+            (i * i, 1 << 20) for i in range(3)]
+        assert [pid for _, pid, _ in results].count(parent) < 3
+        (child,) = seen
+        assert child is not None and child.si_pid in {pid for _, pid, _ in results}
+        assert_no_children()
+
+    @pytest.mark.parametrize("end", ["killed", "killed mid-message", "write fails mid-message"])
+    def test_worker_ended_after_writing_some_results(self, end):
+        """A worker that wrote the results of two units and then ends, killed
+        before the third or while it writes it, or exiting on a failed write
+        of it, leaves every result once: the two it wrote, and the rest
+        finished by this process."""
+        parent = os.getpid()
+        finished, written = [], []  # written counts in the worker only
+
+        class Tear:
+            """Ends the worker as it is pickled, partway through a message."""
+
+            def __reduce__(self):
+                if end == "killed mid-message":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise OSError(28, "No space left on device")
+
+        def prepare(i):
+            if os.getpid() == parent and i == 0:
+                time.sleep(0.2)  # the worker takes the other units
+
+            def finish():
+                payload = bytes(1 << 18)  # past any write buffer, so it reaches the file
+                if os.getpid() == parent:
+                    finished.append(i)
+                    return i * i, parent, payload
+                written.append(i)
+                if len(written) == 3:
+                    if end == "killed":
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    return i * i, os.getpid(), payload, Tear()
+                return i * i, os.getpid(), payload
+
+            return [i], finish
+
+        results = parallel.share(2, 6, prepare)
+        assert [square for square, *_ in results] == [i * i for i in range(6)]
+        by_worker = [i for i, (_, pid, *_) in enumerate(results) if pid != parent]
+        assert len(by_worker) == 2
+        assert sorted(finished) == sorted(set(range(6)) - set(by_worker))
+        assert_no_children()
