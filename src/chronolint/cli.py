@@ -53,6 +53,7 @@ from .model import (
     CommitRecord,
     ConfigError,
     FilterPolicy,
+    TIME_BASES,
 )
 from .report import (
     ScanReport,
@@ -482,28 +483,26 @@ def scan_ranges(
     ranges that forked processes work at once, as units of parallel.share.
 
     plan_ranges cuts the file at the starts of project runs. A unit parses
-    its range, its keys are the range's projects, and its finish runs step
-    over them; merge joins their results in file order. The largest range
-    is unit 0, which this process works. If the plan has one range, two
-    ranges share a project, or any range fails, this process parses the
-    ranges it has not parsed yet and runs step once over the whole
-    (scan_parsed): the lines of the ranges are the lines of the file, in
-    order, so no output depends on the ranges.
+    its range, its size is the range's bytes, its keys are the range's
+    projects, and its finish runs step over them; merge joins their results
+    in file order. If the plan has one range, two ranges share a project,
+    or any range fails, this process parses the ranges it has not parsed
+    yet and runs step once over the whole (scan_parsed): the lines of the
+    ranges are the lines of the file, in order, so no output depends on the
+    ranges.
     """
     plan = parallel.plan_ranges(fh, os.fstat(fh.fileno()).st_size, project, count)
-    order = sorted(range(len(plan)), key=lambda i: plan[i][0] - plan[i][1])
     parsed: dict[int, Parsed] = {}
 
-    def prepare(unit: int) -> tuple[list[str], Callable[[], Result]]:
-        i = order[unit]
+    def prepare(i: int) -> tuple[list[str], Callable[[], Result]]:
         records, report = parsed[i] = parse_range(path, *plan[i], project)
         corpus = group_by_project(records)
         return list(corpus), lambda: step(corpus, report)
 
     if len(plan) > 1:
         try:
-            parts = dict(zip(order, parallel.share(len(plan), len(plan), prepare)))
-            merged = merge([parts[i] for i in range(len(plan))])
+            sizes = [end - start for start, end in plan]
+            merged = merge(parallel.share(len(plan), sizes, prepare))
             print_rejects(merged.ingest)
             return merged
         except (parallel.Shared, ChronolintError):
@@ -577,31 +576,25 @@ def filter_corpus(
     corpus = drop_projects(corpus, policy.project_blacklist)
     kept = [r for recs in corpus.values() for r in recs]
     blacklisted = listed - len(kept)
-    dropped = 0
     basis = policy.time_basis
     if policy.drop_flagged_kinds:
         anomalies = scan_corpus(corpus, cfg, ingest).anomalies
-        kept, gone = drop_flagged(kept, anomalies, policy.drop_flagged_kinds)
-        dropped += len(gone)
+        kept, _ = drop_flagged(kept, anomalies, policy.drop_flagged_kinds)
     else:
         # build the histories anyway, so filter rejects what scan rejects
         for project in sorted(corpus):
             build_history(corpus[project], project)
     if policy.min_epoch_seconds is not None:
-        kept, gone = drop_pre_epoch(kept, policy.min_epoch_seconds, basis)
-        dropped += len(gone)
+        kept, _ = drop_pre_epoch(kept, policy.min_epoch_seconds, basis)
     if policy.cutoff is not None:
-        kept, gone = date_cutoff(kept, policy.cutoff, policy.cutoff_mode, basis)
-        dropped += len(gone)
+        kept, _ = date_cutoff(kept, policy.cutoff, policy.cutoff_mode, basis)
     if policy.window is not None:
-        windowed = time_window(kept, policy.window[0], policy.window[1], basis)
-        dropped += len(kept) - len(windowed)
-        kept = windowed
+        kept = time_window(kept, policy.window[0], policy.window[1], basis)
 
     kept.sort(key=lambda r: (r.project, r.commit_time, r.id))
     lines = {project: emit_export_stream(run)
              for project, run in itertools.groupby(kept, key=_PROJECT)}
-    return Kept(ingest, len(kept), dropped, blacklisted, lines)
+    return Kept(ingest, len(kept), listed - blacklisted - len(kept), blacklisted, lines)
 
 
 def merge_kept(parts: list[Kept]) -> Kept:
@@ -737,21 +730,16 @@ def scan_repositories(
     repos: list[tuple[str | Future[str], str]], step: Step[Scan], jobs: int
 ) -> list[Outcome]:
     """scan_repository over each (path, project) of repos, in up to jobs
-    processes: each repository is a unit of parallel.share, scanned when it
-    is prepared, and with no keys.
+    processes, the outcomes in the order of repos: each repository is a unit
+    of parallel.share, as large as its object store, scanned when it is
+    prepared, and with no keys."""
 
-    The units go out largest object store first, ties in the order of
-    repos, so that the largest is not the last to start; the outcomes come
-    back in the order of repos.
-    """
-    order = sorted(range(len(repos)), key=lambda i: -object_store_size(repos[i][0]))
-
-    def prepare(unit: int) -> tuple[tuple[()], Callable[[], Outcome]]:
-        outcome = scan_repository(*repos[order[unit]], step)
+    def prepare(i: int) -> tuple[tuple[()], Callable[[], Outcome]]:
+        outcome = scan_repository(*repos[i], step)
         return (), lambda: outcome
 
-    outcomes = dict(zip(order, parallel.share(jobs, len(repos), prepare)))
-    return [outcomes[i] for i in range(len(repos))]
+    sizes = [object_store_size(path) for path, _ in repos]
+    return parallel.share(jobs, sizes, prepare)
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
@@ -824,7 +812,7 @@ def _add_detector_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--old-threshold", help="suspicious-old cutoff (ISO-8601)")
     parser.add_argument("--reference", help="future-date reference instant (ISO-8601); "
                                             "defaults to scan wall-clock time")
-    parser.add_argument("--time-basis", choices=("author", "committer"),
+    parser.add_argument("--time-basis", choices=tuple(TIME_BASES),
                         help="which commit date detectors read (default committer)")
     parser.add_argument("--no-merge-exclusion", action="store_true",
                         help="keep merge-related commits in the linear comparison")

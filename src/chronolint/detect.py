@@ -23,6 +23,7 @@ from .model import (
     CommitRecord,
     ConfigError,
     RepoHistory,
+    TIME_BASES,
 )
 
 # 1990-11-19T00:00:00Z: release of CVS 1.0, the oldest plausible VCS timestamp
@@ -73,7 +74,7 @@ class DetectorConfig:
     time_basis: str = "committer"
 
     def __post_init__(self) -> None:
-        if self.time_basis not in ("author", "committer"):
+        if self.time_basis not in TIME_BASES:
             raise ConfigError(f"unknown time basis: {self.time_basis!r}")
         if not isinstance(self.merge_exclusion, bool):
             raise ConfigError(f"merge_exclusion must be a boolean: {self.merge_exclusion!r}")
@@ -85,13 +86,13 @@ def _flag(
     kind: AnomalyKind, record: CommitRecord, project: str, basis: str, **evidence
 ) -> AnomalyRecord:
     """An anomaly observed at the record's basis time, with that time's zone."""
-    zone = record.commit_tz if basis == "committer" else record.author_tz
+    time_field, zone_field = TIME_BASES[basis]
     return AnomalyRecord(
         kind=kind,
         commit_id=record.id,
         project=project,
-        observed=time_getter(basis)(record),
-        observed_tz=zone,
+        observed=getattr(record, time_field),
+        observed_tz=getattr(record, zone_field),
         **evidence,
     )
 

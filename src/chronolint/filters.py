@@ -18,10 +18,10 @@ from .model import (
     Changeset,
     ConsistencyError,
     CommitRecord,
+    TIME_BASES,
 )
 
-_AUTHOR_TIME = operator.attrgetter("author_time")
-_COMMIT_TIME = operator.attrgetter("commit_time")
+_TIME_OF = {basis: operator.attrgetter(time) for basis, (time, _) in TIME_BASES.items()}
 
 
 def time_getter(basis: str) -> Callable[[CommitRecord], int]:
@@ -29,11 +29,10 @@ def time_getter(basis: str) -> Callable[[CommitRecord], int]:
 
     Chosen once per pass, so the loop over records reads each time in C.
     """
-    if basis == "author":
-        return _AUTHOR_TIME
-    if basis == "committer":
-        return _COMMIT_TIME
-    raise ValueError(f"unknown time basis: {basis!r}")
+    try:
+        return _TIME_OF[basis]
+    except KeyError:
+        raise ValueError(f"unknown time basis: {basis!r}") from None
 
 
 def drop_pre_epoch(

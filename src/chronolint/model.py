@@ -67,6 +67,13 @@ class CommitRecord(NamedTuple):
     files: frozenset[str] | None = None
 
 
+# each time basis, one of a commit's two dates: the fields of its time and zone
+TIME_BASES = {
+    "author": ("author_time", "author_tz"),
+    "committer": ("commit_time", "commit_tz"),
+}
+
+
 @dataclass(frozen=True)
 class RepoHistory:
     """A validated commit DAG with a deterministic topological order."""
@@ -123,7 +130,7 @@ class FilterPolicy:
     time_basis: str = "author"
 
     def __post_init__(self) -> None:
-        if self.time_basis not in ("author", "committer"):
+        if self.time_basis not in TIME_BASES:
             raise ConfigError(f"unknown time basis: {self.time_basis!r}")
         if self.cutoff_mode not in ("before", "after"):
             raise ConfigError(f"unknown cutoff mode: {self.cutoff_mode!r}")

@@ -1,15 +1,15 @@
 """The process layer: how many processes a run may use, where each runs,
 and how forked workers start, report back and end.
 
-``share`` is the one driver of parallel work: a command gives it units
-(``cli.scan_ranges`` the byte ranges of a JSONL export,
-``cli.scan_repositories`` the repositories of a corpus). A worker sends the
-keys of its units through a pipe and their results through an unlinked file,
-which this process reads once the worker has exited, so a large result never
-waits for this process to read it. This module holds every ``os.fork``,
-``os.pipe``, worker file and CPU placement of the package, and every read of
-``/proc`` or the cgroup files; git's own processes are started by
-``ingest.run_git``.
+``share`` is the one driver of parallel work: a command gives it the sizes
+of its units (``cli.scan_ranges`` a JSONL export's byte ranges,
+``cli.scan_repositories`` a corpus's repositories), and it hands them out
+largest first. A worker sends the keys of its units through a pipe and their
+results through an unlinked file, which this process reads once the worker
+has exited, so a large result never waits for this process to read it. This
+module holds every ``os.fork``, ``os.pipe``, worker file and CPU placement
+of the package, and every read of ``/proc`` or the cgroup files; git's own
+processes are started by ``ingest.run_git``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import contextlib
 import os
 import stat
 import sys
-from typing import IO, Callable, Collection, Hashable, Iterator, NoReturn
+from typing import IO, Callable, Collection, Hashable, Iterable, Iterator, NoReturn, Sequence
 
 from .ingest import parse_export_stream
 
@@ -348,7 +348,7 @@ def forked(count: int, work: Work) -> Iterator[dict[int, Iterator[object]]]:
 
 
 class _Queue:
-    """The indices 0 to count - 1 in an unlinked file, each taken by exactly
+    """Indices in an unlinked file, in the order given, each taken by exactly
     one of the processes that read it.
 
     Each index is WIDTH bytes. The file is written whole before any worker
@@ -360,12 +360,12 @@ class _Queue:
 
     WIDTH = 4
 
-    def __init__(self, count: int) -> None:
+    def __init__(self, indices: Iterable[int]) -> None:
         import tempfile  # loads random and shutil, which only a parallel run needs
 
         self.file = tempfile.TemporaryFile()
         try:
-            self.file.write(b"".join(i.to_bytes(self.WIDTH, "big") for i in range(count)))
+            self.file.write(b"".join(i.to_bytes(self.WIDTH, "big") for i in indices))
             self.file.seek(0)
         except BaseException:
             self.file.close()
@@ -389,22 +389,24 @@ class Shared(Exception):
 Prepare = Callable[[int], tuple[Collection[Hashable], Callable[[], object]]]
 
 
-def share(count: int, units: int, prepare: Prepare) -> list[object]:
-    """The results of units 0 to units - 1, in that order, worked by up to
-    count processes at once, each on a CPU of its own.
+def share(count: int, sizes: Sequence[int], prepare: Prepare) -> list[object]:
+    """The results of units 0 to len(sizes) - 1, in that order, worked by up
+    to count processes at once, each on a CPU of its own.
 
+    Unit i is sizes[i] large, and on every path the units are taken largest
+    first, ties in index order, so that the largest does not start last.
     prepare(i) does the first step of unit i and returns the unit's keys and
     a finish() that returns its result. The processes are this one, which
-    takes unit 0 before it forks, and forked workers, no more in all than
-    usable_cpus() and units. They take the other units one at a time from a
-    _Queue, so that a large unit holds back only its own process. Each
-    prepares every unit it takes. Once the queue is empty, a worker sends
-    the keys of all its units in one message through its pipe, then
-    finishes them and writes their results to its file: it writes nothing
-    while it takes units, so a full pipe never holds it back from the queue,
-    and it writes its results while this process works, without waiting for
-    this process to read them. This process finishes no unit until
-    every key is known, its own and those of units whose worker failed
+    takes the largest unit before it forks, and forked workers, no more in
+    all than usable_cpus() and the units. They take the other units one at a
+    time from a _Queue, so that a large unit holds back only its own
+    process. Each prepares every unit it takes. Once the queue is empty, a
+    worker sends the keys of all its units in one message through its pipe,
+    then finishes them and writes their results to its file: it writes
+    nothing while it takes units, so a full pipe never holds it back from the
+    queue, and it writes its results while this process works, without
+    waiting for this process to read them. This process finishes no unit
+    until every key is known, its own and those of units whose worker failed
     before sending theirs; it raises Shared, the workers killed, at the
     first key two units hold. A unit whose result no worker sent (one
     raised, was killed or never started, or the queue had no file) is
@@ -412,6 +414,7 @@ def share(count: int, units: int, prepare: Prepare) -> list[object]:
     """
     import pickle  # imported once here, not in every worker
 
+    order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
     owner: dict[Hashable, int] = {}
     results: dict[int, object] = {}
 
@@ -433,14 +436,14 @@ def share(count: int, units: int, prepare: Prepare) -> list[object]:
             pickle.dump((i, finish()), file, pickle.HIGHEST_PROTOCOL)
             file.flush()  # so that a worker killed later has still sent it
 
-    processes = min(count, usable_cpus(), units)
+    processes = min(count, usable_cpus(), len(sizes))
     queue = None
     if processes > 1:
         with contextlib.suppress(OSError):  # no file leaves every unit to the end
-            queue = _Queue(units)
+            queue = _Queue(order)
     if queue is not None:
         with queue:
-            first = next(iter(queue))  # taken before the fork, so unit 0 is this process's
+            first = next(iter(queue))  # taken before the fork, so the largest is this process's
             with forked(processes, work) as workers:
                 held = {first: take(first)}
                 for i in queue:
@@ -450,10 +453,10 @@ def share(count: int, units: int, prepare: Prepare) -> list[object]:
                     for i, keys in next(messages, ()):
                         claim(i, keys)
                         sent.add(i)
-                lost = [i for i in range(units) if i not in held and i not in sent]
+                lost = [i for i in order if i not in held and i not in sent]
                 held.update((i, take(i)) for i in lost)  # their workers failed before sending keys
                 results.update((i, finish()) for i, finish in held.items())
                 for messages in workers.values():
                     results.update(messages)
-    rest = {i: take(i) for i in range(units) if i not in results}  # every key before any finish
-    return [results[i] if i in results else rest[i]() for i in range(units)]
+    rest = {i: take(i) for i in order if i not in results}  # every key before any finish
+    return [results[i] if i in results else rest[i]() for i in range(len(sizes))]

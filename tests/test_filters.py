@@ -11,6 +11,7 @@ from chronolint.filters import (
     drop_flagged,
     drop_pre_epoch,
     drop_projects,
+    time_getter,
     time_window,
 )
 from chronolint.graph import build_history
@@ -27,6 +28,11 @@ def census_records():
             records.append(rec(("census", i), commit_epoch=value, author_epoch=value))
             i += 1
     return records
+
+
+def test_unknown_time_basis_rejected():
+    with pytest.raises(ValueError, match="^unknown time basis: 'sideways'$"):
+        time_getter("sideways")
 
 
 class TestDropPreEpoch:
@@ -67,6 +73,10 @@ class TestDateCutoff:
         late = rec("b", commit_epoch=1500)
         kept, dropped = date_cutoff([early, late], cutoff, "after")
         assert kept == [early] and dropped == [late.id]
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="^unknown cutoff mode: 'sideways'$"):
+            date_cutoff([], 0, mode="sideways")
 
 
 class TestTimeWindow:
@@ -169,6 +179,10 @@ class TestCoalesce:
     def test_gap_at_window_does_not_split(self):
         records = [rec("c0", commit_epoch=0), rec("c1", commit_epoch=180)]
         assert len(coalesce(records, 180)) == 1
+
+    def test_empty_window_rejected(self):
+        with pytest.raises(ValueError, match="^coalesce window must be positive$"):
+            coalesce([], window_seconds=0)
 
     def test_author_change_splits(self):
         a = rec("a", commit_epoch=0, author_email="a@x")

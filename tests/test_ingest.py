@@ -1,3 +1,4 @@
+import io
 import json
 import re
 import shlex
@@ -575,6 +576,12 @@ class TestReadRepository:
             read_repository(str(repo), "proj")
         assert [proc.args[3] for proc, _ in started] == ["rev-list", "cat-file"]
         assert_reaped(started)
+
+    def test_stream_not_of_cat_file_entries_names_the_repository(self):
+        stream = io.BytesIO(b"fatal: not a cat-file entry\n")
+        with pytest.raises(RepositoryError,
+                           match="^git cat-file: unexpected output in some/repo: "):
+            ingest._read_commits(stream, "some/repo", ingest.IngestReport())
 
     def test_failed_diff_tree_names_it_and_reaps_git(self, tmp_path, monkeypatch):
         repo = tmp_path / "r"

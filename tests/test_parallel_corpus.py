@@ -272,7 +272,7 @@ def test_queue_gives_each_index_once():
     previous = signal.signal(signal.SIGALRM, too_slow)
     signal.alarm(60)
     try:
-        with parallel._Queue(count) as queue, \
+        with parallel._Queue(range(count)) as queue, \
                 parallel.forked(len(os.sched_getaffinity(0)) + 2, work) as workers:
             taken = list(queue)
             for messages in workers.values():

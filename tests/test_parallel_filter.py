@@ -362,6 +362,22 @@ class TestCorpusLargestFirst:
         assert cli.object_store_size(str(tmp_path / "missing")) == 0
         assert cli.object_store_size(str(tmp_path)) == 0
 
+    def test_file_that_cannot_be_read_is_skipped(self, tmp_path, monkeypatch):
+        """A file gone between the walk and its lstat (a git gc, say) counts 0."""
+        objects = tmp_path / "objects"
+        objects.mkdir()
+        (objects / "kept").write_bytes(bytes(10))
+        (objects / "gone").write_bytes(bytes(100))
+        real = os.lstat
+
+        def lstat(path, *args, **kwargs):
+            if os.path.basename(path) == "gone":
+                raise FileNotFoundError(path)
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "lstat", lstat)
+        assert cli.object_store_size(str(tmp_path)) == 10
+
 
 @needs_fork
 class TestFilterProcessHygiene:

@@ -54,16 +54,27 @@ class TestShare:
         parent = os.getpid()
         for _ in range(5):
             prepare, prepared, finished = units_of([[i] for i in range(units)], parent)
-            results = parallel.share(count, units, prepare)
+            results = parallel.share(count, [0] * units, prepare)
             assert [square for square, _ in results] == [i * i for i in range(units)]
             assert results[0][1] == parent
             assert prepared[0] == 0 and 0 in finished
         assert_no_children()
 
+    def test_this_process_takes_the_largest_unit(self):
+        """Units go out largest first, ties in index order, and their
+        results come back in index order."""
+        parent = os.getpid()
+        for _ in range(5):
+            prepare, prepared, _ = units_of([[i] for i in range(4)], parent)
+            results = parallel.share(2, [1, 5, 3, 5], prepare)
+            assert [square for square, _ in results] == [0, 1, 4, 9]
+            assert prepared[0] == 1 and results[1][1] == parent
+        assert_no_children()
+
     def test_workers_take_units(self):
         parent = os.getpid()
         prepare, prepared, _ = units_of([()] * 40, parent)
-        results = parallel.share(3, 40, prepare)
+        results = parallel.share(3, [0] * 40, prepare)
         assert {pid for _, pid in results} - {parent}
         assert len(prepared) < 40
 
@@ -75,7 +86,7 @@ class TestShare:
             keys[i].append("both")
         prepare, _, finished = units_of(keys, parent)
         with pytest.raises(parallel.Shared):
-            parallel.share(3, 6, prepare)
+            parallel.share(3, [0] * 6, prepare)
         assert finished == []
         assert_no_children()
 
@@ -89,7 +100,7 @@ class TestShare:
             keys[i].append("both")
         prepare, _, finished = units_of(keys, parent, kill=("prepare", unit))
         with pytest.raises(parallel.Shared):
-            parallel.share(3, 6, prepare)
+            parallel.share(3, [0] * 6, prepare)
         assert finished == []
         assert_no_children()
 
@@ -103,7 +114,7 @@ class TestShare:
             time.sleep(0.00005)
             return (), os.getpid
 
-        results = parallel.share(2, units, prepare)
+        results = parallel.share(2, [0] * units, prepare)
         assert results.count(parent) < 0.65 * units
         assert_no_children()
 
@@ -115,21 +126,25 @@ class TestShare:
         parent = os.getpid()
         keys = [[f"k{i}"] for i in range(6)]
         alone, _, _ = units_of(keys, parent)
-        expected = [square for square, _ in parallel.share(1, 6, alone)]
+        expected = [square for square, _ in parallel.share(1, [0] * 6, alone)]
         prepare, prepared, finished = units_of(keys, parent, kill=(step, unit))
-        results = parallel.share(3, 6, prepare)
+        results = parallel.share(3, [0] * 6, prepare)
         assert [square for square, _ in results] == expected
         assert results[unit][1] == parent
         assert unit in prepared and finished.count(unit) == 1
         assert_no_children()
 
     def test_one_process_without_fork(self, monkeypatch):
+        """Units are prepared largest first, ties in index order, and their
+        results come back in index order."""
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
         monkeypatch.setattr(parallel, "forked", None)  # a call would fail
         parent = os.getpid()
-        prepare, prepared, finished = units_of([[i] for i in range(4)], parent)
-        assert [pid for _, pid in parallel.share(4, 4, prepare)] == [parent] * 4
-        assert prepared == finished == [0, 1, 2, 3]
+        for sizes, order in [([0] * 4, [0, 1, 2, 3]), ([1, 5, 3, 5], [1, 3, 2, 0])]:
+            prepare, prepared, finished = units_of([[i] for i in range(4)], parent)
+            results = parallel.share(4, sizes, prepare)
+            assert results == [(i * i, parent) for i in range(4)]
+            assert prepared == order and finished == [0, 1, 2, 3]
 
 
 @needs_fork
@@ -163,7 +178,7 @@ class TestResultsFile:
 
             return [i], finish
 
-        results = parallel.share(2, 3, prepare)
+        results = parallel.share(2, [0] * 3, prepare)
         assert [(square, len(payload)) for square, _, payload in results] == [
             (i * i, 1 << 20) for i in range(3)]
         assert [pid for _, pid, _ in results].count(parent) < 3
@@ -206,7 +221,7 @@ class TestResultsFile:
 
             return [i], finish
 
-        results = parallel.share(2, 6, prepare)
+        results = parallel.share(2, [0] * 6, prepare)
         assert [square for square, *_ in results] == [i * i for i in range(6)]
         by_worker = [i for i, (_, pid, *_) in enumerate(results) if pid != parent]
         assert len(by_worker) == 2

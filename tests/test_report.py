@@ -151,6 +151,14 @@ class TestTopN:
         rows = top_n([anomaly("nn")], key="author", authors=authors)
         assert rows[0]["key"] == "(no name) <ghost@example.com>"
 
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            top_n([anomaly("a")], key="project", n=0)
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match="^unknown ranking key: 'email'$"):
+            top_n([anomaly("a")], key="email")
+
     def test_planted_top_share(self):
         # 20 heavy projects carrying 21% of flagged commits
         anomalies = []
