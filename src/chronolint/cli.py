@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import gc
 import itertools
 import json
@@ -18,7 +19,7 @@ import sys
 import time
 from collections import Counter
 from datetime import datetime, timezone
-from typing import IO, TYPE_CHECKING, Callable, Collection, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Sequence, TypeVar
 
 from . import __version__, parallel
 from .detect import (
@@ -323,14 +324,13 @@ class Scan:
     """The result of a scan, all that its report and anomaly stream read.
 
     A unit of a scan finishes its own share of them, so that no commit
-    record leaves it: the ingest report of its input, each project's commit
-    count, the anomalies, then, over its flagged (project, commit id)
-    pairs, each rule's fingerprint count and each token's count in their
-    sanitized messages, and their authors as (name, email). rows holds
-    each project's anomaly stream rows, when the command writes the stream.
+    record leaves it: each project's commit count, the anomalies, then,
+    over its flagged (project, commit id) pairs, each rule's fingerprint
+    count and each token's count in their sanitized messages, and their
+    authors as (name, email). rows holds each project's anomaly stream
+    rows, when the command writes the stream.
     """
 
-    ingest: IngestReport
     counts: dict[str, int] = dataclasses.field(default_factory=dict)
     anomalies: set[AnomalyRecord] = dataclasses.field(default_factory=set)
     fingerprints: dict[str, int] = dataclasses.field(default_factory=dict)
@@ -342,19 +342,17 @@ class Scan:
 def scan_corpus(
     corpus: Corpus,
     cfg: DetectorConfig,
-    ingest: IngestReport,
     rules: Sequence[FingerprintRule] | None = None,
     rows: bool = False,
 ) -> Scan:
-    """Build each project's history and run every detector over it; the
-    result carries ingest, the report of the read that gave corpus.
+    """Build each project's history and run every detector over it.
 
-    With rules, it also carries the tallies of the flagged commits, and
-    with rows their anomaly stream rows; filter, which reads only the
+    With rules, the result also carries the tallies of the flagged commits,
+    and with rows their anomaly stream rows; filter, which reads only the
     anomalies, asks for neither. The only place histories are built and
     detectors run for a command.
     """
-    scan = Scan(ingest)
+    scan = Scan()
     flagged: dict[tuple[str, str], CommitRecord] = {}
     for project in sorted(corpus):
         history = build_history(corpus[project], project)
@@ -448,10 +446,9 @@ def finish_scan(
 
 
 Parsed = tuple[list[CommitRecord], IngestReport]
+Read = Callable[[], Parsed]
 Result = TypeVar("Result")
-# A unit's work on the projects of its input and the ingest report of the
-# read that gave them. Its result carries that report, as ingest.
-Step = Callable[[Corpus, IngestReport], Result]
+Step = Callable[[Corpus], Result]  # a unit's work on the projects it read
 Merge = Callable[[list[Result]], Result]
 
 
@@ -461,7 +458,7 @@ def scan_step(
     """The unit step of scan and corpus: scan_corpus with every tally, and
     with the anomaly rows when --anomalies-out asks for them."""
     rows = bool(args.anomalies_out)
-    return lambda corpus, ingest: scan_corpus(corpus, cfg, ingest, rules, rows)
+    return lambda corpus: scan_corpus(corpus, cfg, rules, rows)
 
 
 def parse_range(path: str, start: int, end: int, project: str) -> Parsed:
@@ -469,58 +466,54 @@ def parse_range(path: str, start: int, end: int, project: str) -> Parsed:
         return parse_export_stream(range_lines(fh, start, end), project)
 
 
-def scan_parsed(records: list[CommitRecord], report: IngestReport, step: Step[Result]) -> Result:
-    """Run step once over a whole parsed input. Its rejects are printed
-    first, so that they precede the error of a step that fails."""
-    print_rejects(report)
-    return step(group_by_project(records), report)
+def joined(reports: Iterable[IngestReport]) -> IngestReport:
+    """The ingest reports of consecutive reads of one input, as one."""
+    whole = IngestReport()
+    for report in reports:
+        whole.extend(report)
+    return whole
 
 
-def scan_ranges(
-    fh: IO[bytes], path: str, project: str, count: int, step: Step[Result], merge: Merge
-) -> Result:
-    """Run step over the regular file fh, at path, cut into at most count
-    ranges that forked processes work at once, as units of parallel.share.
+def scan_units(reads: Sequence[Read], sizes: Sequence[int], step: Step[Result],
+               merge: Merge) -> Result:
+    """Run step over the records of reads, the parts of one input in order;
+    the one runner of scan and filter, and the one keeper of their rejects.
 
-    plan_ranges cuts the file at the starts of project runs. A unit parses
-    its range, its size is the range's bytes, its keys are the range's
-    projects, and its finish runs step over them; merge joins their results
-    in file order. If the plan has one range, two ranges share a project,
-    or any range fails, this process parses the ranges it has not parsed
-    yet and runs step once over the whole (scan_parsed): the lines of the
-    ranges are the lines of the file, in order, so no output depends on the
-    ranges.
+    With more than one read, each is a unit of parallel.share, sizes[i]
+    large: it reads, its keys are the projects it read, and its finish
+    returns its ingest report and step's result over those projects. merge
+    joins the results in read order, and the rejects of the joined reports
+    are printed after the units. With one read, or if two units share a
+    project or any unit fails, this process reads what it has not read yet
+    and runs step once over the whole, its rejects printed first, so that
+    they precede the error of a step that fails. The reads are the input's
+    lines in order, so no output depends on how the input was cut.
     """
-    plan = parallel.plan_ranges(fh, os.fstat(fh.fileno()).st_size, project, count)
     parsed: dict[int, Parsed] = {}
 
-    def prepare(i: int) -> tuple[list[str], Callable[[], Result]]:
-        records, report = parsed[i] = parse_range(path, *plan[i], project)
+    def prepare(i: int) -> tuple[list[str], Callable[[], tuple[IngestReport, Result]]]:
+        records, report = parsed[i] = reads[i]()
         corpus = group_by_project(records)
-        return list(corpus), lambda: step(corpus, report)
+        return list(corpus), lambda: (report, step(corpus))
 
-    if len(plan) > 1:
+    if len(reads) > 1:
         try:
-            sizes = [end - start for start, end in plan]
-            merged = merge(parallel.share(len(plan), sizes, prepare))
-            print_rejects(merged.ingest)
-            return merged
+            reports, results = zip(*parallel.share(len(reads), sizes, prepare))
         except (parallel.Shared, ChronolintError):
             pass
-    records, report = [], IngestReport()
-    for i, (start, end) in enumerate(plan):
-        part_records, part_report = parsed.pop(i, None) or parse_range(path, start, end, project)
-        records += part_records
-        report.extend(part_report)
-    return scan_parsed(records, report, step)
+        else:
+            print_rejects(joined(reports))
+            return merge(list(results))
+    parts = [parsed.pop(i, None) or read() for i, read in enumerate(reads)]
+    print_rejects(joined(report for _, report in parts))
+    return step(group_by_project(itertools.chain.from_iterable(records for records, _ in parts)))
 
 
 def merge_ranges(parts: list[Scan]) -> Scan:
     """The scans that share no project, as one: the consecutive ranges of
     an export, or the repositories of a corpus."""
-    merged = Scan(IngestReport(), fingerprints=Counter(), tokens=Counter())
+    merged = Scan(fingerprints=Counter(), tokens=Counter())
     for part in parts:
-        merged.ingest.extend(part.ingest)
         merged.counts.update(part.counts)
         merged.anomalies |= part.anomalies
         merged.fingerprints.update(part.fingerprints)  # a Counter adds
@@ -531,21 +524,26 @@ def merge_ranges(parts: list[Scan]) -> Scan:
 
 
 def scan_input(args: argparse.Namespace, step: Step[Result], merge: Merge) -> Result:
-    """Run step over the one input source that settings_from checked.
+    """Run step over the one input source that settings_from checked, as
+    the reads of scan_units.
 
-    A JSONL export is cut into as many ranges as range_count says
-    (scan_ranges). In one range, a pipe's among them, it is opened once,
-    parsed and stepped over in this process, as a repository is.
+    A repository is one read, as is a JSONL export that range_count keeps
+    in one range, a pipe's among them, read from the file already open.
+    Otherwise plan_ranges cuts the export at the starts of project runs
+    into ranges, each a read as large as its bytes.
     """
     if args.repo:
-        return scan_parsed(*load_records(args), step)
+        return scan_units([functools.partial(load_records, args)], [0], step, merge)
     path, project = args.jsonl, args.project or args.jsonl
     try:
         with open(path, "rb") as fh:
             count = parallel.range_count(fh)
-            if count > 1:
-                return scan_ranges(fh, path, project, count, step, merge)
-            return scan_parsed(*parse_export_stream(fh, project), step)
+            if count == 1:
+                read = functools.partial(parse_export_stream, fh, project)
+                return scan_units([read], [0], step, merge)
+            plan = parallel.plan_ranges(fh, os.fstat(fh.fileno()).st_size, project, count)
+            reads = [functools.partial(parse_range, path, *bounds, project) for bounds in plan]
+            return scan_units(reads, [end - start for start, end in plan], step, merge)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
@@ -557,19 +555,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 @dataclasses.dataclass
 class Kept:
-    """The result of a filter: the ingest report of its input, the counts
-    of its summary line, and each project's kept records as export lines."""
+    """The result of a filter: the counts of its summary line, and each
+    project's kept records as export lines."""
 
-    ingest: IngestReport
     kept: int
     dropped: int
     blacklisted: int
     lines: dict[str, bytes]
 
 
-def filter_corpus(
-    corpus: Corpus, ingest: IngestReport, cfg: DetectorConfig, policy: FilterPolicy
-) -> Kept:
+def filter_corpus(corpus: Corpus, cfg: DetectorConfig, policy: FilterPolicy) -> Kept:
     """The unit step of filter: drop the blacklisted projects, then the
     flagged, pre-epoch, cut-off and out-of-window records of the rest."""
     listed = sum(map(len, corpus.values()))
@@ -578,7 +573,7 @@ def filter_corpus(
     blacklisted = listed - len(kept)
     basis = policy.time_basis
     if policy.drop_flagged_kinds:
-        anomalies = scan_corpus(corpus, cfg, ingest).anomalies
+        anomalies = scan_corpus(corpus, cfg).anomalies
         kept, _ = drop_flagged(kept, anomalies, policy.drop_flagged_kinds)
     else:
         # build the histories anyway, so filter rejects what scan rejects
@@ -594,14 +589,13 @@ def filter_corpus(
     kept.sort(key=lambda r: (r.project, r.commit_time, r.id))
     lines = {project: emit_export_stream(run)
              for project, run in itertools.groupby(kept, key=_PROJECT)}
-    return Kept(ingest, len(kept), listed - blacklisted - len(kept), blacklisted, lines)
+    return Kept(len(kept), listed - blacklisted - len(kept), blacklisted, lines)
 
 
 def merge_kept(parts: list[Kept]) -> Kept:
     """The filter results of ranges that share no project, as one."""
-    merged = Kept(IngestReport(), 0, 0, 0, {})
+    merged = Kept(0, 0, 0, {})
     for part in parts:
-        merged.ingest.extend(part.ingest)
         merged.kept += part.kept
         merged.dropped += part.dropped
         merged.blacklisted += part.blacklisted
@@ -611,8 +605,7 @@ def merge_kept(parts: list[Kept]) -> Kept:
 
 def cmd_filter(args: argparse.Namespace) -> int:
     cfg, _, policy = settings_from(args)
-    result = scan_input(
-        args, lambda corpus, ingest: filter_corpus(corpus, ingest, cfg, policy), merge_kept)
+    result = scan_input(args, lambda corpus: filter_corpus(corpus, cfg, policy), merge_kept)
     # kept records are sorted by project first, and each project's lines
     # were emitted whole by the one unit that filtered it
     write_output(in_project_order(result.lines), args.out)
@@ -688,19 +681,19 @@ def _ensure_local(url: str, cache_dir: str) -> str:
     return target
 
 
-Outcome = Scan | str
+Outcome = tuple[IngestReport, Scan] | str
 
 
 def scan_repository(path: str | Future[str], project: str, step: Step[Scan]) -> Outcome:
-    """Read one repository of a corpus and run step over it: what the
-    report needs of it, or the error that fails it alone. path is a local
-    path, or the finished clone of a URL, which gives the path or raises the
-    clone's error."""
+    """Read one repository of a corpus and run step over it: the ingest
+    report of the read and what the report needs of it, or the error that
+    fails it alone. path is a local path, or the finished clone of a URL,
+    which gives the path or raises the clone's error."""
     try:
         if not isinstance(path, str):
             path = path.result()
         records, report = read_repository(path, project)
-        return step({project: records}, report)
+        return report, step({project: records})
     except (ChronolintError, OSError) as exc:
         return str(exc)
 
@@ -778,8 +771,9 @@ def cmd_corpus(args: argparse.Namespace) -> int:
             failures.append({"entry": entry, "error": outcome})
             print(f"chronolint: {entry}: {outcome}", file=sys.stderr)
         else:
-            print_rejects(outcome.ingest, f"chronolint: {entry}")
-            scans.append(outcome)
+            report, scan = outcome
+            print_rejects(report, f"chronolint: {entry}")
+            scans.append(scan)
     if not scans:
         print("chronolint: all repositories failed", file=sys.stderr)
         return EXIT_ERROR

@@ -2,7 +2,7 @@
 and how forked workers start, report back and end.
 
 ``share`` is the one driver of parallel work: a command gives it the sizes
-of its units (``cli.scan_ranges`` a JSONL export's byte ranges,
+of its units (``cli.scan_units`` the reads of a JSONL export's byte ranges,
 ``cli.scan_repositories`` a corpus's repositories), and it hands them out
 largest first. A worker sends the keys of its units through a pipe and their
 results through an unlinked file, which this process reads once the worker

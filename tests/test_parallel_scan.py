@@ -8,6 +8,7 @@ pipe outlives a scan on any path.
 """
 
 import contextlib
+import errno
 import gc
 import io
 import os
@@ -378,6 +379,54 @@ class TestProcessHygiene:
         self.check_clean(fds, cpus)
 
     @pytest.mark.usefixtures("four_cpus")
+    def test_no_fork_scans_in_one_process(self, export):
+        serial = scan(export, 1)
+        fds, cpus = open_fds(), os.sched_getaffinity(0)
+        forks = []
+
+        def fork():
+            forks.append(os.getpid())
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        with mock.patch.object(os, "fork", fork), merges_seen() as seen:
+            assert scan(export, 3) == serial
+        assert forks == [os.getpid()] and len(seen) == 1
+        self.check_clean(fds, cpus)
+
+    @pytest.mark.usefixtures("four_cpus")
+    def test_full_disk_for_the_queue_scans_in_one_process(self, export, monkeypatch):
+        serial = scan(export, 1)
+        fds, cpus = open_fds(), os.sched_getaffinity(0)
+        real_file, made, forks = tempfile.TemporaryFile, [], []
+
+        class Full:
+            """A temporary file whose every write fails as on a full disk."""
+
+            def __init__(self, file):
+                self.file = file
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def __getattr__(self, name):
+                return getattr(self.file, name)
+
+        def temporary_file(*args, **kwargs):
+            made.append(Full(real_file(*args, **kwargs)))
+            return made[-1]
+
+        def fork():
+            forks.append(os.getpid())
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+        with mock.patch.object(os, "fork", fork), merges_seen() as seen:
+            assert scan(export, 3) == serial
+        assert len(made) == 1 and made[0].closed
+        assert forks == [] and len(seen) == 1
+        self.check_clean(fds, cpus)
+
+    @pytest.mark.usefixtures("four_cpus")
     def test_keyboard_interrupt_in_the_parent(self, export):
         fds, cpus = open_fds(), os.sched_getaffinity(0)
         parent = os.getpid()
@@ -442,8 +491,8 @@ class TestProcessHygiene:
     def test_live_thread_keeps_one_range(self, export, monkeypatch):
         monkeypatch.setattr(parallel, "MIN_RANGE_BYTES", 1)
         calls = []
-        real = cli.scan_ranges
-        monkeypatch.setattr(cli, "scan_ranges", lambda *a: calls.append(a) or real(*a))
+        real = parallel.plan_ranges
+        monkeypatch.setattr(parallel, "plan_ranges", lambda *a: calls.append(a) or real(*a))
         serial = scan(export, 1)
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
