@@ -110,20 +110,6 @@ def render_instant(epoch: int) -> str:
         return f"epoch:{epoch}"
 
 
-def epoch_year(epoch: int) -> int:
-    try:
-        return datetime.fromtimestamp(epoch, timezone.utc).year
-    except (OverflowError, OSError, ValueError):
-        return 1 if epoch < 0 else 9999
-
-
-def observed_years(anomalies: Collection[AnomalyRecord]) -> range:
-    """The years from the earliest to the latest observed time, for the cutoff table."""
-    times = [a.observed for a in anomalies]
-    # epoch_year never decreases as the epoch grows
-    return range(epoch_year(min(times)), epoch_year(max(times)) + 1)
-
-
 CONFIG_KEYS = frozenset(("old_threshold", "reference", "time_basis", "merge_exclusion",
                          "fingerprint_rules", "policy"))
 POLICY_KEYS = frozenset(f.name for f in dataclasses.fields(FilterPolicy))
@@ -328,13 +314,14 @@ class Scan:
     over its flagged (project, commit id) pairs, each rule's fingerprint
     count and each token's count in their sanitized messages, and their
     authors as (name, email). rows holds each project's anomaly stream
-    rows, when the command writes the stream.
+    rows, when the command writes the stream. Each field merges by its
+    type (see merged), so a new one needs no merge code.
     """
 
     counts: dict[str, int] = dataclasses.field(default_factory=dict)
     anomalies: set[AnomalyRecord] = dataclasses.field(default_factory=set)
-    fingerprints: dict[str, int] = dataclasses.field(default_factory=dict)
-    tokens: dict[str, int] = dataclasses.field(default_factory=dict)
+    fingerprints: Counter[str] = dataclasses.field(default_factory=Counter)
+    tokens: Counter[str] = dataclasses.field(default_factory=Counter)
     authors: dict[tuple[str, str], tuple[str, str]] = dataclasses.field(default_factory=dict)
     rows: dict[str, bytes] = dataclasses.field(default_factory=dict)
 
@@ -366,8 +353,8 @@ def scan_corpus(
     if rules is None:
         return scan
     messages = [sanitize_message(r.message) for r in flagged.values()]
-    scan.fingerprints = scan_fingerprints(messages, rules)
-    scan.tokens = token_frequencies(messages)
+    scan.fingerprints.update(scan_fingerprints(messages, rules))
+    scan.tokens.update(token_frequencies(messages))
     scan.authors = {commit: (r.author_name, r.author_email) for commit, r in flagged.items()}
     return scan
 
@@ -386,8 +373,7 @@ def build_report(scan: Scan, cfg: DetectorConfig, top: int = 20) -> ScanReport:
     }
     report.top_projects = top_n(anomalies, key="project", n=top)
     report.top_authors = top_n(anomalies, key="author", n=top, authors=scan.authors)
-    if anomalies:
-        report.cutoff_table = cutoff_table(anomalies, observed_years(anomalies))
+    report.cutoff_table = cutoff_table(anomalies)
     report.fingerprints = scan.fingerprints
     report.tokens = ranked_tokens(scan.tokens, limit=50)
     return report
@@ -449,7 +435,6 @@ Parsed = tuple[list[CommitRecord], IngestReport]
 Read = Callable[[], Parsed]
 Result = TypeVar("Result")
 Step = Callable[[Corpus], Result]  # a unit's work on the projects it read
-Merge = Callable[[list[Result]], Result]
 
 
 def scan_step(
@@ -474,20 +459,35 @@ def joined(reports: Iterable[IngestReport]) -> IngestReport:
     return whole
 
 
-def scan_units(reads: Sequence[Read], sizes: Sequence[int], step: Step[Result],
-               merge: Merge) -> Result:
+def merged(parts: Sequence[Result]) -> Result:
+    """The results of units that share no project, as one. An int field
+    adds; every other field calls its own update, so a Counter adds counts,
+    and a set, or a dict keyed by project or (project, commit id), joins."""
+    whole = type(parts[0])()
+    for part in parts:
+        for field in dataclasses.fields(whole):
+            value = getattr(part, field.name)
+            if isinstance(value, int):
+                setattr(whole, field.name, getattr(whole, field.name) + value)
+            else:
+                getattr(whole, field.name).update(value)
+    return whole
+
+
+def scan_units(reads: Sequence[Read], sizes: Sequence[int], step: Step[Result]) -> Result:
     """Run step over the records of reads, the parts of one input in order;
     the one runner of scan and filter, and the one keeper of their rejects.
 
     With more than one read, each is a unit of parallel.share, sizes[i]
     large: it reads, its keys are the projects it read, and its finish
-    returns its ingest report and step's result over those projects. merge
-    joins the results in read order, and the rejects of the joined reports
-    are printed after the units. With one read, or if two units share a
-    project or any unit fails, this process reads what it has not read yet
-    and runs step once over the whole, its rejects printed first, so that
-    they precede the error of a step that fails. The reads are the input's
-    lines in order, so no output depends on how the input was cut.
+    returns its ingest report and step's result over those projects.
+    merged joins the results, which need no merge code of their own, and
+    the rejects of the joined reports are printed after the units. With one
+    read, or if two units share a project or any unit fails, this process
+    reads what it has not read yet and runs step once over the whole, its
+    rejects printed first, so that they precede the error of a step that
+    fails. The reads are the input's lines in order, so no output depends
+    on how the input was cut.
     """
     parsed: dict[int, Parsed] = {}
 
@@ -503,27 +503,13 @@ def scan_units(reads: Sequence[Read], sizes: Sequence[int], step: Step[Result],
             pass
         else:
             print_rejects(joined(reports))
-            return merge(list(results))
+            return merged(results)
     parts = [parsed.pop(i, None) or read() for i, read in enumerate(reads)]
     print_rejects(joined(report for _, report in parts))
     return step(group_by_project(itertools.chain.from_iterable(records for records, _ in parts)))
 
 
-def merge_ranges(parts: list[Scan]) -> Scan:
-    """The scans that share no project, as one: the consecutive ranges of
-    an export, or the repositories of a corpus."""
-    merged = Scan(fingerprints=Counter(), tokens=Counter())
-    for part in parts:
-        merged.counts.update(part.counts)
-        merged.anomalies |= part.anomalies
-        merged.fingerprints.update(part.fingerprints)  # a Counter adds
-        merged.tokens.update(part.tokens)
-        merged.authors.update(part.authors)
-        merged.rows.update(part.rows)
-    return merged
-
-
-def scan_input(args: argparse.Namespace, step: Step[Result], merge: Merge) -> Result:
+def scan_input(args: argparse.Namespace, step: Step[Result]) -> Result:
     """Run step over the one input source that settings_from checked, as
     the reads of scan_units.
 
@@ -533,35 +519,36 @@ def scan_input(args: argparse.Namespace, step: Step[Result], merge: Merge) -> Re
     into ranges, each a read as large as its bytes.
     """
     if args.repo:
-        return scan_units([functools.partial(load_records, args)], [0], step, merge)
+        return scan_units([functools.partial(load_records, args)], [0], step)
     path, project = args.jsonl, args.project or args.jsonl
     try:
         with open(path, "rb") as fh:
             count = parallel.range_count(fh)
             if count == 1:
                 read = functools.partial(parse_export_stream, fh, project)
-                return scan_units([read], [0], step, merge)
+                return scan_units([read], [0], step)
             plan = parallel.plan_ranges(fh, os.fstat(fh.fileno()).st_size, project, count)
             reads = [functools.partial(parse_range, path, *bounds, project) for bounds in plan]
-            return scan_units(reads, [end - start for start, end in plan], step, merge)
+            return scan_units(reads, [end - start for start, end in plan], step)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
     cfg, rules, _ = settings_from(args)
-    return finish_scan(args, scan_input(args, scan_step(args, cfg, rules), merge_ranges), cfg)
+    return finish_scan(args, scan_input(args, scan_step(args, cfg, rules)), cfg)
 
 
 @dataclasses.dataclass
 class Kept:
     """The result of a filter: the counts of its summary line, and each
-    project's kept records as export lines."""
+    project's kept records as export lines. Each field merges by its type
+    (see merged)."""
 
-    kept: int
-    dropped: int
-    blacklisted: int
-    lines: dict[str, bytes]
+    kept: int = 0
+    dropped: int = 0
+    blacklisted: int = 0
+    lines: dict[str, bytes] = dataclasses.field(default_factory=dict)
 
 
 def filter_corpus(corpus: Corpus, cfg: DetectorConfig, policy: FilterPolicy) -> Kept:
@@ -592,20 +579,9 @@ def filter_corpus(corpus: Corpus, cfg: DetectorConfig, policy: FilterPolicy) -> 
     return Kept(len(kept), listed - blacklisted - len(kept), blacklisted, lines)
 
 
-def merge_kept(parts: list[Kept]) -> Kept:
-    """The filter results of ranges that share no project, as one."""
-    merged = Kept(0, 0, 0, {})
-    for part in parts:
-        merged.kept += part.kept
-        merged.dropped += part.dropped
-        merged.blacklisted += part.blacklisted
-        merged.lines.update(part.lines)
-    return merged
-
-
 def cmd_filter(args: argparse.Namespace) -> int:
     cfg, _, policy = settings_from(args)
-    result = scan_input(args, lambda corpus: filter_corpus(corpus, cfg, policy), merge_kept)
+    result = scan_input(args, lambda corpus: filter_corpus(corpus, cfg, policy))
     # kept records are sorted by project first, and each project's lines
     # were emitted whole by the one unit that filtered it
     write_output(in_project_order(result.lines), args.out)
@@ -639,8 +615,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         report.top_authors = top_n(
             anomalies, key="author", n=args.top_authors, authors=authors
         )
-    if args.cutoff_table and anomalies:
-        report.cutoff_table = cutoff_table(anomalies, observed_years(anomalies))
+    if args.cutoff_table:
+        report.cutoff_table = cutoff_table(anomalies)
     if args.tokens:
         report.tokens = ranked_tokens(
             token_frequencies(sanitize_message(m) for m in messages.values()),
@@ -657,10 +633,12 @@ def _cache_path(cache_dir: str, url: str) -> str:
     """The clone directory of url: a readable name, then a digest of the whole URL.
 
     Sanitizing alone maps different URLs to one name ("a/b", "a_b", "a b").
+    The readable part keeps its first 238 characters, so that the name fits
+    in the 255 bytes a file name may take.
     """
     import hashlib  # loads OpenSSL, which only a run with URLs needs
 
-    safe = re.sub(r"[^0-9A-Za-z._-]+", "_", url).strip("_")
+    safe = re.sub(r"[^0-9A-Za-z._-]+", "_", url).strip("_")[:238]
     digest = hashlib.sha256(url.encode("utf-8")).hexdigest()
     return os.path.join(cache_dir, f"{safe}-{digest[:16]}")
 
@@ -777,7 +755,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if not scans:
         print("chronolint: all repositories failed", file=sys.stderr)
         return EXIT_ERROR
-    return finish_scan(args, merge_ranges(scans), cfg, failures=failures)
+    return finish_scan(args, merged(scans), cfg, failures=failures)
 
 
 def positive_int(text: str) -> int:

@@ -90,26 +90,38 @@ def summarize(
     return report
 
 
+def _epoch_year(epoch: int) -> int:
+    """The UTC year of epoch; a time before year 1 is in year 1, and one
+    after MAXYEAR in MAXYEAR."""
+    try:
+        return datetime.fromtimestamp(epoch, timezone.utc).year
+    except (OverflowError, OSError, ValueError):
+        return 1 if epoch < 0 else MAXYEAR
+
+
 def _year_boundary_epoch(year: int) -> int:
-    if year > MAXYEAR:  # epoch_year puts every later time in MAXYEAR
+    if year > MAXYEAR:  # _epoch_year puts every later time in MAXYEAR
         return MAX_EPOCH_ABS
     return int(datetime(year, 1, 1, tzinfo=timezone.utc).timestamp())
 
 
 def cutoff_table(
-    anomalies: Iterable[AnomalyRecord], years: Iterable[int]
+    anomalies: Iterable[AnomalyRecord], years: Iterable[int] | None = None
 ) -> list[CutoffRow]:
     """Fraction of anomalous commits removed by dropping each year and earlier.
 
     A commit counts as removed for year y when its flagged-basis time is
-    before Jan 1 of y+1 (UTC), i.e. it is from or before year y. Rows come
-    back sorted by year descending.
+    before Jan 1 of y+1 (UTC), i.e. it is from or before year y. years
+    defaults to those from the earliest flagged time to the latest, none
+    when nothing is flagged. Rows come back sorted by year descending.
     """
     observed: dict[tuple[str, str], int] = {}
     for a in anomalies:
         observed.setdefault((a.project, a.commit_id), a.observed)
     times = sorted(observed.values())
     total = len(times)
+    if years is None:  # _epoch_year never decreases as the epoch grows
+        years = range(_epoch_year(times[0]), _epoch_year(times[-1]) + 1) if times else ()
     rows = []
     for year in sorted(set(years), reverse=True):
         removed = bisect.bisect_left(times, _year_boundary_epoch(year + 1))
@@ -211,49 +223,33 @@ def _report_object(report: ScanReport) -> dict:
 
 
 def csv_tables(report: ScanReport) -> dict[str, bytes]:
-    """Render each report table as a standalone CSV file body."""
-
-    def render(header: list[str], rows: list[list]) -> bytes:
+    """Render each table of the JSON report as a standalone CSV file body:
+    its header, then a row per entry. A map's entries lead with their key,
+    and floats print with 6 decimals."""
+    headers = {
+        "anomalies": ["kind", "count", "affected_projects", "corpus_percent",
+                      "corpus_denominator", "affected_percent", "affected_denominator"],
+        "top_projects": ["project", "count", "share", "cumulative_share"],
+        "top_authors": ["author", "count", "share", "cumulative_share"],
+        "cutoff_table": ["year", "percent_removed"],
+        "fingerprints": ["rule", "count"],
+        "tokens": ["token", "count"],
+    }
+    obj = _report_object(report)
+    tables = {}
+    for name, header in headers.items():
+        table = obj[name]
+        if isinstance(table, dict):
+            entries = [[key, *(value.values() if isinstance(value, dict) else [value])]
+                       for key, value in table.items()]
+        else:
+            entries = [row.values() for row in table]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
-        return buf.getvalue().encode("utf-8")
-
-    tables = {
-        "anomalies": render(
-            ["kind", "count", "affected_projects", "corpus_percent",
-             "corpus_denominator", "affected_percent", "affected_denominator"],
-            [
-                [kind, s["count"], s["affected_projects"],
-                 f"{s['corpus_percent']:.6f}", s["corpus_denominator"],
-                 f"{s['affected_percent']:.6f}", s["affected_denominator"]]
-                for kind, s in sorted(report.anomalies.items())
-            ],
-        ),
-        "top_projects": render(
-            ["project", "count", "share", "cumulative_share"],
-            [[r["key"], r["count"], f"{r['share']:.6f}", f"{r['cumulative_share']:.6f}"]
-             for r in report.top_projects],
-        ),
-        "top_authors": render(
-            ["author", "count", "share", "cumulative_share"],
-            [[r["key"], r["count"], f"{r['share']:.6f}", f"{r['cumulative_share']:.6f}"]
-             for r in report.top_authors],
-        ),
-        "cutoff_table": render(
-            ["year", "percent_removed"],
-            [[row.year, f"{row.percent_removed:.6f}"] for row in report.cutoff_table],
-        ),
-        "fingerprints": render(
-            ["rule", "count"],
-            [[name, count] for name, count in sorted(report.fingerprints.items())],
-        ),
-        "tokens": render(
-            ["token", "count"],
-            [[t, c] for t, c in report.tokens],
-        ),
-    }
+        writer.writerows([f"{v:.6f}" if isinstance(v, float) else v for v in entry]
+                         for entry in entries)
+        tables[name] = buf.getvalue().encode("utf-8")
     return tables
 
 
@@ -263,13 +259,10 @@ def emit(report: ScanReport, format: str = "json") -> bytes:
         text = json.dumps(_report_object(report), indent=2, ensure_ascii=True) + "\n"
         return text.encode("ascii")
     if format == "csv":
-        parts = []
-        for name, body in csv_tables(report).items():
-            parts.append(f"# {name}\n".encode("utf-8") + body)
-        return b"\n".join(parts)
+        return b"\n".join(f"# {name}\n".encode("utf-8") + body
+                          for name, body in csv_tables(report).items())
     if format == "text":
-        lines = []
-        lines.append("chronolint scan report")
+        lines = ["chronolint scan report"]
         for k, v in sorted(report.meta.items()):
             lines.append(f"  {k}: {v}")
         lines.append(
@@ -281,27 +274,19 @@ def emit(report: ScanReport, format: str = "json") -> bytes:
                 f"({100 * s['corpus_percent']:.2f}% of corpus, "
                 f"{100 * s['affected_percent']:.2f}% of {s['affected_projects']} affected project(s))"
             )
-        if report.top_projects:
-            lines.append("top projects:")
-            lines.extend(f"  {r['count']:>6}  {r['key']}" for r in report.top_projects)
-        if report.top_authors:
-            lines.append("top authors:")
-            lines.extend(f"  {r['count']:>6}  {r['key']}" for r in report.top_authors)
-        if report.cutoff_table:
-            lines.append("cutoff table (year: % of anomalies removed):")
-            lines.extend(
-                f"  <= {row.year}: {100 * row.percent_removed:.2f}%"
-                for row in report.cutoff_table
-            )
-        if report.fingerprints:
-            lines.append("fingerprints:")
-            lines.extend(
-                f"  {count:>6}  {name}"
-                for name, count in sorted(report.fingerprints.items())
-            )
-        if report.tokens:
-            lines.append("frequent tokens:")
-            lines.extend(f"  {c:>6}  {t}" for t, c in report.tokens)
+        for title, rows in (
+            ("top projects:", [f"  {r['count']:>6}  {r['key']}" for r in report.top_projects]),
+            ("top authors:", [f"  {r['count']:>6}  {r['key']}" for r in report.top_authors]),
+            ("cutoff table (year: % of anomalies removed):",
+             [f"  <= {row.year}: {100 * row.percent_removed:.2f}%"
+              for row in report.cutoff_table]),
+            ("fingerprints:",
+             [f"  {count:>6}  {name}" for name, count in sorted(report.fingerprints.items())]),
+            ("frequent tokens:", [f"  {c:>6}  {t}" for t, c in report.tokens]),
+        ):
+            if rows:
+                lines.append(title)
+                lines.extend(rows)
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unknown report format: {format!r}")
 

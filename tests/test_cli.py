@@ -1,3 +1,4 @@
+import csv
 import gc
 import json
 import os
@@ -47,6 +48,92 @@ def read_json(path):
 def planted_export(path, seed=3):
     corpus, _ = planted_corpus(random.Random(seed), repos=3, commits_per_repo=40)
     path.write_bytes(emit_export_stream([r for recs in corpus.values() for r in recs]))
+
+
+# each CSV table's header; a column reads the JSON field of its name, but
+# "project" and "author" read a ranked row's "key"
+CSV_HEADERS = {
+    "anomalies": ["kind", "count", "affected_projects", "corpus_percent",
+                  "corpus_denominator", "affected_percent", "affected_denominator"],
+    "top_projects": ["project", "count", "share", "cumulative_share"],
+    "top_authors": ["author", "count", "share", "cumulative_share"],
+    "cutoff_table": ["year", "percent_removed"],
+    "fingerprints": ["rule", "count"],
+    "tokens": ["token", "count"],
+}
+
+
+def csv_oracle(report: dict) -> dict[str, list[list[str]]]:
+    """The CSV rows of each table of a JSON report: the header, then one row
+    per entry, floats at 6 decimals."""
+    tables = {}
+    for name, header in CSV_HEADERS.items():
+        table = report[name]
+        if name == "anomalies":
+            entries = [[kind, *(stats[column] for column in header[1:])]
+                       for kind, stats in table.items()]
+        elif name == "fingerprints":
+            entries = [[rule, count] for rule, count in table.items()]
+        else:
+            fields = ["key" if column in ("project", "author") else column for column in header]
+            entries = [[row[field] for field in fields] for row in table]
+        tables[name] = [header, *([f"{v:.6f}" if isinstance(v, float) else str(v) for v in entry]
+                                  for entry in entries)]
+    return tables
+
+
+def assert_csv_matches_json(argv, tmp_path, capsysbinary):
+    """argv's report as JSON, as a CSV directory and as CSV on stdout: each
+    CSV table holds the rows the JSON report gives it; those rows are returned."""
+    out, outdir = tmp_path / "report.json", tmp_path / "csv"
+    codes = {run([*argv, "--out", str(out)]),
+             run([*argv, "--format", "csv", "--out", str(outdir)])}
+    capsysbinary.readouterr()
+    codes.add(run([*argv, "--format", "csv"]))
+    assert len(codes) == 1
+    expected = csv_oracle(read_json(out))
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(f"{t}.csv" for t in expected)
+    for name, rows in expected.items():
+        with open(outdir / f"{name}.csv", newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == rows, name
+    sections = capsysbinary.readouterr().out.decode().split("\n\n# ")
+    assert [section.partition("\n")[0] for section in sections] == [
+        f"# {name}" if i == 0 else name for i, name in enumerate(expected)]
+    for section, rows in zip(sections, expected.values()):
+        assert list(csv.reader(section.partition("\n")[2].splitlines())) == rows
+    return expected
+
+
+class TestCsvTables:
+    def test_scan(self, tmp_path, capsysbinary):
+        src = tmp_path / "in.jsonl"
+        planted_export(src)
+        tables = assert_csv_matches_json(
+            ["scan", "--jsonl", str(src), "--reference", REF, "--top", "3"], tmp_path, capsysbinary)
+        assert all(len(rows) > 1 for rows in tables.values())
+
+    def test_corpus(self, tmp_path, capsysbinary):
+        listing = tmp_path / "list.txt"
+        for name, epochs in (("r1", [0, 1_600_000_000, 500_000_000]), ("r2", [4_000_000_000])):
+            build_repo(tmp_path / name, [
+                {"key": f"c{i}", "commit_epoch": epoch, "parents": [f"c{i - 1}"] if i else [],
+                 "message": "git-svn-id: r1" if i % 2 else "fix Parser"}
+                for i, epoch in enumerate(epochs)])
+        listing.write_text(f"{tmp_path / 'r1'}\n{tmp_path / 'r2'}\n")
+        tables = assert_csv_matches_json(
+            ["corpus", "--list", str(listing), "--reference", REF], tmp_path, capsysbinary)
+        assert all(len(rows) > 1 for rows in tables.values())
+
+    def test_report_in(self, tmp_path, capsysbinary):
+        src, stream = tmp_path / "in.jsonl", tmp_path / "anomalies.jsonl"
+        planted_export(src)
+        assert run(["scan", "--jsonl", str(src), "--reference", REF,
+                    "--out", str(tmp_path / "scan.json"), "--anomalies-out", str(stream)]) == 1
+        tables = assert_csv_matches_json(
+            ["report", "--in", str(stream), "--cutoff-table", "--top-projects", "2",
+             "--top-authors", "2", "--tokens"], tmp_path, capsysbinary)
+        # a stream has no rules to count, so only the fingerprint table is bare
+        assert [name for name, rows in tables.items() if len(rows) == 1] == ["fingerprints"]
 
 
 class TestParseInstant:
@@ -115,6 +202,20 @@ class TestScan:
         assert run(["report", "--in", str(anomalies), "--cutoff-table",
                     "--out", str(out)]) == 0
         assert read_json(out)["cutoff_table"] == [{"year": 9999, "percent_removed": 1.0}]
+
+    def test_cutoff_table_starts_at_year_1(self, tmp_path):
+        # epoch -1e11 is in year -1199: inside the epoch bounds, before datetime's years
+        early = rec("a", commit_epoch=-100_000_000_000)
+        later = rec("b", parents=(early.id,))
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(emit_export_stream([early, later]))
+        out, anomalies = tmp_path / "r.json", tmp_path / "a.jsonl"
+        assert run(["scan", "--jsonl", str(src), "--reference", REF, "--out", str(out),
+                    "--anomalies-out", str(anomalies)]) == 1
+        assert read_json(out)["cutoff_table"] == [{"year": 1, "percent_removed": 1.0}]
+        assert run(["report", "--in", str(anomalies), "--cutoff-table",
+                    "--out", str(out)]) == 0
+        assert read_json(out)["cutoff_table"] == [{"year": 1, "percent_removed": 1.0}]
 
     def test_planted_jsonl_counts(self, tmp_path):
         corpus, manifest = planted_corpus(random.Random(55), repos=4,
@@ -1136,6 +1237,36 @@ class TestCorpus:
         report = read_json(out)
         assert report["totals"] == {"commits": 6, "projects": 3}
         assert len(list((tmp_path / "cache").iterdir())) == 3
+
+    def test_long_url_clones(self, tmp_path):
+        # a path whose sanitized URL is longer than a 255-byte file name
+        src = tmp_path.joinpath(*["d" * 60] * 4, "src")
+        build_repo(src, [
+            {"key": "a", "commit_epoch": 1_500_000_000},
+            {"key": "b", "commit_epoch": 1_500_000_060, "parents": ["a"]},
+        ])
+        url = f"file://{src}"
+        assert len(url) > 255
+        listing = tmp_path / "list.txt"
+        listing.write_text(url + "\n")
+        out, cache = tmp_path / "o.json", tmp_path / "cache"
+        assert run(["corpus", "--list", str(listing), "--cache", str(cache),
+                    "--reference", REF, "--out", str(out)]) == 0
+        assert read_json(out)["totals"] == {"commits": 2, "projects": 1}
+        assert [len(name) for name in os.listdir(cache)] == [255]
+
+    def test_short_url_keeps_its_clone_name(self):
+        import hashlib
+
+        from chronolint.cli import _cache_path
+
+        url = "https://example.com/a b/c.git"
+        digest = hashlib.sha256(url.encode()).hexdigest()[:16]
+        assert _cache_path("cache", url) == os.path.join(
+            "cache", f"https_example.com_a_b_c.git-{digest}")
+        fits = "https://example.com/" + "x" * 220  # sanitizes to 238 characters
+        assert os.path.basename(_cache_path("cache", fits)).startswith(
+            "https_example.com_" + "x" * 220 + "-")
 
     def test_shallow_clone_refused(self, tmp_path):
         import subprocess

@@ -151,7 +151,7 @@ class TestFilterSameAsOneRange:
         serial = filter_jsonl(export, 1, policies[policy], capsysbinary, to_file)
         assert serial[0] == 0 and b'"kept": ' in serial[2] + serial[3]
         for ranges in (2, 3, 4):
-            with merged("merge_kept") as seen:
+            with merged("merged") as seen:
                 assert filter_jsonl(export, ranges, policies[policy], capsysbinary,
                                     to_file) == serial, ranges
             assert len(seen) == 1
@@ -160,7 +160,7 @@ class TestFilterSameAsOneRange:
         export = write(tmp_path / "in.jsonl", layout([30, 30, 30], interleave=True, seed=2))
         serial = filter_jsonl(export, 1, policies["blacklist-window"], capsysbinary)
         for ranges in (2, 3, 4):
-            with merged("merge_kept") as seen:
+            with merged("merged") as seen:
                 assert filter_jsonl(export, ranges, policies["blacklist-window"],
                                     capsysbinary) == serial
             assert seen == []
@@ -240,7 +240,7 @@ class TestUnitsFinishTheirShare:
         assert all(count > 0 for count in fingerprints_hit(serial[1]).values())
         assert b"\\u4fee\\u6b63" in serial[2] and b"Caf\\u00e9" in serial[2]
         for ranges in (2, 3, 4):
-            with merged("merge_ranges") as seen:
+            with merged("merged") as seen:
                 assert self.scan(export, ranges, config, capsysbinary) == serial, ranges
             assert len(seen) == 1
 
@@ -274,7 +274,7 @@ class TestUnitsFinishTheirShare:
 
     def test_no_commit_record_leaves_a_unit(self, tmp_path, config, capsysbinary):
         export = write(tmp_path / "in.jsonl", layout([30, 25, 20], seed=4))
-        with merged("merge_ranges") as seen:
+        with merged("merged") as seen:
             assert self.scan(export, 3, config, capsysbinary)[0] == 1
         assert len(seen) == 1
         assert seen[0].rows and seen[0].authors and seen[0].tokens
@@ -282,7 +282,7 @@ class TestUnitsFinishTheirShare:
 
     def test_no_commit_record_in_a_filter_result(self, tmp_path, capsysbinary, policies):
         export = write(tmp_path / "in.jsonl", layout([30, 25, 20], seed=5))
-        with merged("merge_kept") as seen:
+        with merged("merged") as seen:
             assert filter_jsonl(export, 3, policies["flagged-cutoff"], capsysbinary)[0] == 0
         assert len(seen) == 1 and seen[0].lines
         assert not list(records_in(seen[0]))
@@ -395,7 +395,7 @@ class TestFilterProcessHygiene:
     @pytest.mark.usefixtures("four_cpus", "clean")
     def test_run_that_exits_zero(self, tmp_path, capsysbinary, policies):
         export = write(tmp_path / "in.jsonl", layout([30, 30, 30], seed=6))
-        with merged("merge_kept") as seen:
+        with merged("merged") as seen:
             assert filter_jsonl(export, 3, policies["empty"], capsysbinary)[0] == 0
         assert len(seen) == 1
 

@@ -82,15 +82,15 @@ def scan(path, ranges):
 
 @contextlib.contextmanager
 def merges_seen():
-    """The merge_ranges calls of the scans in the block; a fallback makes none."""
+    """The merged calls of the scans in the block; a fallback makes none."""
     seen = []
-    real = cli.merge_ranges
+    real = cli.merged
 
     def spy(parts):
         seen.append(parts)
         return real(parts)
 
-    with mock.patch.object(cli, "merge_ranges", spy):
+    with mock.patch.object(cli, "merged", spy):
         yield seen
 
 
