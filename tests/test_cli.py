@@ -663,6 +663,69 @@ class TestReport:
     def test_missing_input_exit_two(self, tmp_path):
         assert run(["report", "--in", str(tmp_path / "none.jsonl")]) == 2
 
+    def test_report_in_agrees_with_scan(self, tmp_path):
+        """report --in over a scan's anomaly stream gives the scan report's
+        per-kind counts and affected projects, top tables and cutoff table.
+        The fork shares origin's first two commits, ann@example.org commits
+        under two names, and ghost@example.org under none."""
+        epochs = [0, 1_600_000_000, 500_000_000, 1_600_100_000, 4_000_000_000, 1_300_000_000]
+        authors = [("Ann", "ann@example.org"), ("", "ghost@example.org"),
+                   ("A. Nonymous", "ann@example.org"), ("Bo", "bo@example.org"),
+                   ("Cy", "cy@example.org")]
+        records = []
+        for project, n in (("origin", 14), ("fork", 9), ("other", 11)):
+            parents = ()
+            for i in range(n):
+                owner = "origin" if project == "fork" and i < 2 else project
+                epoch = epochs[i % len(epochs)] + i * 3600 * (epochs[i % len(epochs)] > 0)
+                name, email = authors[i % len(authors)]
+                r = rec((owner, i), commit_epoch=epoch, parents=parents, project=project,
+                        author_name=name, author_email=email)
+                records.append(r)
+                parents = (r.id,)
+        src, stream = tmp_path / "in.jsonl", tmp_path / "a.jsonl"
+        src.write_bytes(emit_export_stream(records))
+        scanned, again = tmp_path / "scan.json", tmp_path / "again.json"
+        assert run(["scan", "--jsonl", str(src), "--reference", REF, "--top", "3",
+                    "--out", str(scanned), "--anomalies-out", str(stream)]) == 1
+        assert run(["report", "--in", str(stream), "--cutoff-table", "--top-projects", "3",
+                    "--top-authors", "3", "--out", str(again)]) == 0
+
+        def tables(report):
+            kinds = {kind: (s["count"], s["affected_projects"])
+                     for kind, s in report["anomalies"].items()}
+            return (kinds, report["top_projects"], report["top_authors"],
+                    report["cutoff_table"])
+
+        scan = read_json(scanned)
+        assert tables(read_json(again)) == tables(scan)
+        # the inputs reach what they are meant to: the shared zero-epoch root
+        # counts in both projects (3 + 2 + 2 at i = 0, 6, 12), and both
+        # authors with odd names rank
+        assert scan["anomalies"]["zero_epoch"]["count"] == 7
+        keys = [r["key"] for r in scan["top_authors"]]
+        assert "A. Nonymous <ann@example.org>" in keys
+        assert "(no name) <ghost@example.org>" in keys
+        assert len(keys) == 3 and scan["top_authors"][-1]["cumulative_share"] < 1.0
+        assert scan["cutoff_table"]
+
+    def test_report_in_reads_the_first_row_time_of_a_commit(self, tmp_path):
+        """In a hand-made stream whose rows of one commit disagree on
+        observed_epoch, the cutoff table reads the first row's year."""
+        row = '{"kind":"%s","commit_id":"%s","project":"p","observed_epoch":%d}\n'
+        stream = tmp_path / "a.jsonl"
+        stream.write_text(row % ("suspicious_old", "a" * 40, utc_epoch(1989, 6, 1))
+                          + row % ("out_of_order_linear", "a" * 40, utc_epoch(2010, 6, 1))
+                          + row % ("future", "b" * 40, utc_epoch(1992, 6, 1)))
+        out = tmp_path / "r.json"
+        assert run(["report", "--in", str(stream), "--cutoff-table", "--out", str(out)]) == 0
+        report = read_json(out)
+        assert [report["anomalies"][kind]["count"] for kind in (
+            "suspicious_old", "out_of_order_linear", "future")] == [1, 1, 1]
+        assert report["cutoff_table"] == [
+            {"year": year, "percent_removed": share}
+            for year, share in ((1992, 1.0), (1991, 0.5), (1990, 0.5), (1989, 0.5))]
+
 
 class TestMalformedInput:
     """Bad outside input exits 2 with a message, never 1 or a traceback."""
