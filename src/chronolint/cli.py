@@ -58,6 +58,7 @@ from .model import (
 )
 from .report import (
     ScanReport,
+    Tally,
     csv_tables,
     cutoff_table,
     emit,
@@ -65,6 +66,7 @@ from .report import (
     parse_anomaly_stream,
     ranked_tokens,
     summarize,
+    tally,
     token_frequencies,
     top_n,
 )
@@ -306,74 +308,63 @@ Corpus = dict[str, list[CommitRecord]]
 
 
 @dataclasses.dataclass
-class Scan:
+class Scan(Tally):
     """The result of a scan, all that its report and anomaly stream read.
 
-    A unit of a scan finishes its own share of them, so that no commit
-    record leaves it: each project's commit count, the anomalies, then,
-    over its flagged (project, commit id) pairs, each rule's fingerprint
-    count and each token's count in their sanitized messages, and their
-    authors as (name, email). rows holds each project's anomaly stream
+    A unit of a scan finishes its own share of them, so that neither a
+    commit record nor an anomaly leaves it: the tally of its flagged
+    (project, commit id) pairs, each project's commit count, and, over the
+    flagged pairs, each rule's fingerprint count and each token's count in
+    their sanitized messages. rows holds each project's anomaly stream
     rows, when the command writes the stream. Each field merges by its
     type (see merged), so a new one needs no merge code.
     """
 
     counts: dict[str, int] = dataclasses.field(default_factory=dict)
-    anomalies: set[AnomalyRecord] = dataclasses.field(default_factory=set)
     fingerprints: Counter[str] = dataclasses.field(default_factory=Counter)
     tokens: Counter[str] = dataclasses.field(default_factory=Counter)
-    authors: dict[tuple[str, str], tuple[str, str]] = dataclasses.field(default_factory=dict)
     rows: dict[str, bytes] = dataclasses.field(default_factory=dict)
 
 
 def scan_corpus(
-    corpus: Corpus,
-    cfg: DetectorConfig,
-    rules: Sequence[FingerprintRule] | None = None,
-    rows: bool = False,
+    corpus: Corpus, cfg: DetectorConfig, rules: Sequence[FingerprintRule], rows: bool = False
 ) -> Scan:
-    """Build each project's history and run every detector over it.
-
-    With rules, the result also carries the tallies of the flagged commits,
-    and with rows their anomaly stream rows; filter, which reads only the
-    anomalies, asks for neither. The only place histories are built and
-    detectors run for a command.
-    """
-    scan = Scan()
+    """Build each project's history, run every detector over it, and tally
+    the flagged commits; with rows, render their anomaly stream rows too."""
+    counts: dict[str, int] = {}
+    anomalies: list[AnomalyRecord] = []
     flagged: dict[tuple[str, str], CommitRecord] = {}
+    rendered: dict[str, bytes] = {}
     for project in sorted(corpus):
         history = build_history(corpus[project], project)
         found = run_all_detectors(history, cfg)
-        scan.counts[project] = len(history)
-        scan.anomalies |= found
+        counts[project] = len(history)
+        anomalies.extend(found)
         commits = {(project, a.commit_id): history.commits[a.commit_id] for a in found}
         flagged.update(commits)
         if rows and found:
-            scan.rows[project] = emit_anomaly_stream(found, commits)
-    if rules is None:
-        return scan
+            rendered[project] = emit_anomaly_stream(found, commits)
     messages = [sanitize_message(r.message) for r in flagged.values()]
-    scan.fingerprints.update(scan_fingerprints(messages, rules))
-    scan.tokens.update(token_frequencies(messages))
-    scan.authors = {commit: (r.author_name, r.author_email) for commit, r in flagged.items()}
-    return scan
+    authors = {commit: (r.author_name, r.author_email) for commit, r in flagged.items()}
+    return Scan(**vars(tally(anomalies, authors)), counts=counts,
+                fingerprints=Counter(scan_fingerprints(messages, rules)),
+                tokens=Counter(token_frequencies(messages)), rows=rendered)
 
 
-def build_report(scan: Scan, cfg: DetectorConfig, top: int = 20) -> ScanReport:
-    """Assemble the full scan report: totals, tables, fingerprints, tokens."""
-    anomalies = scan.anomalies
-    report = summarize(scan.counts, anomalies)
-    report.meta = {
-        "tool_version": __version__,
-        "scan_time": render_instant(cfg.future_reference),
-        "future_reference": render_instant(cfg.future_reference),
-        "old_threshold": render_instant(cfg.old_threshold),
-        "time_basis": cfg.time_basis,
-        "merge_exclusion": cfg.merge_exclusion,
-    }
-    report.top_projects = top_n(anomalies, key="project", n=top)
-    report.top_authors = top_n(anomalies, key="author", n=top, authors=scan.authors)
-    report.cutoff_table = cutoff_table(anomalies)
+def build_report(
+    scan: Scan, meta: dict, top_projects: int | None, top_authors: int | None, cutoff: bool
+) -> ScanReport:
+    """Assemble a report from a scan's tallies: its meta, the per-kind
+    table, the top tables of the sizes given (none for None), the cutoff
+    table if asked for, the fingerprints and the tokens."""
+    report = summarize(scan.counts, scan)
+    report.meta = meta
+    if top_projects:
+        report.top_projects = top_n(scan, key="project", n=top_projects)
+    if top_authors:
+        report.top_authors = top_n(scan, key="author", n=top_authors)
+    if cutoff:
+        report.cutoff_table = cutoff_table(scan)
     report.fingerprints = scan.fingerprints
     report.tokens = ranked_tokens(scan.tokens, limit=50)
     return report
@@ -420,15 +411,23 @@ def finish_scan(
     failures: list[dict] | None = None,
 ) -> int:
     """Write the report and anomaly stream of a scan; return its exit code."""
-    report = build_report(scan, cfg, top=args.top)
+    meta = {
+        "tool_version": __version__,
+        "scan_time": render_instant(cfg.future_reference),
+        "future_reference": render_instant(cfg.future_reference),
+        "old_threshold": render_instant(cfg.old_threshold),
+        "time_basis": cfg.time_basis,
+        "merge_exclusion": cfg.merge_exclusion,
+    }
     if failures is not None:
-        report.meta["failures"] = failures
+        meta["failures"] = failures
+    report = build_report(scan, meta, args.top, args.top, cutoff=True)
     write_report(report, args.format, args.out)
     if args.anomalies_out:
         # the stream is sorted by project first, and each project's rows
         # were rendered whole by the one unit that scanned it
         write_file(args.anomalies_out, in_project_order(scan.rows))
-    return EXIT_ANOMALIES if scan.anomalies else EXIT_CLEAN
+    return EXIT_ANOMALIES if scan.by_project else EXIT_CLEAN
 
 
 Parsed = tuple[list[CommitRecord], IngestReport]
@@ -559,13 +558,13 @@ def filter_corpus(corpus: Corpus, cfg: DetectorConfig, policy: FilterPolicy) -> 
     kept = [r for recs in corpus.values() for r in recs]
     blacklisted = listed - len(kept)
     basis = policy.time_basis
+    anomalies: set[AnomalyRecord] = set()
+    for project in sorted(corpus):  # built in any case, so filter rejects what scan rejects
+        history = build_history(corpus[project], project)
+        if policy.drop_flagged_kinds:
+            anomalies |= run_all_detectors(history, cfg)
     if policy.drop_flagged_kinds:
-        anomalies = scan_corpus(corpus, cfg).anomalies
         kept, _ = drop_flagged(kept, anomalies, policy.drop_flagged_kinds)
-    else:
-        # build the histories anyway, so filter rejects what scan rejects
-        for project in sorted(corpus):
-            build_history(corpus[project], project)
     if policy.min_epoch_seconds is not None:
         kept, _ = drop_pre_epoch(kept, policy.min_epoch_seconds, basis)
     if policy.cutoff is not None:
@@ -607,21 +606,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from exc
 
     # commit counts are not in the stream, so every denominator reads 0
-    report = summarize({}, anomalies)
-    report.meta = {"tool_version": __version__, "source": args.infile}
-    if args.top_projects:
-        report.top_projects = top_n(anomalies, key="project", n=args.top_projects)
-    if args.top_authors:
-        report.top_authors = top_n(
-            anomalies, key="author", n=args.top_authors, authors=authors
-        )
-    if args.cutoff_table:
-        report.cutoff_table = cutoff_table(anomalies)
+    scan = Scan(**vars(tally(anomalies, authors)))
     if args.tokens:
-        report.tokens = ranked_tokens(
-            token_frequencies(sanitize_message(m) for m in messages.values()),
-            limit=50,
-        )
+        scan.tokens.update(token_frequencies(sanitize_message(m) for m in messages.values()))
+    meta = {"tool_version": __version__, "source": args.infile}
+    report = build_report(scan, meta, args.top_projects, args.top_authors, args.cutoff_table)
     write_report(report, args.format, args.out)
     return EXIT_CLEAN
 

@@ -24,6 +24,7 @@ from .model import (
     ConfigError,
     RepoHistory,
     TIME_BASES,
+    check_time_basis,
 )
 
 # 1990-11-19T00:00:00Z: release of CVS 1.0, the oldest plausible VCS timestamp
@@ -74,8 +75,7 @@ class DetectorConfig:
     time_basis: str = "committer"
 
     def __post_init__(self) -> None:
-        if self.time_basis not in TIME_BASES:
-            raise ConfigError(f"unknown time basis: {self.time_basis!r}")
+        check_time_basis(self.time_basis)
         if not isinstance(self.merge_exclusion, bool):
             raise ConfigError(f"merge_exclusion must be a boolean: {self.merge_exclusion!r}")
         if not self.old_threshold < self.future_reference:

@@ -74,6 +74,13 @@ TIME_BASES = {
 }
 
 
+def check_time_basis(basis: object) -> None:
+    """Raise ConfigError unless basis names one of TIME_BASES. A list or an
+    object read from JSON is unhashable, so the type is checked first."""
+    if type(basis) is not str or basis not in TIME_BASES:
+        raise ConfigError(f"unknown time basis: {basis!r}")
+
+
 @dataclass(frozen=True)
 class RepoHistory:
     """A validated commit DAG with a deterministic topological order."""
@@ -130,8 +137,7 @@ class FilterPolicy:
     time_basis: str = "author"
 
     def __post_init__(self) -> None:
-        if self.time_basis not in TIME_BASES:
-            raise ConfigError(f"unknown time basis: {self.time_basis!r}")
+        check_time_basis(self.time_basis)
         if self.cutoff_mode not in ("before", "after"):
             raise ConfigError(f"unknown cutoff mode: {self.cutoff_mode!r}")
         if self.window is not None and self.window[0] > self.window[1]:

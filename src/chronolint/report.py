@@ -1,5 +1,6 @@
 """Aggregate anomalies into corpus-level tables and serialize reports.
 
+tally counts the flagged commits once, and every table reads that tally.
 Every table is sorted deterministically (count descending, then key
 ascending) and serialization is byte-stable across runs and input
 permutations. Both denominators are always reported for percentages:
@@ -10,7 +11,6 @@ each, as it does in the denominators.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 import json
@@ -22,7 +22,7 @@ from importlib import resources
 from json.encoder import encode_basestring_ascii
 from typing import IO, Iterable, Mapping
 
-from .ingest import MAX_EPOCH_ABS, format_offset, load_json_line, normalize_time
+from .ingest import format_offset, load_json_line, normalize_time
 from .model import AnomalyKind, AnomalyRecord, CommitRecord, is_commit_hash
 
 TOKEN_RE = re.compile(r"[0-9a-z/_-]+")
@@ -57,10 +57,53 @@ def default_stopwords() -> frozenset[str]:
     return frozenset(w.strip() for w in text.splitlines() if w.strip())
 
 
-def summarize(
-    commit_counts: Mapping[str, int],
+def _epoch_year(epoch: int) -> int:
+    """The UTC year of epoch; a time before year 1 is in year 1, and one
+    after MAXYEAR in MAXYEAR."""
+    try:
+        return datetime.fromtimestamp(epoch, timezone.utc).year
+    except (OverflowError, OSError, ValueError):
+        return 1 if epoch < 0 else MAXYEAR
+
+
+@dataclass
+class Tally:
+    """Flagged (project, commit id) pairs, each counted once, keyed four
+    ways: by (kind, project), by project, by the UTC year of the pair's
+    first observed time, and by its author's (email, name). The tables of
+    a report read only these counts."""
+
+    by_kind: Counter[tuple[AnomalyKind, str]] = field(default_factory=Counter)
+    by_project: Counter[str] = field(default_factory=Counter)
+    by_year: Counter[int] = field(default_factory=Counter)
+    by_author: Counter[tuple[str, str]] = field(default_factory=Counter)
+
+
+def tally(
     anomalies: Iterable[AnomalyRecord],
-) -> ScanReport:
+    authors: Mapping[tuple[str, str], tuple[str, str]] | None = None,
+) -> Tally:
+    """Count the distinct flagged (project, commit id) pairs of anomalies.
+
+    authors maps a pair to its (name, email); a pair missing from it is
+    counted by no author. The only place anomalies become counts.
+    """
+    first: dict[tuple[str, str], int] = {}
+    kinds: set[tuple[AnomalyKind, str, str]] = set()
+    for a in anomalies:
+        first.setdefault((a.project, a.commit_id), a.observed)
+        kinds.add((a.kind, a.project, a.commit_id))
+    authors = authors or {}
+    return Tally(
+        by_kind=Counter((kind, project) for kind, project, _ in kinds),
+        by_project=Counter(project for project, _ in first),
+        by_year=Counter(map(_epoch_year, first.values())),
+        by_author=Counter((email, name) for name, email in
+                          (authors[pair] for pair in first if pair in authors)),
+    )
+
+
+def summarize(commit_counts: Mapping[str, int], counts: Tally) -> ScanReport:
     """Compute totals and per-kind counts/percentages over the corpus.
 
     commit_counts maps each project to its number of commits. For each
@@ -72,16 +115,13 @@ def summarize(
     report = ScanReport()
     report.totals = {"commits": total_commits, "projects": len(commit_counts)}
 
-    flagged: dict[AnomalyKind, set[tuple[str, str]]] = {kind: set() for kind in AnomalyKind}
-    for a in anomalies:
-        flagged[a.kind].add((a.project, a.commit_id))
-    for kind, commits in flagged.items():
-        count = len(commits)
-        projects = {project for project, _ in commits}
-        affected_commits = sum(commit_counts.get(p, 0) for p in projects)
+    for kind in AnomalyKind:
+        flagged = {p: c for (k, p), c in counts.by_kind.items() if k == kind}
+        count = sum(flagged.values())
+        affected_commits = sum(commit_counts.get(p, 0) for p in flagged)
         report.anomalies[kind.value] = {
             "count": count,
-            "affected_projects": len(projects),
+            "affected_projects": len(flagged),
             "corpus_percent": count / total_commits if total_commits else 0.0,
             "corpus_denominator": total_commits,
             "affected_percent": count / affected_commits if affected_commits else 0.0,
@@ -90,95 +130,54 @@ def summarize(
     return report
 
 
-def _epoch_year(epoch: int) -> int:
-    """The UTC year of epoch; a time before year 1 is in year 1, and one
-    after MAXYEAR in MAXYEAR."""
-    try:
-        return datetime.fromtimestamp(epoch, timezone.utc).year
-    except (OverflowError, OSError, ValueError):
-        return 1 if epoch < 0 else MAXYEAR
-
-
-def _year_boundary_epoch(year: int) -> int:
-    if year > MAXYEAR:  # _epoch_year puts every later time in MAXYEAR
-        return MAX_EPOCH_ABS
-    return int(datetime(year, 1, 1, tzinfo=timezone.utc).timestamp())
-
-
-def cutoff_table(
-    anomalies: Iterable[AnomalyRecord], years: Iterable[int] | None = None
-) -> list[CutoffRow]:
+def cutoff_table(counts: Tally, years: Iterable[int] | None = None) -> list[CutoffRow]:
     """Fraction of anomalous commits removed by dropping each year and earlier.
 
-    A commit counts as removed for year y when its flagged-basis time is
-    before Jan 1 of y+1 (UTC), i.e. it is from or before year y. years
-    defaults to those from the earliest flagged time to the latest, none
-    when nothing is flagged. Rows come back sorted by year descending.
+    A commit counts as removed for year y when the UTC year of its flagged
+    time is y or earlier. years defaults to those from the earliest flagged
+    year to the latest, none when nothing is flagged. Rows come back sorted
+    by year descending.
     """
-    observed: dict[tuple[str, str], int] = {}
-    for a in anomalies:
-        observed.setdefault((a.project, a.commit_id), a.observed)
-    times = sorted(observed.values())
-    total = len(times)
-    if years is None:  # _epoch_year never decreases as the epoch grows
-        years = range(_epoch_year(times[0]), _epoch_year(times[-1]) + 1) if times else ()
-    rows = []
-    for year in sorted(set(years), reverse=True):
-        removed = bisect.bisect_left(times, _year_boundary_epoch(year + 1))
+    later = sorted(counts.by_year.items(), reverse=True)  # the earliest year last
+    total = sum(counts.by_year.values())
+    if years is None:
+        years = range(later[-1][0], later[0][0] + 1) if later else ()
+    rows, removed = [], 0
+    for year in sorted(set(years)):
+        while later and later[-1][0] <= year:
+            removed += later.pop()[1]
         rows.append(CutoffRow(year=year, percent_removed=removed / total if total else 0.0))
-    return rows
+    return rows[::-1]
 
 
-def top_n(
-    anomalies: Iterable[AnomalyRecord],
-    key: str = "project",
-    n: int = 20,
-    authors: Mapping[tuple[str, str], tuple[str, str]] | None = None,
-) -> list[dict]:
+def top_n(counts: Tally, key: str = "project", n: int = 20) -> list[dict]:
     """Rank projects or authors by distinct flagged (project, commit id) pairs.
 
     Author rows merge by email (display names alias too easily); an empty
-    name renders as "(no name)". The author key reads names and emails from
-    ``authors``, a (project, commit id) -> (name, email) map; flagged
-    commits missing from it are not ranked. Rows carry count, share of all
-    flagged commits, and cumulative share; ties order by key ascending.
+    name renders as "(no name)". Flagged commits with no author are not
+    ranked by author. Rows carry count, share of all flagged commits, and
+    cumulative share; ties order by key ascending.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if key not in ("project", "author"):
         raise ValueError(f"unknown ranking key: {key!r}")
-    flagged = {(a.project, a.commit_id) for a in anomalies}
-    names_by_key: dict[str, set[str]] = {}
-    if key == "project":
-        counts = Counter(project for project, _ in flagged)
-    else:
-        authors = authors or {}
-        counts = Counter()
-        for commit in flagged:
-            if commit in authors:
-                name, email = authors[commit]
-                counts[email] += 1
-                names_by_key.setdefault(email, set()).add(name)
+    ranks, names = counts.by_project, {}
+    if key == "author":
+        ranks = Counter()
+        for (email, name), count in counts.by_author.items():
+            ranks[email] += count
+            names.setdefault(email, set()).add(name)
 
-    total = len(flagged)
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    total = sum(counts.by_project.values())
+    ranked = sorted(ranks.items(), key=lambda kv: (-kv[1], kv[0]))
     rows = []
     cumulative = 0
     for k, count in ranked[:n]:
         cumulative += count
-        label = k
-        if key == "author":
-            names = sorted(nm for nm in names_by_key[k] if nm)
-            display = names[0] if names else "(no name)"
-            label = f"{display} <{k}>"
-        rows.append(
-            {
-                "key": label,
-                "count": count,
-                "share": count / total if total else 0.0,
-                "cumulative_share": cumulative / total if total else 0.0,
-            }
-        )
+        label = f"{min(names[k] - {''}, default='(no name)')} <{k}>" if key == "author" else k
+        rows.append({"key": label, "count": count, "share": count / total if total else 0.0,
+                     "cumulative_share": cumulative / total if total else 0.0})
     return rows
 
 

@@ -25,7 +25,7 @@ from chronolint.filters import coalesce, date_cutoff, drop_pre_epoch, time_windo
 from chronolint.graph import build_history, linearize
 from chronolint.ingest import emit_export_stream, parse_export_stream
 from chronolint.model import AnomalyKind
-from chronolint.report import cutoff_table, emit_anomaly_stream, parse_anomaly_stream
+from chronolint.report import cutoff_table, emit_anomaly_stream, parse_anomaly_stream, tally
 from census import CENSUS_BELOW_ONE, CENSUS_TOTAL, SUSPICIOUS_TIMESTAMP_CENSUS
 from helpers import (
     brute_force_parent_pairs,
@@ -213,7 +213,7 @@ def test_criterion_5_cutoff_table_reconstruction():
             ))
             i += 1
     total = sum(per_year.values())
-    rows = cutoff_table(anomalies, range(1995, 2016))
+    rows = cutoff_table(tally(anomalies), range(1995, 2016))
     by_year = {r.year: r.percent_removed for r in rows}
     running = 0
     exact = True

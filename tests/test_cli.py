@@ -765,8 +765,9 @@ class TestMalformedInput:
         (["--reference="], {}, "unparseable instant: ''"),
         (["--old-threshold="], {}, "unparseable instant: ''"),
         ([], {"time_basis": ""}, "unknown time basis: ''"),
+        ([], {"time_basis": ["author"]}, "unknown time basis: ['author']"),
     ], ids=["threshold-garbage", "threshold-after-reference", "basis-bogus", "rule-pattern",
-            "reference-empty", "threshold-empty", "basis-empty"])
+            "reference-empty", "threshold-empty", "basis-empty", "basis-list"])
     def test_bad_detector_setting_in_every_command(self, tmp_path, capsys, command, flags,
                                                    config, message):
         """One set of flags and one config are valid or invalid for every
@@ -1045,6 +1046,18 @@ class TestMalformedInput:
         assert run(["filter", "--jsonl", str(src), "--policy", str(path),
                     "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"chronolint: policy {key}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("basis", [{}, ["author"]], ids=["object", "list"])
+    def test_policy_time_basis_not_a_string(self, tmp_path, capsys, basis):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps({"time_basis": basis}))
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(emit_export_stream([rec("a")]))
+        out = tmp_path / "kept.jsonl"
+        assert run(["filter", "--jsonl", str(src), "--policy", str(path),
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"chronolint: unknown time basis: {basis!r}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("line", [

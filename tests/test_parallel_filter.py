@@ -2,12 +2,13 @@
 
 ``filter --jsonl`` cut into ranges gives the outputs of a filter in one
 range: the kept file, stdout, stderr and the exit code, byte for byte. A
-ranged ``scan`` and a ``corpus`` at any ``--jobs``, whose units count the
-fingerprints and tokens and render the anomaly rows, give the report and
-stream of a run in one process; no commit record leaves a unit. These tests
-force the number of ranges to 1-4 through ``parallel.range_count``, and the
-usable CPUs to four. They also check that ``corpus`` hands out its largest
-repository first, and that no child process or pipe outlives a filter.
+ranged ``scan`` and a ``corpus`` at any ``--jobs``, whose units tally the
+flagged commits, count the fingerprints and tokens and render the anomaly
+rows, give the report and stream of a run in one process; no commit record
+or anomaly leaves a unit. These tests force the number of ranges to 1-4
+through ``parallel.range_count``, and the usable CPUs to four. They also
+check that ``corpus`` hands out its largest repository first, and that no
+child process or pipe outlives a filter.
 """
 
 import contextlib
@@ -25,7 +26,7 @@ import pytest
 
 from chronolint import cli, parallel
 from chronolint.ingest import emit_export_stream
-from chronolint.model import CommitRecord
+from chronolint.model import AnomalyRecord, CommitRecord
 from helpers import build_repo, rec
 
 REF = "2021-01-01T00:00:00+00:00"
@@ -277,7 +278,7 @@ class TestUnitsFinishTheirShare:
         with merged("merged") as seen:
             assert self.scan(export, 3, config, capsysbinary)[0] == 1
         assert len(seen) == 1
-        assert seen[0].rows and seen[0].authors and seen[0].tokens
+        assert seen[0].rows and seen[0].by_author and seen[0].tokens
         assert not list(records_in(seen[0]))
 
     def test_no_commit_record_in_a_filter_result(self, tmp_path, capsysbinary, policies):
@@ -289,8 +290,9 @@ class TestUnitsFinishTheirShare:
 
 
 def records_in(value):
-    """Each CommitRecord held anywhere in value, fields and items walked."""
-    if isinstance(value, CommitRecord):
+    """Each CommitRecord or AnomalyRecord held anywhere in value, fields and
+    items walked."""
+    if isinstance(value, (CommitRecord, AnomalyRecord)):
         yield value
     elif hasattr(value, "__dataclass_fields__"):
         for name in value.__dataclass_fields__:

@@ -18,6 +18,7 @@ from chronolint.report import (
     parse_anomaly_stream,
     ranked_tokens,
     summarize,
+    tally,
     token_frequencies,
     top_n,
 )
@@ -35,7 +36,7 @@ def anomaly(seed, kind=AnomalyKind.OUT_OF_ORDER_PARENT, project="proj",
 
 class TestSummarize:
     def test_empty_anomaly_set(self):
-        report = summarize({"p": 10}, [])
+        report = summarize({"p": 10}, tally([]))
         assert report.totals == {"commits": 10, "projects": 1}
         assert all(s["count"] == 0 for s in report.anomalies.values())
 
@@ -47,8 +48,8 @@ class TestSummarize:
         flagged = corpus["p1"][0]
         report = summarize(
             {p: len(recs) for p, recs in corpus.items()},
-            [AnomalyRecord(kind=AnomalyKind.ZERO_EPOCH, commit_id=flagged.id,
-                           project="p1", observed=0)],
+            tally([AnomalyRecord(kind=AnomalyKind.ZERO_EPOCH, commit_id=flagged.id,
+                                 project="p1", observed=0)]),
         )
         stats = report.anomalies["zero_epoch"]
         assert stats["count"] == 1
@@ -76,7 +77,7 @@ class TestSummarize:
         anomalies = set()
         for name, records in corpus.items():
             anomalies |= detect_old(build_history(records, name), CFG)
-        report = summarize({p: len(recs) for p, recs in corpus.items()}, anomalies)
+        report = summarize({p: len(recs) for p, recs in corpus.items()}, tally(anomalies))
         assert report.anomalies["zero_epoch"]["count"] == expected
         assert report.anomalies["zero_epoch"]["corpus_percent"] == expected / 200
 
@@ -85,19 +86,19 @@ class TestCutoffTable:
     def test_single_year_distribution(self):
         anomalies = [anomaly(("c", i), epoch=utc_epoch(2012, 6, 1) + i)
                      for i in range(10)]
-        rows = {r.year: r.percent_removed for r in cutoff_table(anomalies, [2011, 2012])}
+        rows = {r.year: r.percent_removed for r in cutoff_table(tally(anomalies), [2011, 2012])}
         assert rows[2012] == 1.0
         assert rows[2011] == 0.0
 
     def test_rows_sorted_descending(self):
-        rows = cutoff_table([anomaly("x")], [2000, 2010, 2005])
+        rows = cutoff_table(tally([anomaly("x")]), [2000, 2010, 2005])
         assert [r.year for r in rows] == [2010, 2005, 2000]
 
     def test_monotone_on_random_input(self):
         rng = random.Random(23)
         anomalies = [anomaly(("m", i), epoch=rng.randint(0, 2 * 10**9))
                      for i in range(200)]
-        rows = cutoff_table(anomalies, range(1970, 2035))
+        rows = cutoff_table(tally(anomalies), range(1970, 2035))
         percents = [r.percent_removed for r in rows]  # years descending
         assert all(a >= b for a, b in zip(percents, percents[1:]))
 
@@ -109,7 +110,7 @@ class TestCutoffTable:
                 anomalies.append(anomaly((year, i), epoch=utc_epoch(year, 3, 1) + i))
         total = sum(per_year.values())
         rows = {r.year: r.percent_removed for r in
-                cutoff_table(anomalies, sorted(per_year))}
+                cutoff_table(tally(anomalies), sorted(per_year))}
         running = 0
         for year in sorted(per_year):
             running += per_year[year]
@@ -118,7 +119,7 @@ class TestCutoffTable:
 
 class TestTopN:
     def test_single_project(self):
-        rows = top_n([anomaly("a", project="only")], key="project")
+        rows = top_n(tally([anomaly("a", project="only")]), key="project")
         assert rows == [
             {"key": "only", "count": 1, "share": 1.0, "cumulative_share": 1.0}
         ]
@@ -126,12 +127,12 @@ class TestTopN:
     def test_tie_break_by_key(self):
         anomalies = [anomaly(("t", i), project=p) for i, p in
                      enumerate(["beta", "alpha"])]
-        rows = top_n(anomalies, key="project")
+        rows = top_n(tally(anomalies), key="project")
         assert [r["key"] for r in rows] == ["alpha", "beta"]
 
     def test_cumulative_reaches_one(self):
         anomalies = [anomaly(("u", i), project=f"p{i % 3}") for i in range(9)]
-        rows = top_n(anomalies, key="project", n=10)
+        rows = top_n(tally(anomalies), key="project", n=10)
         assert rows[-1]["cumulative_share"] == pytest.approx(1.0)
 
     def test_author_merge_by_email(self):
@@ -141,23 +142,23 @@ class TestTopN:
             for i in range(4)
         }
         anomalies = [anomaly(("au", i)) for i in range(4)]
-        rows = top_n(anomalies, key="author", authors=authors)
+        rows = top_n(tally(anomalies, authors), key="author")
         assert len(rows) == 1
         assert rows[0]["count"] == 4
         assert "<ann@example.com>" in rows[0]["key"]
 
     def test_empty_name_rendered(self):
         authors = {("proj", fake_hash("nn")): ("", "ghost@example.com")}
-        rows = top_n([anomaly("nn")], key="author", authors=authors)
+        rows = top_n(tally([anomaly("nn")], authors), key="author")
         assert rows[0]["key"] == "(no name) <ghost@example.com>"
 
     def test_no_rows_rejected(self):
         with pytest.raises(ValueError, match="^n must be >= 1$"):
-            top_n([anomaly("a")], key="project", n=0)
+            top_n(tally([anomaly("a")]), key="project", n=0)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="^unknown ranking key: 'email'$"):
-            top_n([anomaly("a")], key="email")
+            top_n(tally([anomaly("a")]), key="email")
 
     def test_planted_top_share(self):
         # 20 heavy projects carrying 21% of flagged commits
@@ -170,7 +171,7 @@ class TestTopN:
         for j in range(1580):
             anomalies.append(anomaly(("share", i), project=f"light{j}"))
             i += 1
-        rows = top_n(anomalies, key="project", n=20)
+        rows = top_n(tally(anomalies), key="project", n=20)
         assert rows[-1]["cumulative_share"] == pytest.approx(0.21)
 
 
@@ -231,9 +232,9 @@ class TestTokens:
 
 class TestEmit:
     def build(self):
-        report = summarize({"p": 3}, [anomaly("e0", project="p")])
+        report = summarize({"p": 3}, tally([anomaly("e0", project="p")]))
         report.meta = {"tool_version": "0.1.0"}
-        report.cutoff_table = cutoff_table([anomaly("e0")], [2017, 2018])
+        report.cutoff_table = cutoff_table(tally([anomaly("e0")]), [2017, 2018])
         report.tokens = [("fix", 3)]
         report.fingerprints = {"git-svn-id": 0}
         return report
