@@ -98,8 +98,8 @@ def tally(
         by_kind=Counter((kind, project) for kind, project, _ in kinds),
         by_project=Counter(project for project, _ in first),
         by_year=Counter(map(_epoch_year, first.values())),
-        by_author=Counter((email, name) for name, email in
-                          (authors[pair] for pair in first if pair in authors)),
+        by_author=Counter((authors[pair][1], authors[pair][0])
+                          for pair in first if pair in authors),
     )
 
 
