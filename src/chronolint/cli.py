@@ -7,7 +7,6 @@ stdout carries data only; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import gc
 import itertools
@@ -53,6 +52,7 @@ from .model import (
     ChronolintError,
     CommitRecord,
     ConfigError,
+    Fields,
     FilterPolicy,
     TIME_BASES,
 )
@@ -114,8 +114,8 @@ def render_instant(epoch: int) -> str:
 
 CONFIG_KEYS = frozenset(("old_threshold", "reference", "time_basis", "merge_exclusion",
                          "fingerprint_rules", "policy"))
-POLICY_KEYS = frozenset(f.name for f in dataclasses.fields(FilterPolicy))
-RULE_KEYS = frozenset(f.name for f in dataclasses.fields(FingerprintRule))
+POLICY_KEYS = frozenset(FilterPolicy._fields)
+RULE_KEYS = frozenset(FingerprintRule._fields)
 
 
 def reject_unknown_keys(obj: dict, known: Collection[str], what: str) -> None:
@@ -307,7 +307,6 @@ def group_by_project(records: Iterable[CommitRecord]) -> dict[str, list[CommitRe
 Corpus = dict[str, list[CommitRecord]]
 
 
-@dataclasses.dataclass
 class Scan(Tally):
     """The result of a scan, all that its report and anomaly stream read.
 
@@ -320,10 +319,22 @@ class Scan(Tally):
     type (see merged), so a new one needs no merge code.
     """
 
-    counts: dict[str, int] = dataclasses.field(default_factory=dict)
-    fingerprints: Counter[str] = dataclasses.field(default_factory=Counter)
-    tokens: Counter[str] = dataclasses.field(default_factory=Counter)
-    rows: dict[str, bytes] = dataclasses.field(default_factory=dict)
+    def __init__(
+        self,
+        by_kind: Counter[tuple[AnomalyKind, str]] | None = None,
+        by_project: Counter[str] | None = None,
+        by_year: Counter[int] | None = None,
+        by_author: Counter[tuple[str, str]] | None = None,
+        counts: dict[str, int] | None = None,
+        fingerprints: Counter[str] | None = None,
+        tokens: Counter[str] | None = None,
+        rows: dict[str, bytes] | None = None,
+    ) -> None:
+        super().__init__(by_kind, by_project, by_year, by_author)
+        self.counts = {} if counts is None else counts
+        self.fingerprints = Counter() if fingerprints is None else fingerprints
+        self.tokens = Counter() if tokens is None else tokens
+        self.rows = {} if rows is None else rows
 
 
 def scan_corpus(
@@ -459,17 +470,17 @@ def joined(reports: Iterable[IngestReport]) -> IngestReport:
 
 
 def merged(parts: Sequence[Result]) -> Result:
-    """The results of units that share no project, as one. An int field
-    adds; every other field calls its own update, so a Counter adds counts,
-    and a set, or a dict keyed by project or (project, commit id), joins."""
+    """The results of units that share no project, as one. The fields are
+    those of each result's vars(). An int field adds; every other field
+    calls its own update, so a Counter adds counts, and a set, or a dict
+    keyed by project or (project, commit id), joins."""
     whole = type(parts[0])()
     for part in parts:
-        for field in dataclasses.fields(whole):
-            value = getattr(part, field.name)
+        for name, value in vars(part).items():
             if isinstance(value, int):
-                setattr(whole, field.name, getattr(whole, field.name) + value)
+                setattr(whole, name, getattr(whole, name) + value)
             else:
-                getattr(whole, field.name).update(value)
+                getattr(whole, name).update(value)
     return whole
 
 
@@ -538,16 +549,17 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return finish_scan(args, scan_input(args, scan_step(args, cfg, rules)), cfg)
 
 
-@dataclasses.dataclass
-class Kept:
+class Kept(Fields):
     """The result of a filter: the counts of its summary line, and each
     project's kept records as export lines. Each field merges by its type
     (see merged)."""
 
-    kept: int = 0
-    dropped: int = 0
-    blacklisted: int = 0
-    lines: dict[str, bytes] = dataclasses.field(default_factory=dict)
+    def __init__(self, kept: int = 0, dropped: int = 0, blacklisted: int = 0,
+                 lines: dict[str, bytes] | None = None) -> None:
+        self.kept = kept
+        self.dropped = dropped
+        self.blacklisted = blacklisted
+        self.lines = {} if lines is None else lines
 
 
 def filter_corpus(corpus: Corpus, cfg: DetectorConfig, policy: FilterPolicy) -> Kept:

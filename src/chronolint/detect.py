@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .filters import time_getter
 from .graph import linearize
@@ -31,20 +30,26 @@ from .model import (
 CVS_RELEASE_EPOCH = 658972800
 
 
-@dataclass(frozen=True)
-class FingerprintRule:
-    """A named message pattern betraying a migration or review tool."""
-
+class _Rule(NamedTuple):
     name: str
     pattern: str
     case_insensitive: bool = False
 
-    def __post_init__(self) -> None:
+
+class FingerprintRule(_Rule):
+    """A named message pattern betraying a migration or review tool: an
+    immutable named tuple, checked when it is made."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> FingerprintRule:
+        self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.case_insensitive, bool):
             raise ConfigError(
                 f"fingerprint rule {self.name!r}: case_insensitive must be a boolean: "
                 f"{self.case_insensitive!r}"
             )
+        return self
 
     def compile(self) -> re.Pattern[str]:
         try:
@@ -64,22 +69,31 @@ DEFAULT_FINGERPRINT_RULES: tuple[FingerprintRule, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Detector thresholds (epoch seconds) and switches."""
-
+class _Config(NamedTuple):
     old_threshold: int = CVS_RELEASE_EPOCH
-    # read once per config, so one run judges every project against one instant
-    future_reference: int = field(default_factory=lambda: int(time.time()))
+    future_reference: int | None = None
     merge_exclusion: bool = True
     time_basis: str = "committer"
 
-    def __post_init__(self) -> None:
+
+class DetectorConfig(_Config):
+    """Detector thresholds (epoch seconds) and switches: an immutable named
+    tuple, checked when it is made. A future_reference of None, the default,
+    is the time the config is made."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> DetectorConfig:
+        self = super().__new__(cls, *args, **kwargs)
+        if self.future_reference is None:
+            # read once per config, so one run judges every project against one instant
+            self = self._replace(future_reference=int(time.time()))
         check_time_basis(self.time_basis)
         if not isinstance(self.merge_exclusion, bool):
             raise ConfigError(f"merge_exclusion must be a boolean: {self.merge_exclusion!r}")
         if not self.old_threshold < self.future_reference:
             raise ConfigError("old threshold must precede the future reference")
+        return self
 
 
 def _flag(

@@ -24,10 +24,9 @@ import json
 import operator
 import os
 import re
-from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
-from .model import COMMIT_ID_RE, CommitRecord, GitEnvironmentError, RepositoryError
+from .model import COMMIT_ID_RE, CommitRecord, Fields, GitEnvironmentError, RepositoryError
 
 GIT_ENV_VAR = "CHRONOLINT_GIT"
 # sanity bounds on every time read from outside: epoch seconds and zone minutes
@@ -64,17 +63,18 @@ _HEADER_RE = re.compile(
 )
 
 
-@dataclass
-class IngestReport:
+class IngestReport(Fields):
     """Outcome of one ingestion pass.
 
     A reject's position is a JSONL line number, counted from 1, or the id
     of a commit read from git. lines is the number of JSONL lines read.
     """
 
-    records_parsed: int = 0
-    lines: int = 0
-    rejected: list[tuple[int | str, str]] = field(default_factory=list)
+    def __init__(self, records_parsed: int = 0, lines: int = 0,
+                 rejected: list[tuple[int | str, str]] | None = None) -> None:
+        self.records_parsed = records_parsed
+        self.lines = lines
+        self.rejected = [] if rejected is None else rejected
 
     def reject(self, position: int | str, reason: str) -> None:
         self.rejected.append((position, reason))

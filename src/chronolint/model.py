@@ -1,9 +1,10 @@
 """Core domain types shared by all chronolint modules.
 
-All types here are immutable after construction; a forked worker gets its
-own copy of each, and its results come back pickled. Structural validity of
-commit records is checked outside the constructors: hash shapes and time
-bounds in :mod:`chronolint.ingest`, duplicate ids and parent cycles in
+The value types here are named tuples, immutable after construction, and
+mutable results elsewhere build on Fields; a forked worker gets its own copy
+of each, and its results come back pickled. Structural validity of commit
+records is checked outside the constructors: hash shapes and time bounds in
+:mod:`chronolint.ingest`, duplicate ids and parent cycles in
 :mod:`chronolint.graph`.
 """
 
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 # the one definition of a commit id: a lowercase 40-hex-char SHA-1
@@ -81,13 +81,15 @@ def check_time_basis(basis: object) -> None:
         raise ConfigError(f"unknown time basis: {basis!r}")
 
 
-@dataclass(frozen=True)
 class RepoHistory:
-    """A validated commit DAG with a deterministic topological order."""
+    """A validated commit DAG with a deterministic topological order; its
+    length is its number of commits."""
 
-    commits: dict[str, CommitRecord]
-    order: tuple[str, ...]
-    project: str
+    def __init__(self, commits: dict[str, CommitRecord], order: tuple[str, ...],
+                 project: str) -> None:
+        self.commits = commits
+        self.order = order
+        self.project = project
 
     def __len__(self) -> int:
         return len(self.commits)
@@ -117,17 +119,7 @@ class AnomalyRecord(NamedTuple):
     delta_seconds: int | None = None
 
 
-@dataclass(frozen=True)
-class FilterPolicy:
-    """Configuration for the mitigation filters.
-
-    time_basis selects which of the two commit dates the cutoff, window and
-    pre-epoch filters read; author date is the default because rebases and
-    cherry-picks rewrite the committer date. The detectors, and so
-    drop_flagged_kinds, read DetectorConfig.time_basis instead (--time-basis,
-    default committer).
-    """
-
+class _Policy(NamedTuple):
     min_epoch_seconds: int | None = 1
     cutoff: int | None = None
     cutoff_mode: str = "before"
@@ -136,16 +128,31 @@ class FilterPolicy:
     drop_flagged_kinds: frozenset[AnomalyKind] = frozenset()
     time_basis: str = "author"
 
-    def __post_init__(self) -> None:
+
+class FilterPolicy(_Policy):
+    """Configuration for the mitigation filters: an immutable named tuple,
+    checked when it is made.
+
+    time_basis selects which of the two commit dates the cutoff, window and
+    pre-epoch filters read; author date is the default because rebases and
+    cherry-picks rewrite the committer date. The detectors, and so
+    drop_flagged_kinds, read DetectorConfig.time_basis instead (--time-basis,
+    default committer).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> FilterPolicy:
+        self = super().__new__(cls, *args, **kwargs)
         check_time_basis(self.time_basis)
         if self.cutoff_mode not in ("before", "after"):
             raise ConfigError(f"unknown cutoff mode: {self.cutoff_mode!r}")
         if self.window is not None and self.window[0] > self.window[1]:
             raise ConfigError("window start is after window end")
+        return self
 
 
-@dataclass(frozen=True)
-class Changeset:
+class Changeset(NamedTuple):
     """Commits by one author coalesced into a single logical change."""
 
     member_ids: tuple[str, ...]
@@ -153,3 +160,16 @@ class Changeset:
     start_time: int
     end_time: int
     files: frozenset[str] = frozenset()
+
+
+class Fields:
+    """A mutable result whose fields are the attributes its __init__ sets, in
+    order, read with vars(): it compares and prints by them, and pickles as
+    any plain object does."""
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"

@@ -11,19 +11,17 @@ each, as it does in the denominators.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
+import os
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from datetime import MAXYEAR, datetime, timezone
-from importlib import resources
 from json.encoder import encode_basestring_ascii
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, NamedTuple
 
 from .ingest import format_offset, load_json_line, normalize_time
-from .model import AnomalyKind, AnomalyRecord, CommitRecord, is_commit_hash
+from .model import AnomalyKind, AnomalyRecord, CommitRecord, Fields, is_commit_hash
 
 TOKEN_RE = re.compile(r"[0-9a-z/_-]+")
 # Each byte of a token kept, every other byte made a space, so that the
@@ -31,29 +29,44 @@ TOKEN_RE = re.compile(r"[0-9a-z/_-]+")
 # a character outside ASCII, never in a token, is encoded as "?" first.
 _TOKEN_BYTES = bytes(c if TOKEN_RE.fullmatch(chr(c)) else 0x20 for c in range(256))
 
-@dataclass(frozen=True)
-class CutoffRow:
+class CutoffRow(NamedTuple):
     year: int
     percent_removed: float  # fraction in [0, 1]
 
 
-@dataclass
-class ScanReport:
+class ScanReport(Fields):
     """Corpus-level scan results in the canonical report layout."""
 
-    meta: dict = field(default_factory=dict)
-    totals: dict = field(default_factory=lambda: {"commits": 0, "projects": 0})
-    anomalies: dict = field(default_factory=dict)
-    top_projects: list[dict] = field(default_factory=list)
-    top_authors: list[dict] = field(default_factory=list)
-    cutoff_table: list[CutoffRow] = field(default_factory=list)
-    fingerprints: dict[str, int] = field(default_factory=dict)
-    tokens: list[tuple[str, int]] = field(default_factory=list)
+    def __init__(
+        self,
+        meta: dict | None = None,
+        totals: dict | None = None,
+        anomalies: dict | None = None,
+        top_projects: list[dict] | None = None,
+        top_authors: list[dict] | None = None,
+        cutoff_table: list[CutoffRow] | None = None,
+        fingerprints: dict[str, int] | None = None,
+        tokens: list[tuple[str, int]] | None = None,
+    ) -> None:
+        self.meta = {} if meta is None else meta
+        self.totals = {"commits": 0, "projects": 0} if totals is None else totals
+        self.anomalies = {} if anomalies is None else anomalies
+        self.top_projects = [] if top_projects is None else top_projects
+        self.top_authors = [] if top_authors is None else top_authors
+        self.cutoff_table = [] if cutoff_table is None else cutoff_table
+        self.fingerprints = {} if fingerprints is None else fingerprints
+        self.tokens = [] if tokens is None else tokens
 
 
 def default_stopwords() -> frozenset[str]:
-    """The bundled English stop word list (overridable by callers)."""
-    text = resources.files("chronolint").joinpath("data/stopwords.txt").read_text("utf-8")
+    """The bundled English stop word list (overridable by callers).
+
+    Read through this module's own loader, from a source tree, a wheel or
+    a zip alike, so that no import of importlib.resources (and of the
+    tempfile, shutil and pathlib behind it) is paid at start-up.
+    """
+    path = os.path.join(os.path.dirname(__file__), "data", "stopwords.txt")
+    text = __spec__.loader.get_data(path).decode("utf-8")
     return frozenset(w.strip() for w in text.splitlines() if w.strip())
 
 
@@ -66,17 +79,23 @@ def _epoch_year(epoch: int) -> int:
         return 1 if epoch < 0 else MAXYEAR
 
 
-@dataclass
-class Tally:
+class Tally(Fields):
     """Flagged (project, commit id) pairs, each counted once, keyed four
     ways: by (kind, project), by project, by the UTC year of the pair's
     first observed time, and by its author's (email, name). The tables of
     a report read only these counts."""
 
-    by_kind: Counter[tuple[AnomalyKind, str]] = field(default_factory=Counter)
-    by_project: Counter[str] = field(default_factory=Counter)
-    by_year: Counter[int] = field(default_factory=Counter)
-    by_author: Counter[tuple[str, str]] = field(default_factory=Counter)
+    def __init__(
+        self,
+        by_kind: Counter[tuple[AnomalyKind, str]] | None = None,
+        by_project: Counter[str] | None = None,
+        by_year: Counter[int] | None = None,
+        by_author: Counter[tuple[str, str]] | None = None,
+    ) -> None:
+        self.by_kind = Counter() if by_kind is None else by_kind
+        self.by_project = Counter() if by_project is None else by_project
+        self.by_year = Counter() if by_year is None else by_year
+        self.by_author = Counter() if by_author is None else by_author
 
 
 def tally(
@@ -234,6 +253,8 @@ def csv_tables(report: ScanReport) -> dict[str, bytes]:
         "fingerprints": ["rule", "count"],
         "tokens": ["token", "count"],
     }
+    import csv  # only --format csv writes CSV
+
     obj = _report_object(report)
     tables = {}
     for name, header in headers.items():

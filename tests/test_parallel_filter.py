@@ -26,7 +26,7 @@ import pytest
 
 from chronolint import cli, parallel
 from chronolint.ingest import emit_export_stream
-from chronolint.model import AnomalyRecord, CommitRecord
+from chronolint.model import AnomalyRecord, CommitRecord, Fields
 from helpers import build_repo, rec
 
 REF = "2021-01-01T00:00:00+00:00"
@@ -294,9 +294,9 @@ def records_in(value):
     items walked."""
     if isinstance(value, (CommitRecord, AnomalyRecord)):
         yield value
-    elif hasattr(value, "__dataclass_fields__"):
-        for name in value.__dataclass_fields__:
-            yield from records_in(getattr(value, name))
+    elif isinstance(value, Fields):
+        for item in vars(value).values():
+            yield from records_in(item)
     elif isinstance(value, dict):
         for key, item in value.items():
             yield from records_in(key)

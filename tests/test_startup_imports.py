@@ -1,30 +1,53 @@
-"""Importing the command line loads no process or pickling machinery.
+"""Importing the command line loads no machinery that most runs never use.
 
 Every run imports ``chronolint.cli``, but only a ``corpus`` run with URLs
-runs a thread pool (for the clones), only git ingest starts processes and
-only forked workers pickle; each imports what it needs where it runs.
+runs a thread pool (for the clones), only git ingest starts processes, only
+forked workers pickle and only ``--format csv`` writes CSV; each imports what
+it needs where it runs. The package's types are named tuples and plain
+classes, so no run pays for ``dataclasses`` and the ``inspect`` chain behind
+it, and the stop word list is read without ``importlib.resources``.
+
+The child runs with ``-S``, so that no site hook that preloads a module can
+hide an import of the package. A module counts only if a baseline child,
+which imports just the stdlib modules the package imports at top level, does
+not load it too: a Python whose own ``argparse`` loads ``dataclasses`` is no
+fault of the package.
 """
 
 import json
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
+from chronolint.report import default_stopwords
 from helpers import build_repo
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-DEFERRED = ("concurrent.futures", "subprocess", "multiprocessing", "pickle")
+DEFERRED = ("concurrent.futures", "subprocess", "multiprocessing", "pickle",
+            "dataclasses", "inspect", "importlib.resources", "tempfile", "csv")
+# the stdlib modules that the package's modules import at top level
+BASELINE = ("argparse", "collections", "contextlib", "datetime", "enum", "functools", "gc",
+            "heapq", "io", "itertools", "json", "json.encoder", "operator", "os", "re",
+            "stat", "sys", "time", "typing")
+
+
+def loaded(statements):
+    """The modules a fresh interpreter with no site hook has loaded after
+    statements."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = f"import json, sys; {statements}; print(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         check=True).stdout
+    return set(json.loads(out.splitlines()[-1]))
 
 
 def loaded_after(statements, deferred=DEFERRED):
-    """Which of deferred a fresh interpreter has loaded after statements."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    code = (f"import json, sys; {statements}; "
-            f"print(json.dumps([m for m in {deferred!r} if m in sys.modules]))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         check=True).stdout
-    return json.loads(out.splitlines()[-1])
+    """Which of deferred a fresh interpreter loads after statements and the
+    baseline child does not."""
+    new = loaded(statements) - loaded(f"import {', '.join(BASELINE)}")
+    return [m for m in deferred if m in new]
 
 
 def test_cli_import_loads_no_process_machinery():
@@ -40,3 +63,18 @@ def test_corpus_of_local_repos_runs_no_thread_pool(tmp_path):
     run = f"from chronolint.cli import main; main({argv!r})"
     assert loaded_after(run, ("concurrent.futures",)) == []
     assert json.loads((tmp_path / "o.json").read_text())["totals"]["commits"] == 2
+
+
+def test_stop_words_read_from_a_zip_as_from_the_tree(tmp_path):
+    archive = tmp_path / "chronolint.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in (SRC / "chronolint").rglob("*"):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zf.write(path, path.relative_to(SRC))
+    code = ("import json, chronolint.report as r; "
+            "print(r.__file__); print(json.dumps(sorted(r.default_stopwords())))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(archive)), text=True).stdout
+    where, words = out.splitlines()[-2:]
+    assert where.startswith(str(archive))
+    assert json.loads(words) == sorted(default_stopwords())
