@@ -38,6 +38,7 @@ from .filters import (
 )
 from .graph import build_history
 from .ingest import (
+    COMMIT_ORDER,
     IngestReport,
     emit_export_stream,
     normalize_time,
@@ -563,38 +564,37 @@ class Kept(Fields):
 
 
 def filter_corpus(corpus: Corpus, cfg: DetectorConfig, policy: FilterPolicy) -> Kept:
-    """The unit step of filter: drop the blacklisted projects, then the
-    flagged, pre-epoch, cut-off and out-of-window records of the rest."""
-    listed = sum(map(len, corpus.values()))
-    corpus = drop_projects(corpus, policy.project_blacklist)
-    kept = [r for recs in corpus.values() for r in recs]
-    blacklisted = listed - len(kept)
+    """The unit step of filter, one project at a time: drop the blacklisted
+    projects unread; build each other project's history, so that filter
+    rejects what scan rejects; then drop its flagged, pre-epoch, cut-off and
+    out-of-window records, and emit the rest in COMMIT_ORDER."""
+    projects = drop_projects(corpus, policy.project_blacklist)
+    result = Kept(blacklisted=sum(len(corpus[p]) for p in corpus.keys() - projects.keys()))
     basis = policy.time_basis
-    anomalies: set[AnomalyRecord] = set()
-    for project in sorted(corpus):  # built in any case, so filter rejects what scan rejects
-        history = build_history(corpus[project], project)
+    for project in sorted(projects):
+        kept = projects[project]
+        history = build_history(kept, project)
         if policy.drop_flagged_kinds:
-            anomalies |= run_all_detectors(history, cfg)
-    if policy.drop_flagged_kinds:
-        kept, _ = drop_flagged(kept, anomalies, policy.drop_flagged_kinds)
-    if policy.min_epoch_seconds is not None:
-        kept, _ = drop_pre_epoch(kept, policy.min_epoch_seconds, basis)
-    if policy.cutoff is not None:
-        kept, _ = date_cutoff(kept, policy.cutoff, policy.cutoff_mode, basis)
-    if policy.window is not None:
-        kept = time_window(kept, policy.window[0], policy.window[1], basis)
-
-    kept.sort(key=lambda r: (r.project, r.commit_time, r.id))
-    lines = {project: emit_export_stream(run)
-             for project, run in itertools.groupby(kept, key=_PROJECT)}
-    return Kept(len(kept), listed - blacklisted - len(kept), blacklisted, lines)
+            kept, _ = drop_flagged(kept, run_all_detectors(history, cfg),
+                                   policy.drop_flagged_kinds)
+        if policy.min_epoch_seconds is not None:
+            kept, _ = drop_pre_epoch(kept, policy.min_epoch_seconds, basis)
+        if policy.cutoff is not None:
+            kept, _ = date_cutoff(kept, policy.cutoff, policy.cutoff_mode, basis)
+        if policy.window is not None:
+            kept = time_window(kept, policy.window[0], policy.window[1], basis)
+        result.kept += len(kept)
+        result.dropped += len(history) - len(kept)
+        if kept:
+            result.lines[project] = emit_export_stream(sorted(kept, key=COMMIT_ORDER))
+    return result
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
     cfg, _, policy = settings_from(args)
     result = scan_input(args, lambda corpus: filter_corpus(corpus, cfg, policy))
-    # kept records are sorted by project first, and each project's lines
-    # were emitted whole by the one unit that filtered it
+    # kept lines are in project order, and each project's lines were
+    # emitted whole by the one unit that filtered it
     write_output(in_project_order(result.lines), args.out)
     summary = {
         "kept": result.kept,

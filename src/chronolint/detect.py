@@ -14,7 +14,6 @@ import re
 import time
 from typing import Iterable, NamedTuple
 
-from .filters import time_getter
 from .graph import linearize
 from .model import (
     AnomalyKind,
@@ -24,6 +23,7 @@ from .model import (
     RepoHistory,
     TIME_BASES,
     check_time_basis,
+    time_getter,
 )
 
 # 1990-11-19T00:00:00Z: release of CVS 1.0, the oldest plausible VCS timestamp
@@ -100,13 +100,13 @@ def _flag(
     kind: AnomalyKind, record: CommitRecord, project: str, basis: str, **evidence
 ) -> AnomalyRecord:
     """An anomaly observed at the record's basis time, with that time's zone."""
-    time_field, zone_field = TIME_BASES[basis]
+    time_of, zone_of = TIME_BASES[basis]
     return AnomalyRecord(
         kind=kind,
         commit_id=record.id,
         project=project,
-        observed=getattr(record, time_field),
-        observed_tz=getattr(record, zone_field),
+        observed=time_of(record),
+        observed_tz=zone_of(record),
         **evidence,
     )
 

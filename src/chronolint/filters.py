@@ -9,8 +9,7 @@ Filters never mutate timestamps; repairing bad dates is out of scope.
 
 from __future__ import annotations
 
-import operator
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .model import (
     AnomalyKind,
@@ -18,21 +17,8 @@ from .model import (
     Changeset,
     ConsistencyError,
     CommitRecord,
-    TIME_BASES,
+    time_getter,
 )
-
-_TIME_OF = {basis: operator.attrgetter(time) for basis, (time, _) in TIME_BASES.items()}
-
-
-def time_getter(basis: str) -> Callable[[CommitRecord], int]:
-    """Return the getter of a record's author or committer time per policy.
-
-    Chosen once per pass, so the loop over records reads each time in C.
-    """
-    try:
-        return _TIME_OF[basis]
-    except KeyError:
-        raise ValueError(f"unknown time basis: {basis!r}") from None
 
 
 def drop_pre_epoch(

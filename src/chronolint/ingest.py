@@ -46,7 +46,8 @@ _REQUIRED_FIELDS = operator.itemgetter(
 _SCAN_ONCE = json.JSONDecoder().scan_once
 _IS_ID = COMMIT_ID_RE.fullmatch  # for strings only: it raises TypeError on others
 _NEW_RECORD = tuple.__new__  # CommitRecord without its Python __new__
-_TIME_AND_ID = operator.attrgetter("commit_time", "id")
+# the order of a project's records as read from git and as filter keeps them
+COMMIT_ORDER = operator.attrgetter("commit_time", "id")
 # one compact encoder for every export row written
 JSONL_ENCODER = json.JSONEncoder(ensure_ascii=True, separators=(",", ":"))
 # a --branches value with one of these is a glob; any other is a branch name
@@ -413,5 +414,5 @@ def read_repository(
     files = _changed_files(path, [c[0] for c in commits]) if with_files else {}
     records = [_NEW_RECORD(CommitRecord, (*c, project, files.get(c[0]))) for c in commits]
     # the walk order depends on git internals; normalize for reproducibility
-    records.sort(key=_TIME_AND_ID)
+    records.sort(key=COMMIT_ORDER)
     return records, report

@@ -11,7 +11,8 @@ import re
 import subprocess
 from datetime import datetime, timezone
 
-from chronolint.model import CommitRecord, is_commit_hash
+from chronolint.graph import build_history, linearize
+from chronolint.model import AnomalyKind, CommitRecord, is_commit_hash
 
 
 def fake_hash(seed) -> str:
@@ -101,6 +102,56 @@ def replay_linear_loop(sequence: list[CommitRecord], merge_exclusion: bool = Tru
             flagged.add(r.id)
         last = r
     return flagged
+
+
+def oracle_filter(records: list[CommitRecord], policy, cfg):
+    """(kept, dropped, blacklisted) of a filter policy over the records of
+    several projects, decided one record at a time: the kept records in
+    (project, committer time, id) order, the count of records that a rule
+    dropped, and the count of records in blacklisted projects.
+
+    The rules are the boundaries that chronolint.filters states, written
+    afresh: a record is dropped if one of the kinds it is flagged with in
+    its own project is listed, if t < min_epoch_seconds, if t is strictly
+    before (or after) the cutoff, or if t is outside the window, which
+    includes both ends. The flags come from the brute-force detectors above
+    and from comparisons with the detector thresholds.
+    """
+    basis = cfg.time_basis
+    by_project: dict[str, list[CommitRecord]] = {}
+    for r in records:
+        by_project.setdefault(r.project, []).append(r)
+    kinds: dict[tuple[str, str], set[AnomalyKind]] = {}
+    for project, recs in by_project.items():
+        if project in policy.project_blacklist:
+            continue
+        late = {child for child, _ in brute_force_parent_pairs(recs, basis)}
+        linear = replay_linear_loop(linearize(build_history(recs, project)),
+                                    cfg.merge_exclusion, basis)
+        for r in recs:
+            t = r.commit_time if basis == "committer" else r.author_time
+            kinds[project, r.id] = {kind for kind, hit in (
+                (AnomalyKind.SUSPICIOUS_OLD, t < cfg.old_threshold),
+                (AnomalyKind.ZERO_EPOCH, t == 0),
+                (AnomalyKind.FUTURE, t > cfg.future_reference),
+                (AnomalyKind.OUT_OF_ORDER_PARENT, r.id in late),
+                (AnomalyKind.OUT_OF_ORDER_LINEAR, r.id in linear),
+            ) if hit}
+
+    def dropped(r: CommitRecord) -> bool:
+        t = r.commit_time if policy.time_basis == "committer" else r.author_time
+        before = policy.cutoff_mode == "before"
+        return bool(
+            kinds[r.project, r.id] & policy.drop_flagged_kinds
+            or (policy.min_epoch_seconds is not None and t < policy.min_epoch_seconds)
+            or (policy.cutoff is not None and (t < policy.cutoff if before else t > policy.cutoff))
+            or (policy.window is not None and not policy.window[0] <= t <= policy.window[1])
+        )
+
+    listed = [r for r in records if r.project not in policy.project_blacklist]
+    kept = sorted((r for r in listed if not dropped(r)),
+                  key=lambda r: (r.project, r.commit_time, r.id))
+    return kept, len(listed) - len(kept), len(records) - len(listed)
 
 
 # ---------------------------------------------------------------------------

@@ -635,6 +635,27 @@ class TestFilter:
         kept, _ = parse_export_stream(out.read_bytes())
         assert [r.project for r in kept] == ["keep"]
 
+    def test_blacklisted_project_dropped_unread(self, tmp_path, capsys):
+        """A blacklisted project's history is never built, so a duplicate id
+        in it, which scan rejects, does not stop filter."""
+        good = rec("g", project="good")
+        first = rec("dup", project="bad")
+        second = rec("dup", commit_epoch=1_600_000_060, project="bad", message="again")
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(emit_export_stream([good, first, second]))
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({"project_blacklist": ["bad"]}))
+        out = tmp_path / "kept.jsonl"
+        assert run(["filter", "--jsonl", str(src), "--policy", str(policy),
+                    "--out", str(out)]) == 0
+        assert out.read_bytes() == emit_export_stream([good])
+        assert capsys.readouterr() == (json.dumps(
+            {"kept": 1, "dropped": 2, "dropped_blacklisted_projects": 2}) + "\n", "")
+        assert run(["scan", "--jsonl", str(src), "--reference", REF,
+                    "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"chronolint: duplicate commit id {first.id} in project bad\n")
+
 
 class TestReport:
     def test_report_from_anomaly_stream(self, tmp_path):
