@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chronolint.detect import DetectorConfig, detect_out_of_order_parent
+from chronolint import cli
+from chronolint.detect import DetectorConfig, detect_old, detect_out_of_order_parent
 from chronolint.filters import (
     coalesce,
     date_cutoff,
@@ -15,7 +16,7 @@ from chronolint.filters import (
     time_window,
 )
 from chronolint.graph import build_history
-from chronolint.model import AnomalyKind, ConsistencyError
+from chronolint.model import AnomalyKind, ConsistencyError, FilterPolicy
 from census import CENSUS_BELOW_ONE, CENSUS_TOTAL, SUSPICIOUS_TIMESTAMP_CENSUS
 from helpers import rec, utc_epoch
 
@@ -163,6 +164,22 @@ class TestDropFlagged:
         )
         with pytest.raises(ConsistencyError):
             drop_flagged([rec("other")], ghost, {AnomalyKind.OUT_OF_ORDER_PARENT})
+
+    def test_kinds_by_name_drop_as_their_members_do(self):
+        # a zero committer date under a sane author date: the detectors read
+        # the committer date, the pre-epoch filter the author date
+        zero, ok = rec("z", commit_epoch=0, author_epoch=1_600_000_000), rec("ok")
+        anomalies = detect_old(build_history([zero, ok], "proj"), DetectorConfig())
+        assert drop_flagged([zero, ok], anomalies, {"zero_epoch"}) == ([ok], [zero.id])
+        assert drop_flagged([zero, ok], anomalies, {AnomalyKind.ZERO_EPOCH, "future"}) == (
+            [ok], [zero.id])
+        with pytest.raises(ValueError):
+            drop_flagged([zero, ok], anomalies, {"zero"})
+        corpus = cli.group_by_project([zero, ok])
+        by_name, by_member = (
+            cli.filter_corpus(corpus, DetectorConfig(), FilterPolicy(drop_flagged_kinds=kinds))
+            for kinds in (frozenset({"zero_epoch"}), frozenset({AnomalyKind.ZERO_EPOCH})))
+        assert by_name == by_member and (by_name.kept, by_name.dropped) == (1, 1)
 
 
 class TestCoalesce:

@@ -38,3 +38,10 @@ def test_policy_validation():
         FilterPolicy(window=(10, 5))
     assert FilterPolicy().min_epoch_seconds == 1
     assert FilterPolicy().time_basis == "author"
+
+
+@pytest.mark.parametrize("window", [(5,), (1, 2, 3), (), [1, 2], (1, "2"), (1.0, 2), 7])
+def test_policy_window_must_be_a_pair_of_ints(window):
+    with pytest.raises(ConfigError, match="^window must be a pair of ints: "):
+        FilterPolicy(window=window)
+    assert FilterPolicy(window=(5, 5)).window == (5, 5)
