@@ -82,15 +82,16 @@ def drop_projects(
 def drop_flagged(
     records: Iterable[CommitRecord],
     anomalies: Iterable[AnomalyRecord],
-    kinds: Iterable[AnomalyKind],
+    kinds: Iterable[AnomalyKind | str],
 ) -> tuple[list[CommitRecord], list[str]]:
-    """Drop exactly the records flagged with one of the given kinds.
+    """Drop exactly the records flagged with one of the given kinds, each
+    an AnomalyKind or its value; an unknown value raises ValueError.
 
     A flag names a commit within its project, so a commit shared by several
     projects is dropped only from those it was flagged in.
     """
     records = list(records)
-    kinds = set(kinds)
+    kinds = {AnomalyKind(k) for k in kinds}
     known: dict[str, set[str]] = {}
     for r in records:
         known.setdefault(r.project, set()).add(r.id)

@@ -157,8 +157,13 @@ class FilterPolicy(_Policy):
         check_time_basis(self.time_basis)
         if self.cutoff_mode not in ("before", "after"):
             raise ConfigError(f"unknown cutoff mode: {self.cutoff_mode!r}")
-        if self.window is not None and self.window[0] > self.window[1]:
-            raise ConfigError("window start is after window end")
+        window = self.window
+        if window is not None:
+            if type(window) is not tuple or len(window) != 2 or not all(
+                    type(t) is int for t in window):
+                raise ConfigError(f"window must be a pair of ints: {window!r}")
+            if window[0] > window[1]:
+                raise ConfigError("window start is after window end")
         return self
 
 
