@@ -316,26 +316,12 @@ class Scan(Tally):
     (project, commit id) pairs, each project's commit count, and, over the
     flagged pairs, each rule's fingerprint count and each token's count in
     their sanitized messages. rows holds each project's anomaly stream
-    rows, when the command writes the stream. Each field merges by its
-    type (see merged), so a new one needs no merge code.
+    rows, when the command writes the stream. A new field is one FIELDS
+    entry: it merges by its type (see merged), with no merge code.
     """
 
-    def __init__(
-        self,
-        by_kind: Counter[tuple[AnomalyKind, str]] | None = None,
-        by_project: Counter[str] | None = None,
-        by_year: Counter[int] | None = None,
-        by_author: Counter[tuple[str, str]] | None = None,
-        counts: dict[str, int] | None = None,
-        fingerprints: Counter[str] | None = None,
-        tokens: Counter[str] | None = None,
-        rows: dict[str, bytes] | None = None,
-    ) -> None:
-        super().__init__(by_kind, by_project, by_year, by_author)
-        self.counts = {} if counts is None else counts
-        self.fingerprints = Counter() if fingerprints is None else fingerprints
-        self.tokens = Counter() if tokens is None else tokens
-        self.rows = {} if rows is None else rows
+    FIELDS = {**Tally.FIELDS, "counts": dict, "fingerprints": Counter, "tokens": Counter,
+              "rows": dict}
 
 
 def scan_corpus(
@@ -552,15 +538,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 class Kept(Fields):
     """The result of a filter: the counts of its summary line, and each
-    project's kept records as export lines. Each field merges by its type
-    (see merged)."""
+    project's kept records as export lines. A new field is one FIELDS entry:
+    it merges by its type (see merged)."""
 
-    def __init__(self, kept: int = 0, dropped: int = 0, blacklisted: int = 0,
-                 lines: dict[str, bytes] | None = None) -> None:
-        self.kept = kept
-        self.dropped = dropped
-        self.blacklisted = blacklisted
-        self.lines = {} if lines is None else lines
+    FIELDS = {"kept": int, "dropped": int, "blacklisted": int, "lines": dict}
 
 
 def filter_corpus(corpus: Corpus, cfg: DetectorConfig, policy: FilterPolicy) -> Kept:

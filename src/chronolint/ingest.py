@@ -52,15 +52,16 @@ COMMIT_ORDER = operator.attrgetter("commit_time", "id")
 JSONL_ENCODER = json.JSONEncoder(ensure_ascii=True, separators=(",", ":"))
 # a --branches value with one of these is a glob; any other is a branch name
 _GLOB_RE = re.compile(r"[*?[]")
+_ID = COMMIT_ID_RE.pattern.encode()
 # cat-file --batch prints "<oid> commit <size>" before each object
-_ENTRY_RE = re.compile(rb"([0-9a-f]{40}) commit (\d+)\n")
+_ENTRY_RE = re.compile(rb"(%b) commit (\d+)\n" % _ID)
 # the headers git writes first, in this order; gpgsig, mergetag and
 # encoding headers may follow, and the message starts after a blank line
 _HEADER_RE = re.compile(
-    rb"tree [0-9a-f]{40}\n"
-    rb"((?:parent [0-9a-f]{40}\n)*)"
+    rb"tree %b\n"
+    rb"((?:parent %b\n)*)"
     rb"author ([^<\n]*?) *<([^>\n]*)> (-?\d+) ([^ \n]+)\n"
-    rb"committer [^\n]*> (-?\d+) ([^ \n]+)\n"
+    rb"committer [^\n]*> (-?\d+) ([^ \n]+)\n" % (_ID, _ID)
 )
 
 
@@ -71,11 +72,7 @@ class IngestReport(Fields):
     of a commit read from git. lines is the number of JSONL lines read.
     """
 
-    def __init__(self, records_parsed: int = 0, lines: int = 0,
-                 rejected: list[tuple[int | str, str]] | None = None) -> None:
-        self.records_parsed = records_parsed
-        self.lines = lines
-        self.rejected = [] if rejected is None else rejected
+    FIELDS = {"records_parsed": int, "lines": int, "rejected": list}
 
     def reject(self, position: int | str, reason: str) -> None:
         self.rejected.append((position, reason))

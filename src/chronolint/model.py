@@ -178,9 +178,28 @@ class Changeset(NamedTuple):
 
 
 class Fields:
-    """A mutable result whose fields are the attributes its __init__ sets, in
-    order, read with vars(): it compares and prints by them, and pickles as
-    any plain object does."""
+    """A mutable result whose fields are its class's FIELDS, an ordered map
+    from each field's name to the factory of its default, so that a new field
+    is one FIELDS entry. It is built from its fields in that order, by
+    position or by keyword, each field not given getting a fresh default. It
+    compares and prints by vars(), which holds its fields in FIELDS order,
+    and pickles as any plain object does."""
+
+    FIELDS: dict[str, Callable[[], object]] = {}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields, name = self.FIELDS, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, not {len(args)}")
+        given = dict(zip(fields, args))
+        for field in kwargs:
+            if field not in fields:
+                raise TypeError(f"{name} has no field {field!r}")
+            if field in given:
+                raise TypeError(f"{name} got field {field!r} twice")
+        given.update(kwargs)
+        for field, default in fields.items():
+            setattr(self, field, given[field] if field in given else default())
 
     def __eq__(self, other: object) -> bool:
         return vars(self) == vars(other) if type(other) is type(self) else NotImplemented

@@ -37,25 +37,9 @@ class CutoffRow(NamedTuple):
 class ScanReport(Fields):
     """Corpus-level scan results in the canonical report layout."""
 
-    def __init__(
-        self,
-        meta: dict | None = None,
-        totals: dict | None = None,
-        anomalies: dict | None = None,
-        top_projects: list[dict] | None = None,
-        top_authors: list[dict] | None = None,
-        cutoff_table: list[CutoffRow] | None = None,
-        fingerprints: dict[str, int] | None = None,
-        tokens: list[tuple[str, int]] | None = None,
-    ) -> None:
-        self.meta = {} if meta is None else meta
-        self.totals = {"commits": 0, "projects": 0} if totals is None else totals
-        self.anomalies = {} if anomalies is None else anomalies
-        self.top_projects = [] if top_projects is None else top_projects
-        self.top_authors = [] if top_authors is None else top_authors
-        self.cutoff_table = [] if cutoff_table is None else cutoff_table
-        self.fingerprints = {} if fingerprints is None else fingerprints
-        self.tokens = [] if tokens is None else tokens
+    FIELDS = {"meta": dict, "totals": lambda: {"commits": 0, "projects": 0}, "anomalies": dict,
+              "top_projects": list, "top_authors": list, "cutoff_table": list,
+              "fingerprints": dict, "tokens": list}
 
 
 def default_stopwords() -> frozenset[str]:
@@ -85,17 +69,8 @@ class Tally(Fields):
     first observed time, and by its author's (email, name). The tables of
     a report read only these counts."""
 
-    def __init__(
-        self,
-        by_kind: Counter[tuple[AnomalyKind, str]] | None = None,
-        by_project: Counter[str] | None = None,
-        by_year: Counter[int] | None = None,
-        by_author: Counter[tuple[str, str]] | None = None,
-    ) -> None:
-        self.by_kind = Counter() if by_kind is None else by_kind
-        self.by_project = Counter() if by_project is None else by_project
-        self.by_year = Counter() if by_year is None else by_year
-        self.by_author = Counter() if by_author is None else by_author
+    FIELDS = {"by_kind": Counter, "by_project": Counter, "by_year": Counter,
+              "by_author": Counter}
 
 
 def tally(

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 
+from chronolint import model
 from chronolint.model import (
+    COMMIT_ID_RE,
     CommitRecord,
     FilterPolicy,
     ConfigError,
@@ -16,6 +20,12 @@ def test_hash_predicate():
     assert not is_commit_hash(fake_hash("x").upper())
     assert not is_commit_hash(fake_hash("x") + "\n")
     assert not is_commit_hash(None)
+
+
+def test_one_module_spells_out_a_commit_id():
+    spelled = {path.name: path.read_text().count(COMMIT_ID_RE.pattern)
+               for path in Path(model.__file__).parent.glob("*.py")}
+    assert {name: n for name, n in spelled.items() if n} == {"model.py": 1}
 
 
 def test_commit_record_is_an_immutable_value():
