@@ -52,6 +52,7 @@ COMMIT_ORDER = operator.attrgetter("commit_time", "id")
 JSONL_ENCODER = json.JSONEncoder(ensure_ascii=True, separators=(",", ":"))
 # a --branches value with one of these is a glob; any other is a branch name
 _GLOB_RE = re.compile(r"[*?[]")
+# a commit id in git's output, as COMMIT_ID_RE defines it
 _ID = COMMIT_ID_RE.pattern.encode()
 # cat-file --batch prints "<oid> commit <size>" before each object
 _ENTRY_RE = re.compile(rb"(%b) commit (\d+)\n" % _ID)
