@@ -98,8 +98,7 @@ def test_results_declare_fields_and_define_no_init():
     for name in sorted(results):
         module, node = classes[name]
         defined = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
-        assigned = {t.id for n in node.body if isinstance(n, (ast.Assign, ast.AnnAssign))
-                    for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+        assigned = {t.id for n in node.body if isinstance(n, ast.Assign) for t in n.targets
                     if isinstance(t, ast.Name)}
         assert "__init__" not in defined, f"{module}: {name} defines __init__"
         assert "FIELDS" in assigned, f"{module}: {name} declares no FIELDS"
