@@ -5,6 +5,7 @@ import pytest
 from chronolint import model
 from chronolint.model import (
     COMMIT_ID_RE,
+    AnomalyKind,
     CommitRecord,
     FilterPolicy,
     ConfigError,
@@ -55,3 +56,18 @@ def test_policy_window_must_be_a_pair_of_ints(window):
     with pytest.raises(ConfigError, match="^window must be a pair of ints: "):
         FilterPolicy(window=window)
     assert FilterPolicy(window=(5, 5)).window == (5, 5)
+
+
+def test_policy_kinds_are_anomaly_kinds():
+    """A kind is read through AnomalyKind when the policy is made, by member
+    or by name, so that an unknown one fails there, as a ConfigError, and
+    not at the first project a filter drops from."""
+    policy = FilterPolicy(drop_flagged_kinds=frozenset({"future", AnomalyKind.ZERO_EPOCH}))
+    assert policy.drop_flagged_kinds == frozenset({AnomalyKind.FUTURE, AnomalyKind.ZERO_EPOCH})
+    assert FilterPolicy(drop_flagged_kinds=["future"]).drop_flagged_kinds == frozenset(
+        {AnomalyKind.FUTURE})
+    with pytest.raises(ConfigError, match=(
+            "^policy drop_flagged_kinds: 'bogus' is not a valid AnomalyKind$")):
+        FilterPolicy(drop_flagged_kinds=frozenset({"bogus"}))
+    with pytest.raises(ConfigError, match="^policy drop_flagged_kinds: "):
+        FilterPolicy(drop_flagged_kinds=5)
