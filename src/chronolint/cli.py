@@ -48,7 +48,6 @@ from .ingest import (
     run_git,
 )
 from .model import (
-    AnomalyKind,
     AnomalyRecord,
     ChronolintError,
     CommitRecord,
@@ -232,12 +231,7 @@ def policy_from_object(obj: dict) -> FilterPolicy:
     if "project_blacklist" in obj:
         kwargs["project_blacklist"] = frozenset(strings("project_blacklist"))
     if "drop_flagged_kinds" in obj:
-        try:
-            kwargs["drop_flagged_kinds"] = frozenset(
-                AnomalyKind(k) for k in strings("drop_flagged_kinds")
-            )
-        except ValueError as exc:
-            raise ConfigError(f"policy drop_flagged_kinds: {exc}") from exc
+        kwargs["drop_flagged_kinds"] = frozenset(strings("drop_flagged_kinds"))
     if "time_basis" in obj:
         kwargs["time_basis"] = obj["time_basis"]
     return FilterPolicy(**kwargs)

@@ -147,13 +147,20 @@ class FilterPolicy(_Policy):
     pre-epoch filters read; author date is the default because rebases and
     cherry-picks rewrite the committer date. The detectors, and so
     drop_flagged_kinds, read DetectorConfig.time_basis instead (--time-basis,
-    default committer).
+    default committer). drop_flagged_kinds may be given by member or by name;
+    it is kept as a frozenset of AnomalyKind.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> FilterPolicy:
         self = super().__new__(cls, *args, **kwargs)
+        try:
+            kinds = frozenset(map(AnomalyKind, self.drop_flagged_kinds))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"policy drop_flagged_kinds: {exc}") from exc
+        if kinds != self.drop_flagged_kinds:
+            self = self._replace(drop_flagged_kinds=kinds)
         check_time_basis(self.time_basis)
         if self.cutoff_mode not in ("before", "after"):
             raise ConfigError(f"unknown cutoff mode: {self.cutoff_mode!r}")
