@@ -28,6 +28,9 @@ from .model import (
 
 # 1990-11-19T00:00:00Z: release of CVS 1.0, the oldest plausible VCS timestamp
 CVS_RELEASE_EPOCH = 658972800
+# A pattern free of these (and of |, which FingerprintRule.literals splits
+# at) is a plain string to re: each character matches only itself.
+_METACHARACTERS = frozenset(".^$*+?{}[]\\()")
 
 
 class _Rule(NamedTuple):
@@ -56,6 +59,14 @@ class FingerprintRule(_Rule):
             return re.compile(self.pattern, re.IGNORECASE if self.case_insensitive else 0)
         except re.error as exc:
             raise ConfigError(f"fingerprint rule {self.name!r}: bad pattern: {exc}") from exc
+
+    def literals(self) -> tuple[str, ...] | None:
+        """The plain strings of a case-sensitive pattern with no regex
+        metacharacter, split at its top-level |: a message holds one of them
+        exactly where the pattern's search matches. None for any other rule."""
+        if self.case_insensitive or not _METACHARACTERS.isdisjoint(self.pattern):
+            return None
+        return tuple(self.pattern.split("|"))
 
 
 DEFAULT_FINGERPRINT_RULES: tuple[FingerprintRule, ...] = (
@@ -217,19 +228,27 @@ def scan_fingerprints(
     """Count messages that match each rule: rule name -> count.
 
     Messages are matched as given, so callers pass them through
-    sanitize_message first. A message may match several rules.
+    sanitize_message first. A message may match several rules. A rule whose
+    pattern is plain strings (FingerprintRule.literals) is tested with in,
+    which gives the counts of its regex search in less time; any other
+    rule is searched with its regex.
     """
     rules = list(rules)
     names = [rule.name for rule in rules]
     duplicates = [name for name in names if names.count(name) > 1]
     if duplicates:
         raise ConfigError(f"duplicate fingerprint rule name: {duplicates[0]!r}")
-    compiled = [(rule.name, rule.compile()) for rule in rules]
-    counts = dict.fromkeys(names, 0)
-    for message in messages:
-        for name, pattern in compiled:
-            if pattern.search(message):
-                counts[name] += 1
+    compiled = [(rule.name, rule.compile(), rule.literals()) for rule in rules]
+    messages = list(messages)
+    counts = {}
+    for name, pattern, literals in compiled:
+        if literals is None:
+            counts[name] = sum(1 for message in messages if pattern.search(message))
+            continue
+        left = messages  # those that hold none of the literals so far
+        for literal in literals:
+            left = [message for message in left if literal not in message]
+        counts[name] = len(messages) - len(left)
     return counts
 
 

@@ -1,9 +1,10 @@
 import itertools
 import random
 import re
+import warnings
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chronolint.detect import (
@@ -31,6 +32,14 @@ from helpers import (
 )
 
 CFG = DetectorConfig(future_reference=utc_epoch(2019, 10, 31))
+# fingerprint patterns and messages are drawn from these: cased letters,
+# non-ASCII (with a character whose case folds to two), space, and | beside
+# the regex metacharacters
+PLAIN = "aAbé中ß |-"
+METACHARACTERS = ".^$*+?{}[]\\()"
+# pieces of valid patterns, so that regexes of every kind are drawn often
+ATOMS = st.sampled_from(["a", "A", "é", "中", "ß", " ", "|", "[aé]", "(a|b)", "a*", "b+",
+                         "é?", ".", "^", "$", "\\.", "\\d", "a{2}", "[]a]", "()"])
 
 
 def history_of(*records, project="proj"):
@@ -277,6 +286,47 @@ class TestFingerprints:
         rules = [FingerprintRule("x", "a"), FingerprintRule("x", "b")]
         with pytest.raises(ConfigError):
             scan_fingerprints([], rules)
+
+    def test_literal_rules_are_told_apart(self):
+        literal = {rule.name: rule.literals() for rule in DEFAULT_FINGERPRINT_RULES}
+        assert literal == {"git-svn-id": ("git-svn-id",), "Reviewed-by": ("Reviewed-by",),
+                           "Change-Id": ("Change-Id",), "rebase_source": ("rebase_source",),
+                           "hg": None, "MOE|push_codebase": ("MOE", "push_codebase")}
+        assert FingerprintRule("x", "a|").literals() == ("a", "")
+        assert FingerprintRule("x", "café", case_insensitive=True).literals() is None
+        for meta in ".^$*+?{}[]\\()":
+            assert FingerprintRule("x", f"a{meta}").literals() is None, meta
+
+    @settings(max_examples=300, deadline=None)
+    @given(patterns=st.lists(st.tuples(st.one_of(st.text(PLAIN, max_size=6),
+                                                 st.text(PLAIN + METACHARACTERS, max_size=6),
+                                                 st.lists(ATOMS, max_size=4).map("".join)),
+                                       st.booleans()), min_size=1, max_size=4),
+           data=st.data())
+    def test_counts_match_a_regex_search(self, patterns, data):
+        """Each rule counts the messages that re.search finds it in, whether
+        it is tested with in (a plain string or a | of plain strings) or with
+        its regex. The messages are made of random text and of the patterns
+        and their |-separated parts, as written and with their case swapped."""
+        rules, flags = [], []
+        for k, (pattern, folded) in enumerate(patterns):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # "possible nested set", say
+                    re.compile(pattern, re.IGNORECASE if folded else 0)
+            except (re.error, FutureWarning):
+                continue
+            rules.append(FingerprintRule(f"r{k}", pattern, folded))
+            flags.append(re.IGNORECASE if folded else 0)
+        assume(rules)
+        pieces = sorted({piece for rule in rules
+                         for piece in (rule.pattern, *rule.pattern.split("|"))})
+        fragments = st.one_of(st.text(PLAIN + METACHARACTERS, max_size=4),
+                              st.sampled_from(pieces), st.sampled_from(pieces).map(str.swapcase))
+        messages = data.draw(st.lists(st.lists(fragments, max_size=3).map("".join), max_size=8))
+        oracle = {rule.name: sum(re.search(rule.pattern, m, flag) is not None for m in messages)
+                  for rule, flag in zip(rules, flags)}
+        assert scan_fingerprints(iter(messages), rules) == oracle
 
     def test_default_rule_set_is_the_published_six(self):
         assert [r.name for r in DEFAULT_FINGERPRINT_RULES] == [
