@@ -470,8 +470,9 @@ def scan_units(reads: Sequence[Read], sizes: Sequence[int], step: Step[Result]) 
     the one runner of scan and filter, and the one keeper of their rejects.
 
     With more than one read, each is a unit of parallel.share, sizes[i]
-    large: it reads, its keys are the projects it read, and its finish
-    returns its ingest report and step's result over those projects.
+    large, which runs no more processes than the reads and the usable CPUs:
+    a unit reads, its keys are the projects it read, and its finish returns
+    its ingest report and step's result over those projects.
     merged joins the results, which need no merge code of their own, and
     the rejects of the joined reports are printed after the units. With one
     read, or if two units share a project or any unit fails, this process
@@ -505,9 +506,11 @@ def scan_input(args: argparse.Namespace, step: Step[Result]) -> Result:
     the reads of scan_units.
 
     A repository is one read, as is a JSONL export that range_count keeps
-    in one range, a pipe's among them, read from the file already open.
-    Otherwise plan_ranges cuts the export at the starts of project runs
-    into ranges, each a read as large as its bytes.
+    in one unit, a pipe's among them, read from the file already open.
+    Otherwise plan_ranges cuts the export at the starts of project runs into
+    up to range_count ranges, several for each process it is planned for,
+    each a read as large as its bytes; targets inside one project find the
+    same start, so an export of few projects has fewer.
     """
     if args.repo:
         return scan_units([functools.partial(load_records, args)], [0], step)

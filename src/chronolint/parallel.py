@@ -4,7 +4,10 @@ and how forked workers start, report back and end.
 ``share`` is the one driver of parallel work: a command gives it the sizes
 of its units (``cli.scan_units`` the reads of a JSONL export's byte ranges,
 ``cli.scan_repositories`` a corpus's repositories), and it hands them out
-largest first. A worker sends the keys of its units through a pipe and their
+largest first from one queue, so a process that ends its units sooner takes
+more. A JSONL export is planned for a number of processes by what a process
+costs to start (``range_count``), then cut into several units for each
+(``plan_ranges``), since a unit costs far less. A worker sends the keys of its units through a pipe and their
 results through an unlinked file, which this process reads once the worker
 has exited, so a large result never waits for this process to read it. This
 module holds every ``os.fork``, ``os.pipe``, worker file and CPU placement
@@ -14,6 +17,7 @@ processes are started by ``ingest.run_git``.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import os
 import stat
@@ -22,14 +26,23 @@ from typing import IO, Callable, Collection, Hashable, Iterable, Iterator, NoRet
 
 from .ingest import parse_export_stream
 
-# The least bytes each range of a parallel JSONL scan holds. Forking a
-# worker, placing it and passing its result back cost about 6 ms on a 2-vCPU
-# x86 guest, what a scan of about 150 KiB of export takes; there a 650 KB
-# export ran about 10% faster in two ranges than in one, a 130 KB one 50% slower.
+# The least bytes of export that each process of a parallel JSONL scan is
+# planned for. Forking a worker, placing it and passing its results back cost
+# about 6 ms on a 2-vCPU x86 guest, what a scan of about 150 KiB of export
+# takes; there a 650 KB export ran about 10% faster in two processes than in
+# one, a 130 KB one 50% slower.
 MIN_RANGE_BYTES = 1 << 19
-# The most ranges a JSONL scan is cut into: the most CPUs it was measured
-# on (a 2-vCPU guest), where one range per CPU paid. More are untried.
+# The most processes a JSONL scan is planned for: the most CPUs it was
+# measured on (a 2-vCPU guest), where one process per CPU paid. More are
+# untried. share itself runs no more processes than usable CPUs and units.
 MAX_RANGES = 2
+# The units a JSONL scan is cut into for each process it is planned for. The
+# queue then evens out projects of unequal size and CPUs of unequal speed,
+# where one range per process left the worker of a 4-project export idle for
+# a third of the parallel part. A unit costs far less than a process: its
+# cuts (a few dozen planner probes, about 10-20 us each), its open of the
+# export and its own result to pickle.
+UNITS_PER_PROCESS = 4
 # A probe of the cut planner reads at most this many lines of at most
 # this many bytes each, so that planning never reads much of an export.
 PROBE_LINES = 64
@@ -132,15 +145,17 @@ def usable_cpus() -> int:
 
 
 def range_count(fh: IO[bytes]) -> int:
-    """How many ranges a scan of fh is cut into: one per usable CPU.
+    """How many units a scan of fh is cut into: UNITS_PER_PROCESS for each
+    process it is planned for, one per usable CPU.
 
-    One, unless fh is a regular file and each range would hold at least
-    MIN_RANGE_BYTES; never more than MAX_RANGES.
+    One, unless fh is a regular file and each process would scan at least
+    MIN_RANGE_BYTES; never planned for more than MAX_RANGES processes.
     """
     status = os.fstat(fh.fileno())
     if not stat.S_ISREG(status.st_mode):
         return 1
-    return max(1, min(usable_cpus(), MAX_RANGES, status.st_size // MIN_RANGE_BYTES))
+    processes = min(usable_cpus(), MAX_RANGES, status.st_size // MIN_RANGE_BYTES)
+    return UNITS_PER_PROCESS * processes if processes > 1 else 1
 
 
 class _NoCut(Exception):
@@ -154,57 +169,120 @@ def _probe_line(fh: IO[bytes]) -> bytes:
     return line
 
 
-def _line_start(fh: IO[bytes], offset: int) -> int:
-    """The first line start at or after offset."""
-    if offset <= 0:
-        return 0
-    fh.seek(offset - 1)
-    _probe_line(fh)
-    return fh.tell()
+class _Probes:
+    """What one plan has read of fh, by line start: the project of the first
+    record at or after it, None past the last record, and the start of the
+    line after that record. Each line start is probed at most once.
 
-
-def _project_at(fh: IO[bytes], offset: int, project: str) -> str | None:
-    """The project of the first record whose line starts at or after offset.
-
-    None past the last record. Each line is read by parse_export_stream, so
-    what counts as a record here is what counts in the scan.
+    Each line is read by parse_export_stream, so what counts as a record
+    here is what counts in the scan.
     """
-    fh.seek(_line_start(fh, offset))
-    for _ in range(PROBE_LINES):
-        line = _probe_line(fh)
-        if not line:
-            return None
-        records, _ = parse_export_stream(line, project)
-        if records:
-            return records[0].project
-    raise _NoCut
+
+    def __init__(self, fh: IO[bytes], size: int, project: str) -> None:
+        self.fh, self.size, self.project = fh, size, project
+        self.found: dict[int, tuple[str | None, int]] = {size: (None, size)}
+        self.starts = [size]  # the keys of found, in order
+
+    def line(self, offset: int) -> int:
+        """The first line start at or after offset."""
+        if offset <= 0:
+            return 0
+        if offset >= self.size:
+            return self.size
+        self.fh.seek(offset - 1)
+        _probe_line(self.fh)
+        return self.fh.tell()
+
+    def at(self, start: int) -> tuple[str | None, int]:
+        """(project, end) of line start start; each line start read on the
+        way to the record gets the same."""
+        if start not in self.found:
+            self.fh.seek(start)
+            passed = [start]
+            for _ in range(PROBE_LINES):
+                line = _probe_line(self.fh)
+                if not line:
+                    found: tuple[str | None, int] = (None, passed[-1])
+                    break
+                records, _ = parse_export_stream((line,), self.project)
+                if records:
+                    found = (records[0].project, self.fh.tell())
+                    break
+                passed.append(self.fh.tell())
+            else:
+                raise _NoCut
+            for passed_start in passed:
+                if passed_start not in self.found:
+                    self.found[passed_start] = found
+                    bisect.insort(self.starts, passed_start)
+        return self.found[start]
 
 
-def _run_edge(
-    fh: IO[bytes], size: int, project: str, target: int, here: str | None, step: int
-) -> int | None:
-    """The nearest line start from target in direction step (1 or -1) where
-    the records' project changes from here; None if it never does.
+class _Side:
+    """The search on one side of a target for the nearest project-run start:
+    a line start whose project differs from that of the record before it.
 
-    It gallops from target, doubling the distance, to an offset whose project
-    differs, then bisects down to two adjacent offsets. A record starts at
-    the lower one, and the other project's side begins on the next line.
+    The start lies in [lo, hi], two line starts, and is found when they
+    meet. Forward, lo ends a record of the target's project and hi's project
+    is another; backward, lo ends a record of another project and hi's
+    project is the target's.
     """
-    inside, width = target, 1
-    while True:
-        outside = min(max(target + step * width, 0), size)
-        if _project_at(fh, outside, project) != here:
-            break
-        if outside in (0, size):
-            return None
-        inside, width = outside, width * 2
-    while abs(outside - inside) > 1:
-        middle = (inside + outside) // 2
-        if _project_at(fh, middle, project) == here:
-            inside = middle
+
+    def __init__(self, forward: bool, lo: int, hi: int, width: int) -> None:
+        self.forward, self.lo, self.hi, self.width = forward, lo, hi, width
+
+    def nearest(self, target: int) -> int:
+        """The least distance from target that the run start may lie at."""
+        return self.lo - target if self.forward else target - self.hi
+
+    def step(self, probes: _Probes, here: str | None) -> None:
+        """Probe once between lo and hi: width from the end nearer the target,
+        the width doubling at each step, or in the middle once that is nearer."""
+        middle = (self.lo + self.hi) // 2
+        offset = min(middle, self.lo + self.width) if self.forward else max(
+            middle, self.hi - self.width)
+        self.width *= 2
+        start = probes.line(offset)
+        if start >= self.hi:  # no line starts in [offset, hi)
+            if offset != middle:
+                return
+            start = self.lo
+        project, end = probes.at(start)
+        if (project != here) == self.forward:
+            self.hi = start
         else:
-            outside = middle
-    return _line_start(fh, max(inside, outside))
+            self.lo = end
+
+
+def _nearest_run_start(probes: _Probes, target: int) -> int | None:
+    """The project-run start nearest to target, None if there is none.
+
+    Both sides are searched from the probes already made, the nearest on
+    each side bounding it, and the one that may hold the nearer run start is
+    probed next, so that only the nearer is searched to its end.
+    """
+    start = probes.line(target)
+    here, end = probes.at(start)
+    width = max(end - start, 1)  # past the last line, end is start
+    starts, found = probes.starts, probes.found
+    sides = []
+    if here is not None:  # else no record, and no run start, follows
+        after = starts[bisect.bisect_right(starts, start):]
+        hi = next(known for known in after if found[known][0] != here)
+        lo = max([end, *(found[known][1] for known in after if known < hi)])
+        sides.append(_Side(True, lo, hi, width))
+    hi = start
+    for known in reversed(starts[:bisect.bisect_left(starts, start)]):
+        if found[known][0] != here:
+            sides.append(_Side(False, found[known][1], hi, width))
+            break
+        hi = known
+    while sides:
+        side = min(sides, key=lambda side: side.nearest(target))
+        if side.lo == side.hi:
+            return side.hi
+        side.step(probes, here)
+    return None
 
 
 def plan_ranges(fh: IO[bytes], size: int, project: str, count: int) -> list[tuple[int, int]]:
@@ -212,20 +290,19 @@ def plan_ranges(fh: IO[bytes], size: int, project: str, count: int) -> list[tupl
 
     Each cut is the project-run start nearest to size*k/count, so that on
     an export that lists each project's commits together, every project
-    falls in one range. A run past the last record (blank or rejected
-    lines only) counts as a run of its own. A line of PROBE_BYTES or more,
-    or PROBE_LINES lines without a record, where a probe reads leaves the
-    file in one range.
+    falls in one range; targets inside one project find the same start. A
+    run past the last record (blank or rejected lines only) counts as a run
+    of its own. A line of PROBE_BYTES or more, or PROBE_LINES lines without
+    a record, where a probe reads leaves the file in one range.
     """
+    probes = _Probes(fh, size, project)
     cuts = set()
     try:
+        probes.at(0)  # so that every search has a probe below it
         for k in range(1, count):
-            target = size * k // count
-            here = _project_at(fh, target, project)
-            edges = [edge for step in (1, -1)
-                     if (edge := _run_edge(fh, size, project, target, here, step)) is not None]
-            if edges:
-                cuts.add(min(edges, key=lambda edge: abs(edge - target)))
+            cut = _nearest_run_start(probes, size * k // count)
+            if cut is not None:
+                cuts.add(cut)
     except _NoCut:
         cuts.clear()
     bounds = [0, *sorted(cuts - {0, size}), size]

@@ -5,10 +5,10 @@ range: the kept file, stdout, stderr and the exit code, byte for byte. A
 ranged ``scan`` and a ``corpus`` at any ``--jobs``, whose units tally the
 flagged commits, count the fingerprints and tokens and render the anomaly
 rows, give the report and stream of a run in one process; no commit record
-or anomaly leaves a unit. These tests force the number of ranges to 1-4
-through ``parallel.range_count``, and the usable CPUs to four. They also
-check that ``corpus`` hands out its largest repository first, and that no
-child process or pipe outlives a filter.
+or anomaly leaves a unit. These tests force the number of ranges to 1-8
+through ``parallel.range_count``, and the usable CPUs to one, two or four.
+They also check that ``corpus`` hands out its largest repository first, and
+that no child process or pipe outlives a filter.
 """
 
 import contextlib
@@ -151,7 +151,7 @@ class TestFilterSameAsOneRange:
         export = write(tmp_path / "in.jsonl", layout([30, 25, 20, 15], junk=6, seed=1))
         serial = filter_jsonl(export, 1, policies[policy], capsysbinary, to_file)
         assert serial[0] == 0 and b'"kept": ' in serial[2] + serial[3]
-        for ranges in (2, 3, 4):
+        for ranges in (2, 3, 4, 8):
             with merged("merged") as seen:
                 assert filter_jsonl(export, ranges, policies[policy], capsysbinary,
                                     to_file) == serial, ranges
@@ -204,6 +204,29 @@ class TestFilterSameAsOneRange:
             capture_output=True, check=False)
         assert (piped.returncode, piped.stdout, piped.stderr) == (
             ranged[0], ranged[2], ranged[3])
+
+
+@needs_fork
+class TestFilterUnitsPerProcess:
+    """Several units for each process give the outputs of one unit: on an
+    export of a few large projects, as the benchmark's dirty-scan, and on one
+    of many small projects, in one process and in two."""
+
+    @pytest.mark.parametrize("sizes", [[70, 56, 42, 28], [1 + k % 6 for k in range(40)]],
+                             ids=["skewed", "many-small"])
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_same_at_every_unit_count(self, tmp_path, capsysbinary, policies, monkeypatch,
+                                      sizes, processes):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: processes)
+        export = write(tmp_path / "in.jsonl", layout(sizes, junk=4, seed=7))
+        for policy in ("flagged-cutoff", "blacklist-window"):
+            serial = filter_jsonl(export, 1, policies[policy], capsysbinary)
+            assert serial[0] == 0 and serial[1]
+            for units in (2, 4, 8):
+                with merged("merged") as seen:
+                    assert filter_jsonl(export, units, policies[policy],
+                                        capsysbinary) == serial, (policy, units)
+                assert len(seen) == 1
 
 
 def fingerprints_hit(report):

@@ -1,9 +1,9 @@
 """A JSONL scan cut into ranges gives the outputs of a scan in one range.
 
-These tests force the number of ranges to 1-4 through
-``parallel.range_count``, and the usable CPUs to four, and compare the
-report, the anomaly stream, stderr and the exit code with the one-range scan
-byte for byte. They also check the cut planner and that no child process or
+These tests force the number of ranges to 1-8 through
+``parallel.range_count``, and the usable CPUs to one, two or four, and
+compare the report, the anomaly stream, stderr and the exit code with the
+one-range scan byte for byte. They also check the cut planner and that no child process or
 pipe outlives a scan on any path.
 """
 
@@ -31,6 +31,10 @@ from helpers import fake_hash, rec
 REF = "2021-01-01T00:00:00+00:00"
 JUNK = [b"\n", b"  \t\n", b"not json\n", b'{"id": 1}\n', b"\xff\xfe\n", b"[]\n"]
 MANY_CPUS = len(os.sched_getaffinity(0)) >= 2 if hasattr(os, "sched_getaffinity") else False
+# project sizes: a few large projects, as the benchmark's dirty-scan (3500,
+# 2800, 2100 and 1400 commits) scaled down, and many small ones
+SKEWED = [70, 56, 42, 28]
+MANY_SMALL = [1 + k % 6 for k in range(40)]
 
 
 def project_lines(rng, project, n):
@@ -103,7 +107,7 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def assert_same_for_all_ranges(path, counts=(2, 3, 4)):
+def assert_same_for_all_ranges(path, counts=(2, 3, 4, 8)):
     serial = scan(path, 1)
     for ranges in counts:
         assert scan(path, ranges) == serial, ranges
@@ -163,7 +167,7 @@ class TestSameAsOneRange:
         path = write(tmp_path, layout(random.Random(2), [40, 40, 40, 40]))
         with merges_seen() as seen:
             assert_same_for_all_ranges(path)
-        assert len(seen) == 3 and all(merged is not None for merged in seen)
+        assert len(seen) == 4 and all(merged is not None for merged in seen)
 
     def test_rejects_around_a_cut(self, tmp_path):
         rng = random.Random(3)
@@ -278,6 +282,25 @@ def line_projects(data):
     return starts, found
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestUnitsPerProcess:
+    """Several units for each process give the outputs of one unit: on an
+    export of a few large projects, as the benchmark's dirty-scan, and on one
+    of many small projects, in one process and in two."""
+
+    @pytest.mark.parametrize("sizes", [SKEWED, MANY_SMALL], ids=["skewed", "many-small"])
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_same_at_every_unit_count(self, tmp_path, monkeypatch, sizes, processes):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: processes)
+        path = write(tmp_path, layout(random.Random(15), sizes, junk=4))
+        serial = scan(path, 1)
+        assert serial[0] == 1
+        for units in (2, 4, 8):
+            with merges_seen() as seen:
+                assert scan(path, units) == serial, units
+            assert len(seen) == 1
+
+
 class TestPlanRanges:
     def test_cuts_start_project_runs(self, tmp_path):
         rng = random.Random(9)
@@ -305,6 +328,48 @@ class TestPlanRanges:
                 if before and after and before[-1] == after[0]:
                     inside += 1
         assert cuts > 100 and inside == 0
+
+    def test_targets_in_one_project_find_one_start(self, tmp_path):
+        """8 units of an export of four large projects are the four projects."""
+        lines = layout(random.Random(17), SKEWED, junk=4)
+        path = write(tmp_path, lines)
+        data = path.read_bytes()
+        with open(path, "rb") as fh:
+            plan = parallel.plan_ranges(fh, len(data), "x", 8)
+        assert len(plan) == 4
+        for k, (start, end) in enumerate(plan):
+            records, _ = parse_export_stream(data[start:end], "x")
+            assert {record.project for record in records} == {f"p{k}"}
+
+    def test_probes_a_few_lines_per_cut_each_once(self, tmp_path, monkeypatch):
+        """8 cuts of a 100-project export parse at most 16 lines each, and no
+        line twice, where probing at byte granularity parsed about 400 lines,
+        150 of them distinct."""
+        rng = random.Random(16)
+        path = write(tmp_path, layout(rng, [rng.randint(20, 60) for _ in range(100)]))
+        probed, real = [], parallel.parse_export_stream
+
+        def parse(lines, project):
+            probed.extend(lines)
+            return real(lines, project)
+
+        monkeypatch.setattr(parallel, "parse_export_stream", parse)
+        with open(path, "rb") as fh:
+            assert len(parallel.plan_ranges(fh, path.stat().st_size, "x", 9)) == 9
+        assert len(probed) <= 8 * 16
+        assert len(set(probed)) == len(probed)
+
+    @pytest.mark.parametrize("final_lf", [True, False])
+    def test_target_in_the_last_line(self, tmp_path, final_lf):
+        """A target inside the export's last line, whose next line start is
+        the end of the file, leaves the run past the last record to search."""
+        a = project_lines(random.Random(18), "a", 2)
+        long = rec("long", project="a", parents=(), message="x" * 2000)
+        path = write(tmp_path, [a[0], b"\xff\xfe\n", b"not json\n",
+                                *emit_export_stream([long]).splitlines(True)], final_lf)
+        size = path.stat().st_size
+        with open(path, "rb") as fh:
+            assert parallel.plan_ranges(fh, size, "x", 2) == [(0, size)]
 
     def test_one_project_is_one_range(self, tmp_path):
         path = write(tmp_path, project_lines(random.Random(10), "a", 50))
@@ -558,12 +623,36 @@ class TestRangeCount:
         assert parallel.cpu_quota(str(root), str(own_file)) == cpus
 
     @pytest.mark.skipif(not MANY_CPUS, reason="needs two CPUs")
-    @pytest.mark.parametrize("quota, most, count", [
+    @pytest.mark.parametrize("quota, most, processes", [
         (None, 2, 2), (1, 2, 1), (None, 1, 1), (8, 2, 2)])
-    def test_bounded_by_quota_and_max_ranges(self, tmp_path, monkeypatch, quota, most, count):
+    def test_bounded_by_quota_and_max_ranges(self, tmp_path, monkeypatch, quota, most,
+                                             processes):
+        """UNITS_PER_PROCESS units for each process the scan is planned for,
+        or one unit where one process is."""
         monkeypatch.setattr(parallel, "cpu_quota", lambda: quota)
         monkeypatch.setattr(parallel, "MAX_RANGES", most)
         monkeypatch.setattr(parallel, "MIN_RANGE_BYTES", 1)
         path = write(tmp_path, [b"\n"] * 10)
+        units = parallel.UNITS_PER_PROCESS * processes if processes > 1 else 1
         with open(path, "rb") as fh:
-            assert parallel.range_count(fh) == count
+            assert parallel.range_count(fh) == units
+
+    @pytest.mark.parametrize("size, cpus, units", [
+        (parallel.MIN_RANGE_BYTES - 1, 2, 1), (2 * parallel.MIN_RANGE_BYTES - 1, 2, 1),
+        (2 * parallel.MIN_RANGE_BYTES, 2, 2 * parallel.UNITS_PER_PROCESS),
+        (2 * parallel.MIN_RANGE_BYTES, 1, 1),
+        (9 * parallel.MIN_RANGE_BYTES, 4, parallel.MAX_RANGES * parallel.UNITS_PER_PROCESS)])
+    def test_processes_planned_by_size(self, tmp_path, monkeypatch, size, cpus, units):
+        """Each process is planned for at least MIN_RANGE_BYTES of export."""
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        path = tmp_path / "sparse.jsonl"
+        with open(path, "wb") as fh:
+            fh.truncate(size)
+        with open(path, "rb") as fh:
+            assert parallel.range_count(fh) == units
+
+    def test_a_pipe_is_one_unit(self, monkeypatch):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        read_end, write_end = os.pipe()
+        with open(read_end, "rb") as fh, open(write_end, "wb"):
+            assert parallel.range_count(fh) == 1
