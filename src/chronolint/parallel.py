@@ -257,8 +257,9 @@ class _Side:
 def _nearest_run_start(probes: _Probes, target: int) -> int | None:
     """The project-run start nearest to target, None if there is none.
 
-    Both sides are searched from the probes already made, the nearest on
-    each side bounding it, and the one that may hold the nearer run start is
+    On each side, the probes of earlier targets bound the search: the nearest
+    whose project differs from the target's, and those of the target's
+    project short of it. The side that may hold the nearer run start is
     probed next, so that only the nearer is searched to its end.
     """
     start = probes.line(target)
