@@ -244,11 +244,11 @@ def scan_fingerprints(
     for name, pattern, literals in compiled:
         if literals is None:
             counts[name] = sum(1 for message in messages if pattern.search(message))
-            continue
-        left = messages  # those that hold none of the literals so far
-        for literal in literals:
-            left = [message for message in left if literal not in message]
-        counts[name] = len(messages) - len(left)
+        else:
+            left = messages  # those that hold none of the literals so far
+            for literal in literals:
+                left = [message for message in left if literal not in message]
+            counts[name] = len(messages) - len(left)
     return counts
 
 

@@ -159,8 +159,7 @@ class FilterPolicy(_Policy):
             kinds = frozenset(map(AnomalyKind, self.drop_flagged_kinds))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"policy drop_flagged_kinds: {exc}") from exc
-        if kinds != self.drop_flagged_kinds:
-            self = self._replace(drop_flagged_kinds=kinds)
+        self = self._replace(drop_flagged_kinds=kinds)
         check_time_basis(self.time_basis)
         if self.cutoff_mode not in ("before", "after"):
             raise ConfigError(f"unknown cutoff mode: {self.cutoff_mode!r}")

@@ -7,12 +7,13 @@ of its units (``cli.scan_units`` the reads of a JSONL export's byte ranges,
 largest first from one queue, so a process that ends its units sooner takes
 more. A JSONL export is planned for a number of processes by what a process
 costs to start (``range_count``), then cut into several units for each
-(``plan_ranges``), since a unit costs far less. A worker sends the keys of its units through a pipe and their
-results through an unlinked file, which this process reads once the worker
-has exited, so a large result never waits for this process to read it. This
-module holds every ``os.fork``, ``os.pipe``, worker file and CPU placement
-of the package, and every read of ``/proc`` or the cgroup files; git's own
-processes are started by ``ingest.run_git``.
+(``plan_ranges``), since a unit costs far less. A worker sends the keys of
+its units through a pipe and their results through an unlinked file, which
+this process reads once the worker has exited, so a large result never
+waits for this process to read it. This module holds every ``os.fork``,
+``os.pipe``, worker file and CPU placement of the package, and every read
+of ``/proc`` or the cgroup files; git's own processes are started by
+``ingest.run_git``.
 """
 
 from __future__ import annotations

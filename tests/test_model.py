@@ -64,8 +64,9 @@ def test_policy_kinds_are_anomaly_kinds():
     not at the first project a filter drops from."""
     policy = FilterPolicy(drop_flagged_kinds=frozenset({"future", AnomalyKind.ZERO_EPOCH}))
     assert policy.drop_flagged_kinds == frozenset({AnomalyKind.FUTURE, AnomalyKind.ZERO_EPOCH})
-    assert FilterPolicy(drop_flagged_kinds=["future"]).drop_flagged_kinds == frozenset(
-        {AnomalyKind.FUTURE})
+    for given in (["future"], {AnomalyKind.FUTURE}):
+        kinds = FilterPolicy(drop_flagged_kinds=given).drop_flagged_kinds
+        assert type(kinds) is frozenset and kinds == frozenset({AnomalyKind.FUTURE})
     with pytest.raises(ConfigError, match=(
             "^policy drop_flagged_kinds: 'bogus' is not a valid AnomalyKind$")):
         FilterPolicy(drop_flagged_kinds=frozenset({"bogus"}))
