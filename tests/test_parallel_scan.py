@@ -343,8 +343,7 @@ class TestPlanRanges:
 
     def test_probes_a_few_lines_per_cut_each_once(self, tmp_path, monkeypatch):
         """8 cuts of a 100-project export parse at most 16 lines each, and no
-        line twice, where probing at byte granularity parsed about 400 lines,
-        150 of them distinct."""
+        line twice."""
         rng = random.Random(16)
         path = write(tmp_path, layout(rng, [rng.randint(20, 60) for _ in range(100)]))
         probed, real = [], parallel.parse_export_stream
