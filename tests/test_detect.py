@@ -294,7 +294,7 @@ class TestFingerprints:
                            "hg": None, "MOE|push_codebase": ("MOE", "push_codebase")}
         assert FingerprintRule("x", "a|").literals() == ("a", "")
         assert FingerprintRule("x", "café", case_insensitive=True).literals() is None
-        for meta in ".^$*+?{}[]\\()":
+        for meta in METACHARACTERS:
             assert FingerprintRule("x", f"a{meta}").literals() is None, meta
 
     @settings(max_examples=300, deadline=None)

@@ -3,8 +3,8 @@
 These tests force the number of ranges to 1-8 through
 ``parallel.range_count``, and the usable CPUs to one, two or four, and
 compare the report, the anomaly stream, stderr and the exit code with the
-one-range scan byte for byte. They also check the cut planner and that no child process or
-pipe outlives a scan on any path.
+one-range scan byte for byte. They also check the cut planner and that no
+child process or pipe outlives a scan on any path.
 """
 
 import contextlib
