@@ -465,14 +465,15 @@ def merged(parts: Sequence[Result]) -> Result:
     return whole
 
 
-def scan_units(reads: Sequence[Read], sizes: Sequence[int], step: Step[Result]) -> Result:
+def scan_units(reads: Sequence[Read], sizes: Sequence[int], step: Step[Result],
+               processes: int = 1) -> Result:
     """Run step over the records of reads, the parts of one input in order;
     the one runner of scan and filter, and the one keeper of their rejects.
 
     With more than one read, each is a unit of parallel.share, sizes[i]
-    large, which runs no more processes than the reads and the usable CPUs:
-    a unit reads, its keys are the projects it read, and its finish returns
-    its ingest report and step's result over those projects.
+    large, worked by no more processes than processes, the reads and the
+    usable CPUs: a unit reads, its keys are the projects it read, and its
+    finish returns its ingest report and step's result over those projects.
     merged joins the results, which need no merge code of their own, and
     the rejects of the joined reports are printed after the units. With one
     read, or if two units share a project or any unit fails, this process
@@ -490,7 +491,7 @@ def scan_units(reads: Sequence[Read], sizes: Sequence[int], step: Step[Result]) 
 
     if len(reads) > 1:
         try:
-            reports, results = zip(*parallel.share(len(reads), sizes, prepare))
+            reports, results = zip(*parallel.share(processes, sizes, prepare))
         except (parallel.Shared, ChronolintError):
             pass
         else:
@@ -509,8 +510,9 @@ def scan_input(args: argparse.Namespace, step: Step[Result]) -> Result:
     in one unit, a pipe's among them, read from the file already open.
     Otherwise plan_ranges cuts the export at the starts of project runs into
     up to range_count ranges, several for each process it is planned for,
-    each a read as large as its bytes; targets inside one project find the
-    same start, so an export of few projects has fewer.
+    each a read as large as its bytes, worked by no more processes than
+    planned; targets inside one project find the same start, so an export
+    of few projects has fewer.
     """
     if args.repo:
         return scan_units([functools.partial(load_records, args)], [0], step)
@@ -523,7 +525,8 @@ def scan_input(args: argparse.Namespace, step: Step[Result]) -> Result:
                 return scan_units([read], [0], step)
             plan = parallel.plan_ranges(fh, os.fstat(fh.fileno()).st_size, project, count)
             reads = [functools.partial(parse_range, path, *bounds, project) for bounds in plan]
-            return scan_units(reads, [end - start for start, end in plan], step)
+            return scan_units(reads, [end - start for start, end in plan], step,
+                              parallel.planned_processes(count))
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 

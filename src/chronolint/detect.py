@@ -107,19 +107,20 @@ class DetectorConfig(_Config):
         return self
 
 
+_NEW_ANOMALY = tuple.__new__  # AnomalyRecord without its Python __new__
+
+
 def _flag(
-    kind: AnomalyKind, record: CommitRecord, project: str, basis: str, **evidence
+    kind: AnomalyKind, record: CommitRecord, project: str, basis: str,
+    reference: int | None = None, counterpart_id: str | None = None,
+    delta_seconds: int | None = None,
 ) -> AnomalyRecord:
     """An anomaly observed at the record's basis time, with that time's zone."""
     time_of, zone_of = TIME_BASES[basis]
-    return AnomalyRecord(
-        kind=kind,
-        commit_id=record.id,
-        project=project,
-        observed=time_of(record),
-        observed_tz=zone_of(record),
-        **evidence,
-    )
+    return _NEW_ANOMALY(AnomalyRecord, (
+        kind, record.id, project, time_of(record), zone_of(record),
+        reference, counterpart_id, delta_seconds,
+    ))
 
 
 def detect_old(history: RepoHistory, cfg: DetectorConfig) -> set[AnomalyRecord]:
@@ -134,7 +135,7 @@ def detect_old(history: RepoHistory, cfg: DetectorConfig) -> set[AnomalyRecord]:
         t = time_of(r)
         if t < threshold:
             found.add(_flag(AnomalyKind.SUSPICIOUS_OLD, r, history.project, basis,
-                            reference=threshold, delta_seconds=t - threshold))
+                            threshold, None, t - threshold))
         if t == 0:
             found.add(_flag(AnomalyKind.ZERO_EPOCH, r, history.project, basis))
     return found
@@ -149,7 +150,7 @@ def detect_future(history: RepoHistory, cfg: DetectorConfig) -> set[AnomalyRecor
         t = time_of(r)
         if t > reference:
             found.add(_flag(AnomalyKind.FUTURE, r, history.project, basis,
-                            reference=reference, delta_seconds=t - reference))
+                            reference, None, t - reference))
     return found
 
 
@@ -179,8 +180,7 @@ def detect_out_of_order_linear(
             and (is_merge_related(r.message) or is_merge_related(last.message))
         ):
             found.add(_flag(AnomalyKind.OUT_OF_ORDER_LINEAR, r, history.project, basis,
-                            reference=last_t, counterpart_id=last.id,
-                            delta_seconds=t - last_t))
+                            last_t, last.id, t - last_t))
         last, last_t = r, t
     return found
 
@@ -205,7 +205,7 @@ def detect_out_of_order_parent(
             pt = time_of(parent)
             if pt > t:
                 found.add(_flag(AnomalyKind.OUT_OF_ORDER_PARENT, r, history.project, basis,
-                                reference=pt, counterpart_id=pid, delta_seconds=t - pt))
+                                pt, pid, t - pt))
     return found
 
 

@@ -24,6 +24,7 @@ import json
 import operator
 import os
 import re
+from json.encoder import encode_basestring_ascii
 from typing import IO, Iterable, Iterator
 
 from .model import COMMIT_ID_RE, CommitRecord, Fields, GitEnvironmentError, RepositoryError
@@ -48,8 +49,6 @@ _IS_ID = COMMIT_ID_RE.fullmatch  # for strings only: it raises TypeError on othe
 _NEW_RECORD = tuple.__new__  # CommitRecord without its Python __new__
 # the order of a project's records as read from git and as filter keeps them
 COMMIT_ORDER = operator.attrgetter("commit_time", "id")
-# one compact encoder for every export row written
-JSONL_ENCODER = json.JSONEncoder(ensure_ascii=True, separators=(",", ":"))
 # a --branches value with one of these is a glob; any other is a branch name
 _GLOB_RE = re.compile(r"[*?[]")
 # a commit id in git's output, as COMMIT_ID_RE defines it
@@ -251,29 +250,40 @@ def parse_export_stream(
     return records, report
 
 
-def record_to_object(record: CommitRecord) -> dict:
-    """Render a CommitRecord as a flat export object with canonical key order."""
-    obj = {
-        "id": record.id,
-        "parents": list(record.parents),
-        "author_time": record.author_time,
-        "author_tz": format_offset(record.author_tz),
-        "commit_time": record.commit_time,
-        "commit_tz": format_offset(record.commit_tz),
-        "author_name": record.author_name,
-        "author_email": record.author_email,
-        "message": record.message,
-    }
-    if record.files is not None:
-        obj["files"] = sorted(record.files)
-    obj["project"] = record.project
-    return obj
+class QuotedZones(dict):
+    """Each zone, in minutes east of UTC, as its ±HHMM text in a JSON
+    string, rendered on its first lookup only."""
+
+    def __missing__(self, minutes: int) -> str:
+        self[minutes] = text = encode_basestring_ascii(format_offset(minutes))
+        return text
 
 
 def emit_export_stream(records: Iterable[CommitRecord]) -> bytes:
-    """Serialize records to canonical JSONL (stable key order, LF endings)."""
-    lines = [JSONL_ENCODER.encode(record_to_object(r)) for r in records]
-    return ("\n".join(lines) + "\n" if lines else "").encode("ascii")
+    """Serialize records to canonical JSONL: one compact, ASCII-escaped
+    object per line, LF-terminated, with the keys id, parents, author_time,
+    author_tz, commit_time, commit_tz, author_name, author_email, message,
+    files (sorted, only when not None) and project.
+
+    Each line is rendered straight from the record's fields, every string
+    through the C escaper that json.dumps(..., ensure_ascii=True) applies,
+    so the bytes are json.dumps' with the separators "," and ":".
+    """
+    quoted = encode_basestring_ascii
+    zones = QuotedZones()
+    lines = []
+    append = lines.append
+    for (commit_id, parents, author_time, author_tz, commit_time, commit_tz,
+         author_name, author_email, message, project, files) in records:
+        listed = "" if files is None else f'"files":[{",".join(map(quoted, sorted(files)))}],'
+        append(
+            f'{{"id":{quoted(commit_id)},"parents":[{",".join(map(quoted, parents))}],'
+            f'"author_time":{author_time},"author_tz":{zones[author_tz]},'
+            f'"commit_time":{commit_time},"commit_tz":{zones[commit_tz]},'
+            f'"author_name":{quoted(author_name)},"author_email":{quoted(author_email)},'
+            f'"message":{quoted(message)},{listed}"project":{quoted(project)}}}\n'
+        )
+    return "".join(lines).encode("ascii")
 
 
 def git_executable() -> str:
@@ -296,7 +306,8 @@ def run_git(
     import subprocess
     import tempfile
 
-    cmd = [git_executable(), "-C", path, *args]
+    # replace refs are not followed: commits are read as stored
+    cmd = [git_executable(), "--no-replace-objects", "-C", path, *args]
     with tempfile.TemporaryFile() as err:
         try:
             proc = subprocess.Popen(

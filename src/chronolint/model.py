@@ -112,6 +112,9 @@ class AnomalyKind(enum.Enum):
     OUT_OF_ORDER_LINEAR = "out_of_order_linear"
     OUT_OF_ORDER_PARENT = "out_of_order_parent"
 
+    # hashed in C: each member is a singleton, and Enum equality is identity
+    __hash__ = object.__hash__
+
 
 class AnomalyRecord(NamedTuple):
     """One flagged commit: the kind of anomaly and its evidence.

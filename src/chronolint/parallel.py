@@ -159,6 +159,14 @@ def range_count(fh: IO[bytes]) -> int:
     return UNITS_PER_PROCESS * processes if processes > 1 else 1
 
 
+def planned_processes(units: int) -> int:
+    """The processes a scan of units is planned for: one for each
+    UNITS_PER_PROCESS units, as range_count plans them, or one for each
+    unit of a count that is no such plan."""
+    processes, rest = divmod(units, UNITS_PER_PROCESS)
+    return units if rest else processes
+
+
 class _NoCut(Exception):
     """A probe of the cut planner would read more than it may."""
 

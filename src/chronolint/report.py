@@ -20,7 +20,7 @@ from datetime import MAXYEAR, datetime, timezone
 from json.encoder import encode_basestring_ascii
 from typing import IO, Iterable, Mapping, NamedTuple
 
-from .ingest import format_offset, load_json_line, normalize_time
+from .ingest import QuotedZones, load_json_line, normalize_time
 from .model import AnomalyKind, AnomalyRecord, CommitRecord, Fields, is_commit_hash
 
 TOKEN_RE = re.compile(r"[0-9a-z/_-]+")
@@ -287,15 +287,13 @@ def emit(report: ScanReport, format: str = "json") -> bytes:
 
 
 def anomaly_sort_key(a: AnomalyRecord) -> tuple:
-    return (
-        a.project,
-        a.commit_id,
-        a.kind.value,
-        a.counterpart_id or "",
-        a.delta_seconds or 0,
-    )
+    """The order of the anomaly stream: project, commit id, kind, then
+    counterpart and delta, read from the record's tuple slots."""
+    kind, commit_id, project, _, _, _, counterpart_id, delta_seconds = a
+    return (project, commit_id, _KIND_VALUES[kind], counterpart_id or "", delta_seconds or 0)
 
 
+_KIND_VALUES = {kind: kind.value for kind in AnomalyKind}
 # each kind's value as a JSON string, for the rows of the anomaly stream
 _QUOTED_KINDS = {kind: encode_basestring_ascii(kind.value) for kind in AnomalyKind}
 
@@ -316,32 +314,31 @@ def emit_anomaly_stream(
     """
     commits = commits or {}
     quoted = encode_basestring_ascii  # a str as a JSON string, ASCII-escaped
-    zones: dict[int, str] = {}
-    lines = []
+    zones = QuotedZones()
+    parts = []
+    append = parts.append
     current = None
-    for a in sorted(anomalies, key=anomaly_sort_key):
-        if (a.project, a.commit_id) != current:
-            current = (a.project, a.commit_id)
-            ids = f'"commit_id":{quoted(a.commit_id)},"project":{quoted(a.project)}'
+    for (kind, commit_id, project, observed, observed_tz, reference, counterpart_id,
+         delta_seconds) in sorted(anomalies, key=anomaly_sort_key):
+        if (project, commit_id) != current:
+            current = (project, commit_id)
+            ids = f'"commit_id":{quoted(commit_id)},"project":{quoted(project)}'
             r = commits.get(current)
-            enrichment = "}" if r is None else (
+            end = "}\n" if r is None else (
                 f',"author_name":{quoted(r.author_name)}'
                 f',"author_email":{quoted(r.author_email)}'
-                f',"message":{quoted(r.message)}}}'
+                f',"message":{quoted(r.message)}}}\n'
             )
-        zone = zones.get(a.observed_tz)
-        if zone is None:
-            zone = zones[a.observed_tz] = quoted(format_offset(a.observed_tz))
-        row = (f'{{"kind":{_QUOTED_KINDS[a.kind]},{ids},'
-               f'"observed_epoch":{a.observed},"observed_tz":{zone}')
-        if a.reference is not None:
-            row += f',"reference_epoch":{a.reference}'
-        if a.counterpart_id is not None:
-            row += f',"counterpart_id":{quoted(a.counterpart_id)}'
-        if a.delta_seconds is not None:
-            row += f',"delta_seconds":{a.delta_seconds}'
-        lines.append(f"{row}{enrichment}\n")
-    return "".join(lines).encode("ascii")
+        append(f'{{"kind":{_QUOTED_KINDS[kind]},{ids},'
+               f'"observed_epoch":{observed},"observed_tz":{zones[observed_tz]}')
+        if reference is not None:
+            append(f',"reference_epoch":{reference}')
+        if counterpart_id is not None:
+            append(f',"counterpart_id":{quoted(counterpart_id)}')
+        if delta_seconds is not None:
+            append(f',"delta_seconds":{delta_seconds}')
+        append(end)
+    return "".join(parts).encode("ascii")
 
 
 def parse_anomaly_stream(stream: bytes | IO[bytes]) -> tuple[

@@ -11,6 +11,8 @@ import re
 import subprocess
 from datetime import datetime, timezone
 
+from hypothesis import strategies as st
+
 from chronolint.graph import build_history, linearize
 from chronolint.model import AnomalyKind, CommitRecord, is_commit_hash
 
@@ -240,6 +242,85 @@ def oracle_parse_export_stream(data: bytes, project: str = ""):
 
 
 # ---------------------------------------------------------------------------
+# the writers as they were: one dict per row, encoded by json's own encoder
+
+# the compact, ASCII-escaped form of every row the package writes
+JSONL_ENCODER = json.JSONEncoder(ensure_ascii=True, separators=(",", ":"))
+
+
+# text that json's escaper treats apart: quotes, backslashes, C0 controls,
+# DEL, the line and paragraph separators, lone surrogates (category Cs,
+# which st.text() leaves out) and characters beyond the BMP
+AWKWARD_CHARACTERS = st.one_of(
+    st.characters(blacklist_categories=()),
+    st.sampled_from(['"', "\\", "/", "\x00", "\x08", "\x1f", "\x7f", "\u2028", "\u2029",
+                     "\ud800", "\udbff", "\udc80", "\udfff", "\ufeff", "\U0001f600",
+                     "\U0010ffff"]),
+)
+AWKWARD_TEXT = st.text(AWKWARD_CHARACTERS, max_size=20)
+
+
+def oracle_format_offset(minutes: int) -> str:
+    """minutes east of UTC as ±HHMM."""
+    hours, rest = divmod(abs(minutes), 60)
+    return "%s%02d%02d" % ("-" if minutes < 0 else "+", hours, rest)
+
+
+def record_to_object(record: CommitRecord) -> dict:
+    """Render a CommitRecord as a flat export object with canonical key order."""
+    obj = {
+        "id": record.id,
+        "parents": list(record.parents),
+        "author_time": record.author_time,
+        "author_tz": oracle_format_offset(record.author_tz),
+        "commit_time": record.commit_time,
+        "commit_tz": oracle_format_offset(record.commit_tz),
+        "author_name": record.author_name,
+        "author_email": record.author_email,
+        "message": record.message,
+    }
+    if record.files is not None:
+        obj["files"] = sorted(record.files)
+    obj["project"] = record.project
+    return obj
+
+
+def oracle_export_stream(records) -> bytes:
+    """The export lines of records, one encoder call per record dict."""
+    return "".join(JSONL_ENCODER.encode(record_to_object(r)) + "\n"
+                   for r in records).encode("ascii")
+
+
+def anomaly_to_object(a, commit: CommitRecord | None) -> dict:
+    """An anomaly row as a dict in its documented key order."""
+    obj = {
+        "kind": a.kind.value,
+        "commit_id": a.commit_id,
+        "project": a.project,
+        "observed_epoch": a.observed,
+        "observed_tz": oracle_format_offset(a.observed_tz),
+    }
+    for key, value in (("reference_epoch", a.reference), ("counterpart_id", a.counterpart_id),
+                       ("delta_seconds", a.delta_seconds)):
+        if value is not None:
+            obj[key] = value
+    if commit is not None:
+        obj["author_name"] = commit.author_name
+        obj["author_email"] = commit.author_email
+        obj["message"] = commit.message
+    return obj
+
+
+def oracle_anomaly_stream(anomalies, commits=None) -> bytes:
+    """The anomaly rows in stream order, one encoder call per row dict."""
+    commits = commits or {}
+    ordered = sorted(anomalies, key=lambda a: (
+        a.project, a.commit_id, a.kind.value, a.counterpart_id or "", a.delta_seconds or 0))
+    return "".join(JSONL_ENCODER.encode(anomaly_to_object(a, commits.get((a.project, a.commit_id))))
+                   + "\n" for a in ordered).encode("ascii")
+
+
+# ---------------------------------------------------------------------------
 # random history generation
 
 MESSAGES = [
@@ -403,6 +484,14 @@ def assert_reaped(started) -> None:
     for proc, err in started:
         assert proc.returncode is not None, proc.args
         assert err.closed, proc.args
+
+
+def git_subcommands(started) -> list[str]:
+    """The sub-command of each recorded git process, each of which must run
+    as ``git --no-replace-objects -C <path> <sub-command> ...``."""
+    for proc, _ in started:
+        assert proc.args[1:3] == ["--no-replace-objects", "-C"], proc.args
+    return [proc.args[4] for proc, _ in started]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from helpers import (
     assert_reaped,
     build_repo,
     fake_hash,
+    git_subcommands,
     planted_corpus,
     rec,
     record_processes,
@@ -188,6 +189,30 @@ class TestScan:
         report = read_json(out)
         assert report["anomalies"]["zero_epoch"]["count"] == 1
         assert shas["a"] in anomalies_out.read_text()
+
+    def test_replace_refs_are_not_followed(self, tmp_path):
+        """b is stored in order after a; b2, a second child of a, is dated
+        before it, and ``git replace b b2`` points b at it. The scan reads
+        each commit as stored, so b is never reported with b2's date."""
+        repo = tmp_path / "r"
+        shas = build_repo(repo, [
+            {"key": "a", "commit_epoch": 1_400_000_000},
+            {"key": "b", "commit_epoch": 1_400_002_000, "parents": ["a"]},
+            {"key": "b2", "commit_epoch": 1_399_990_000, "parents": ["a"]},
+        ])
+        subprocess.run(["git", "-C", str(repo), "replace", shas["b"], shas["b2"]],
+                       check=True, capture_output=True)
+        out, anomalies_out = tmp_path / "report.json", tmp_path / "anomalies.jsonl"
+        assert run(["scan", "--repo", str(repo), "--reference", REF, "--out", str(out),
+                    "--anomalies-out", str(anomalies_out)]) == 1
+        report = read_json(out)
+        assert report["totals"]["commits"] == 3
+        assert report["anomalies"]["out_of_order_parent"]["count"] == 1
+        rows = [json.loads(line) for line in anomalies_out.read_bytes().splitlines()]
+        assert {row["commit_id"] for row in rows} == {shas["b2"]}
+        parent_rows = [row for row in rows if row["kind"] == "out_of_order_parent"]
+        assert [(row["observed_epoch"], row["counterpart_id"]) for row in parent_rows] \
+            == [(1_399_990_000, shas["a"])]
 
     def test_cutoff_table_ends_at_year_9999(self, tmp_path):
         # epoch 3e11 is in year 11476: inside the epoch bounds, past datetime's years
@@ -1299,7 +1324,7 @@ class TestCorpus:
                     "--out", str(tmp_path / "o.json")]) == 2
         err = capsys.readouterr().err
         assert f"chronolint: {url}: git clone failed in {cache}: " in err
-        assert [proc.args[3] for proc, _ in started] == ["clone"]
+        assert git_subcommands(started) == ["clone"]
         assert_reaped(started)
 
     def test_clone_into_relative_cache(self, tmp_path, monkeypatch):

@@ -24,11 +24,15 @@ from chronolint.ingest import (
 from chronolint.graph import build_history
 from chronolint.model import CommitRecord, GitEnvironmentError, GraphError, RepositoryError
 from helpers import (
+    AWKWARD_TEXT,
     assert_reaped,
     build_repo,
     fake_hash,
+    git_subcommands,
+    oracle_export_stream,
     rec,
     record_processes,
+    record_to_object,
     write_raw_commit,
 )
 from jsonl_differential import EDGE_LINES, differences, whole_table
@@ -266,7 +270,7 @@ JSON_VALUES = st.one_of(
 def mutated_lines(draw):
     """A valid export line, maybe with one field replaced or removed, after
     zero to three byte-level edits, maybe with its LF."""
-    obj = ingest.record_to_object(draw(export_records()))
+    obj = record_to_object(draw(export_records()))
     edit = draw(st.sampled_from(["none", "replace", "remove"]))
     key = draw(st.sampled_from(sorted(obj)))
     if edit == "replace":
@@ -330,6 +334,41 @@ class TestRoundTrip:
         parsed, _ = parse_export_stream(emitted, "p")
         assert len(parsed) == 1000
         assert emit_export_stream(parsed) == emitted
+
+
+@st.composite
+def awkward_records(draw):
+    """A record of any field values the writer accepts, its strings drawn
+    from AWKWARD_TEXT and its ids sometimes not commit ids at all."""
+    ids = st.one_of(hashes, AWKWARD_TEXT)
+    times, zones = st.integers(-2**63, 2**63), st.integers(-1440, 1440)
+    return CommitRecord(
+        id=draw(ids),
+        parents=tuple(draw(st.lists(ids, max_size=3))),
+        author_time=draw(times),
+        author_tz=draw(zones),
+        commit_time=draw(times),
+        commit_tz=draw(zones),
+        author_name=draw(AWKWARD_TEXT),
+        author_email=draw(AWKWARD_TEXT),
+        message=draw(AWKWARD_TEXT),
+        project=draw(AWKWARD_TEXT),
+        files=draw(st.one_of(st.none(), st.frozensets(AWKWARD_TEXT, max_size=4))),
+    )
+
+
+class TestEmitAgainstJsonDumps:
+    """emit_export_stream writes what json.dumps(..., ensure_ascii=True,
+    separators=(",", ":")) writes for each record's export object."""
+
+    # a differential check, not a latency check
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(awkward_records(), max_size=8))
+    def test_awkward_records(self, records):
+        assert emit_export_stream(records) == oracle_export_stream(records)
+
+    def test_no_records(self):
+        assert emit_export_stream([]) == b""
 
 
 class TestOffsets:
@@ -574,7 +613,7 @@ class TestReadRepository:
         started = record_processes(monkeypatch)
         with pytest.raises(RepositoryError, match=expected):
             read_repository(str(repo), "proj")
-        assert [proc.args[3] for proc, _ in started] == ["rev-list", "cat-file"]
+        assert git_subcommands(started) == ["rev-list", "cat-file"]
         assert_reaped(started)
 
     def test_stream_not_of_cat_file_entries_names_the_repository(self):
@@ -598,7 +637,7 @@ class TestReadRepository:
         with pytest.raises(RepositoryError,
                            match=f"git diff-tree failed in {re.escape(str(repo))}: no diffs here"):
             read_repository(str(repo), "proj", with_files=True)
-        assert [proc.args[3] for proc, _ in started] == ["rev-list", "cat-file", "diff-tree"]
+        assert git_subcommands(started) == ["rev-list", "cat-file", "diff-tree"]
         assert_reaped(started)
 
     def test_git_override_env(self, tmp_path, monkeypatch):

@@ -636,6 +636,23 @@ class TestRangeCount:
         with open(path, "rb") as fh:
             assert parallel.range_count(fh) == units
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.usefixtures("four_cpus")
+    def test_runs_the_planned_processes(self, tmp_path, monkeypatch):
+        """An export planned for two processes is worked by two, not by one
+        per usable CPU, and gives the one-range outputs."""
+        lines = layout(random.Random(5), [60] * 60)
+        path = write(tmp_path, lines)
+        assert 2 * parallel.MIN_RANGE_BYTES <= path.stat().st_size < 3 * parallel.MIN_RANGE_BYTES
+        serial = scan(path, 1)
+        forks, real = [], parallel.forked
+        monkeypatch.setattr(parallel, "forked", lambda count, work: forks.append(count)
+                            or real(count, work))
+        with open(path, "rb") as fh:
+            assert parallel.range_count(fh) == 2 * parallel.UNITS_PER_PROCESS
+        assert scan(path, None) == serial
+        assert forks == [2]
+
     @pytest.mark.parametrize("size, cpus, units", [
         (parallel.MIN_RANGE_BYTES - 1, 2, 1), (2 * parallel.MIN_RANGE_BYTES - 1, 2, 1),
         (2 * parallel.MIN_RANGE_BYTES, 2, 2 * parallel.UNITS_PER_PROCESS),

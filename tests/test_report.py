@@ -5,6 +5,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chronolint.detect import DetectorConfig, detect_old, run_all_detectors
 from chronolint.graph import build_history
@@ -22,9 +23,29 @@ from chronolint.report import (
     token_frequencies,
     top_n,
 )
-from helpers import fake_hash, rec, utc_epoch
+from helpers import AWKWARD_TEXT, fake_hash, oracle_anomaly_stream, rec, utc_epoch
 
 CFG = DetectorConfig(future_reference=utc_epoch(2019, 10, 31))
+INTS = st.integers(-2**63, 2**63)
+
+
+@st.composite
+def awkward_rows(draw):
+    """Anomalies and their (project, commit id) -> record map, every string
+    drawn from AWKWARD_TEXT; a commit may have several rows, and some have
+    no record."""
+    anomalies, commits = [], {}
+    for i in range(draw(st.integers(0, 5))):
+        commit = rec(("row", i), project=draw(AWKWARD_TEXT), message=draw(AWKWARD_TEXT),
+                     author_name=draw(AWKWARD_TEXT), author_email=draw(AWKWARD_TEXT))
+        if draw(st.booleans()):
+            commits[(commit.project, commit.id)] = commit
+        for kind in draw(st.lists(st.sampled_from(AnomalyKind), min_size=1, max_size=3)):
+            anomalies.append(AnomalyRecord(
+                kind, commit.id, commit.project, draw(INTS), draw(st.integers(-1440, 1440)),
+                draw(st.none() | INTS), draw(st.none() | AWKWARD_TEXT), draw(st.none() | INTS),
+            ))
+    return anomalies, commits
 
 
 def anomaly(seed, kind=AnomalyKind.OUT_OF_ORDER_PARENT, project="proj",
@@ -353,6 +374,14 @@ class TestAnomalyStreamRows:
             self.expected_row(a, None) + "\n" for a in ordered
         ).encode("ascii")
         assert emit_anomaly_stream([]) == b""
+
+    # a differential check, not a latency check
+    @settings(max_examples=300, deadline=None)
+    @given(awkward_rows())
+    def test_awkward_rows_equal_json_dumps(self, rows):
+        anomalies, commits = rows
+        assert emit_anomaly_stream(anomalies, commits) == oracle_anomaly_stream(anomalies, commits)
+        assert emit_anomaly_stream(anomalies) == oracle_anomaly_stream(anomalies)
 
     def test_file_and_bytes_agree(self, tmp_path):
         p = rec("p", commit_epoch=1000, message="first\n\xe9 \udc80")
