@@ -214,6 +214,24 @@ class TestScan:
         assert [(row["observed_epoch"], row["counterpart_id"]) for row in parent_rows] \
             == [(1_399_990_000, shas["a"])]
 
+    def test_replace_ref_tips_are_not_walked(self, tmp_path):
+        """``git replace --graft c a`` stores, under refs/replace/, a copy of
+        the tip c whose one parent is the root a. That copy is no commit of
+        the history as stored, so the scan reads a, b and c only."""
+        repo = tmp_path / "r"
+        shas = build_repo(repo, [
+            {"key": "a", "commit_epoch": 1_400_000_000},
+            {"key": "b", "commit_epoch": 1_400_001_000, "parents": ["a"]},
+            {"key": "c", "commit_epoch": 1_400_002_000, "parents": ["b"]},
+        ])
+        subprocess.run(["git", "-C", str(repo), "replace", "--graft", shas["c"], shas["a"]],
+                       check=True, capture_output=True)
+        out = tmp_path / "report.json"
+        assert run(["scan", "--repo", str(repo), "--reference", REF, "--out", str(out)]) == 0
+        assert read_json(out)["totals"]["commits"] == 3
+        records, _ = read_repository(str(repo), "p")
+        assert sorted(r.id for r in records) == sorted(shas.values())
+
     def test_cutoff_table_ends_at_year_9999(self, tmp_path):
         # epoch 3e11 is in year 11476: inside the epoch bounds, past datetime's years
         first = rec("a")
