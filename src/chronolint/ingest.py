@@ -24,6 +24,7 @@ import json
 import operator
 import os
 import re
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import IO, Iterable, Iterator
 
@@ -47,6 +48,15 @@ _REQUIRED_FIELDS = operator.itemgetter(
 _SCAN_ONCE = json.JSONDecoder().scan_once
 _IS_ID = COMMIT_ID_RE.fullmatch  # for strings only: it raises TypeError on others
 _NEW_RECORD = tuple.__new__  # CommitRecord without its Python __new__
+# the objects parse_export_stream holds at once, their fields checked together
+CHUNK_LINES = 128
+# what the chunk checks accept: the length and the digits that COMMIT_ID_RE
+# matches, and the one type of an epoch and of a list of ids or files
+_ID_LENGTH = {40}
+_HEX_DIGITS = b"0123456789abcdef"
+_INT, _LIST = frozenset({int}), frozenset({list})
+# the bytes range_lines asks for at a time
+RANGE_READ_BYTES = 1 << 16
 # the order of a project's records as read from git and as filter keeps them
 COMMIT_ORDER = operator.attrgetter("commit_time", "id")
 # a --branches value with one of these is a glob; any other is a branch name
@@ -164,12 +174,129 @@ def range_lines(fh: IO[bytes], start: int, end: int) -> Iterator[bytes]:
     """The lines of a binary file that start in [start, end); start is a line start."""
     fh.seek(start)
     left = end - start
-    if left > 0:
-        for line in fh:
-            yield line
-            left -= len(line)
-            if left <= 0:
-                return
+    while left > 0:
+        # readlines stops at the first line that takes it past its hint, so
+        # with a hint of left - 1 it stops at the line that reaches end
+        lines = fh.readlines(min(left - 1, RANGE_READ_BYTES)) if left > 1 else [fh.readline()]
+        if not lines or not lines[0]:  # the file ends before end
+            return
+        yield from lines
+        left -= sum(map(len, lines))
+
+
+def _record_from_object(obj: dict, project: str) -> CommitRecord:
+    """The record of one decoded export object, with project as its default.
+
+    Each field is checked once, in field order, and the first that fails
+    raises ValueError with the line's reject reason. This is the only place
+    such a reason is made; _chunk_records accepts exactly the objects that
+    pass here, and builds the same records.
+    """
+    try:
+        (commit_id, parents, author_time, author_tz, commit_time, commit_tz,
+         author_name, author_email, message) = _REQUIRED_FIELDS(obj)
+    except KeyError as exc:  # the first missing field, in field order
+        raise ValueError(f"missing {exc.args[0]}") from None
+    # JSON values have exact types
+    if type(commit_id) is not str or _IS_ID(commit_id) is None:
+        raise ValueError("malformed id")
+    if type(parents) is not list:
+        raise ValueError("malformed parents")
+    for parent in parents:
+        # a parent that is not a commit id could never match one, and
+        # would silently become a boundary parent no detector compares
+        if type(parent) is not str or _IS_ID(parent) is None:
+            raise ValueError("malformed parents")
+    if type(author_name) is not str:
+        raise ValueError("non-string author_name")
+    if type(author_email) is not str:
+        raise ValueError("non-string author_email")
+    if type(message) is not str:
+        raise ValueError("non-string message")
+    files = obj.get("files")
+    if files is not None:
+        if type(files) is not list or not all(type(f) is str for f in files):
+            raise ValueError("malformed files")
+        files = frozenset(files)
+    record_project = obj.get("project", project)
+    if type(record_project) is not str:
+        raise ValueError("non-string project")
+    author_time, author_tz = normalize_time(author_time, author_tz)
+    commit_time, commit_tz = normalize_time(commit_time, commit_tz)
+    return _NEW_RECORD(CommitRecord, (
+        commit_id, tuple(parents), author_time, author_tz, commit_time, commit_tz,
+        author_name, author_email, message, record_project, files,
+    ))
+
+
+def _chunk_records(objects: list[dict], project: str) -> Iterator[CommitRecord] | None:
+    """The records of a chunk of decoded objects, or None if any field of
+    any object fails its check.
+
+    Each check is a few C-level passes over one field of every object, and
+    vouches for exactly what _record_from_object accepts: None means only
+    that some object needs _record_from_object to name its fault.
+    """
+    try:
+        (ids, parents, author_times, author_tzs, commit_times, commit_tzs,
+         names, emails, messages) = zip(*map(_REQUIRED_FIELDS, objects))
+    except KeyError:
+        return None
+    if not _LIST.issuperset(map(type, parents)):
+        return None
+    every_id = [*ids, *chain.from_iterable(parents)]
+    projects = list(map(dict.get, objects, repeat("project"), repeat(project)))
+    zones = author_tzs + commit_tzs
+    try:  # str.join refuses every value but a str, the one type of JSON text
+        digits = "".join(every_id)
+        "".join(chain(names, emails, messages, projects, zones))
+    except TypeError:
+        return None
+    if (set(map(len, every_id)) != _ID_LENGTH or not digits.isascii()
+            or digits.encode("ascii").translate(None, _HEX_DIGITS)):
+        return None
+    files = list(map(dict.get, objects, repeat("files")))
+    if files.count(None) != len(files):
+        listed = [f for f in files if f is not None]
+        if not _LIST.issuperset(map(type, listed)):
+            return None
+        try:
+            "".join(chain.from_iterable(listed))
+        except TypeError:
+            return None
+        files = [None if f is None else frozenset(f) for f in files]
+    times = author_times + commit_times
+    if not (_INT.issuperset(map(type, times))
+            and -MAX_EPOCH_ABS <= min(times) and max(times) < MAX_EPOCH_ABS):
+        return None
+    for text in set(zones).difference(_OFFSET_MINUTES):  # zones not seen yet
+        try:
+            parse_offset(text)
+        except ValueError:
+            return None
+    minutes = _OFFSET_MINUTES.__getitem__
+    return map(_NEW_RECORD, repeat(CommitRecord), zip(
+        ids, map(tuple, parents), author_times, map(minutes, author_tzs),
+        commit_times, map(minutes, commit_tzs), names, emails, messages, projects, files,
+    ))
+
+
+def _add_chunk(objects: list[dict], numbers: list[int], project: str,
+               records: list[CommitRecord], rejected: list, mark: int) -> None:
+    """Add the records of a chunk of objects, read from the lines numbered
+    numbers; rejected[mark:] are the rejects of the chunk's other lines."""
+    chunk = _chunk_records(objects, project)
+    if chunk is not None:
+        records.extend(chunk)
+        return
+    bad = []
+    for lineno, obj in zip(numbers, objects):
+        try:
+            records.append(_record_from_object(obj, project))
+        except ValueError as exc:
+            bad.append((lineno, str(exc)))
+    if bad:  # every reject in line order
+        rejected[mark:] = sorted(rejected[mark:] + bad)
 
 
 def parse_export_stream(
@@ -178,15 +305,24 @@ def parse_export_stream(
     """Parse a JSONL export into CommitRecords.
 
     stream is the export's bytes, an open binary file or any iterable of
-    its lines; each is read line by line, so a file is never held whole. A line is accepted exactly
-    when json.loads accepts it and its fields pass their checks. Malformed
-    lines are rejected with positional diagnostics and never abort the
-    stream. An empty stream yields an empty set.
+    its lines; each is read line by line, so a file is never held whole. A
+    line is accepted exactly when json.loads accepts it and its fields pass
+    their checks. Malformed lines are rejected with positional diagnostics
+    and never abort the stream. An empty stream yields an empty set.
+
+    Each line is decoded and scanned on its own. The objects are held a
+    chunk of CHUNK_LINES at a time, and their fields are checked together,
+    one field of the whole chunk at a time (_chunk_records); a chunk that
+    fails is read again object by object from the objects it holds, so no
+    line is decoded or scanned twice.
     """
     lines = io.BytesIO(stream) if isinstance(stream, bytes) else stream
     records: list[CommitRecord] = []
-    append = records.append
     report = IngestReport()
+    rejected = report.rejected
+    objects: list[dict] = []
+    numbers: list[int] = []
+    mark = 0
     lineno = 0
     for lineno, raw in enumerate(lines, start=1):
         if raw.isspace():  # never empty: a line holds at least its LF
@@ -206,45 +342,13 @@ def parse_export_stream(
         if type(obj) is not dict:
             report.reject(lineno, "record is not an object")
             continue
-        # each field is checked once, in field order; JSON values have exact types
-        try:
-            (commit_id, parents, author_time, author_tz, commit_time, commit_tz,
-             author_name, author_email, message) = _REQUIRED_FIELDS(obj)
-            if type(commit_id) is not str or _IS_ID(commit_id) is None:
-                raise ValueError("malformed id")
-            if type(parents) is not list:
-                raise ValueError("malformed parents")
-            for parent in parents:
-                # a parent that is not a commit id could never match one, and
-                # would silently become a boundary parent no detector compares
-                if type(parent) is not str or _IS_ID(parent) is None:
-                    raise ValueError("malformed parents")
-            if type(author_name) is not str:
-                raise ValueError("non-string author_name")
-            if type(author_email) is not str:
-                raise ValueError("non-string author_email")
-            if type(message) is not str:
-                raise ValueError("non-string message")
-            files = obj.get("files")
-            if files is not None:
-                if type(files) is not list or not all(type(f) is str for f in files):
-                    raise ValueError("malformed files")
-                files = frozenset(files)
-            record_project = obj.get("project", project)
-            if type(record_project) is not str:
-                raise ValueError("non-string project")
-            author_time, author_tz = normalize_time(author_time, author_tz)
-            commit_time, commit_tz = normalize_time(commit_time, commit_tz)
-        except KeyError as exc:  # the first missing field, in field order
-            report.reject(lineno, f"missing {exc.args[0]}")
-            continue
-        except ValueError as exc:
-            report.reject(lineno, str(exc))
-            continue
-        append(_NEW_RECORD(CommitRecord, (
-            commit_id, tuple(parents), author_time, author_tz, commit_time, commit_tz,
-            author_name, author_email, message, record_project, files,
-        )))
+        objects.append(obj)
+        numbers.append(lineno)
+        if len(objects) == CHUNK_LINES:
+            _add_chunk(objects, numbers, project, records, rejected, mark)
+            objects, numbers, mark = [], [], len(rejected)
+    if objects:
+        _add_chunk(objects, numbers, project, records, rejected, mark)
     report.records_parsed = len(records)
     report.lines = lineno
     return records, report

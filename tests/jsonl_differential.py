@@ -1,9 +1,10 @@
 """The JSONL reader against the one-json.loads-per-line oracle, on edge lines.
 
 Each entry of EDGE_LINES is one export line (its LF is added when the table
-is read). Both readers must give the same records, each a CommitRecord, and
-the same rejects, for every line alone and for the whole table as one
-stream. The reader leans on ``JSONDecoder().scan_once`` and on the text of
+is read). Both readers must give the same records, each a CommitRecord, the
+same rejects and the same line count, for every line alone, for the whole
+table as one stream, and for a stream longer than one of the reader's chunks
+with each edge line at a chunk's first and last slot. The reader leans on ``JSONDecoder().scan_once`` and on the text of
 json.loads' errors, both of which can change between Python versions, so
 this file also runs as a stdlib-only script under any interpreter:
 
@@ -14,10 +15,11 @@ It prints the counts and exits 1 on the first difference.
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 
-from chronolint.ingest import parse_export_stream
+from chronolint.ingest import CHUNK_LINES, parse_export_stream
 from chronolint.model import CommitRecord
 from helpers import fake_hash, oracle_parse_export_stream
 
@@ -142,11 +144,48 @@ def differences(data: bytes) -> list[str]:
         found.append(f"rejects {report.rejects!r} != {expected_rejects!r}")
     if (report.records_parsed, report.records_rejected) != (len(expected), len(expected_rejects)):
         found.append(f"counts {report.records_parsed}, {report.records_rejected}")
+    if report.lines != len(io.BytesIO(data).readlines()):
+        found.append(f"line count {report.lines}")
     return found
 
 
 def whole_table() -> bytes:
     return b"".join(raw + b"\n" for _, raw in EDGE_LINES)
+
+
+def padding(i: int) -> bytes:
+    """The i-th of a run of valid lines, each with its own id, times and message."""
+    return line(id=fake_hash(("padding", i)), parents=[fake_hash(("padding", i - 1))],
+                author_time=1_400_000_000 + i, commit_time=1_400_000_100 + i,
+                message=f"padding {i}")
+
+
+def is_object(raw: bytes) -> bool:
+    """Whether the reader holds this line's value in a chunk: an object."""
+    try:
+        return type(json.loads(raw.decode("utf-8"))) is dict
+    except (ValueError, RecursionError):  # undecodable, bad JSON, or nested too deep
+        return False
+
+
+def chunked_table(chunk: int = CHUNK_LINES) -> bytes:
+    """Every edge line at the first slot of a chunk of chunk objects, then
+    again at the last slot, with valid lines between them."""
+    out, objects = [], 0
+
+    def pad_to(slot: int) -> None:
+        nonlocal objects
+        while objects % chunk != slot:
+            out.append(padding(len(out)))
+            objects += 1
+
+    for _, raw in EDGE_LINES:
+        for slot in (0, chunk - 1):
+            pad_to(slot)
+            out.append(raw)
+            objects += is_object(raw)
+    pad_to(0)
+    return b"".join(raw + b"\n" for raw in out)
 
 
 def main() -> int:
@@ -156,13 +195,17 @@ def main() -> int:
             if found:
                 print(f"{name}: {'; '.join(found)}")
                 return 1
-    found = differences(whole_table())
-    if found:
-        print(f"whole table: {'; '.join(found)}")
-        return 1
+    for name, data in (("whole table", whole_table()), ("chunked table", chunked_table())):
+        found = differences(data)
+        if found:
+            print(f"{name}: {'; '.join(found)}")
+            return 1
     records, rejects = oracle_parse_export_stream(whole_table(), "default")
+    chunked, chunked_rejects = oracle_parse_export_stream(chunked_table(), "default")
     print(f"Python {sys.version.split()[0]}: {len(EDGE_LINES)} edge lines, "
-          f"{len(records)} records and {len(rejects)} rejects, identical in both readers")
+          f"{len(records)} records and {len(rejects)} rejects, identical in both readers; "
+          f"at each end of a {CHUNK_LINES}-object chunk, {len(chunked)} records and "
+          f"{len(chunked_rejects)} rejects, identical")
     return 0
 
 

@@ -5,6 +5,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from chronolint import ingest
 from chronolint.ingest import (
     MAX_EPOCH_ABS,
+    IngestReport,
     emit_export_stream,
     format_offset,
     normalize_time,
@@ -21,8 +23,15 @@ from chronolint.ingest import (
     range_lines,
     read_repository,
 )
+from chronolint.cli import parse_range
 from chronolint.graph import build_history
-from chronolint.model import CommitRecord, GitEnvironmentError, GraphError, RepositoryError
+from chronolint.model import (
+    COMMIT_ID_RE,
+    CommitRecord,
+    GitEnvironmentError,
+    GraphError,
+    RepositoryError,
+)
 from helpers import (
     AWKWARD_TEXT,
     assert_reaped,
@@ -30,12 +39,22 @@ from helpers import (
     fake_hash,
     git_subcommands,
     oracle_export_stream,
+    oracle_parse_export_stream,
     rec,
     record_processes,
     record_to_object,
     write_raw_commit,
 )
-from jsonl_differential import EDGE_LINES, differences, whole_table
+from jsonl_differential import (
+    EDGE_LINES,
+    ID,
+    PARENT,
+    chunked_table,
+    differences,
+    line,
+    padding,
+    whole_table,
+)
 
 
 def jsonl(*objs) -> bytes:
@@ -312,6 +331,108 @@ class TestAgainstOneLoadsPerLine:
     @given(mutated_lines())
     def test_mutated_valid_lines(self, data):
         assert differences(data) == []
+
+
+# the reader's own chunk size, and sizes that put most lines at a chunk's
+# first or last slot
+CHUNK_SIZES = [ingest.CHUNK_LINES, 1, 2, 3]
+
+# lines a chunk skips, holds, or must give up to the one-object-at-a-time checks
+SLOT_LINES = {
+    "blank": b"  \t",
+    "empty": b"",
+    "crlf": padding(-1) + b"\r",
+    "files": line(files=["b", "a", "b"]),
+    "bad-zone": line(author_tz="+2500"),
+    "bad-id": line(id=ID.upper()),
+    "bad-parent": line(parents=[PARENT, PARENT[:39]]),
+    "bad-json": padding(-2)[:-1],
+}
+
+
+@st.composite
+def chunked_streams(draw, chunk):
+    """Up to three chunks of valid lines, with edge lines, slot lines and
+    mutated lines put in at random places, maybe ending without an LF."""
+    lines = [padding(i) for i in range(draw(st.integers(0, 3 * chunk)))]
+    odd = st.one_of(
+        st.sampled_from([raw for _, raw in EDGE_LINES] + list(SLOT_LINES.values())),
+        mutated_lines(),
+    )
+    for at, raw in draw(st.lists(st.tuples(st.integers(0, len(lines)), odd), max_size=10)):
+        lines.insert(at, raw)
+    return b"\n".join(lines) + draw(st.sampled_from([b"\n", b""]))
+
+
+class TestChunks:
+    """Lines are checked a chunk of objects at a time, and give what one
+    json.loads call and one check per field give, wherever they fall."""
+
+    @pytest.mark.parametrize("chunk", CHUNK_SIZES)
+    @pytest.mark.parametrize("name", sorted(SLOT_LINES))
+    def test_line_at_each_slot(self, chunk, name):
+        for at in sorted({0, chunk // 2, chunk - 1, chunk, 2 * chunk + chunk // 2, 3 * chunk - 1}):
+            lines = [padding(i) for i in range(3 * chunk)]
+            lines[at] = SLOT_LINES[name]
+            with mock.patch.object(ingest, "CHUNK_LINES", chunk):
+                assert differences(b"\n".join(lines) + b"\n") == []
+
+    @pytest.mark.parametrize("chunk", CHUNK_SIZES)
+    def test_edge_lines_at_both_ends_of_a_chunk(self, chunk):
+        with mock.patch.object(ingest, "CHUNK_LINES", chunk):
+            assert differences(chunked_table(chunk)) == []
+
+    def test_every_id_character(self):
+        """An id or parent with any one character changed is vouched for by a
+        chunk of its own exactly when COMMIT_ID_RE accepts it."""
+        characters = [chr(c) for c in range(0x250)] + ["\u0660", "\uff10", "\U0001d7ce"]
+        lines = []
+        for c in characters:
+            lines.append(line(id=ID[:20] + c + ID[21:]))
+            lines.append(line(parents=[PARENT, PARENT[:39] + c]))
+        data = b"\n".join(lines)
+        with mock.patch.object(ingest, "CHUNK_LINES", 1):
+            assert differences(data) == []
+        records, _ = parse_export_stream(data)
+        valid = [c for c in characters if COMMIT_ID_RE.fullmatch(ID[:39] + c)]
+        assert len(valid) == 16
+        assert len(records) == 2 * len(valid)
+
+    # a differential check, not a latency check
+    @pytest.mark.parametrize("chunk", CHUNK_SIZES)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_streams(self, chunk, data):
+        stream = data.draw(chunked_streams(chunk))
+        with mock.patch.object(ingest, "CHUNK_LINES", chunk):
+            assert differences(stream) == []
+
+    # a differential check, not a latency check
+    @pytest.mark.parametrize("chunk", CHUNK_SIZES)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_ranges_joined(self, chunk, data, tmp_path_factory):
+        """parse_range over a cut of the stream at line starts, its reports
+        joined with IngestReport.extend, reads as the oracle reads the whole."""
+        stream = data.draw(chunked_streams(chunk))
+        starts = [0] + [m.end() for m in re.finditer(b"\n", stream)]
+        cuts = data.draw(st.lists(st.sampled_from(starts), max_size=4))
+        bounds = sorted({0, len(stream), *cuts})
+        read = data.draw(st.sampled_from([1, 50, ingest.RANGE_READ_BYTES]))
+        path = tmp_path_factory.mktemp("ranges") / "export.jsonl"
+        path.write_bytes(stream)
+        records, report = [], IngestReport()
+        with mock.patch.object(ingest, "CHUNK_LINES", chunk), \
+                mock.patch.object(ingest, "RANGE_READ_BYTES", read):
+            for start, end in zip(bounds, bounds[1:]):
+                part, part_report = parse_range(str(path), start, end, "default")
+                records += part
+                report.extend(part_report)
+        expected, expected_rejects = oracle_parse_export_stream(stream, "default")
+        assert records == expected
+        assert report.rejects == expected_rejects
+        assert report.lines == len(io.BytesIO(stream).readlines())
+        assert report.records_parsed == len(expected)
 
 
 class TestRoundTrip:
