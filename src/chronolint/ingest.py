@@ -502,21 +502,23 @@ def read_repository(
 ) -> tuple[list[CommitRecord], IngestReport]:
     """Read commit metadata from a git repository on disk.
 
-    By default every ref is walked (``--all``); first_parent/branches narrow
-    the walk for studies that want main-branch-only history. branches is a
-    branch name, or a glob over branch names if it has ``*``, ``?`` or
-    ``[``. with_files populates each record's changed-file set. A commit
-    whose header cannot be read is rejected in the report; the rest are kept.
+    By default every ref but the replace refs is walked (``--all``), so a
+    commit that only ``git replace`` wrote, such as a graft's copy, is not
+    read; first_parent/branches narrow the walk for studies that want
+    main-branch-only history. branches is a branch name, or a glob over
+    branch names if it has ``*``, ``?`` or ``[``. with_files populates each
+    record's changed-file set. A commit whose header cannot be read is
+    rejected in the report; the rest are kept.
     """
     if branches is None:
-        revs = "--all"
+        revs = ["--exclude=refs/replace/*", "--all"]
     elif _GLOB_RE.search(branches):
-        revs = f"--branches={branches}"
+        revs = [f"--branches={branches}"]
     else:
         # git reads --branches=<name> as refs/heads/<name>/*
-        revs = f"refs/heads/{branches}"
+        revs = [f"refs/heads/{branches}"]
     walk = ["rev-list", "--first-parent"] if first_parent else ["rev-list"]
-    walk += [revs, "--"]
+    walk += [*revs, "--"]
     report = IngestReport()
     # when both fail, the inner block's error, cat-file's, is the one raised
     with run_git(path, walk) as rev_list:
