@@ -4,9 +4,10 @@ Each entry of EDGE_LINES is one export line (its LF is added when the table
 is read). Both readers must give the same records, each a CommitRecord, the
 same rejects and the same line count, for every line alone, for the whole
 table as one stream, and for a stream longer than one of the reader's chunks
-with each edge line at a chunk's first and last slot. The reader leans on ``JSONDecoder().scan_once`` and on the text of
-json.loads' errors, both of which can change between Python versions, so
-this file also runs as a stdlib-only script under any interpreter:
+with each edge line at a chunk's first and last slot. The reader leans on
+``JSONDecoder().scan_once`` and on the text of json.loads' errors, both of
+which can change between Python versions, so this file also runs as a
+stdlib-only script under any interpreter:
 
     PYTHONPATH=src:tests python tests/jsonl_differential.py
 
