@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import operator
+import os
 import random
 import re
 import subprocess
@@ -574,3 +575,41 @@ def write_raw_commit(path, headers: str, message: str, ref: str) -> str:
     sha = git("hash-object", "-t", "commit", "--literally", "-w", "--stdin", data=body)
     git("update-ref", f"refs/heads/{ref}", sha)
     return sha
+
+
+def keep_only_branch(path, branch: str) -> None:
+    """Delete every branch of the repository but ``refs/heads/<branch>``, so
+    that a walk of ``--all`` starts from that tip alone."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(path), *args],
+                              check=True, capture_output=True).stdout.decode()
+
+    for ref in git("for-each-ref", "--format=%(refname)", "refs/heads").split():
+        if ref != f"refs/heads/{branch}":
+            git("update-ref", "-d", ref)
+
+
+def shallow_clone(src, dest, branch: str) -> None:
+    """Clone ``refs/heads/<branch>`` of src into dest with ``--depth 1``; git
+    ignores the depth of a plain local path, so it clones a ``file://`` URL."""
+    subprocess.run(["git", "clone", "-q", "--depth", "1", "--branch", branch,
+                    f"file://{src}", str(dest)], check=True, capture_output=True)
+
+
+def write_grafts(path, line: str) -> None:
+    """Write one line, a commit id and the parents it is to have, to the
+    repository's ``.git/info/grafts``. git has deprecated that file, so the
+    test is skipped where the installed git does not follow it."""
+    import pytest
+
+    info = os.path.join(str(path), ".git", "info")
+    os.makedirs(info, exist_ok=True)
+    with open(os.path.join(info, "grafts"), "w") as fh:
+        fh.write(line + "\n")
+    walked = subprocess.run(
+        ["git", "-C", str(path), "-c", "advice.graftFileDeprecated=false",
+         "rev-list", "--parents", "-n", "1", line.split()[0]],
+        check=True, capture_output=True,
+    ).stdout.decode().split()
+    if walked != line.split():
+        pytest.skip("the installed git does not follow .git/info/grafts")

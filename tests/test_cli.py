@@ -20,11 +20,14 @@ from helpers import (
     build_repo,
     fake_hash,
     git_subcommands,
+    keep_only_branch,
     planted_corpus,
     rec,
     record_processes,
     replay_linear_loop,
+    shallow_clone,
     utc_epoch,
+    write_grafts,
     write_raw_commit,
 )
 
@@ -1408,13 +1411,13 @@ class TestCorpus:
         assert os.path.basename(_cache_path("cache", fits)).startswith(
             "https_example.com_" + "x" * 220 + "-")
 
-    def test_shallow_clone_refused(self, tmp_path):
+    def test_shallow_clone_refused(self, tmp_path, capsys):
         import subprocess
 
         from chronolint.cli import _cache_path
 
         src = tmp_path / "src"
-        build_repo(src, [
+        shas = build_repo(src, [
             {"key": "a", "commit_epoch": 1_500_000_000},
             {"key": "b", "commit_epoch": 1_500_000_060, "parents": ["a"]},
         ])
@@ -1422,9 +1425,9 @@ class TestCorpus:
         cache = tmp_path / "cache"
         cache.mkdir()
         # pre-seed the cache with a shallow clone for this URL
+        clone = _cache_path(str(cache), url)
         subprocess.run(
-            ["git", "clone", "-q", "--depth", "1", "--branch", "c2",
-             url, _cache_path(str(cache), url)],
+            ["git", "clone", "-q", "--depth", "1", "--branch", "c2", url, clone],
             check=True, capture_output=True,
         )
         listing = tmp_path / "list.txt"
@@ -1433,3 +1436,98 @@ class TestCorpus:
         code = run(["corpus", "--list", str(listing), "--cache", str(cache),
                     "--reference", REF, "--out", str(out)])
         assert code == 2
+        assert capsys.readouterr().err == (
+            f"chronolint: {url}: shallow or grafted history refused in {clone}: "
+            f"parent {shas['a']} was not read\n"
+            "chronolint: all repositories failed\n")
+
+    def test_cached_url_starts_only_rev_list_and_cat_file(self, tmp_path, monkeypatch):
+        src = tmp_path / "src"
+        build_repo(src, [
+            {"key": "a", "commit_epoch": 1_500_000_000},
+            {"key": "b", "commit_epoch": 1_500_000_060, "parents": ["a"]},
+        ])
+        listing = tmp_path / "list.txt"
+        listing.write_text(f"file://{src}\n")
+        args = ["corpus", "--list", str(listing), "--cache", str(tmp_path / "cache"),
+                "--reference", REF, "--out", str(tmp_path / "o.json")]
+        assert run(args) == 0  # clones the URL
+        started = record_processes(monkeypatch)
+        assert run(args) == 0
+        assert git_subcommands(started) == ["rev-list", "cat-file"]
+        assert_reaped(started)
+        assert read_json(tmp_path / "o.json")["totals"]["commits"] == 2
+
+
+class TestCutHistory:
+    """A history cut short, by a shallow clone or by a .git/info/grafts line
+    that drops a parent, is refused by scan and filter --repo, and is one
+    failed entry of a corpus; a rejected commit cuts nothing."""
+
+    @pytest.fixture(params=["shallow", "grafts"])
+    def cut(self, request, tmp_path):
+        """(a repository whose tip c is read without its parent b, b's id)."""
+        src = tmp_path / "src"
+        shas = build_repo(src, [
+            {"key": "a", "commit_epoch": 1_400_000_000},
+            {"key": "b", "commit_epoch": 1_400_001_000, "parents": ["a"]},
+            {"key": "c", "commit_epoch": 1_400_002_000, "parents": ["b"]},
+        ])
+        keep_only_branch(src, "c3")
+        if request.param == "shallow":
+            shallow_clone(src, tmp_path / "cut", "c3")
+            return tmp_path / "cut", shas["b"]
+        write_grafts(src, shas["c"])
+        return src, shas["b"]
+
+    @staticmethod
+    def refused(path, missing):
+        return f"shallow or grafted history refused in {path}: parent {missing} was not read"
+
+    @pytest.mark.parametrize("command", ["scan", "filter"])
+    def test_repo_exit_two(self, cut, command, tmp_path, capsys):
+        path, missing = cut
+        out = tmp_path / "out"
+        assert run([command, "--repo", str(path), "--reference", REF, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"chronolint: {self.refused(path, missing)}\n"
+        assert not out.exists()
+
+    def test_corpus_lists_it_under_failures(self, cut, tmp_path, capsys):
+        path, missing = cut
+        whole = tmp_path / "whole"
+        build_repo(whole, [
+            {"key": "a", "commit_epoch": 1_500_000_000},
+            {"key": "b", "commit_epoch": 1_500_000_060, "parents": ["a"]},
+        ])
+        listing = tmp_path / "list.txt"
+        listing.write_text(f"{whole}\n{path}\n")
+        out = tmp_path / "o.json"
+        assert run(["corpus", "--list", str(listing), "--reference", REF,
+                    "--out", str(out)]) == 0
+        report = read_json(out)
+        assert report["totals"] == {"commits": 2, "projects": 1}
+        assert report["meta"]["failures"] == [
+            {"entry": str(path), "error": self.refused(path, missing)}]
+        assert capsys.readouterr().err == f"chronolint: {path}: {self.refused(path, missing)}\n"
+
+    def test_rejected_parent_is_read(self, tmp_path, capsys):
+        """Of a, b and c, b's zone +2500 is rejected; c is 1000 s older than
+        b, and no other commit compares with it."""
+        repo = tmp_path / "r"
+        shas = build_repo(repo, [{"key": "a", "commit_epoch": 1_400_000_000}])
+        middle = write_raw_commit(repo, (
+            f"parent {shas['a']}\n"
+            "author A <a@example.com> 1400002000 +2500\n"
+            "committer A <a@example.com> 1400002000 +2500\n"
+        ), "out of range zone\n", "middle")
+        write_raw_commit(repo, (
+            f"parent {middle}\n"
+            "author A <a@example.com> 1400001000 +0000\n"
+            "committer A <a@example.com> 1400001000 +0000\n"
+        ), "tip\n", "tip")
+        keep_only_branch(repo, "tip")
+        out = tmp_path / "o.json"
+        assert run(["scan", "--repo", str(repo), "--reference", REF, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            f"chronolint: rejected {middle}: bad timestamp: UTC offset out of range: '+2500'\n")
+        assert read_json(out)["totals"]["commits"] == 2

@@ -38,11 +38,14 @@ from helpers import (
     build_repo,
     fake_hash,
     git_subcommands,
+    keep_only_branch,
     oracle_export_stream,
     oracle_parse_export_stream,
     rec,
     record_processes,
     record_to_object,
+    shallow_clone,
+    write_grafts,
     write_raw_commit,
 )
 from jsonl_differential import (
@@ -682,6 +685,75 @@ class TestReadRepository:
         assert ids(branches="c?") == set(shas.values())
         with pytest.raises(RepositoryError, match="git rev-list failed"):
             ids(branches="main")
+
+    @staticmethod
+    def cut_refused(path, missing):
+        """The match of read_repository's refusal of a cut history at path."""
+        return f"^shallow or grafted history refused in {re.escape(str(path))}: " \
+               f"parent {missing} was not read$"
+
+    @staticmethod
+    def linear(path):
+        """a, b and c, each the parent of the next, with one branch, c3, at c."""
+        shas = build_repo(path, [
+            {"key": "a", "commit_epoch": 1_400_000_000},
+            {"key": "b", "commit_epoch": 1_400_001_000, "parents": ["a"]},
+            {"key": "c", "commit_epoch": 1_400_002_000, "parents": ["b"]},
+        ])
+        keep_only_branch(path, "c3")
+        return shas
+
+    def test_shallow_clone_refused(self, tmp_path):
+        shas = self.linear(tmp_path / "src")
+        repo = tmp_path / "r"
+        shallow_clone(tmp_path / "src", repo, "c3")
+        with pytest.raises(RepositoryError, match=self.cut_refused(repo, shas["b"])):
+            read_repository(str(repo), "proj")
+
+    def test_grafts_that_drop_a_parent_refused(self, tmp_path):
+        repo = tmp_path / "r"
+        shas = self.linear(repo)
+        write_grafts(repo, shas["c"])  # c as a root, so the walk stops there
+        with pytest.raises(RepositoryError, match=self.cut_refused(repo, shas["b"])):
+            read_repository(str(repo), "proj")
+
+    def test_grafts_that_drop_a_second_parent(self, tmp_path):
+        """m merges b and c, and the grafts line keeps only b: the first-parent
+        walk reads all it walks, and the full walk misses c."""
+        repo = tmp_path / "r"
+        shas = build_repo(repo, [
+            {"key": "a", "commit_epoch": 1_400_000_000},
+            {"key": "b", "commit_epoch": 1_400_001_000, "parents": ["a"]},
+            {"key": "c", "commit_epoch": 1_400_002_000, "parents": ["a"]},
+            {"key": "m", "commit_epoch": 1_400_003_000, "parents": ["b", "c"]},
+        ])
+        keep_only_branch(repo, "c4")
+        write_grafts(repo, f"{shas['m']} {shas['b']}")
+        records, report = read_repository(str(repo), "proj", first_parent=True)
+        assert sorted(r.id for r in records) == sorted(shas[k] for k in "abm")
+        assert report.rejects == []
+        with pytest.raises(RepositoryError, match=self.cut_refused(repo, shas["c"])):
+            read_repository(str(repo), "proj")
+
+    def test_rejected_parent_does_not_cut_the_history(self, tmp_path):
+        """The middle commit's zone +2500 is rejected, but cat-file printed
+        it, so its child is read with the root."""
+        repo = tmp_path / "r"
+        shas = build_repo(repo, [{"key": "a", "commit_epoch": 1_400_000_000}])
+        middle = write_raw_commit(repo, (
+            f"parent {shas['a']}\n"
+            "author A <a@example.com> 1400002000 +2500\n"
+            "committer A <a@example.com> 1400002000 +2500\n"
+        ), "out of range zone\n", "middle")
+        tip = write_raw_commit(repo, (
+            f"parent {middle}\n"
+            "author A <a@example.com> 1400001000 +0000\n"
+            "committer A <a@example.com> 1400001000 +0000\n"
+        ), "tip\n", "tip")
+        keep_only_branch(repo, "tip")
+        records, report = read_repository(str(repo), "proj")
+        assert [r.id for r in records] == [shas["a"], tip]
+        assert report.rejects == [(middle, "bad timestamp: UTC offset out of range: '+2500'")]
 
     def test_with_files(self, tmp_path):
         repo = tmp_path / "r"
