@@ -18,7 +18,7 @@ import sys
 import time
 from collections import Counter
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING, Callable, Collection, Iterable, Sequence, TypeVar
+from typing import Callable, Collection, Iterable, Sequence, TypeVar
 
 from . import __version__, parallel
 from .detect import (
@@ -70,9 +70,6 @@ from .report import (
     token_frequencies,
     top_n,
 )
-
-if TYPE_CHECKING:
-    from concurrent.futures import Future
 
 EXIT_CLEAN = 0
 EXIT_ANOMALIES = 1
@@ -626,46 +623,33 @@ def _cache_path(cache_dir: str, url: str) -> str:
 
 
 def _ensure_local(url: str, cache_dir: str) -> str:
-    """The local repository path of a corpus list URL, cloned into cache_dir."""
+    """The path of a corpus list URL's clone in cache_dir, cloned if missing."""
     target = _cache_path(cache_dir, url)
     if not os.path.isdir(target):
         os.makedirs(cache_dir, exist_ok=True)
         # absolute, as git runs in the cache directory
         with run_git(cache_dir, ["clone", "--quiet", url, os.path.abspath(target)]) as clone:
             clone.stdout.read()  # empty, but a hook may print
-    with run_git(target, ["rev-parse", "--is-shallow-repository"]) as rev_parse:
-        shallow = rev_parse.stdout.read().strip() == b"true"
-    if shallow:
-        # full history is required for timestamp analysis
-        raise ChronolintError(f"shallow clone refused: {url}")
     return target
 
 
 Outcome = tuple[IngestReport, Scan] | str
 
 
-def scan_repository(path: str | Future[str], project: str, step: Step[Scan]) -> Outcome:
+def scan_repository(path: str, project: str, step: Step[Scan]) -> Outcome:
     """Read one repository of a corpus and run step over it: the ingest
     report of the read and what the report needs of it, or the error that
-    fails it alone. path is a local path, or the finished clone of a URL,
-    which gives the path or raises the clone's error."""
+    fails it alone."""
     try:
-        if not isinstance(path, str):
-            path = path.result()
         records, report = read_repository(path, project)
         return report, step({project: records})
     except (ChronolintError, OSError) as exc:
         return str(exc)
 
 
-def object_store_size(path: str | Future[str]) -> int:
+def object_store_size(path: str) -> int:
     """The bytes of the files under a repository's object store, .git/objects
-    or a bare repository's objects; 0 for a store that cannot be read, or a
-    clone that failed."""
-    if not isinstance(path, str):
-        if path.exception() is not None:
-            return 0
-        path = path.result()
+    or a bare repository's objects; 0 for a store that cannot be read."""
     objects = os.path.join(path, ".git", "objects")
     if not os.path.isdir(objects):
         objects = os.path.join(path, "objects")
@@ -679,9 +663,7 @@ def object_store_size(path: str | Future[str]) -> int:
     return size
 
 
-def scan_repositories(
-    repos: list[tuple[str | Future[str], str]], step: Step[Scan], jobs: int
-) -> list[Outcome]:
+def scan_repositories(repos: list[tuple[str, str]], step: Step[Scan], jobs: int) -> list[Outcome]:
     """scan_repository over each (path, project) of repos, in up to jobs
     processes, the outcomes in the order of repos: each repository is a unit
     of parallel.share, as large as its object store, scanned when it is
@@ -705,7 +687,8 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if not entries:
         raise UsageError("corpus list is empty")
 
-    clones: dict[str, Future[str]] = {}
+    paths = {entry: entry for entry in entries}
+    outcomes: dict[str, Outcome] = {}  # a failed clone's error, by its URL
     urls = [entry for entry in entries if _URL_RE.match(entry)]
     if urls:
         if args.cache is None:
@@ -714,19 +697,25 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         import concurrent.futures
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            clones = {url: pool.submit(_ensure_local, url, args.cache) for url in urls}
+            clones = [pool.submit(_ensure_local, url, args.cache) for url in urls]
+        for url, clone in zip(urls, clones):
+            try:
+                paths[url] = clone.result()
+            except (ChronolintError, OSError) as exc:
+                outcomes[url] = str(exc)
         # a joined thread can take milliseconds more to exit, and while it
         # does, the repositories would be read in this process alone
         deadline = time.monotonic() + 0.1
         while parallel.thread_count() > 1 and time.monotonic() < deadline:
             time.sleep(0.001)
-    outcomes = scan_repositories([(clones.get(entry, entry), entry) for entry in entries],
-                                 scan_step(args, cfg, rules), args.jobs)
+    repos = [(paths[entry], entry) for entry in entries if entry not in outcomes]
+    outcomes.update(zip((entry for _, entry in repos),
+                        scan_repositories(repos, scan_step(args, cfg, rules), args.jobs)))
 
-    # in list order, so that stderr is the same whatever --jobs is
+    # in the sorted list's order, so that stderr is the same whatever --jobs is
     failures: list[dict] = []
     scans: list[Scan] = []
-    for entry, outcome in zip(entries, outcomes):
+    for entry, outcome in sorted(outcomes.items()):
         if isinstance(outcome, str):
             failures.append({"entry": entry, "error": outcome})
             print(f"chronolint: {entry}: {outcome}", file=sys.stderr)

@@ -185,14 +185,13 @@ def detect_out_of_order_linear(
     return found
 
 
-def detect_out_of_order_parent(
-    history: RepoHistory, basis: str = "committer"
-) -> set[AnomalyRecord]:
+def detect_out_of_order_parent(history: RepoHistory, cfg: DetectorConfig) -> set[AnomalyRecord]:
     """Flag commits with at least one parent strictly newer than themselves.
 
     One record per offending (commit, parent) pair; boundary parents absent
     from the history cannot be compared and are skipped.
     """
+    basis = cfg.time_basis
     time_of = time_getter(basis)
     commits = history.commits
     found: set[AnomalyRecord] = set()
@@ -260,5 +259,5 @@ def run_all_detectors(
         detect_old(history, cfg)
         | detect_future(history, cfg)
         | detect_out_of_order_linear(history, cfg)
-        | detect_out_of_order_parent(history, basis=cfg.time_basis)
+        | detect_out_of_order_parent(history, cfg)
     )

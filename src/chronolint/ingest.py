@@ -509,6 +509,12 @@ def read_repository(
     branch names if it has ``*``, ``?`` or ``[``. with_files populates each
     record's changed-file set. A commit whose header cannot be read is
     rejected in the report; the rest are kept.
+
+    A history cut short raises RepositoryError naming a parent of a commit
+    read (its first only, under first_parent) that cat-file printed neither
+    as a record nor as a reject: a shallow clone's boundary, or a grafts line
+    that drops a parent, which rev-list follows while cat-file prints the
+    stored parents. The commit a grafts line adds is read as any other.
     """
     if branches is None:
         revs = ["--exclude=refs/replace/*", "--all"]
@@ -526,6 +532,11 @@ def read_repository(
         with run_git(path, ["cat-file", "--batch", "--buffer"], rev_list.stdout) as cat_file:
             rev_list.stdout.close()  # cat-file holds its own copy
             commits = _read_commits(cat_file.stdout, path, report)
+    printed = {c[0] for c in commits}.union(oid for oid, _ in report.rejected)
+    missing = {p for c in commits for p in c[1][:1 if first_parent else None]} - printed
+    if missing:
+        raise RepositoryError(f"shallow or grafted history refused in {path}: "
+                              f"parent {min(missing)} was not read")
     files = _changed_files(path, [c[0] for c in commits]) if with_files else {}
     records = [_NEW_RECORD(CommitRecord, (*c, project, files.get(c[0]))) for c in commits]
     # the walk order depends on git internals; normalize for reproducibility

@@ -577,6 +577,18 @@ def write_raw_commit(path, headers: str, message: str, ref: str) -> str:
     return sha
 
 
+def tip_only_repo(path) -> dict[str, str]:
+    """a, b and c, each the parent of the next and dated in order, with one
+    branch, c3, at c; returns key -> sha."""
+    shas = build_repo(path, [
+        {"key": "a", "commit_epoch": 1_400_000_000},
+        {"key": "b", "commit_epoch": 1_400_001_000, "parents": ["a"]},
+        {"key": "c", "commit_epoch": 1_400_002_000, "parents": ["b"]},
+    ])
+    keep_only_branch(path, "c3")
+    return shas
+
+
 def keep_only_branch(path, branch: str) -> None:
     """Delete every branch of the repository but ``refs/heads/<branch>``, so
     that a walk of ``--all`` starts from that tip alone."""

@@ -83,7 +83,7 @@ def test_criterion_2_out_of_order_oracle_equivalence():
         history = build_history(records, "proj")
         parent_found = {
             (a.commit_id, a.counterpart_id)
-            for a in detect_out_of_order_parent(history)
+            for a in detect_out_of_order_parent(history, CFG)
         }
         if parent_found != brute_force_parent_pairs(records):
             mismatches += 1
@@ -116,7 +116,7 @@ def test_criterion_3_planted_corpus_recall_precision():
             found[a.kind.value].add(a.commit_id)
         for a in detect_future(history, CFG):
             found["future"].add(a.commit_id)
-        for a in detect_out_of_order_parent(history):
+        for a in detect_out_of_order_parent(history, CFG):
             found["out_of_order_parent"].add((a.commit_id, a.counterpart_id))
         for a in detect_out_of_order_linear(history, CFG):
             found["out_of_order_linear"].add(a.commit_id)
@@ -276,7 +276,7 @@ def test_criterion_7_determinism_and_round_trip(tmp_path):
     # anomaly stream determinism under permutation
     p = rec("p7", commit_epoch=1000)
     c = rec("c7", commit_epoch=900, parents=(p.id,))
-    anomalies = detect_out_of_order_parent(build_history([p, c], "proj"))
+    anomalies = detect_out_of_order_parent(build_history([p, c], "proj"), CFG)
     parsed_anoms, _, _ = parse_anomaly_stream(emit_anomaly_stream(anomalies))
     anomaly_ok = {a.commit_id for a in parsed_anoms} == {c.id}
 

@@ -20,12 +20,12 @@ from helpers import (
     build_repo,
     fake_hash,
     git_subcommands,
-    keep_only_branch,
     planted_corpus,
     rec,
     record_processes,
     replay_linear_loop,
     shallow_clone,
+    tip_only_repo,
     utc_epoch,
     write_grafts,
     write_raw_commit,
@@ -1412,8 +1412,6 @@ class TestCorpus:
             "https_example.com_" + "x" * 220 + "-")
 
     def test_shallow_clone_refused(self, tmp_path, capsys):
-        import subprocess
-
         from chronolint.cli import _cache_path
 
         src = tmp_path / "src"
@@ -1426,10 +1424,7 @@ class TestCorpus:
         cache.mkdir()
         # pre-seed the cache with a shallow clone for this URL
         clone = _cache_path(str(cache), url)
-        subprocess.run(
-            ["git", "clone", "-q", "--depth", "1", "--branch", "c2", url, clone],
-            check=True, capture_output=True,
-        )
+        shallow_clone(src, clone, "c2")
         listing = tmp_path / "list.txt"
         listing.write_text(url + "\n")
         out = tmp_path / "o.json"
@@ -1462,18 +1457,13 @@ class TestCorpus:
 class TestCutHistory:
     """A history cut short, by a shallow clone or by a .git/info/grafts line
     that drops a parent, is refused by scan and filter --repo, and is one
-    failed entry of a corpus; a rejected commit cuts nothing."""
+    failed entry of a corpus."""
 
     @pytest.fixture(params=["shallow", "grafts"])
     def cut(self, request, tmp_path):
         """(a repository whose tip c is read without its parent b, b's id)."""
         src = tmp_path / "src"
-        shas = build_repo(src, [
-            {"key": "a", "commit_epoch": 1_400_000_000},
-            {"key": "b", "commit_epoch": 1_400_001_000, "parents": ["a"]},
-            {"key": "c", "commit_epoch": 1_400_002_000, "parents": ["b"]},
-        ])
-        keep_only_branch(src, "c3")
+        shas = tip_only_repo(src)
         if request.param == "shallow":
             shallow_clone(src, tmp_path / "cut", "c3")
             return tmp_path / "cut", shas["b"]
@@ -1509,25 +1499,3 @@ class TestCutHistory:
         assert report["meta"]["failures"] == [
             {"entry": str(path), "error": self.refused(path, missing)}]
         assert capsys.readouterr().err == f"chronolint: {path}: {self.refused(path, missing)}\n"
-
-    def test_rejected_parent_is_read(self, tmp_path, capsys):
-        """Of a, b and c, b's zone +2500 is rejected; c is 1000 s older than
-        b, and no other commit compares with it."""
-        repo = tmp_path / "r"
-        shas = build_repo(repo, [{"key": "a", "commit_epoch": 1_400_000_000}])
-        middle = write_raw_commit(repo, (
-            f"parent {shas['a']}\n"
-            "author A <a@example.com> 1400002000 +2500\n"
-            "committer A <a@example.com> 1400002000 +2500\n"
-        ), "out of range zone\n", "middle")
-        write_raw_commit(repo, (
-            f"parent {middle}\n"
-            "author A <a@example.com> 1400001000 +0000\n"
-            "committer A <a@example.com> 1400001000 +0000\n"
-        ), "tip\n", "tip")
-        keep_only_branch(repo, "tip")
-        out = tmp_path / "o.json"
-        assert run(["scan", "--repo", str(repo), "--reference", REF, "--out", str(out)]) == 0
-        assert capsys.readouterr().err == (
-            f"chronolint: rejected {middle}: bad timestamp: UTC offset out of range: '+2500'\n")
-        assert read_json(out)["totals"]["commits"] == 2

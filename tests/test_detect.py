@@ -180,7 +180,7 @@ class TestOutOfOrderParent:
     def test_newer_parent_flagged(self):
         p = rec("p", commit_epoch=1000)
         c = rec("c", commit_epoch=999, parents=(p.id,))
-        found = detect_out_of_order_parent(history_of(p, c))
+        found = detect_out_of_order_parent(history_of(p, c), CFG)
         assert len(found) == 1
         flag = next(iter(found))
         assert (flag.commit_id, flag.counterpart_id) == (c.id, p.id)
@@ -189,12 +189,12 @@ class TestOutOfOrderParent:
     def test_equal_times_not_flagged(self):
         p = rec("p", commit_epoch=1000)
         c = rec("c", commit_epoch=1000, parents=(p.id,))
-        assert detect_out_of_order_parent(history_of(p, c)) == set()
+        assert detect_out_of_order_parent(history_of(p, c), CFG) == set()
 
     def test_planted_hour_skew(self):
         p = rec("p", commit_epoch=1_600_000_000 + 3600)
         c = rec("c", commit_epoch=1_600_000_000, parents=(p.id,))
-        found = detect_out_of_order_parent(history_of(p, c))
+        found = detect_out_of_order_parent(history_of(p, c), CFG)
         flag = next(iter(found))
         assert flag.delta_seconds == -3600
         assert abs(flag.delta_seconds) <= 3600  # "under an hour" bucket
@@ -206,15 +206,16 @@ class TestOutOfOrderParent:
             history = build_history(records, "proj")
             found = {
                 (x.commit_id, x.counterpart_id)
-                for x in detect_out_of_order_parent(history)
+                for x in detect_out_of_order_parent(history, CFG)
             }
             assert found == brute_force_parent_pairs(records)
 
     def test_author_basis(self):
         p = rec("p", commit_epoch=100, author_epoch=500)
         c = rec("c", commit_epoch=200, author_epoch=400, parents=(p.id,))
-        assert detect_out_of_order_parent(history_of(p, c), basis="committer") == set()
-        flagged = detect_out_of_order_parent(history_of(p, c), basis="author")
+        assert detect_out_of_order_parent(history_of(p, c), CFG) == set()
+        author = DetectorConfig(future_reference=CFG.future_reference, time_basis="author")
+        flagged = detect_out_of_order_parent(history_of(p, c), author)
         assert {x.commit_id for x in flagged} == {c.id}
 
 

@@ -118,7 +118,7 @@ class TestDropFlagged:
     def test_single_parent_flag_dropped(self):
         p = rec("p", commit_epoch=1000)
         c = rec("c", commit_epoch=900, parents=(p.id,))
-        anomalies = detect_out_of_order_parent(build_history([p, c], "proj"))
+        anomalies = detect_out_of_order_parent(build_history([p, c], "proj"), DetectorConfig())
         kept, dropped = drop_flagged(
             [p, c], anomalies, {AnomalyKind.OUT_OF_ORDER_PARENT}
         )
@@ -129,7 +129,7 @@ class TestDropFlagged:
         c = rec("c", commit_epoch=900, parents=(p.id,))
         fork = [rec("p", commit_epoch=1000, project="fork"),
                 rec("c", commit_epoch=900, parents=(p.id,), project="fork")]
-        anomalies = detect_out_of_order_parent(build_history([p, c], "proj"))
+        anomalies = detect_out_of_order_parent(build_history([p, c], "proj"), DetectorConfig())
         kept, dropped = drop_flagged(
             [p, c, *fork], anomalies, {AnomalyKind.OUT_OF_ORDER_PARENT}
         )
@@ -146,10 +146,10 @@ class TestDropFlagged:
             records.append(r)
             prev = r
         history = build_history(records, "proj")
-        anomalies = detect_out_of_order_parent(history)
+        anomalies = detect_out_of_order_parent(history, DetectorConfig())
         kept, _ = drop_flagged(records, anomalies, {AnomalyKind.OUT_OF_ORDER_PARENT})
         survivors = {r.id for r in kept}
-        rescanned = detect_out_of_order_parent(build_history(kept, "proj"))
+        rescanned = detect_out_of_order_parent(build_history(kept, "proj"), DetectorConfig())
         assert not any(
             a.commit_id in survivors and a.counterpart_id in survivors
             for a in rescanned
@@ -160,7 +160,8 @@ class TestDropFlagged:
             build_history(
                 [rec("p", commit_epoch=10), rec("c", commit_epoch=5,
                                                 parents=(rec("p").id,))], "proj"
-            )
+            ),
+            DetectorConfig(),
         )
         with pytest.raises(ConsistencyError):
             drop_flagged([rec("other")], ghost, {AnomalyKind.OUT_OF_ORDER_PARENT})

@@ -45,6 +45,7 @@ from helpers import (
     record_processes,
     record_to_object,
     shallow_clone,
+    tip_only_repo,
     write_grafts,
     write_raw_commit,
 )
@@ -692,19 +693,8 @@ class TestReadRepository:
         return f"^shallow or grafted history refused in {re.escape(str(path))}: " \
                f"parent {missing} was not read$"
 
-    @staticmethod
-    def linear(path):
-        """a, b and c, each the parent of the next, with one branch, c3, at c."""
-        shas = build_repo(path, [
-            {"key": "a", "commit_epoch": 1_400_000_000},
-            {"key": "b", "commit_epoch": 1_400_001_000, "parents": ["a"]},
-            {"key": "c", "commit_epoch": 1_400_002_000, "parents": ["b"]},
-        ])
-        keep_only_branch(path, "c3")
-        return shas
-
     def test_shallow_clone_refused(self, tmp_path):
-        shas = self.linear(tmp_path / "src")
+        shas = tip_only_repo(tmp_path / "src")
         repo = tmp_path / "r"
         shallow_clone(tmp_path / "src", repo, "c3")
         with pytest.raises(RepositoryError, match=self.cut_refused(repo, shas["b"])):
@@ -712,7 +702,7 @@ class TestReadRepository:
 
     def test_grafts_that_drop_a_parent_refused(self, tmp_path):
         repo = tmp_path / "r"
-        shas = self.linear(repo)
+        shas = tip_only_repo(repo)
         write_grafts(repo, shas["c"])  # c as a root, so the walk stops there
         with pytest.raises(RepositoryError, match=self.cut_refused(repo, shas["b"])):
             read_repository(str(repo), "proj")

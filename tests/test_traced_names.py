@@ -64,7 +64,7 @@ def test_counters_read_what_their_functions_return(tmp_path):
             detect.detect_out_of_order_linear(history, cfg),
             {"detect.anomalies.out_of_order_linear": 1}),
         "detect.detect_out_of_order_parent": (
-            detect.detect_out_of_order_parent(history, cfg.time_basis),
+            detect.detect_out_of_order_parent(history, cfg),
             {"detect.anomalies.out_of_order_parent": 1}),
         "filters.drop_flagged": (filters.drop_flagged(records, flags, {AnomalyKind.FUTURE}),
                                  {"filters.dropped": 1}),
