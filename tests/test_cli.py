@@ -14,12 +14,14 @@ from chronolint import cli
 from chronolint.cli import main, parse_instant
 from chronolint.detect import sanitize_message, scan_fingerprints
 from chronolint.ingest import emit_export_stream, parse_export_stream, read_repository
+from chronolint.model import ConfigError, FilterPolicy
 from chronolint.report import ranked_tokens, token_frequencies
 from helpers import (
     assert_reaped,
     build_repo,
     fake_hash,
     git_subcommands,
+    keep_only_branch,
     planted_corpus,
     rec,
     record_processes,
@@ -1115,6 +1117,33 @@ class TestMalformedInput:
         assert capsys.readouterr().err.startswith(f"chronolint: policy {key}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("policy, message", [
+        *(({key: value}, f"policy {key} must be a list of strings: {value!r}")
+          for key in ("project_blacklist", "drop_flagged_kinds")
+          for value in ("proj", [1], {"a": 1}, 5)),
+        *(({"min_epoch_seconds": value}, f"policy min_epoch_seconds must be an integer: {value!r}")
+          for value in ("5", 1.5, True)),
+        ({"drop_flagged_kinds": ["bogus"]},
+         "policy drop_flagged_kinds: 'bogus' is not a valid AnomalyKind"),
+    ])
+    def test_bad_policy_value_same_text_everywhere(self, tmp_path, capsys, policy, message):
+        """A bad value is refused with one text whether the policy is read
+        from JSON, by filter --policy or scan --config, or made in Python."""
+        with pytest.raises(ConfigError) as from_json:
+            cli.policy_from_object(json.loads(json.dumps(policy)))
+        with pytest.raises(ConfigError) as made:
+            FilterPolicy(**policy)
+        assert str(from_json.value) == str(made.value) == message
+        path = tmp_path / "settings.json"
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(emit_export_stream([rec("a")]))
+        for command, flag, settings in (("filter", "--policy", policy),
+                                        ("scan", "--config", {"policy": policy})):
+            path.write_text(json.dumps(settings))
+            assert run([command, "--jsonl", str(src), flag, str(path),
+                        "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == f"chronolint: {message}\n"
+
     @pytest.mark.parametrize("basis", [{}, ["author"]], ids=["object", "list"])
     def test_policy_time_basis_not_a_string(self, tmp_path, capsys, basis):
         path = tmp_path / "policy.json"
@@ -1432,7 +1461,7 @@ class TestCorpus:
                     "--reference", REF, "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"chronolint: {url}: shallow or grafted history refused in {clone}: "
+            f"chronolint: {url}: shallow history refused in {clone}: "
             f"parent {shas['a']} was not read\n"
             "chronolint: all repositories failed\n")
 
@@ -1455,24 +1484,40 @@ class TestCorpus:
 
 
 class TestCutHistory:
-    """A history cut short, by a shallow clone or by a .git/info/grafts line
-    that drops a parent, is refused by scan and filter --repo, and is one
-    failed entry of a corpus."""
+    """A history cut short by a shallow clone is refused by scan and filter
+    --repo, and is one failed entry of a corpus. A .git/info/grafts line is
+    not followed, so a grafted history is read as stored."""
 
-    @pytest.fixture(params=["shallow", "grafts"])
+    @pytest.fixture(params=["shallow"])
     def cut(self, request, tmp_path):
         """(a repository whose tip c is read without its parent b, b's id)."""
         src = tmp_path / "src"
         shas = tip_only_repo(src)
-        if request.param == "shallow":
-            shallow_clone(src, tmp_path / "cut", "c3")
-            return tmp_path / "cut", shas["b"]
-        write_grafts(src, shas["c"])
-        return src, shas["b"]
+        shallow_clone(src, tmp_path / "cut", "c3")
+        return tmp_path / "cut", shas["b"]
+
+    @pytest.fixture(params=["drops", "adds"])
+    def grafted(self, request, tmp_path):
+        """(a repository of a, b and c, each the parent of the next, whose
+        grafts line drops c's parent b or adds to b's parent a a commit d that
+        no ref reaches, dated in the future; the ids of a, b and c)."""
+        repo = tmp_path / "src"
+        shas = build_repo(repo, [
+            {"key": "a", "commit_epoch": 1_400_000_000},
+            {"key": "b", "commit_epoch": 1_400_001_000, "parents": ["a"]},
+            {"key": "c", "commit_epoch": 1_400_002_000, "parents": ["b"]},
+            {"key": "d", "commit_epoch": 2_000_000_000},
+        ])
+        keep_only_branch(repo, "c3")
+        if request.param == "drops":
+            write_grafts(repo, shas["c"])
+        else:
+            write_grafts(repo, f"{shas['b']} {shas['a']} {shas['d']}")
+        return repo, sorted(shas[key] for key in "abc")
 
     @staticmethod
     def refused(path, missing):
-        return f"shallow or grafted history refused in {path}: parent {missing} was not read"
+        return f"shallow history refused in {path}: parent {missing} was not read"
 
     @pytest.mark.parametrize("command", ["scan", "filter"])
     def test_repo_exit_two(self, cut, command, tmp_path, capsys):
@@ -1499,3 +1544,28 @@ class TestCutHistory:
         assert report["meta"]["failures"] == [
             {"entry": str(path), "error": self.refused(path, missing)}]
         assert capsys.readouterr().err == f"chronolint: {path}: {self.refused(path, missing)}\n"
+
+    @pytest.mark.parametrize("command", ["scan", "filter"])
+    def test_repo_read_as_stored(self, grafted, command, tmp_path, capsys):
+        path, ids = grafted
+        out = tmp_path / "out"
+        assert run([command, "--repo", str(path), "--reference", REF, "--out", str(out)]) == 0
+        if command == "scan":
+            report = read_json(out)
+            assert report["totals"] == {"commits": 3, "projects": 1}
+            assert not any(s["count"] for s in report["anomalies"].values())
+        else:
+            assert sorted(json.loads(line)["id"] for line in out.read_text().splitlines()) == ids
+        assert capsys.readouterr().err == ""
+
+    def test_corpus_reads_it_as_stored(self, grafted, tmp_path, capsys):
+        path, _ = grafted
+        listing = tmp_path / "list.txt"
+        listing.write_text(f"{path}\n")
+        out = tmp_path / "o.json"
+        assert run(["corpus", "--list", str(listing), "--reference", REF,
+                    "--out", str(out)]) == 0
+        report = read_json(out)
+        assert report["totals"] == {"commits": 3, "projects": 1}
+        assert report["meta"]["failures"] == []
+        assert capsys.readouterr().err == ""

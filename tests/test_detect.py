@@ -56,6 +56,15 @@ class TestThresholdDefault:
         with pytest.raises(ConfigError):
             DetectorConfig(future_reference=0)
 
+    @pytest.mark.parametrize("key", ["old_threshold", "future_reference"])
+    @pytest.mark.parametrize("value", ["1990", 1.5, True])
+    def test_instants_must_be_ints(self, key, value):
+        """An instant that is not an int is refused when the config is made,
+        not compared, nor carried to the detectors."""
+        message = f"{key} must be an integer: {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            DetectorConfig(**{key: value})
+
 
 class TestDetectOld:
     def test_zero_epoch_double_flag(self):
@@ -282,6 +291,17 @@ class TestFingerprints:
     def test_bad_pattern_rejected_at_load(self):
         with pytest.raises(ConfigError):
             FingerprintRule("broken", "[unclosed").compile()
+
+    @pytest.mark.parametrize("args, message", [
+        (("r", 5), "fingerprint rule 'r': pattern must be a string: 5"),
+        ((5, "x"), "fingerprint rule name must be a string: 5"),
+        ((None, "x"), "fingerprint rule name must be a string: None"),
+    ])
+    def test_name_and_pattern_must_be_strings(self, args, message):
+        """Checked when the rule is made, not at the first scan, and no
+        count is kept under a key that is not a name."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            FingerprintRule(*args)
 
     def test_duplicate_names_rejected(self):
         rules = [FingerprintRule("x", "a"), FingerprintRule("x", "b")]

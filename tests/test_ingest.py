@@ -690,7 +690,7 @@ class TestReadRepository:
     @staticmethod
     def cut_refused(path, missing):
         """The match of read_repository's refusal of a cut history at path."""
-        return f"^shallow or grafted history refused in {re.escape(str(path))}: " \
+        return f"^shallow history refused in {re.escape(str(path))}: " \
                f"parent {missing} was not read$"
 
     def test_shallow_clone_refused(self, tmp_path):
@@ -700,16 +700,18 @@ class TestReadRepository:
         with pytest.raises(RepositoryError, match=self.cut_refused(repo, shas["b"])):
             read_repository(str(repo), "proj")
 
-    def test_grafts_that_drop_a_parent_refused(self, tmp_path):
+    def test_grafts_that_drop_a_parent_are_not_followed(self, tmp_path):
         repo = tmp_path / "r"
         shas = tip_only_repo(repo)
-        write_grafts(repo, shas["c"])  # c as a root, so the walk stops there
-        with pytest.raises(RepositoryError, match=self.cut_refused(repo, shas["b"])):
-            read_repository(str(repo), "proj")
+        write_grafts(repo, shas["c"])  # git would read c as a root
+        records, report = read_repository(str(repo), "proj")
+        assert [(r.id, r.parents) for r in records] == [
+            (shas["a"], ()), (shas["b"], (shas["a"],)), (shas["c"], (shas["b"],))]
+        assert report.rejects == []
 
     def test_grafts_that_drop_a_second_parent(self, tmp_path):
-        """m merges b and c, and the grafts line keeps only b: the first-parent
-        walk reads all it walks, and the full walk misses c."""
+        """m merges b and c, and the grafts line keeps only b: both walks
+        read the history as stored, c included."""
         repo = tmp_path / "r"
         shas = build_repo(repo, [
             {"key": "a", "commit_epoch": 1_400_000_000},
@@ -722,8 +724,9 @@ class TestReadRepository:
         records, report = read_repository(str(repo), "proj", first_parent=True)
         assert sorted(r.id for r in records) == sorted(shas[k] for k in "abm")
         assert report.rejects == []
-        with pytest.raises(RepositoryError, match=self.cut_refused(repo, shas["c"])):
-            read_repository(str(repo), "proj")
+        records, report = read_repository(str(repo), "proj")
+        assert sorted(r.id for r in records) == sorted(shas.values())
+        assert report.rejects == []
 
     def test_rejected_parent_does_not_cut_the_history(self, tmp_path):
         """The middle commit's zone +2500 is rejected, but cat-file printed

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -70,5 +71,34 @@ def test_policy_kinds_are_anomaly_kinds():
     with pytest.raises(ConfigError, match=(
             "^policy drop_flagged_kinds: 'bogus' is not a valid AnomalyKind$")):
         FilterPolicy(drop_flagged_kinds=frozenset({"bogus"}))
-    with pytest.raises(ConfigError, match="^policy drop_flagged_kinds: "):
+    with pytest.raises(ConfigError, match=(
+            "^policy drop_flagged_kinds must be a list of strings: 5$")):
         FilterPolicy(drop_flagged_kinds=5)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("project_blacklist", "proj", "must be a list of strings: 'proj'"),
+    ("project_blacklist", None, "must be a list of strings: None"),
+    ("drop_flagged_kinds", ("future", 5), "must be a list of strings: ('future', 5)"),
+    ("min_epoch_seconds", "5", "must be an integer: '5'"),
+    ("min_epoch_seconds", False, "must be an integer: False"),
+    ("cutoff", "2014-01-01", "must be an integer: '2014-01-01'"),
+    ("cutoff", 1.5, "must be an integer: 1.5"),
+])
+def test_policy_values_checked_when_made(key, value, message):
+    """A value that a filter could not read, or would read wrongly (a string
+    blacklist iterates its characters), is refused when the policy is made."""
+    with pytest.raises(ConfigError, match=f"^policy {key} {re.escape(message)}$"):
+        FilterPolicy(**{key: value})
+
+
+def test_policy_collections_are_frozensets():
+    """Whatever collection a policy is given, it holds a frozenset, so that
+    the policy hashes as an immutable value does."""
+    for given in (["p"], ("p",), {"p"}, frozenset({"p"})):
+        policy = FilterPolicy(project_blacklist=given, drop_flagged_kinds=["future"])
+        assert type(policy.project_blacklist) is frozenset
+        assert policy.project_blacklist == frozenset({"p"})
+        assert hash(policy) == hash(FilterPolicy(project_blacklist=frozenset({"p"}),
+                                                 drop_flagged_kinds={AnomalyKind.FUTURE}))
+    assert FilterPolicy(min_epoch_seconds=None, cutoff=5).cutoff == 5
