@@ -186,7 +186,8 @@ def detector_config_from(args: argparse.Namespace, config: dict) -> DetectorConf
 
 
 def policy_from_object(obj: dict) -> FilterPolicy:
-    """Build a FilterPolicy from its JSON form.
+    """Build a FilterPolicy from its JSON form: its instants are read here,
+    and FilterPolicy checks every value.
 
     A bad value raises ConfigError naming its key. A null value takes the
     default, as a missing key does, except that a null min_epoch_seconds is
@@ -199,38 +200,18 @@ def policy_from_object(obj: dict) -> FilterPolicy:
         except UsageError as exc:
             raise ConfigError(f"policy {key}: {exc}") from exc
 
-    def strings(key: str) -> list[str]:
-        value = obj[key]
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise ConfigError(f"policy {key} must be a list of strings: {value!r}")
-        return value
-
     if not isinstance(obj, dict):
         raise ConfigError(f"policy is not a JSON object: {obj!r}")
     reject_unknown_keys(obj, POLICY_KEYS, "policy")
-    obj = {key: value for key, value in obj.items()
-           if value is not None or key == "min_epoch_seconds"}
-    kwargs: dict = {}
-    if "min_epoch_seconds" in obj:
-        value = obj["min_epoch_seconds"]
-        if value is not None and type(value) is not int:
-            raise ConfigError(f"policy min_epoch_seconds must be an integer: {value!r}")
-        kwargs["min_epoch_seconds"] = value
-    if "cutoff" in obj:
-        kwargs["cutoff"] = instant("cutoff", obj["cutoff"])
-    if "cutoff_mode" in obj:
-        kwargs["cutoff_mode"] = obj["cutoff_mode"]
-    if "window" in obj:
-        window = obj["window"]
+    kwargs = {key: value for key, value in obj.items()
+              if value is not None or key == "min_epoch_seconds"}
+    if "cutoff" in kwargs:
+        kwargs["cutoff"] = instant("cutoff", kwargs["cutoff"])
+    if "window" in kwargs:
+        window = kwargs["window"]
         if not isinstance(window, list) or len(window) != 2:
             raise ConfigError(f"policy window must be [start, end]: {window!r}")
         kwargs["window"] = (instant("window", window[0]), instant("window", window[1]))
-    if "project_blacklist" in obj:
-        kwargs["project_blacklist"] = frozenset(strings("project_blacklist"))
-    if "drop_flagged_kinds" in obj:
-        kwargs["drop_flagged_kinds"] = frozenset(strings("drop_flagged_kinds"))
-    if "time_basis" in obj:
-        kwargs["time_basis"] = obj["time_basis"]
     return FilterPolicy(**kwargs)
 
 

@@ -47,11 +47,12 @@ class FingerprintRule(_Rule):
 
     def __new__(cls, *args, **kwargs) -> FingerprintRule:
         self = super().__new__(cls, *args, **kwargs)
-        if not isinstance(self.case_insensitive, bool):
-            raise ConfigError(
-                f"fingerprint rule {self.name!r}: case_insensitive must be a boolean: "
-                f"{self.case_insensitive!r}"
-            )
+        for key, kind, what in (("name", str, "a string"), ("pattern", str, "a string"),
+                                ("case_insensitive", bool, "a boolean")):
+            value = getattr(self, key)
+            if not isinstance(value, kind):
+                raise ConfigError(
+                    f"fingerprint rule {self.name!r}: {key} must be {what}: {value!r}")
         return self
 
     def compile(self) -> re.Pattern[str]:
@@ -100,8 +101,12 @@ class DetectorConfig(_Config):
             # read once per config, so one run judges every project against one instant
             self = self._replace(future_reference=int(time.time()))
         check_time_basis(self.time_basis)
-        if not isinstance(self.merge_exclusion, bool):
-            raise ConfigError(f"merge_exclusion must be a boolean: {self.merge_exclusion!r}")
+        for key, kind, what in (("old_threshold", int, "an integer"),
+                                ("future_reference", int, "an integer"),
+                                ("merge_exclusion", bool, "a boolean")):
+            value = getattr(self, key)
+            if type(value) is not kind:  # a bool is no instant
+                raise ConfigError(f"{key} must be {what}: {value!r}")
         if not self.old_threshold < self.future_reference:
             raise ConfigError("old threshold must precede the future reference")
         return self

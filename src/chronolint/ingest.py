@@ -410,13 +410,15 @@ def run_git(
     import subprocess
     import tempfile
 
-    # replace refs are not followed: commits are read as stored
+    # neither replace refs nor grafts are followed: commits are read as stored.
+    # An empty GIT_GRAFT_FILE names no file; /dev/null would be read, and git
+    # would print a deprecation hint ahead of a failed command's error.
     cmd = [git_executable(), "--no-replace-objects", "-C", path, *args]
     with tempfile.TemporaryFile() as err:
         try:
             proc = subprocess.Popen(
                 cmd, bufsize=1 << 16, stdin=subprocess.DEVNULL if stdin is None else stdin,
-                stdout=subprocess.PIPE, stderr=err,
+                stdout=subprocess.PIPE, stderr=err, env={**os.environ, "GIT_GRAFT_FILE": ""},
             )
         except FileNotFoundError as exc:
             raise GitEnvironmentError(f"git executable not found: {cmd[0]}") from exc
@@ -502,19 +504,18 @@ def read_repository(
 ) -> tuple[list[CommitRecord], IngestReport]:
     """Read commit metadata from a git repository on disk.
 
-    By default every ref but the replace refs is walked (``--all``), so a
-    commit that only ``git replace`` wrote, such as a graft's copy, is not
-    read; first_parent/branches narrow the walk for studies that want
-    main-branch-only history. branches is a branch name, or a glob over
-    branch names if it has ``*``, ``?`` or ``[``. with_files populates each
-    record's changed-file set. A commit whose header cannot be read is
-    rejected in the report; the rest are kept.
+    History is read as stored: replace refs and ``.git/info/grafts`` are not
+    followed. By default every ref but the replace refs is walked
+    (``--all``), so a commit that only ``git replace`` wrote, such as a
+    graft's copy, is not read; first_parent/branches narrow the walk for
+    studies that want main-branch-only history. branches is a branch name,
+    or a glob over branch names if it has ``*``, ``?`` or ``[``. with_files
+    populates each record's changed-file set. A commit whose header cannot
+    be read is rejected in the report; the rest are kept.
 
-    A history cut short raises RepositoryError naming a parent of a commit
-    read (its first only, under first_parent) that cat-file printed neither
-    as a record nor as a reject: a shallow clone's boundary, or a grafts line
-    that drops a parent, which rev-list follows while cat-file prints the
-    stored parents. The commit a grafts line adds is read as any other.
+    A shallow clone raises RepositoryError naming a parent of a commit read
+    (its first only, under first_parent) that cat-file printed neither as a
+    record nor as a reject: the walk stops at the clone's boundary.
     """
     if branches is None:
         revs = ["--exclude=refs/replace/*", "--all"]
@@ -535,7 +536,7 @@ def read_repository(
     printed = {c[0] for c in commits}.union(oid for oid, _ in report.rejected)
     missing = {p for c in commits for p in c[1][:1 if first_parent else None]} - printed
     if missing:
-        raise RepositoryError(f"shallow or grafted history refused in {path}: "
+        raise RepositoryError(f"shallow history refused in {path}: "
                               f"parent {min(missing)} was not read")
     files = _changed_files(path, [c[0] for c in commits]) if with_files else {}
     records = [_NEW_RECORD(CommitRecord, (*c, project, files.get(c[0]))) for c in commits]

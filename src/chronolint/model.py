@@ -150,19 +150,31 @@ class FilterPolicy(_Policy):
     pre-epoch filters read; author date is the default because rebases and
     cherry-picks rewrite the committer date. The detectors, and so
     drop_flagged_kinds, read DetectorConfig.time_basis instead (--time-basis,
-    default committer). drop_flagged_kinds may be given by member or by name;
-    it is kept as a frozenset of AnomalyKind.
+    default committer). min_epoch_seconds and cutoff are ints or None. The
+    two collections may be given as a list, tuple, set or frozenset, and are
+    kept as frozensets: project_blacklist of strings, drop_flagged_kinds of
+    AnomalyKind, each given by member or by name.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> FilterPolicy:
         self = super().__new__(cls, *args, **kwargs)
+        for key in ("min_epoch_seconds", "cutoff"):
+            value = getattr(self, key)
+            if value is not None and type(value) is not int:
+                raise ConfigError(f"policy {key} must be an integer: {value!r}")
+        for key, item in (("project_blacklist", str), ("drop_flagged_kinds", (str, AnomalyKind))):
+            value = getattr(self, key)
+            if not isinstance(value, (list, tuple, set, frozenset)) or not all(
+                    isinstance(v, item) for v in value):
+                raise ConfigError(f"policy {key} must be a list of strings: {value!r}")
         try:
             kinds = frozenset(map(AnomalyKind, self.drop_flagged_kinds))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"policy drop_flagged_kinds: {exc}") from exc
-        self = self._replace(drop_flagged_kinds=kinds)
+        self = self._replace(project_blacklist=frozenset(self.project_blacklist),
+                             drop_flagged_kinds=kinds)
         check_time_basis(self.time_basis)
         if self.cutoff_mode not in ("before", "after"):
             raise ConfigError(f"unknown cutoff mode: {self.cutoff_mode!r}")

@@ -196,8 +196,6 @@ class _Probes:
         """The first line start at or after offset."""
         if offset <= 0:
             return 0
-        if offset >= self.size:
-            return self.size
         self.fh.seek(offset - 1)
         _probe_line(self.fh)
         return self.fh.tell()

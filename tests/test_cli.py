@@ -1489,7 +1489,7 @@ class TestCutHistory:
     not followed, so a grafted history is read as stored."""
 
     @pytest.fixture(params=["shallow"])
-    def cut(self, request, tmp_path):
+    def cut(self, tmp_path):
         """(a repository whose tip c is read without its parent b, b's id)."""
         src = tmp_path / "src"
         shas = tip_only_repo(src)
@@ -1499,8 +1499,8 @@ class TestCutHistory:
     @pytest.fixture(params=["drops", "adds"])
     def grafted(self, request, tmp_path):
         """(a repository of a, b and c, each the parent of the next, whose
-        grafts line drops c's parent b or adds to b's parent a a commit d that
-        no ref reaches, dated in the future; the ids of a, b and c)."""
+        grafts line either drops c's parent b or gives b a second parent d, a
+        commit that no ref reaches, dated in the future; the ids of a, b, c)."""
         repo = tmp_path / "src"
         shas = build_repo(repo, [
             {"key": "a", "commit_epoch": 1_400_000_000},

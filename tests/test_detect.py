@@ -294,8 +294,8 @@ class TestFingerprints:
 
     @pytest.mark.parametrize("args, message", [
         (("r", 5), "fingerprint rule 'r': pattern must be a string: 5"),
-        ((5, "x"), "fingerprint rule name must be a string: 5"),
-        ((None, "x"), "fingerprint rule name must be a string: None"),
+        ((5, "x"), "fingerprint rule 5: name must be a string: 5"),
+        ((None, "x"), "fingerprint rule None: name must be a string: None"),
     ])
     def test_name_and_pattern_must_be_strings(self, args, message):
         """Checked when the rule is made, not at the first scan, and no
