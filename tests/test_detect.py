@@ -234,6 +234,12 @@ class TestFingerprints:
         result = scan_fingerprints([r.message])
         assert result["git-svn-id"] == 1
 
+    def test_one_string_refused(self):
+        """A lone message would be read as its characters, so it is refused."""
+        with pytest.raises(TypeError, match="^messages "):
+            scan_fingerprints("git-svn-id")
+        assert scan_fingerprints(["git-svn-id"])["git-svn-id"] == 1
+
     def test_hg_word_boundary(self):
         hit = rec("a", message="pulled via hg convert")
         miss = rec("b", message="on the highway")

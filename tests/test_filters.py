@@ -108,6 +108,13 @@ class TestDropProjects:
         out = drop_projects(corpus, {"glob3mobile/g3m"})
         assert set(out) == {"other"}
 
+    def test_one_string_refused(self):
+        """A lone name would be read as its characters, so it is refused."""
+        corpus = {"proj": [rec("a")], "p": [rec("b")]}
+        with pytest.raises(TypeError, match="^blacklist "):
+            drop_projects(corpus, "proj")
+        assert drop_projects(corpus, ["proj"]) == {"p": corpus["p"]}
+
 
 class TestDropFlagged:
     def test_no_kinds_identity(self):

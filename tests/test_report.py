@@ -201,6 +201,15 @@ class TestTokens:
         counts = token_frequencies(["Merge the the branch"], {"the"})
         assert counts == {"merge": 1, "branch": 1}
 
+    def test_one_string_refused(self):
+        """A lone message or stop word would be read as its characters, so
+        either is refused."""
+        with pytest.raises(TypeError, match="^messages "):
+            token_frequencies("merge branch", {"the"})
+        with pytest.raises(TypeError, match="^stopwords "):
+            token_frequencies(["merge the branch"], "the")
+        assert token_frequencies(["merge the branch"], ["the"]) == {"merge": 1, "branch": 1}
+
     def test_composite_tokens_survive(self):
         counts = token_frequencies(
             ["git-svn-id: https://svn.example.com sync external/ tree"], {"https"}
