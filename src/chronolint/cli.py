@@ -7,6 +7,7 @@ stdout carries data only; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import atexit
 import functools
 import gc
 import itertools
@@ -798,10 +799,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # The cyclic collector is off for the whole command, in forked workers
-    # too: the few hundred objects a command leaves in reference cycles,
-    # argparse's mostly, do not grow with its input, while a run holds many
-    # tracked objects (records are tuples) that each collection would walk.
+    """Run the command in argv, or, when argv is None, the command line of
+    this process: then main is the program, and the collector is frozen at
+    exit, however the program ends.
+
+    The cyclic collector is off for the whole command, in forked workers
+    too: the few hundred objects a command leaves in reference cycles,
+    argparse's mostly, do not grow with its input, while a run holds many
+    tracked objects (records are tuples) that each collection would walk.
+    The interpreter still collects as it exits, so the program freezes
+    what it holds first and those collections walk nothing; a caller of
+    main(argv) keeps its objects and its collector as they were.
+    """
+    if argv is None:
+        atexit.register(gc.freeze)
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -235,8 +235,11 @@ def scan_fingerprints(
     sanitize_message first. A message may match several rules. A rule whose
     pattern is plain strings (FingerprintRule.literals) is tested with in,
     which gives the counts of its regex search in less time; any other
-    rule is searched with its regex.
+    rule is searched with its regex. A lone str raises TypeError, as it
+    would be read as its characters.
     """
+    if isinstance(messages, str):
+        raise TypeError(f"messages must be a collection of str, not a str: {messages!r}")
     rules = list(rules)
     names = [rule.name for rule in rules]
     duplicates = [name for name in names if names.count(name) > 1]

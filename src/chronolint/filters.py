@@ -74,7 +74,10 @@ def time_window(
 def drop_projects(
     corpus: Mapping[str, list[CommitRecord]], blacklist: Iterable[str]
 ) -> dict[str, list[CommitRecord]]:
-    """Remove blacklisted projects from the corpus entirely."""
+    """Remove blacklisted projects from the corpus entirely. A lone str
+    raises TypeError, as it would be read as its characters."""
+    if isinstance(blacklist, str):
+        raise TypeError(f"blacklist must be a collection of str, not a str: {blacklist!r}")
     blacklist = set(blacklist)
     return {p: recs for p, recs in corpus.items() if p not in blacklist}
 

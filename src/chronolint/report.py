@@ -182,8 +182,12 @@ def token_frequencies(
 
     Tokens split on anything outside [a-z0-9/-_] so composite markers like
     "git-svn-id" or "external/" survive whole; tokens with no alphanumeric
-    character are discarded.
+    character are discarded. A lone str as messages or stopwords raises
+    TypeError, as it would be read as its characters.
     """
+    for name, value in (("messages", messages), ("stopwords", stopwords)):
+        if isinstance(value, str):
+            raise TypeError(f"{name} must be a collection of str, not a str: {value!r}")
     stop = frozenset(stopwords) if stopwords is not None else default_stopwords()
     counts: Counter[bytes] = Counter()
     for message in messages:

@@ -28,9 +28,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 DEFERRED = ("concurrent.futures", "subprocess", "multiprocessing", "pickle",
             "dataclasses", "inspect", "importlib.resources", "tempfile", "csv")
 # the stdlib modules that the package's modules import at top level
-BASELINE = ("argparse", "bisect", "collections", "contextlib", "datetime", "enum", "functools",
-            "gc", "heapq", "io", "itertools", "json", "json.encoder", "operator", "os", "re",
-            "stat", "sys", "time", "typing")
+BASELINE = ("argparse", "atexit", "bisect", "collections", "contextlib", "datetime", "enum",
+            "functools", "gc", "heapq", "io", "itertools", "json", "json.encoder", "operator",
+            "os", "re", "stat", "sys", "time", "typing")
 
 
 def loaded(statements):
