@@ -68,7 +68,6 @@ def test_only_cli_main_touches_the_collector():
     assert found == []
 
 
-
 def export(path, epoch):
     path.write_bytes(emit_export_stream([rec(("x", i), commit_epoch=epoch + i) for i in range(3)]))
     return str(path)
