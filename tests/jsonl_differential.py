@@ -143,8 +143,8 @@ def differences(data: bytes) -> list[str]:
         found.append(f"not every record is a CommitRecord: {records!r}")
     if report.rejects != expected_rejects:
         found.append(f"rejects {report.rejects!r} != {expected_rejects!r}")
-    if (report.records_parsed, report.records_rejected) != (len(expected), len(expected_rejects)):
-        found.append(f"counts {report.records_parsed}, {report.records_rejected}")
+    if (len(records), report.records_rejected) != (len(expected), len(expected_rejects)):
+        found.append(f"counts {len(records)}, {report.records_rejected}")
     if report.lines != len(io.BytesIO(data).readlines()):
         found.append(f"line count {report.lines}")
     return found

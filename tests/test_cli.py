@@ -1244,6 +1244,62 @@ class TestUnwritableOutput:
         self.assert_cannot_write(capsys, missing, code)
 
 
+def program(argv, cwd, stdout):
+    """Run chronolint as the program, its stdout on the open file stdout;
+    its exit code and stderr."""
+    done = subprocess.run([sys.executable, "-m", "chronolint.cli", *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, check=False)
+    return done.returncode, done.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestUnwritableStdout:
+    """Output that cannot reach stdout exits 2 naming <stdout>, as an
+    unwritable --out does: not 1, which reads as anomalies found, nor 0."""
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--jsonl", "dirty.jsonl", "--reference", REF],
+        ["scan", "--jsonl", "dirty.jsonl", "--reference", REF, "--format", "text"],
+        ["scan", "--jsonl", "dirty.jsonl", "--reference", REF, "--format", "csv"],
+        ["filter", "--jsonl", "dirty.jsonl", "--reference", REF],
+        ["filter", "--jsonl", "dirty.jsonl", "--reference", REF, "--out", "kept.jsonl"],
+        ["report", "--in", "empty.jsonl"],
+        ["corpus", "--list", "list.txt", "--reference", REF],
+        ["--version"],
+        ["--help"],
+        ["scan", "--help"],
+    ], ids=["scan-json", "scan-text", "scan-csv", "filter", "filter-summary", "report",
+            "corpus", "version", "help", "scan-help"])
+    def test_full(self, tmp_path, argv):
+        (tmp_path / "dirty.jsonl").write_bytes(emit_export_stream(
+            [rec(i, commit_epoch=i * 1_000_000) for i in range(3)]))
+        (tmp_path / "empty.jsonl").write_bytes(b"")
+        if argv[0] == "corpus":
+            build_repo(tmp_path / "r", [{"key": "a", "commit_epoch": 0}])
+            (tmp_path / "list.txt").write_text("r\n")
+        with open("/dev/full", "wb") as full:
+            code, err = program(argv, tmp_path, full)
+        assert (code, err) == (2, "chronolint: cannot write <stdout>: No space left on device\n")
+
+    def test_closed_pipe(self, tmp_path, monkeypatch):
+        """A report larger than a pipe's buffer, to a pipe no one reads: the
+        failed write exits 2, and the interpreter's last flush of stdout
+        does not fail again (which would exit 120)."""
+        (tmp_path / "wide.jsonl").write_bytes(emit_export_stream(
+            [rec(i, commit_epoch=0, project=f"project-{i:04}", author_email=f"a{i}@example.com")
+             for i in range(1000)]))
+        argv = ["scan", "--jsonl", "wide.jsonl", "--reference", REF, "--top", "1000"]
+        monkeypatch.chdir(tmp_path)
+        assert run([*argv, "--out", "r.json"]) == 1
+        assert (tmp_path / "r.json").stat().st_size > 1 << 16
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "wb") as closed:
+            code, err = program(argv, tmp_path, closed)
+        assert (code, err) == (2, "chronolint: cannot write <stdout>: Broken pipe\n")
+
+
 class TestCorpus:
     def make_repos(self, tmp_path):
         r1 = tmp_path / "repo1"

@@ -96,13 +96,15 @@ def filter_jsonl(records, policy, cfg, ranges):
                 "--reference", str(cfg.future_reference), "--time-basis", cfg.time_basis]
         if not cfg.merge_exclusion:
             argv.append("--no-merge-exclusion")
-        summary = io.StringIO()
+        # a text stream over bytes, as stdout is: the summary goes to its buffer
+        summary = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
         with mock.patch.object(parallel, "range_count", lambda fh: ranges), \
                 mock.patch.object(parallel, "usable_cpus", lambda: 4), \
                 contextlib.redirect_stdout(summary):
             code = cli.main(argv)
+        summary.flush()
         with open(out, "rb") as fh:
-            return code, fh.read(), summary.getvalue()
+            return code, fh.read(), summary.buffer.getvalue().decode()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -107,7 +107,7 @@ class TestParseExportStream:
     def test_empty_stream(self):
         records, report = parse_export_stream(b"", "p")
         assert records == []
-        assert report.records_parsed == report.records_rejected == 0
+        assert report.records_rejected == 0
 
     def test_undecodable_record_rejected_stream_continues(self):
         data = b'{"bad": \xff\xfe}\n' + jsonl(minimal_obj())
@@ -123,7 +123,7 @@ class TestParseExportStream:
     def test_parsed_plus_rejected_totals(self):
         data = jsonl(minimal_obj(), {"nope": 1}, minimal_obj(id=fake_hash("b")))
         records, report = parse_export_stream(data, "p")
-        assert report.records_parsed == 2
+        assert len(records) == 2
         assert report.records_rejected == 1
 
     def test_open_file_and_bytes_agree(self, tmp_path):
@@ -149,7 +149,7 @@ class TestParseExportStream:
         assert from_file == from_bytes
         records, report = from_bytes
         assert [r.id for r in records] == [fake_hash(i) for i in range(3)]
-        assert report.records_parsed == 3
+        assert len(records) == 3
         assert report.rejects == [
             ("line 4", "invalid JSON: Unterminated string starting at"),
             ("line 5", "invalid JSON: Expecting property name enclosed in double quotes"),
@@ -436,7 +436,7 @@ class TestChunks:
         assert records == expected
         assert report.rejects == expected_rejects
         assert report.lines == len(io.BytesIO(stream).readlines())
-        assert report.records_parsed == len(expected)
+        assert len(records) == len(expected)
 
 
 class TestRoundTrip:
@@ -555,7 +555,7 @@ class TestReadRepository:
         assert len(records) == 1
         assert records[0].author_time == 1_600_000_000
         assert records[0].commit_time == 1_600_000_000
-        assert report.records_parsed == 1
+        assert len(records) == 1
 
     def test_merge_commit_parent_order(self, tmp_path):
         repo = tmp_path / "r"
@@ -659,7 +659,7 @@ class TestReadRepository:
         records, report = read_repository(str(repo), "proj")
         assert [r.id for r in records] == [shas["a"]]
         assert report.rejects == [(bad, "malformed commit header")]
-        assert (report.records_parsed, report.records_rejected) == (1, 1)
+        assert (len(records), report.records_rejected) == (1, 1)
 
     def test_first_parent_and_branches_narrow_walk(self, tmp_path):
         repo = tmp_path / "r"

@@ -24,7 +24,7 @@ RESULTS = [
              counts={"p": 3}, fingerprints=Counter({"hg": 1}), tokens=Counter({"fix": 2}),
              rows={"p": b'{"kind":"future"}\n'}),
     cli.Kept(2, 1, 4, {"p": b'{"id":"x"}\n'}),
-    IngestReport(3, 5, [(2, "bad json"), ("f" * 40, "wrong field count")]),
+    IngestReport(5, [(2, "bad json"), ("f" * 40, "wrong field count")]),
     report.Tally(Counter({(AnomalyKind.ZERO_EPOCH, "p"): 2}), by_year=Counter({1970: 2})),
     report.ScanReport(meta={"reference": 1}, totals={"commits": 4, "projects": 1},
                       cutoff_table=[report.CutoffRow(1970, 1.0)], tokens=[("fix", 2)]),
@@ -70,7 +70,7 @@ def test_results_print_their_fields_in_order():
     assert repr(cli.Kept(2, 1, 4, {"p": b"x"})) == (
         "Kept(kept=2, dropped=1, blacklisted=4, lines={'p': b'x'})")
     assert repr(IngestReport(rejected=[(2, "bad json")])) == (
-        "IngestReport(records_parsed=0, lines=0, rejected=[(2, 'bad json')])")
+        "IngestReport(lines=0, rejected=[(2, 'bad json')])")
 
 
 def test_results_declare_fields_and_define_no_init():
