@@ -341,33 +341,30 @@ def build_report(
     return report
 
 
-def write_file(path: str, data: bytes) -> None:
-    try:
-        with open(path, "wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
 def write_output(data: bytes, out: str | None) -> None:
-    if out is None:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-    else:
-        write_file(out, data)
+    """Write data to the file out, or to stdout when out is None. Any failure
+    exits 2 naming out or <stdout>; a failed flush leaves stdout's buffer empty."""
+    try:
+        if out is None:
+            sys.stdout.buffer.write(data)
+            sys.stdout.buffer.flush()
+        else:
+            with open(out, "wb") as fh:
+                fh.write(data)
+    except OSError as exc:
+        name = "<stdout>" if out is None else out
+        raise UsageError(f"cannot write {name}: {exc.strerror or exc}") from exc
 
 
 def write_report(report: ScanReport, format: str, out: str | None) -> None:
-    if format == "csv" and out is not None:
-        # one file per table
-        try:
-            os.makedirs(out, exist_ok=True)
-        except OSError as exc:
-            raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
-        for name, body in csv_tables(report).items():
-            write_file(os.path.join(out, f"{name}.csv"), body)
-        return
-    write_output(emit(report, format), out)
+    if format != "csv" or out is None:
+        return write_output(emit(report, format), out)
+    try:  # one file per table
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
+    for name, body in csv_tables(report).items():
+        write_output(body, os.path.join(out, f"{name}.csv"))
 
 
 def in_project_order(chunks: dict[str, bytes]) -> bytes:
@@ -397,7 +394,7 @@ def finish_scan(
     if args.anomalies_out:
         # the stream is sorted by project first, and each project's rows
         # were rendered whole by the one unit that scanned it
-        write_file(args.anomalies_out, in_project_order(scan.rows))
+        write_output(in_project_order(scan.rows), args.anomalies_out)
     return EXIT_ANOMALIES if scan.by_project else EXIT_CLEAN
 
 
@@ -556,15 +553,12 @@ def cmd_filter(args: argparse.Namespace) -> int:
     # kept lines are in project order, and each project's lines were
     # emitted whole by the one unit that filtered it
     write_output(in_project_order(result.lines), args.out)
-    summary = {
-        "kept": result.kept,
-        "dropped": result.dropped + result.blacklisted,
-        "dropped_blacklisted_projects": result.blacklisted,
-    }
+    summary = json.dumps({"kept": result.kept, "dropped": result.dropped + result.blacklisted,
+                          "dropped_blacklisted_projects": result.blacklisted})
     if args.out is not None:
-        print(json.dumps(summary))
+        write_output(f"{summary}\n".encode(), None)
     else:
-        print(json.dumps(summary), file=sys.stderr)
+        print(summary, file=sys.stderr)
     return EXIT_CLEAN
 
 
@@ -753,8 +747,17 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--anomalies-out", help="also write flagged commits as JSONL")
 
 
+class Parser(argparse.ArgumentParser):
+    """argparse's parser, its stdout (--help, --version) written by write_output."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        write_output(message.encode(file.encoding, file.errors), None)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="chronolint",
         description="Detect, quantify, and filter temporal anomalies in git history.",
     )

@@ -82,7 +82,7 @@ class IngestReport(Fields):
     of a commit read from git. lines is the number of JSONL lines read.
     """
 
-    FIELDS = {"records_parsed": int, "lines": int, "rejected": list}
+    FIELDS = {"lines": int, "rejected": list}
 
     def reject(self, position: int | str, reason: str) -> None:
         self.rejected.append((position, reason))
@@ -98,7 +98,6 @@ class IngestReport(Fields):
 
     def extend(self, later: IngestReport) -> None:
         """Add the report of the lines that follow this report's lines."""
-        self.records_parsed += later.records_parsed
         self.rejected += [(p + self.lines if type(p) is int else p, reason)
                           for p, reason in later.rejected]
         self.lines += later.lines
@@ -349,7 +348,6 @@ def parse_export_stream(
             objects, numbers, mark = [], [], len(rejected)
     if objects:
         _add_chunk(objects, numbers, project, records, rejected, mark)
-    report.records_parsed = len(records)
     report.lines = lineno
     return records, report
 
@@ -463,7 +461,6 @@ def _read_commits(stream: IO[bytes], path: str, report: IngestReport) -> list[tu
             email.decode("utf-8", errors="surrogateescape"),
             message.decode("utf-8", errors="surrogateescape"),
         ))
-        report.records_parsed += 1
     return commits
 
 
