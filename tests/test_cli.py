@@ -1244,19 +1244,24 @@ class TestUnwritableOutput:
         self.assert_cannot_write(capsys, missing, code)
 
 
-def program(argv, cwd, stdout):
-    """Run chronolint as the program, its stdout on the open file stdout;
-    its exit code and stderr."""
-    done = subprocess.run([sys.executable, "-m", "chronolint.cli", *argv], cwd=cwd,
-                          env=dict(os.environ, PYTHONPATH=str(SRC)), stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, check=False)
+def program(argv, cwd, stdout, unbuffered):
+    """Run chronolint as the program, its stdout on the open file stdout,
+    buffered as by default or unbuffered as by PYTHONUNBUFFERED; its exit
+    code and stderr."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(SRC), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    done = subprocess.run([sys.executable, "-m", "chronolint.cli", *argv], cwd=cwd, env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, check=False)
     return done.returncode, done.stderr
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 class TestUnwritableStdout:
     """Output that cannot reach stdout exits 2 naming <stdout>, as an
-    unwritable --out does: not 1, which reads as anomalies found, nor 0."""
+    unwritable --out does: not 1, which reads as anomalies found, nor 0.
+    Buffered, a failed write leaves its bytes in stdout's buffer, and the
+    interpreter's flush at exit must not fail on them again (exit 120)."""
 
     @pytest.mark.parametrize("argv", [
         ["scan", "--jsonl", "dirty.jsonl", "--reference", REF],
@@ -1271,7 +1276,7 @@ class TestUnwritableStdout:
         ["scan", "--help"],
     ], ids=["scan-json", "scan-text", "scan-csv", "filter", "filter-summary", "report",
             "corpus", "version", "help", "scan-help"])
-    def test_full(self, tmp_path, argv):
+    def test_full(self, tmp_path, argv, unbuffered):
         (tmp_path / "dirty.jsonl").write_bytes(emit_export_stream(
             [rec(i, commit_epoch=i * 1_000_000) for i in range(3)]))
         (tmp_path / "empty.jsonl").write_bytes(b"")
@@ -1279,13 +1284,11 @@ class TestUnwritableStdout:
             build_repo(tmp_path / "r", [{"key": "a", "commit_epoch": 0}])
             (tmp_path / "list.txt").write_text("r\n")
         with open("/dev/full", "wb") as full:
-            code, err = program(argv, tmp_path, full)
+            code, err = program(argv, tmp_path, full, unbuffered)
         assert (code, err) == (2, "chronolint: cannot write <stdout>: No space left on device\n")
 
-    def test_closed_pipe(self, tmp_path, monkeypatch):
-        """A report larger than a pipe's buffer, to a pipe no one reads: the
-        failed write exits 2, and the interpreter's last flush of stdout
-        does not fail again (which would exit 120)."""
+    def test_closed_pipe(self, tmp_path, monkeypatch, unbuffered):
+        """A report larger than a pipe's buffer, to a pipe no one reads."""
         (tmp_path / "wide.jsonl").write_bytes(emit_export_stream(
             [rec(i, commit_epoch=0, project=f"project-{i:04}", author_email=f"a{i}@example.com")
              for i in range(1000)]))
@@ -1296,7 +1299,7 @@ class TestUnwritableStdout:
         read, write = os.pipe()
         os.close(read)
         with open(write, "wb") as closed:
-            code, err = program(argv, tmp_path, closed)
+            code, err = program(argv, tmp_path, closed, unbuffered)
         assert (code, err) == (2, "chronolint: cannot write <stdout>: Broken pipe\n")
 
 
