@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import contextlib
 import functools
 import gc
 import itertools
@@ -342,16 +343,15 @@ def build_report(
 
 
 def write_output(data: bytes, out: str | None) -> None:
-    """Write data to the file out, or to stdout when out is None. Any failure
-    exits 2 naming out or <stdout>; a failed flush leaves stdout's buffer empty."""
+    """Write data to the file out, or to stdout if out is None, or raise UsageError naming it."""
     try:
-        if out is None:
-            sys.stdout.buffer.write(data)
-            sys.stdout.buffer.flush()
-        else:
-            with open(out, "wb") as fh:
-                fh.write(data)
+        with contextlib.nullcontext(sys.stdout.buffer) if out is None else open(out, "wb") as fh:
+            fh.write(data)
+            fh.flush()
     except OSError as exc:
+        if out is None:  # else the exit flush retries the bytes a failed flush kept
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
         name = "<stdout>" if out is None else out
         raise UsageError(f"cannot write {name}: {exc.strerror or exc}") from exc
 
@@ -359,7 +359,7 @@ def write_output(data: bytes, out: str | None) -> None:
 def write_report(report: ScanReport, format: str, out: str | None) -> None:
     if format != "csv" or out is None:
         return write_output(emit(report, format), out)
-    try:  # one file per table
+    try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
