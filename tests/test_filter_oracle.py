@@ -102,7 +102,6 @@ def filter_jsonl(records, policy, cfg, ranges):
                 mock.patch.object(parallel, "usable_cpus", lambda: 4), \
                 contextlib.redirect_stdout(summary):
             code = cli.main(argv)
-        summary.flush()
         with open(out, "rb") as fh:
             return code, fh.read(), summary.buffer.getvalue().decode()
 
