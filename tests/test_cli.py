@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import gc
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from chronolint import cli
+from chronolint import cli, parallel
 from chronolint.cli import main, parse_instant
 from chronolint.detect import sanitize_message, scan_fingerprints
 from chronolint.ingest import emit_export_stream, parse_export_stream, read_repository
@@ -1244,14 +1245,24 @@ class TestUnwritableOutput:
         self.assert_cannot_write(capsys, missing, code)
 
 
+def launch(argv, cwd, unbuffered, closed=None, **streams):
+    """Run chronolint as the program, its stdout buffered as by default or
+    unbuffered as by PYTHONUNBUFFERED, with file descriptor closed (1 or 2)
+    closed at its start; streams are subprocess.run's stdout, stderr and
+    text."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(SRC), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    command = [sys.executable, "-m", "chronolint.cli", *argv]
+    if closed is not None:
+        command = ["sh", "-c", f'exec "$@" {closed}>&-', "sh", *command]
+    return subprocess.run(command, cwd=cwd, env=env, check=False, **streams)
+
+
 def program(argv, cwd, stdout, unbuffered):
     """Run chronolint as the program, its stdout on the open file stdout,
     buffered as by default or unbuffered as by PYTHONUNBUFFERED; its exit
     code and stderr."""
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env.update(PYTHONPATH=str(SRC), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
-    done = subprocess.run([sys.executable, "-m", "chronolint.cli", *argv], cwd=cwd, env=env,
-                          stdout=stdout, stderr=subprocess.PIPE, text=True, check=False)
+    done = launch(argv, cwd, unbuffered, stdout=stdout, stderr=subprocess.PIPE, text=True)
     return done.returncode, done.stderr
 
 
@@ -1301,6 +1312,113 @@ class TestUnwritableStdout:
         with open(write, "wb") as closed:
             code, err = program(argv, tmp_path, closed, unbuffered)
         assert (code, err) == (2, "chronolint: cannot write <stdout>: Broken pipe\n")
+
+
+# each command of TestStreams; {} is the directory of its inputs
+STREAM_COMMANDS = {
+    "usage": ["scan", "--top", "0"],
+    "missing-input": ["scan", "--jsonl", "{}/missing.jsonl"],
+    "rejects": ["scan", "--jsonl", "{}/small.jsonl", "--reference", REF,
+                "--anomalies-out", "a.jsonl"],
+    "forked": ["scan", "--jsonl", "{}/large.jsonl", "--reference", REF,
+               "--anomalies-out", "a.jsonl"],
+    "filter": ["filter", "--jsonl", "{}/small.jsonl", "--reference", REF],
+    "corpus-failed": ["corpus", "--list", "{}/failed.txt", "--reference", REF],
+    "corpus-partial": ["corpus", "--list", "{}/partial.txt", "--reference", REF],
+    "report": ["report", "--in", "{}/bad.jsonl"],
+    "version": ["--version"],
+}
+
+
+@pytest.fixture(scope="module")
+def stream_inputs(tmp_path_factory):
+    """The directory of TestStreams' inputs: a 101-line export whose line 51
+    is bad; one over 2 * MIN_RANGE_BYTES with a bad line every 1000, which
+    a scan cuts into ranges and forks for where two CPUs are usable; a
+    corpus list whose one entry fails, and one with a good repository too;
+    an anomaly stream of one bad line."""
+    root = tmp_path_factory.mktemp("streams")
+    small = emit_export_stream([rec(i, commit_epoch=i * 1_000_000) for i in range(100)])
+    lines = small.splitlines(keepends=True)
+    (root / "small.jsonl").write_bytes(b"".join([*lines[:50], b"not json\n", *lines[50:]]))
+    lines = emit_export_stream([
+        rec((p, i), commit_epoch=0 if i % 97 == 0 else 1_600_000_000 + i, project=f"p{p}",
+            message="update " * 10)
+        for p in range(8) for i in range(600)]).splitlines(keepends=True)
+    for at in range(0, len(lines), 1000):
+        lines.insert(at, b"{}\n")
+    (root / "large.jsonl").write_bytes(b"".join(lines))
+    assert (root / "large.jsonl").stat().st_size > 2 * parallel.MIN_RANGE_BYTES
+    build_repo(root / "repo", [{"key": "a", "commit_epoch": 0}])
+    (root / "failed.txt").write_text(f"{root / 'no-repo'}\n")
+    (root / "partial.txt").write_text(f"{root / 'repo'}\n{root / 'no-repo'}\n")
+    (root / "bad.jsonl").write_bytes(b"not json\n")
+    return root
+
+
+@pytest.fixture(scope="module")
+def open_runs():
+    """The outcomes of TestStreams' runs with every stream open, by
+    (command, unbuffered), each run once."""
+    return {}
+
+
+def outcome(argv, cwd, unbuffered, stderr):
+    """(exit code, stdout, stderr, output files) of a run in the new
+    directory cwd, its stderr open, on /dev/full, on a pipe with no reader
+    or missing (file descriptor 2 closed)."""
+    cwd.mkdir()
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    with contextlib.ExitStack() as stack:
+        if stderr == "full":
+            streams["stderr"] = stack.enter_context(open("/dev/full", "wb"))
+        elif stderr == "no-reader":
+            read, write = os.pipe()
+            os.close(read)
+            streams["stderr"] = stack.enter_context(open(write, "wb"))
+        elif stderr == "missing":
+            streams.update(stderr=None, closed=2)
+        done = launch(argv, cwd, unbuffered, **streams)
+    files = {path.name: path.read_bytes() for path in cwd.iterdir()}
+    return done.returncode, done.stdout, done.stderr or b"", files
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", STREAM_COMMANDS)
+class TestStreams:
+    """A stderr that is missing or fails drops the diagnostics and changes
+    nothing else; a missing stdout fails as a failing stdout does. Neither
+    lets a diagnostic into stdout, a traceback out, or the interpreter's
+    flush at exit turn the exit code into 120."""
+
+    def open_run(self, tmp_path, stream_inputs, open_runs, command, unbuffered):
+        argv = [arg.format(stream_inputs) for arg in STREAM_COMMANDS[command]]
+        if (command, unbuffered) not in open_runs:
+            open_runs[command, unbuffered] = outcome(argv, tmp_path / "open", unbuffered, "open")
+        return argv, open_runs[command, unbuffered]
+
+    @pytest.mark.parametrize("stderr", ["full", "no-reader", "missing"])
+    def test_stderr(self, tmp_path, stream_inputs, open_runs, command, unbuffered, stderr):
+        """The exit code, stdout and output files of the run with stderr open."""
+        if stderr == "full" and not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        argv, (code, out, _, files) = self.open_run(tmp_path, stream_inputs, open_runs,
+                                                    command, unbuffered)
+        got, out_got, _, files_got = outcome(argv, tmp_path / stderr, unbuffered, stderr)
+        assert (got, out_got, files_got) == (code, out, files)
+
+    def test_missing_stdout(self, tmp_path, stream_inputs, open_runs, command, unbuffered):
+        """A command that writes stdout exits 2 with the diagnostics it
+        wrote before and one line naming <stdout>; any other runs as with
+        stdout open."""
+        argv, (code, out, err, _) = self.open_run(tmp_path, stream_inputs, open_runs,
+                                                  command, unbuffered)
+        done = launch(argv, tmp_path, unbuffered, closed=1, stderr=subprocess.PIPE)
+        if out:
+            diagnostics = b"".join(line for line in err.splitlines(keepends=True)
+                                   if line.startswith(b"chronolint: "))
+            code, err = 2, diagnostics + b"chronolint: cannot write <stdout>: Bad file descriptor\n"
+        assert (done.returncode, done.stderr) == (code, err)
 
 
 class TestCorpus:

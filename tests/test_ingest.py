@@ -212,6 +212,15 @@ class TestRanges:
             tail = list(range_lines(fh, cut, len(self.DATA)))
         assert head + tail == self.DATA.splitlines(keepends=True)
 
+    @pytest.mark.parametrize("past", [1, 2])
+    def test_file_ends_before_the_range(self, tmp_path, past):
+        """A range past the end of its file yields the lines there are, then stops."""
+        path = tmp_path / "e.jsonl"
+        path.write_bytes(self.DATA)
+        with open(path, "rb") as fh:
+            lines = list(range_lines(fh, 8, len(self.DATA) + past))
+        assert lines == self.DATA[8:].splitlines(keepends=True)
+
     @pytest.mark.parametrize("cut", [8, 17, 18, 22])
     def test_extend_numbers_rejects_from_the_start(self, tmp_path, cut):
         path = tmp_path / "e.jsonl"
