@@ -1,7 +1,7 @@
 """chronolint command line: scan, filter, report, and corpus subcommands.
 
 Exit codes: 0 clean, 1 anomalies found, 2 usage or environment error.
-stdout carries data only; diagnostics go to stderr.
+stdout carries data only, by write_output; diagnostics go to stderr, by write_diagnostic.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import contextlib
+import errno
 import functools
 import gc
 import itertools
@@ -260,8 +261,7 @@ def load_records(args: argparse.Namespace) -> Parsed:
 
 
 def print_rejects(report: IngestReport, label: str = "chronolint") -> None:
-    for position, reason in report.rejects:
-        print(f"{label}: rejected {position}: {reason}", file=sys.stderr)
+    write_diagnostic("".join(f"{label}: rejected {at}: {why}\n" for at, why in report.rejects))
 
 
 _PROJECT = operator.attrgetter("project")
@@ -345,15 +345,28 @@ def build_report(
 def write_output(data: bytes, out: str | None) -> None:
     """Write data to the file out, or to stdout if out is None, or raise UsageError naming it."""
     try:
+        if out is None and sys.stdout is None:  # file descriptor 1 was closed at start
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         with contextlib.nullcontext(sys.stdout.buffer) if out is None else open(out, "wb") as fh:
             fh.write(data)
             fh.flush()
     except OSError as exc:
-        if out is None:  # else the exit flush retries the bytes a failed flush kept
+        if out is None and sys.stdout is not None:  # else the exit flush retries what it kept
             with contextlib.suppress(OSError):
                 sys.stdout.close()
         name = "<stdout>" if out is None else out
         raise UsageError(f"cannot write {name}: {exc.strerror or exc}") from exc
+
+
+def write_diagnostic(text: str) -> None:
+    """Write text to stderr; a stderr that is missing, closed or failing drops it."""
+    if sys.stderr is not None and not sys.stderr.closed:
+        try:
+            sys.stderr.write(text)
+            sys.stderr.flush()
+        except OSError:  # closed, as the exit flush would retry what it kept
+            with contextlib.suppress(OSError):
+                sys.stderr.close()
 
 
 def write_report(report: ScanReport, format: str, out: str | None) -> None:
@@ -558,7 +571,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     if args.out is not None:
         write_output(f"{summary}\n".encode(), None)
     else:
-        print(summary, file=sys.stderr)
+        write_diagnostic(f"{summary}\n")
     return EXIT_CLEAN
 
 
@@ -694,13 +707,13 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     for entry, outcome in sorted(outcomes.items()):
         if isinstance(outcome, str):
             failures.append({"entry": entry, "error": outcome})
-            print(f"chronolint: {entry}: {outcome}", file=sys.stderr)
+            write_diagnostic(f"chronolint: {entry}: {outcome}\n")
         else:
             report, scan = outcome
             print_rejects(report, f"chronolint: {entry}")
             scans.append(scan)
     if not scans:
-        print("chronolint: all repositories failed", file=sys.stderr)
+        write_diagnostic("chronolint: all repositories failed\n")
         return EXIT_ERROR
     return finish_scan(args, merged(scans), cfg, failures=failures)
 
@@ -748,12 +761,16 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
 
 
 class Parser(argparse.ArgumentParser):
-    """argparse's parser, its stdout (--help, --version) written by write_output."""
+    """argparse's parser: --help and --version go to write_output, errors to write_diagnostic."""
 
     def _print_message(self, message: str, file=None) -> None:
         if file is not sys.stdout:
-            return super()._print_message(message, file)
-        write_output(message.encode(file.encoding, file.errors), None)
+            return write_diagnostic(message)
+        write_output(b"" if file is None else message.encode(file.encoding, file.errors), None)
+
+    def print_usage(self, file=None) -> None:
+        # only error() calls it, with sys.stderr, which argparse swaps for stdout where it is None
+        write_diagnostic(self.format_usage())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -822,7 +839,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except ChronolintError as exc:
-        print(f"chronolint: {exc}", file=sys.stderr)
+        write_diagnostic(f"chronolint: {exc}\n")
         return EXIT_ERROR
     finally:
         if collecting:

@@ -396,8 +396,6 @@ def forked(count: int, work: Work) -> Iterator[dict[int, Iterator[object]]]:
     children: list[int] = []
     pipes: dict[int, IO[bytes]] = {}  # k: read end of worker k's pipe
     files: dict[int, IO[bytes]] = {}  # k: worker k's results file
-    sys.stdout.flush()
-    sys.stderr.flush()
     try:
         for k in range(1, count):
             try:
