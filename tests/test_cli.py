@@ -1,6 +1,8 @@
 import contextlib
 import csv
+import errno
 import gc
+import io
 import json
 import os
 import random
@@ -1419,6 +1421,43 @@ class TestStreams:
                                    if line.startswith(b"chronolint: "))
             code, err = 2, diagnostics + b"chronolint: cannot write <stdout>: Bad file descriptor\n"
         assert (done.returncode, done.stderr) == (code, err)
+
+
+class NoReader(io.StringIO):
+    """A stderr whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+class TestStreamsInProcess:
+    """TestStreams' rules for main(argv), with sys's streams replaced."""
+
+    @pytest.mark.parametrize("stderr", [None, NoReader], ids=["missing", "no-reader"])
+    def test_stderr(self, tmp_path, monkeypatch, capsysbinary, stderr):
+        """A reject dropped: the exit code and report of the run with stderr
+        open, and a failing stderr left closed."""
+        export = tmp_path / "e.jsonl"
+        export.write_bytes(b"not json\n" + emit_export_stream([rec(1, commit_epoch=0)]))
+        argv = ["scan", "--jsonl", str(export), "--reference", REF]
+        code = run(argv)
+        out, err = capsysbinary.readouterr()
+        assert code == 1 and err.startswith(b"chronolint: rejected line 1: invalid JSON")
+        stream = stderr and stderr()
+        monkeypatch.setattr(sys, "stderr", stream)
+        assert (run(argv), capsysbinary.readouterr().out) == (code, out)
+        assert stream is None or stream.closed
+
+    def test_usage_error_with_stderr_missing(self, monkeypatch, capsysbinary):
+        monkeypatch.setattr(sys, "stderr", None)
+        with pytest.raises(SystemExit) as exit_:
+            run(["scan", "--top", "0"])
+        assert (exit_.value.code, capsysbinary.readouterr().out) == (2, b"")
+
+    def test_missing_stdout(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", None)
+        assert run(["--version"]) == 2
+        assert capsys.readouterr().err == "chronolint: cannot write <stdout>: Bad file descriptor\n"
 
 
 class TestCorpus:
