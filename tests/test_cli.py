@@ -1494,13 +1494,14 @@ class TestCorpus:
         listing.write_text(f"{urls[0]}\n{r1}\n{urls[1]}\n")
         started = record_processes(monkeypatch)
         out = tmp_path / "o.json"
-        assert run(["corpus", "--list", str(listing), "--reference", REF,
-                    "--out", str(out)]) == 2
-        # the first URL of the sorted list
-        assert capsys.readouterr().err == (
-            f"chronolint: --cache is required for remote repositories: {urls[1]}\n")
-        assert started == []
-        assert not out.exists()
+        for cache in ([], ["--cache", ""]):  # an empty --cache is a missing one
+            assert run(["corpus", "--list", str(listing), "--reference", REF,
+                        "--out", str(out), *cache]) == 2
+            # the first URL of the sorted list
+            assert capsys.readouterr().err == (
+                f"chronolint: --cache is required for remote repositories: {urls[1]}\n")
+            assert started == []
+            assert not out.exists()
 
     def test_merged_totals_additive(self, tmp_path):
         r1, r2 = self.make_repos(tmp_path)

@@ -6,7 +6,9 @@ module. This keeps them from spreading back into the commands: outside
 ``os.sched_setaffinity`` or ``os.sched_getaffinity``, or name
 ``/proc/self/stat`` or ``/sys/fs/cgroup``. Nor may it name
 ``parallel.forked`` or a private name of ``parallel``: a command's parallel
-work goes through ``parallel.share``, the one driver.
+work goes through ``parallel.share``, the one driver. And no module of the
+package, ``parallel.py`` included, imports ``threading``, ``_thread`` or
+``concurrent``: a process runs one thread, so ``share`` may always fork.
 """
 
 import ast
@@ -15,6 +17,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "chronolint"
 CALLS = frozenset(("fork", "pipe", "sched_setaffinity", "sched_getaffinity"))
 PATHS = ("/proc/self/stat", "/sys/fs/cgroup")
+THREADS = frozenset(("threading", "_thread", "concurrent"))
 
 
 def process_mentions(tree):
@@ -47,13 +50,26 @@ def is_hidden(name):
     return name == "forked" or name.startswith("_")
 
 
-def mentions(find):
-    """path:line of each node find yields in a module other than parallel.py."""
+def thread_imports(tree):
+    """Each node that imports one of THREADS or a module under it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] in THREADS for name in names):
+            yield node
+
+
+def mentions(find, exempt=("parallel.py",)):
+    """path:line of each node find yields in a module not in exempt."""
     modules = sorted(SRC.glob("*.py"))
     assert {path.name for path in modules} >= {"cli.py", "parallel.py"}
     return [
         f"{path.name}:{node.lineno}"
-        for path in modules if path.name != "parallel.py"
+        for path in modules if path.name not in exempt
         for node in find(ast.parse(path.read_text("utf-8")))
     ]
 
@@ -64,3 +80,7 @@ def test_only_parallel_forks_pipes_and_places():
 
 def test_only_parallel_drives_workers():
     assert mentions(driver_mentions) == []
+
+
+def test_no_module_imports_threads():
+    assert mentions(thread_imports, exempt=()) == []

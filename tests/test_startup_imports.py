@@ -65,6 +65,18 @@ def test_corpus_of_local_repos_runs_no_thread_pool(tmp_path):
     assert json.loads((tmp_path / "o.json").read_text())["totals"]["commits"] == 2
 
 
+def test_corpus_of_urls_runs_no_thread_pool(tmp_path):
+    for name in ("a", "b"):
+        build_repo(tmp_path / name, [{"key": "x", "commit_epoch": 1_500_000_000}])
+    listing = tmp_path / "list.txt"
+    listing.write_text(f"file://{tmp_path / 'a'}\nfile://{tmp_path / 'b'}\n")
+    argv = ["corpus", "--list", str(listing), "--jobs", "2", "--cache", str(tmp_path / "cache"),
+            "--out", str(tmp_path / "o.json")]
+    run = f"from chronolint.cli import main; main({argv!r})"
+    assert loaded_after(run, ("concurrent.futures",)) == []
+    assert json.loads((tmp_path / "o.json").read_text())["totals"]["commits"] == 2
+
+
 def test_stop_words_read_from_a_zip_as_from_the_tree(tmp_path):
     archive = tmp_path / "chronolint.zip"
     with zipfile.ZipFile(archive, "w") as zf:
