@@ -12,6 +12,7 @@ import io
 import os
 import pickle
 import random
+import shutil
 import signal
 import sys
 import tempfile
@@ -60,14 +61,14 @@ def corpus_dir(tmp_path_factory):
     return root
 
 
-def corpus(root, jobs, listing="list.txt"):
+def corpus(root, jobs, listing="list.txt", *flags):
     """(exit code, report, anomaly stream, stderr) of a corpus run."""
     report, stream = root / f"report-{jobs}.json", root / f"anomalies-{jobs}.jsonl"
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = cli.main(["corpus", "--list", str(root / listing), "--jobs", str(jobs),
                          "--reference", REF, "--out", str(report),
-                         "--anomalies-out", str(stream)])
+                         "--anomalies-out", str(stream), *flags])
     outputs = code, report.read_bytes(), stream.read_bytes(), err.getvalue()
     report.unlink()
     stream.unlink()
@@ -235,6 +236,32 @@ class TestProcessHygiene:
                 pytest.raises(KeyboardInterrupt):
             corpus(corpus_dir, 3)
         assert time.monotonic() - started < 30  # the sleeping workers were killed
+
+    def test_mixed_list_of_paths_and_urls(self, corpus_dir, clean):
+        """Paths, file:// URLs of the corpus's repositories and a URL that
+        cannot be cloned: each --jobs gives the outputs of --jobs 1, from an
+        empty cache and again from the cache that run filled."""
+        root, cache = corpus_dir, corpus_dir / "cache"
+        nowhere = f"file://{root / 'nowhere'}"
+        entries = [root / "a", root / "d", root / "missing", nowhere,
+                   *(f"file://{root / name}" for name in ("big", "bad-header", "c"))]
+        (root / "mixed.txt").write_text("".join(f"{entry}\n" for entry in entries))
+        flags = ("--cache", str(cache))
+        try:
+            runs = []
+            for jobs in (1, 2, 8):
+                shutil.rmtree(cache, ignore_errors=True)
+                runs += [corpus(root, jobs, "mixed.txt", *flags) for _ in ("empty", "warm")]
+        finally:
+            shutil.rmtree(cache, ignore_errors=True)
+        assert all(run == runs[0] for run in runs)
+        code, _, _, err = runs[0]
+        assert code == 1
+        lines = [line for line in err.splitlines() if line.startswith("chronolint: ")]
+        assert len(lines) == 3  # git's errors run on over lines of their own
+        assert lines[0].startswith(f"chronolint: {root / 'missing'}: git ")
+        assert lines[1].startswith(f"chronolint: file://{root / 'bad-header'}: rejected ")
+        assert lines[2].startswith(f"chronolint: {nowhere}: git clone failed in {cache}: ")
 
     def test_live_thread_runs_in_process(self, corpus_dir, clean, monkeypatch):
         forks = []
