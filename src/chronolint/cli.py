@@ -18,7 +18,6 @@ import operator
 import os
 import re
 import sys
-import time
 from collections import Counter
 from datetime import datetime, timezone
 from typing import Callable, Collection, Iterable, Sequence, TypeVar
@@ -611,15 +610,15 @@ def _cache_path(cache_dir: str, url: str) -> str:
     return os.path.join(cache_dir, f"{safe}-{digest[:16]}")
 
 
-def _ensure_local(url: str, cache_dir: str) -> str:
-    """The path of a corpus list URL's clone in cache_dir, cloned if missing."""
-    target = _cache_path(cache_dir, url)
+def _ensure_local(url: str, target: str) -> None:
+    """Clone a corpus list URL to target, its _cache_path, unless target is
+    there; git runs in the cache directory, which is made if missing."""
     if not os.path.isdir(target):
+        cache_dir = os.path.dirname(target)
         os.makedirs(cache_dir, exist_ok=True)
         # absolute, as git runs in the cache directory
         with run_git(cache_dir, ["clone", "--quiet", url, os.path.abspath(target)]) as clone:
             clone.stdout.read()  # empty, but a hook may print
-    return target
 
 
 Outcome = tuple[IngestReport, Scan] | str
@@ -628,8 +627,12 @@ Outcome = tuple[IngestReport, Scan] | str
 def scan_repository(path: str, project: str, step: Step[Scan]) -> Outcome:
     """Read one repository of a corpus and run step over it: the ingest
     report of the read and what the report needs of it, or the error that
-    fails it alone."""
+    fails it alone. project is the corpus list's entry; a URL's is cloned
+    to path first, unless the clone is there, and a failed clone fails it
+    as a failed read does."""
     try:
+        if _URL_RE.match(project):
+            _ensure_local(project, path)
         records, report = read_repository(path, project)
         return report, step({project: records})
     except (ChronolintError, OSError) as exc:
@@ -655,8 +658,10 @@ def object_store_size(path: str) -> int:
 def scan_repositories(repos: list[tuple[str, str]], step: Step[Scan], jobs: int) -> list[Outcome]:
     """scan_repository over each (path, project) of repos, in up to jobs
     processes, the outcomes in the order of repos: each repository is a unit
-    of parallel.share, as large as its object store, scanned when it is
-    prepared, and with no keys."""
+    of parallel.share, as large as its object store, cloned if it is a URL's
+    and not yet cloned, and scanned when it is prepared, with no keys. A
+    clone not yet made is 0 bytes large, so it is taken after every unit
+    that has a size."""
 
     def prepare(i: int) -> tuple[tuple[()], Callable[[], Outcome]]:
         outcome = scan_repository(*repos[i], step)
@@ -676,35 +681,17 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if not entries:
         raise UsageError("corpus list is empty")
 
-    paths = {entry: entry for entry in entries}
-    outcomes: dict[str, Outcome] = {}  # a failed clone's error, by its URL
     urls = [entry for entry in entries if _URL_RE.match(entry)]
-    if urls:
-        if args.cache is None:
-            raise UsageError(f"--cache is required for remote repositories: {urls[0]}")
-        # clones wait on the network, so threads run them, all before any fork
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            clones = [pool.submit(_ensure_local, url, args.cache) for url in urls]
-        for url, clone in zip(urls, clones):
-            try:
-                paths[url] = clone.result()
-            except (ChronolintError, OSError) as exc:
-                outcomes[url] = str(exc)
-        # a joined thread can take milliseconds more to exit, and while it
-        # does, the repositories would be read in this process alone
-        deadline = time.monotonic() + 0.1
-        while parallel.thread_count() > 1 and time.monotonic() < deadline:
-            time.sleep(0.001)
-    repos = [(paths[entry], entry) for entry in entries if entry not in outcomes]
-    outcomes.update(zip((entry for _, entry in repos),
-                        scan_repositories(repos, scan_step(args, cfg, rules), args.jobs)))
+    if urls and not args.cache:  # an empty --cache names no directory either
+        raise UsageError(f"--cache is required for remote repositories: {urls[0]}")
+    repos = [(_cache_path(args.cache, entry) if _URL_RE.match(entry) else entry, entry)
+             for entry in entries]
+    outcomes = scan_repositories(repos, scan_step(args, cfg, rules), args.jobs)
 
     # in the sorted list's order, so that stderr is the same whatever --jobs is
     failures: list[dict] = []
     scans: list[Scan] = []
-    for entry, outcome in sorted(outcomes.items()):
+    for entry, outcome in zip(entries, outcomes):
         if isinstance(outcome, str):
             failures.append({"entry": entry, "error": outcome})
             write_diagnostic(f"chronolint: {entry}: {outcome}\n")

@@ -311,9 +311,10 @@ def test_queue_gives_each_index_once():
 
 
 @needs_fork
-def test_workers_forked_once_the_clone_threads_are_gone(tmp_path, monkeypatch):
-    """URLs are cloned in threads; every run still forks its workers, after
-    the last clone thread has exited, and gives the same report."""
+def test_workers_forked_for_a_list_of_urls(tmp_path, monkeypatch):
+    """A list of URLs alone forks its workers on every run, the first, which
+    clones each URL in the unit that scans it, as the later ones, which read
+    the clones, and every run gives the same report."""
     if parallel.usable_cpus() < 2:
         pytest.skip("needs two usable CPUs")
     entries = []

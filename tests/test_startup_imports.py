@@ -1,11 +1,12 @@
 """Importing the command line loads no machinery that most runs never use.
 
-Every run imports ``chronolint.cli``, but only a ``corpus`` run with URLs
-runs a thread pool (for the clones), only git ingest starts processes, only
-forked workers pickle and only ``--format csv`` writes CSV; each imports what
-it needs where it runs. The package's types are named tuples and plain
-classes, so no run pays for ``dataclasses`` and the ``inspect`` chain behind
-it, and the stop word list is read without ``importlib.resources``.
+Every run imports ``chronolint.cli``, but no run starts a thread pool (a
+``corpus`` run clones each URL in the unit that scans it), only git ingest
+starts processes, only forked workers pickle and only ``--format csv`` writes
+CSV; each imports what it needs where it runs. The package's types are named
+tuples and plain classes, so no run pays for ``dataclasses`` and the
+``inspect`` chain behind it, and the stop word list is read without
+``importlib.resources``.
 
 The child runs with ``-S``, so that no site hook that preloads a module can
 hide an import of the package. A module counts only if a baseline child,
