@@ -55,27 +55,26 @@ def test_cli_import_loads_no_process_machinery():
     assert loaded_after("import chronolint.cli") == []
 
 
-def test_corpus_of_local_repos_runs_no_thread_pool(tmp_path):
+def assert_corpus_runs_no_thread_pool(tmp_path, scheme, *flags):
+    """corpus --jobs 2 over two one-commit repositories, listed as paths
+    after scheme, reads both and loads no concurrent.futures."""
     for name in ("a", "b"):
         build_repo(tmp_path / name, [{"key": "x", "commit_epoch": 1_500_000_000}])
     listing = tmp_path / "list.txt"
-    listing.write_text(f"{tmp_path / 'a'}\n{tmp_path / 'b'}\n")
-    argv = ["corpus", "--list", str(listing), "--jobs", "2", "--out", str(tmp_path / "o.json")]
+    listing.write_text(f"{scheme}{tmp_path / 'a'}\n{scheme}{tmp_path / 'b'}\n")
+    argv = ["corpus", "--list", str(listing), "--jobs", "2", "--out", str(tmp_path / "o.json"),
+            *flags]
     run = f"from chronolint.cli import main; main({argv!r})"
     assert loaded_after(run, ("concurrent.futures",)) == []
     assert json.loads((tmp_path / "o.json").read_text())["totals"]["commits"] == 2
+
+
+def test_corpus_of_local_repos_runs_no_thread_pool(tmp_path):
+    assert_corpus_runs_no_thread_pool(tmp_path, "")
 
 
 def test_corpus_of_urls_runs_no_thread_pool(tmp_path):
-    for name in ("a", "b"):
-        build_repo(tmp_path / name, [{"key": "x", "commit_epoch": 1_500_000_000}])
-    listing = tmp_path / "list.txt"
-    listing.write_text(f"file://{tmp_path / 'a'}\nfile://{tmp_path / 'b'}\n")
-    argv = ["corpus", "--list", str(listing), "--jobs", "2", "--cache", str(tmp_path / "cache"),
-            "--out", str(tmp_path / "o.json")]
-    run = f"from chronolint.cli import main; main({argv!r})"
-    assert loaded_after(run, ("concurrent.futures",)) == []
-    assert json.loads((tmp_path / "o.json").read_text())["totals"]["commits"] == 2
+    assert_corpus_runs_no_thread_pool(tmp_path, "file://", "--cache", str(tmp_path / "cache"))
 
 
 def test_stop_words_read_from_a_zip_as_from_the_tree(tmp_path):
