@@ -17,7 +17,7 @@ from chronolint import cli, parallel
 from chronolint.cli import main, parse_instant
 from chronolint.detect import sanitize_message, scan_fingerprints
 from chronolint.ingest import emit_export_stream, parse_export_stream, read_repository
-from chronolint.model import ConfigError, FilterPolicy
+from chronolint.model import ConfigError, FilterPolicy, RepositoryError
 from chronolint.report import ranked_tokens, token_frequencies
 from helpers import (
     assert_reaped,
@@ -1593,6 +1593,17 @@ class TestCorpus:
         assert f"chronolint: {url}: git clone failed in {cache}: " in err
         assert git_subcommands(started) == ["clone"]
         assert_reaped(started)
+
+    def test_failed_clone_error_is_one_line(self, tmp_path):
+        """git prints five lines when it cannot clone a missing file:// path;
+        its error keeps the non-blank ones on one line, joined by "; "."""
+        url = f"file://{tmp_path / 'missing'}"
+        with pytest.raises(RepositoryError) as exc:
+            cli._ensure_local(url, str(tmp_path / "cache" / "clone"))
+        message = str(exc.value)
+        assert "\n" not in message
+        assert message.startswith(f"git clone failed in {tmp_path / 'cache'}: fatal: ")
+        assert "; fatal: " in message
 
     def test_clone_into_relative_cache(self, tmp_path, monkeypatch):
         src = tmp_path / "src"

@@ -257,8 +257,9 @@ class TestProcessHygiene:
         assert all(run == runs[0] for run in runs)
         code, _, _, err = runs[0]
         assert code == 1
-        lines = [line for line in err.splitlines() if line.startswith("chronolint: ")]
-        assert len(lines) == 3  # git's errors run on over lines of their own
+        lines = err.splitlines()
+        assert all(line.startswith("chronolint: ") for line in lines)
+        assert len(lines) == 3
         assert lines[0].startswith(f"chronolint: {root / 'missing'}: git ")
         assert lines[1].startswith(f"chronolint: file://{root / 'bad-header'}: rejected ")
         assert lines[2].startswith(f"chronolint: {nowhere}: git clone failed in {cache}: ")
