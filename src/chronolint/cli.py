@@ -322,20 +322,15 @@ def scan_corpus(
                 tokens=Counter(token_frequencies(messages)), rows=rendered)
 
 
-def build_report(
-    scan: Scan, meta: dict, top_projects: int | None, top_authors: int | None, cutoff: bool
-) -> ScanReport:
+def build_report(scan: Scan, meta: dict, top: int) -> ScanReport:
     """Assemble a report from a scan's tallies: its meta, the per-kind
-    table, the top tables of the sizes given (none for None), the cutoff
-    table if asked for, the fingerprints and the tokens."""
+    table, the top projects and authors, top rows each, the cutoff table,
+    the fingerprints and the tokens."""
     report = summarize(scan.counts, scan)
     report.meta = meta
-    if top_projects:
-        report.top_projects = top_n(scan, key="project", n=top_projects)
-    if top_authors:
-        report.top_authors = top_n(scan, key="author", n=top_authors)
-    if cutoff:
-        report.cutoff_table = cutoff_table(scan)
+    report.top_projects = top_n(scan, key="project", n=top)
+    report.top_authors = top_n(scan, key="author", n=top)
+    report.cutoff_table = cutoff_table(scan)
     report.fingerprints = scan.fingerprints
     report.tokens = ranked_tokens(scan.tokens, limit=50)
     return report
@@ -401,7 +396,7 @@ def finish_scan(
     }
     if failures is not None:
         meta["failures"] = failures
-    report = build_report(scan, meta, args.top, args.top, cutoff=True)
+    report = build_report(scan, meta, args.top)
     write_report(report, args.format, args.out)
     if args.anomalies_out:
         # the stream is sorted by project first, and each project's rows
@@ -584,11 +579,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from exc
 
     # commit counts are not in the stream, so every denominator reads 0
-    scan = Scan(**vars(tally(anomalies, authors)))
-    if args.tokens:
-        scan.tokens.update(token_frequencies(sanitize_message(m) for m in messages.values()))
+    scan = Scan(**vars(tally(anomalies, authors)),
+                tokens=Counter(token_frequencies(sanitize_message(m) for m in messages.values())))
     meta = {"tool_version": __version__, "source": args.infile}
-    report = build_report(scan, meta, args.top_projects, args.top_authors, args.cutoff_table)
+    report = build_report(scan, meta, args.top)
     write_report(report, args.format, args.out)
     return EXIT_CLEAN
 
@@ -744,7 +738,6 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
                                       "(a directory for csv)")
     parser.add_argument("--top", type=positive_int, default=20,
                         help="rows in the top-projects/top-authors tables")
-    parser.add_argument("--anomalies-out", help="also write flagged commits as JSONL")
 
 
 class Parser(argparse.ArgumentParser):
@@ -772,6 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(p_scan)
     _add_detector_options(p_scan)
     _add_output_options(p_scan)
+    p_scan.add_argument("--anomalies-out", help="also write flagged commits as JSONL")
     p_scan.set_defaults(func=cmd_scan)
 
     p_filter = sub.add_parser("filter", help="apply a mitigation policy to commit records")
@@ -786,12 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="summarize a previously written anomaly JSONL")
     p_report.add_argument("--in", dest="infile", required=True,
                           help="anomaly JSONL produced by scan --anomalies-out")
-    p_report.add_argument("--cutoff-table", action="store_true")
-    p_report.add_argument("--top-projects", type=positive_int, metavar="N")
-    p_report.add_argument("--top-authors", type=positive_int, metavar="N")
-    p_report.add_argument("--tokens", action="store_true")
-    p_report.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    p_report.add_argument("--out")
+    _add_output_options(p_report)
     p_report.set_defaults(func=cmd_report)
 
     p_corpus = sub.add_parser("corpus", help="scan many repositories and merge reports")
@@ -801,6 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_corpus.add_argument("--cache", help="clone cache directory for remote URLs")
     _add_detector_options(p_corpus)
     _add_output_options(p_corpus)
+    p_corpus.add_argument("--anomalies-out", help="also write flagged commits as JSONL")
     p_corpus.set_defaults(func=cmd_corpus)
     return parser
 

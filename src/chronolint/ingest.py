@@ -402,7 +402,8 @@ def run_git(
     stderr goes to a temporary file, which never fills, so the process
     cannot block on it. On leaving the block, on every path, the process is
     reaped and the file closed. Only if it failed and no other error is in
-    flight does RepositoryError name the sub-command.
+    flight does RepositoryError name the sub-command, with git's non-blank
+    stderr lines joined on one line by "; ", so that it is one diagnostic.
     """
     # imported here, so that a run that starts no git does not load them
     import subprocess
@@ -424,7 +425,8 @@ def run_git(
             yield proc
         if proc.returncode != 0:
             err.seek(0)
-            stderr = err.read().decode("utf-8", errors="replace").strip()
+            lines = err.read().decode("utf-8", errors="replace").splitlines()
+            stderr = "; ".join(line.strip() for line in lines if line.strip())
             raise RepositoryError(f"git {args[0]} failed in {path}: {stderr}")
 
 

@@ -139,8 +139,7 @@ class TestCsvTables:
         assert run(["scan", "--jsonl", str(src), "--reference", REF,
                     "--out", str(tmp_path / "scan.json"), "--anomalies-out", str(stream)]) == 1
         tables = assert_csv_matches_json(
-            ["report", "--in", str(stream), "--cutoff-table", "--top-projects", "2",
-             "--top-authors", "2", "--tokens"], tmp_path, capsysbinary)
+            ["report", "--in", str(stream), "--top", "2"], tmp_path, capsysbinary)
         # a stream has no rules to count, so only the fingerprint table is bare
         assert [name for name, rows in tables.items() if len(rows) == 1] == ["fingerprints"]
 
@@ -250,8 +249,7 @@ class TestScan:
         assert run(["scan", "--jsonl", str(src), "--reference", REF, "--out", str(out),
                     "--anomalies-out", str(anomalies)]) == 1
         assert read_json(out)["cutoff_table"] == [{"year": 9999, "percent_removed": 1.0}]
-        assert run(["report", "--in", str(anomalies), "--cutoff-table",
-                    "--out", str(out)]) == 0
+        assert run(["report", "--in", str(anomalies), "--out", str(out)]) == 0
         assert read_json(out)["cutoff_table"] == [{"year": 9999, "percent_removed": 1.0}]
 
     def test_cutoff_table_starts_at_year_1(self, tmp_path):
@@ -264,8 +262,7 @@ class TestScan:
         assert run(["scan", "--jsonl", str(src), "--reference", REF, "--out", str(out),
                     "--anomalies-out", str(anomalies)]) == 1
         assert read_json(out)["cutoff_table"] == [{"year": 1, "percent_removed": 1.0}]
-        assert run(["report", "--in", str(anomalies), "--cutoff-table",
-                    "--out", str(out)]) == 0
+        assert run(["report", "--in", str(anomalies), "--out", str(out)]) == 0
         assert read_json(out)["cutoff_table"] == [{"year": 1, "percent_removed": 1.0}]
 
     def test_planted_jsonl_counts(self, tmp_path):
@@ -394,8 +391,8 @@ class TestScan:
             ("fork", "import into fork"), ("origin", "import into origin")
         }
         summary = tmp_path / "summary.json"
-        assert run(["report", "--in", str(anomalies_out), "--top-projects", "5",
-                    "--top-authors", "5", "--out", str(summary)]) == 0
+        assert run(["report", "--in", str(anomalies_out), "--top", "5",
+                    "--out", str(summary)]) == 0
         again = read_json(summary)
         assert again["anomalies"]["zero_epoch"]["count"] == 2
         assert again["top_projects"][-1]["cumulative_share"] == 1.0
@@ -722,9 +719,7 @@ class TestReport:
              "--out", str(tmp_path / "ignored.json"),
              "--anomalies-out", str(anomalies)])
         out = tmp_path / "report.json"
-        code = run(["report", "--in", str(anomalies), "--cutoff-table",
-                    "--top-projects", "5", "--top-authors", "5", "--tokens",
-                    "--out", str(out)])
+        code = run(["report", "--in", str(anomalies), "--top", "5", "--out", str(out)])
         assert code == 0
         report = read_json(out)
         assert report["anomalies"]["out_of_order_parent"]["count"] == 1
@@ -737,7 +732,8 @@ class TestReport:
 
     def test_report_in_agrees_with_scan(self, tmp_path):
         """report --in over a scan's anomaly stream gives the scan report's
-        per-kind counts and affected projects, top tables and cutoff table.
+        per-kind counts and affected projects, top tables, cutoff table and
+        tokens.
         The fork shares origin's first two commits, ann@example.org commits
         under two names, and ghost@example.org under none."""
         epochs = [0, 1_600_000_000, 500_000_000, 1_600_100_000, 4_000_000_000, 1_300_000_000]
@@ -760,14 +756,13 @@ class TestReport:
         scanned, again = tmp_path / "scan.json", tmp_path / "again.json"
         assert run(["scan", "--jsonl", str(src), "--reference", REF, "--top", "3",
                     "--out", str(scanned), "--anomalies-out", str(stream)]) == 1
-        assert run(["report", "--in", str(stream), "--cutoff-table", "--top-projects", "3",
-                    "--top-authors", "3", "--out", str(again)]) == 0
+        assert run(["report", "--in", str(stream), "--top", "3", "--out", str(again)]) == 0
 
         def tables(report):
             kinds = {kind: (s["count"], s["affected_projects"])
                      for kind, s in report["anomalies"].items()}
             return (kinds, report["top_projects"], report["top_authors"],
-                    report["cutoff_table"])
+                    report["cutoff_table"], report["tokens"])
 
         scan = read_json(scanned)
         assert tables(read_json(again)) == tables(scan)
@@ -790,7 +785,7 @@ class TestReport:
                           + row % ("out_of_order_linear", "a" * 40, utc_epoch(2010, 6, 1))
                           + row % ("future", "b" * 40, utc_epoch(1992, 6, 1)))
         out = tmp_path / "r.json"
-        assert run(["report", "--in", str(stream), "--cutoff-table", "--out", str(out)]) == 0
+        assert run(["report", "--in", str(stream), "--out", str(out)]) == 0
         report = read_json(out)
         assert [report["anomalies"][kind]["count"] for kind in (
             "suspicious_old", "out_of_order_linear", "future")] == [1, 1, 1]
@@ -1074,10 +1069,9 @@ class TestMalformedInput:
         ["scan", "--jsonl", "{jsonl}", "--top", "-3"],
         ["corpus", "--list", "{list}", "--top", "0"],
         ["corpus", "--list", "{list}", "--jobs", "0"],
-        ["report", "--in", "{anomalies}", "--top-projects", "0"],
-        ["report", "--in", "{anomalies}", "--top-authors", "0"],
+        ["report", "--in", "{anomalies}", "--top", "0"],
     ], ids=["scan-top-0", "scan-top-negative", "corpus-top-0", "corpus-jobs-0",
-            "report-top-projects-0", "report-top-authors-0"])
+            "report-top-0"])
     def test_count_flag_below_one(self, tmp_path, capsys, argv):
         paths = {"jsonl": tmp_path / "in.jsonl", "list": tmp_path / "repos.txt",
                  "anomalies": tmp_path / "a.jsonl"}
@@ -1095,6 +1089,22 @@ class TestMalformedInput:
         assert exc.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("flag", [
+        ["--cutoff-table"], ["--tokens"], ["--top-projects", "5"], ["--top-authors", "5"],
+    ], ids=lambda flag: flag[0])
+    def test_removed_report_flag(self, tmp_path, capsys, flag):
+        """report writes every table at --top rows, as scan does; the flags
+        that chose its tables are unrecognized arguments."""
+        stream = tmp_path / "a.jsonl"
+        stream.write_text('{"kind":"future","commit_id":"%s","project":"p","observed_epoch":5}\n'
+                          % ("a" * 40))
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["report", "--in", str(stream), *flag, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("policy, key", [
         ({"drop_flagged_kinds": ["bogus"]}, "drop_flagged_kinds"),
@@ -1190,8 +1200,7 @@ class TestMalformedInput:
         good = '{"kind": "future", "commit_id": "%s", "project": "p", "observed_epoch": 5}'
         stream = tmp_path / "a.jsonl"
         stream.write_text((good + "\n" + line + "\n").replace("%s", "a" * 40))
-        assert run(["report", "--in", str(stream), "--top-projects", "5", "--tokens",
-                    "--out", str(tmp_path / "r.json")]) == 2
+        assert run(["report", "--in", str(stream), "--out", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("chronolint: bad anomaly record at line 2: ")
 
