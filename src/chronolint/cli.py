@@ -47,7 +47,6 @@ from .ingest import (
     parse_export_stream,
     range_lines,
     read_repository,
-    run_git,
 )
 from .model import (
     AnomalyRecord,
@@ -590,45 +589,25 @@ def cmd_report(args: argparse.Namespace) -> int:
 _URL_RE = re.compile(r"^[a-z+]+://|^git@")
 
 
-def _cache_path(cache_dir: str, url: str) -> str:
-    """The clone directory of url: a readable name, then a digest of the whole URL.
-
-    Sanitizing alone maps different URLs to one name ("a/b", "a_b", "a b").
-    The readable part keeps its first 238 characters, so that the name fits
-    in the 255 bytes a file name may take.
-    """
-    import hashlib  # loads OpenSSL, which only a run with URLs needs
-
-    safe = re.sub(r"[^0-9A-Za-z._-]+", "_", url).strip("_")[:238]
-    digest = hashlib.sha256(url.encode("utf-8")).hexdigest()
-    return os.path.join(cache_dir, f"{safe}-{digest[:16]}")
-
-
-def _ensure_local(url: str, target: str) -> None:
-    """Clone a corpus list URL to target, its _cache_path, unless target is
-    there; git runs in the cache directory, which is made if missing."""
-    if not os.path.isdir(target):
-        cache_dir = os.path.dirname(target)
-        os.makedirs(cache_dir, exist_ok=True)
-        # absolute, as git runs in the cache directory
-        with run_git(cache_dir, ["clone", "--quiet", url, os.path.abspath(target)]) as clone:
-            clone.stdout.read()  # empty, but a hook may print
+def _ensure_local(entries: list[str]) -> None:
+    """Refuse a corpus list that names a URL, before any git process starts:
+    after it returns, every entry is a local path. It is a function of its
+    own because the benchmark's tracer (perfbench/tracer.py) wraps it by name."""
+    for entry in entries:
+        if _URL_RE.match(entry):
+            raise UsageError(f"corpus entries are local repository paths, not URLs: {entry}")
 
 
 Outcome = tuple[IngestReport, Scan] | str
 
 
-def scan_repository(path: str, project: str, step: Step[Scan]) -> Outcome:
+def scan_repository(path: str, step: Step[Scan]) -> Outcome:
     """Read one repository of a corpus and run step over it: the ingest
     report of the read and what the report needs of it, or the error that
-    fails it alone. project is the corpus list's entry; a URL's is cloned
-    to path first, unless the clone is there, and a failed clone fails it
-    as a failed read does."""
+    fails it alone. path, the corpus list's entry, is also its project."""
     try:
-        if _URL_RE.match(project):
-            _ensure_local(project, path)
-        records, report = read_repository(path, project)
-        return report, step({project: records})
+        records, report = read_repository(path, path)
+        return report, step({path: records})
     except (ChronolintError, OSError) as exc:
         return str(exc)
 
@@ -649,20 +628,17 @@ def object_store_size(path: str) -> int:
     return size
 
 
-def scan_repositories(repos: list[tuple[str, str]], step: Step[Scan], jobs: int) -> list[Outcome]:
-    """scan_repository over each (path, project) of repos, in up to jobs
-    processes, the outcomes in the order of repos: each repository is a unit
-    of parallel.share, as large as its object store, cloned if it is a URL's
-    and not yet cloned, and scanned when it is prepared, with no keys. A
-    clone not yet made is 0 bytes large, so it is taken after every unit
-    that has a size."""
+def scan_repositories(paths: list[str], step: Step[Scan], jobs: int) -> list[Outcome]:
+    """scan_repository over each of paths, in up to jobs processes, the
+    outcomes in the order of paths: each repository is a unit of
+    parallel.share, as large as its object store, and scanned when it is
+    prepared, with no keys."""
 
     def prepare(i: int) -> tuple[tuple[()], Callable[[], Outcome]]:
-        outcome = scan_repository(*repos[i], step)
+        outcome = scan_repository(paths[i], step)
         return (), lambda: outcome
 
-    sizes = [object_store_size(path) for path, _ in repos]
-    return parallel.share(jobs, sizes, prepare)
+    return parallel.share(jobs, [object_store_size(path) for path in paths], prepare)
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
@@ -674,13 +650,8 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         raise UsageError(f"cannot read {args.list}: {exc}") from exc
     if not entries:
         raise UsageError("corpus list is empty")
-
-    urls = [entry for entry in entries if _URL_RE.match(entry)]
-    if urls and not args.cache:  # an empty --cache names no directory either
-        raise UsageError(f"--cache is required for remote repositories: {urls[0]}")
-    repos = [(_cache_path(args.cache, entry) if _URL_RE.match(entry) else entry, entry)
-             for entry in entries]
-    outcomes = scan_repositories(repos, scan_step(args, cfg, rules), args.jobs)
+    _ensure_local(entries)
+    outcomes = scan_repositories(entries, scan_step(args, cfg, rules), args.jobs)
 
     # in the sorted list's order, so that stderr is the same whatever --jobs is
     failures: list[dict] = []
@@ -785,9 +756,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_corpus = sub.add_parser("corpus", help="scan many repositories and merge reports")
     p_corpus.add_argument("--list", required=True,
-                          help="file of repository paths/URLs, one per line")
-    p_corpus.add_argument("--jobs", type=positive_int, default=1)
-    p_corpus.add_argument("--cache", help="clone cache directory for remote URLs")
+                          help="file of local repository paths, one per line")
+    p_corpus.add_argument("--jobs", type=positive_int, default=1,
+                          help="repositories scanned at once, in worker processes")
     _add_detector_options(p_corpus)
     _add_output_options(p_corpus)
     p_corpus.add_argument("--anomalies-out", help="also write flagged commits as JSONL")

@@ -401,7 +401,8 @@ def run_git(
     stdin is an open file for git to read; by default git reads nothing. Its
     stderr goes to a temporary file, which never fills, so the process
     cannot block on it. On leaving the block, on every path, the process is
-    reaped and the file closed. Only if it failed and no other error is in
+    reaped and the file closed. A git that cannot be started raises
+    GitEnvironmentError. Only if it failed and no other error is in
     flight does RepositoryError name the sub-command, with git's non-blank
     stderr lines joined on one line by "; ", so that it is one diagnostic.
     """
@@ -421,6 +422,9 @@ def run_git(
             )
         except FileNotFoundError as exc:
             raise GitEnvironmentError(f"git executable not found: {cmd[0]}") from exc
+        except OSError as exc:  # not executable, not a program, or no pipe for it
+            raise GitEnvironmentError(
+                f"git executable {cmd[0]!r} cannot be run: {exc.strerror}") from exc
         with proc:  # closes stdout and waits, also when the block raises
             yield proc
         if proc.returncode != 0:

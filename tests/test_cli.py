@@ -16,7 +16,12 @@ import pytest
 from chronolint import cli, parallel
 from chronolint.cli import main, parse_instant
 from chronolint.detect import sanitize_message, scan_fingerprints
-from chronolint.ingest import emit_export_stream, parse_export_stream, read_repository
+from chronolint.ingest import (
+    emit_export_stream,
+    parse_export_stream,
+    read_repository,
+    run_git,
+)
 from chronolint.model import ConfigError, FilterPolicy, RepositoryError
 from chronolint.report import ranked_tokens, token_frequencies
 from helpers import (
@@ -489,6 +494,24 @@ class TestScan:
             capture_output=True, check=False)
         assert (piped.returncode, piped.stderr) == (1, b"")
         assert piped.stdout == out.read_bytes()
+
+    @pytest.mark.parametrize("git", ["not-executable", "empty", "no-shebang"])
+    def test_git_that_cannot_be_run_exit_two(self, git, tmp_path, monkeypatch, capsys):
+        """A git that cannot be started is an environment error, as a missing
+        one is: exit 2 and one diagnostic line, not a traceback."""
+        repo = tmp_path / "r"
+        build_repo(repo, [{"key": "a", "commit_epoch": 1_600_000_000}])
+        script = tmp_path / "git"
+        script.write_text("echo not git\n")
+        if git == "no-shebang":
+            script.chmod(0o755)
+        monkeypatch.setenv("CHRONOLINT_GIT", "" if git == "empty" else str(script))
+        out = tmp_path / "report.json"
+        assert run(["scan", "--repo", str(repo), "--reference", REF, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("chronolint: git executable ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestFilter:
@@ -1497,20 +1520,29 @@ class TestCorpus:
         assert err.count("\n") == 1
 
     def test_url_without_cache_exit_two_before_any_clone(self, tmp_path, monkeypatch, capsys):
+        """A URL entry exits 2 before any git process starts, whether or not
+        --cache is given: the flag is gone, so argparse refuses it."""
         r1, _ = self.make_repos(tmp_path)
         urls = [f"file://{tmp_path / 'b'}", f"file://{tmp_path / 'a'}"]
         listing = tmp_path / "list.txt"
         listing.write_text(f"{urls[0]}\n{r1}\n{urls[1]}\n")
         started = record_processes(monkeypatch)
         out = tmp_path / "o.json"
-        for cache in ([], ["--cache", ""]):  # an empty --cache is a missing one
-            assert run(["corpus", "--list", str(listing), "--reference", REF,
-                        "--out", str(out), *cache]) == 2
-            # the first URL of the sorted list
-            assert capsys.readouterr().err == (
-                f"chronolint: --cache is required for remote repositories: {urls[1]}\n")
-            assert started == []
-            assert not out.exists()
+        argv = ["corpus", "--list", str(listing), "--reference", REF, "--out", str(out)]
+        assert run(argv) == 2
+        # the first URL of the sorted list
+        assert capsys.readouterr() == (
+            "", f"chronolint: corpus entries are local repository paths, not URLs: {urls[1]}\n")
+        cache = tmp_path / "cache"
+        with pytest.raises(SystemExit) as exit_:
+            run([*argv, "--cache", str(cache)])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: unrecognized arguments: --cache {cache}\n")
+        assert started == []
+        assert not out.exists()
+        assert not cache.exists()
 
     def test_merged_totals_additive(self, tmp_path):
         r1, r2 = self.make_repos(tmp_path)
@@ -1590,134 +1622,31 @@ class TestCorpus:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_failed_clone_names_git_clone_and_reaps_it(self, tmp_path, monkeypatch, capsys):
-        url = f"file://{tmp_path / 'missing'}"
+    def test_missing_path_names_git_cat_file_and_reaps_git(self, tmp_path, monkeypatch,
+                                                            capsys):
+        """Both processes of the read fail in a missing directory; the
+        error is the inner one's, cat-file's, and neither is left running."""
+        missing = tmp_path / "missing"
         listing = tmp_path / "list.txt"
-        listing.write_text(url + "\n")
-        cache = tmp_path / "cache"
+        listing.write_text(f"{missing}\n")
         started = record_processes(monkeypatch)
-        assert run(["corpus", "--list", str(listing), "--cache", str(cache),
-                    "--out", str(tmp_path / "o.json")]) == 2
+        assert run(["corpus", "--list", str(listing), "--out", str(tmp_path / "o.json")]) == 2
         err = capsys.readouterr().err
-        assert f"chronolint: {url}: git clone failed in {cache}: " in err
-        assert git_subcommands(started) == ["clone"]
+        assert err.startswith(f"chronolint: {missing}: git cat-file failed in {missing}: ")
+        assert git_subcommands(started) == ["rev-list", "cat-file"]
         assert_reaped(started)
 
     def test_failed_clone_error_is_one_line(self, tmp_path):
         """git prints five lines when it cannot clone a missing file:// path;
-        its error keeps the non-blank ones on one line, joined by "; "."""
+        run_git's error keeps the non-blank ones on one line, joined by "; "."""
         url = f"file://{tmp_path / 'missing'}"
         with pytest.raises(RepositoryError) as exc:
-            cli._ensure_local(url, str(tmp_path / "cache" / "clone"))
+            with run_git(str(tmp_path), ["clone", "--quiet", url, "clone"]) as clone:
+                clone.stdout.read()
         message = str(exc.value)
         assert "\n" not in message
-        assert message.startswith(f"git clone failed in {tmp_path / 'cache'}: fatal: ")
+        assert message.startswith(f"git clone failed in {tmp_path}: fatal: ")
         assert "; fatal: " in message
-
-    def test_clone_into_relative_cache(self, tmp_path, monkeypatch):
-        src = tmp_path / "src"
-        build_repo(src, [
-            {"key": "a", "commit_epoch": 1_500_000_000},
-            {"key": "b", "commit_epoch": 1_500_000_060, "parents": ["a"]},
-        ])
-        (tmp_path / "list.txt").write_text(f"file://{src}\n")
-        monkeypatch.chdir(tmp_path)
-        assert run(["corpus", "--list", "list.txt", "--cache", "cache",
-                    "--reference", REF, "--out", "o.json"]) == 0
-        assert read_json(tmp_path / "o.json")["totals"]["commits"] == 2
-
-    def test_urls_with_one_sanitized_name_get_their_own_clones(self, tmp_path):
-        # each of these sanitizes to tmp_..._a_b; they hold 1, 2 and 3 commits
-        urls = []
-        for n, name in enumerate(("a/b", "a_b", "a b"), start=1):
-            path = tmp_path / name
-            path.parent.mkdir(exist_ok=True)
-            build_repo(path, [
-                {"key": f"c{i}", "commit_epoch": 1_500_000_000 + i,
-                 "parents": [f"c{i - 1}"] if i else []}
-                for i in range(n)
-            ])
-            urls.append(f"file://{path}")
-        listing = tmp_path / "list.txt"
-        listing.write_text("".join(f"{url}\n" for url in urls))
-        out = tmp_path / "o.json"
-        assert run(["corpus", "--list", str(listing), "--cache", str(tmp_path / "cache"),
-                    "--jobs", "2", "--reference", REF, "--out", str(out)]) == 0
-        report = read_json(out)
-        assert report["totals"] == {"commits": 6, "projects": 3}
-        assert len(list((tmp_path / "cache").iterdir())) == 3
-
-    def test_long_url_clones(self, tmp_path):
-        # a path whose sanitized URL is longer than a 255-byte file name
-        src = tmp_path.joinpath(*["d" * 60] * 4, "src")
-        build_repo(src, [
-            {"key": "a", "commit_epoch": 1_500_000_000},
-            {"key": "b", "commit_epoch": 1_500_000_060, "parents": ["a"]},
-        ])
-        url = f"file://{src}"
-        assert len(url) > 255
-        listing = tmp_path / "list.txt"
-        listing.write_text(url + "\n")
-        out, cache = tmp_path / "o.json", tmp_path / "cache"
-        assert run(["corpus", "--list", str(listing), "--cache", str(cache),
-                    "--reference", REF, "--out", str(out)]) == 0
-        assert read_json(out)["totals"] == {"commits": 2, "projects": 1}
-        assert [len(name) for name in os.listdir(cache)] == [255]
-
-    def test_short_url_keeps_its_clone_name(self):
-        import hashlib
-
-        from chronolint.cli import _cache_path
-
-        url = "https://example.com/a b/c.git"
-        digest = hashlib.sha256(url.encode()).hexdigest()[:16]
-        assert _cache_path("cache", url) == os.path.join(
-            "cache", f"https_example.com_a_b_c.git-{digest}")
-        fits = "https://example.com/" + "x" * 220  # sanitizes to 238 characters
-        assert os.path.basename(_cache_path("cache", fits)).startswith(
-            "https_example.com_" + "x" * 220 + "-")
-
-    def test_shallow_clone_refused(self, tmp_path, capsys):
-        from chronolint.cli import _cache_path
-
-        src = tmp_path / "src"
-        shas = build_repo(src, [
-            {"key": "a", "commit_epoch": 1_500_000_000},
-            {"key": "b", "commit_epoch": 1_500_000_060, "parents": ["a"]},
-        ])
-        url = f"file://{src}"
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        # pre-seed the cache with a shallow clone for this URL
-        clone = _cache_path(str(cache), url)
-        shallow_clone(src, clone, "c2")
-        listing = tmp_path / "list.txt"
-        listing.write_text(url + "\n")
-        out = tmp_path / "o.json"
-        code = run(["corpus", "--list", str(listing), "--cache", str(cache),
-                    "--reference", REF, "--out", str(out)])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"chronolint: {url}: shallow history refused in {clone}: "
-            f"parent {shas['a']} was not read\n"
-            "chronolint: all repositories failed\n")
-
-    def test_cached_url_starts_only_rev_list_and_cat_file(self, tmp_path, monkeypatch):
-        src = tmp_path / "src"
-        build_repo(src, [
-            {"key": "a", "commit_epoch": 1_500_000_000},
-            {"key": "b", "commit_epoch": 1_500_000_060, "parents": ["a"]},
-        ])
-        listing = tmp_path / "list.txt"
-        listing.write_text(f"file://{src}\n")
-        args = ["corpus", "--list", str(listing), "--cache", str(tmp_path / "cache"),
-                "--reference", REF, "--out", str(tmp_path / "o.json")]
-        assert run(args) == 0  # clones the URL
-        started = record_processes(monkeypatch)
-        assert run(args) == 0
-        assert git_subcommands(started) == ["rev-list", "cat-file"]
-        assert_reaped(started)
-        assert read_json(tmp_path / "o.json")["totals"]["commits"] == 2
 
 
 class TestCutHistory:

@@ -4,6 +4,10 @@ A git sub-command started any other way would need its own reaping, its own
 stderr handling and its own error text. This keeps a second way from coming
 back: outside ``run_git``, no module of the package may mention
 ``subprocess``, ingest's own import of it aside.
+
+Every repository is read where it lies, so no git command reaches the
+network: no module may hold the sub-command ``clone`` or ``fetch``, or
+import ``hashlib``, which named clone directories when ``corpus`` cloned.
 """
 
 import ast
@@ -37,6 +41,28 @@ def allowed_in_ingest(tree):
         if isinstance(node, ast.Import) and [a.name for a in node.names] == ["subprocess"]
     }
     return allowed
+
+
+def network_mentions(tree):
+    """Each node that imports hashlib or holds the string "clone" or "fetch"."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(alias.name == "hashlib" for alias in node.names):
+            yield node
+        elif isinstance(node, ast.ImportFrom) and node.module == "hashlib":
+            yield node
+        elif isinstance(node, ast.Constant) and node.value in ("clone", "fetch"):
+            yield node
+
+
+def test_no_module_clones_fetches_or_hashes():
+    modules = sorted(SRC.glob("*.py"))
+    assert {path.name for path in modules} >= {"cli.py", "ingest.py"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in network_mentions(ast.parse(path.read_text("utf-8")))
+    ]
+    assert found == []
 
 
 def test_only_run_git_touches_subprocess():

@@ -12,7 +12,6 @@ import io
 import os
 import pickle
 import random
-import shutil
 import signal
 import sys
 import tempfile
@@ -80,10 +79,10 @@ def parent_scans():
     """The repositories scanned in this process during the block."""
     parent, real, scanned = os.getpid(), cli.scan_repository, []
 
-    def spy(path, project, cfg):
+    def spy(path, step):
         if os.getpid() == parent:
-            scanned.append(project)
-        return real(path, project, cfg)
+            scanned.append(path)
+        return real(path, step)
 
     with mock.patch.object(cli, "scan_repository", spy):
         yield scanned
@@ -237,32 +236,20 @@ class TestProcessHygiene:
             corpus(corpus_dir, 3)
         assert time.monotonic() - started < 30  # the sleeping workers were killed
 
-    def test_mixed_list_of_paths_and_urls(self, corpus_dir, clean):
-        """Paths, file:// URLs of the corpus's repositories and a URL that
-        cannot be cloned: each --jobs gives the outputs of --jobs 1, from an
-        empty cache and again from the cache that run filled."""
-        root, cache = corpus_dir, corpus_dir / "cache"
-        nowhere = f"file://{root / 'nowhere'}"
-        entries = [root / "a", root / "d", root / "missing", nowhere,
-                   *(f"file://{root / name}" for name in ("big", "bad-header", "c"))]
+    def test_list_of_paths_and_a_missing_one(self, corpus_dir, clean):
+        """A list of some of the corpus's repositories and a path that is no
+        repository: each --jobs gives the outputs of --jobs 1."""
+        root = corpus_dir
+        entries = [root / name for name in ("a", "d", "missing", "big", "bad-header", "c")]
         (root / "mixed.txt").write_text("".join(f"{entry}\n" for entry in entries))
-        flags = ("--cache", str(cache))
-        try:
-            runs = []
-            for jobs in (1, 2, 8):
-                shutil.rmtree(cache, ignore_errors=True)
-                runs += [corpus(root, jobs, "mixed.txt", *flags) for _ in ("empty", "warm")]
-        finally:
-            shutil.rmtree(cache, ignore_errors=True)
+        runs = [corpus(root, jobs, "mixed.txt") for jobs in (1, 2, 8)]
         assert all(run == runs[0] for run in runs)
         code, _, _, err = runs[0]
         assert code == 1
         lines = err.splitlines()
-        assert all(line.startswith("chronolint: ") for line in lines)
-        assert len(lines) == 3
-        assert lines[0].startswith(f"chronolint: {root / 'missing'}: git ")
-        assert lines[1].startswith(f"chronolint: file://{root / 'bad-header'}: rejected ")
-        assert lines[2].startswith(f"chronolint: {nowhere}: git clone failed in {cache}: ")
+        assert len(lines) == 2
+        assert lines[0].startswith(f"chronolint: {root / 'bad-header'}: rejected ")
+        assert lines[1].startswith(f"chronolint: {root / 'missing'}: git ")
 
     def test_live_thread_runs_in_process(self, corpus_dir, clean, monkeypatch):
         forks = []
@@ -309,29 +296,3 @@ def test_queue_gives_each_index_once():
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert sorted(taken) == list(range(count))
-
-
-@needs_fork
-def test_workers_forked_for_a_list_of_urls(tmp_path, monkeypatch):
-    """A list of URLs alone forks its workers on every run, the first, which
-    clones each URL in the unit that scans it, as the later ones, which read
-    the clones, and every run gives the same report."""
-    if parallel.usable_cpus() < 2:
-        pytest.skip("needs two usable CPUs")
-    entries = []
-    for name in ("x", "y"):
-        build_repo(tmp_path / name, plans(random.Random(name), 4))
-        entries.append(f"file://{tmp_path / name}")
-    (tmp_path / "list.txt").write_text("".join(f"{entry}\n" for entry in entries))
-    forks = []
-    real = parallel.forked
-    monkeypatch.setattr(parallel, "forked", lambda *a: forks.append(a) or real(*a))
-    reports = set()
-    for _ in range(8):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cli.main(["corpus", "--list", str(tmp_path / "list.txt"), "--jobs", "2",
-                             "--cache", str(tmp_path / "cache"), "--reference", REF,
-                             "--out", str(tmp_path / "o.json")]) == 1
-        reports.add((tmp_path / "o.json").read_bytes())
-    assert len(forks) == 8 and len(reports) == 1

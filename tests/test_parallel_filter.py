@@ -363,9 +363,9 @@ class TestCorpusLargestFirst:
     def test_largest_repository_is_scanned_first(self, corpus_dir):
         scanned, real = [], cli.scan_repository
 
-        def spy(path, project, step):
-            scanned.append(project)
-            return real(path, project, step)
+        def spy(path, step):
+            scanned.append(path)
+            return real(path, step)
 
         with mock.patch.object(cli, "scan_repository", spy):
             code, _, _, err = self.corpus(corpus_dir, 1)

@@ -1,9 +1,9 @@
 """Importing the command line loads no machinery that most runs never use.
 
 Every run imports ``chronolint.cli``, but no run starts a thread pool (a
-``corpus`` run clones each URL in the unit that scans it), only git ingest
-starts processes, only forked workers pickle and only ``--format csv`` writes
-CSV; each imports what it needs where it runs. The package's types are named
+``corpus`` run reads each repository in the unit that scans it), only git
+ingest starts processes, only forked workers pickle and only ``--format
+csv`` writes CSV; each imports what it needs where it runs. The package's types are named
 tuples and plain classes, so no run pays for ``dataclasses`` and the
 ``inspect`` chain behind it, and the stop word list is read without
 ``importlib.resources``.
@@ -55,26 +55,17 @@ def test_cli_import_loads_no_process_machinery():
     assert loaded_after("import chronolint.cli") == []
 
 
-def assert_corpus_runs_no_thread_pool(tmp_path, scheme, *flags):
-    """corpus --jobs 2 over two one-commit repositories, listed as paths
-    after scheme, reads both and loads no concurrent.futures."""
+def test_corpus_of_local_repos_runs_no_thread_pool(tmp_path):
+    """corpus --jobs 2 over two one-commit repositories reads both and loads
+    no concurrent.futures."""
     for name in ("a", "b"):
         build_repo(tmp_path / name, [{"key": "x", "commit_epoch": 1_500_000_000}])
     listing = tmp_path / "list.txt"
-    listing.write_text(f"{scheme}{tmp_path / 'a'}\n{scheme}{tmp_path / 'b'}\n")
-    argv = ["corpus", "--list", str(listing), "--jobs", "2", "--out", str(tmp_path / "o.json"),
-            *flags]
+    listing.write_text(f"{tmp_path / 'a'}\n{tmp_path / 'b'}\n")
+    argv = ["corpus", "--list", str(listing), "--jobs", "2", "--out", str(tmp_path / "o.json")]
     run = f"from chronolint.cli import main; main({argv!r})"
     assert loaded_after(run, ("concurrent.futures",)) == []
     assert json.loads((tmp_path / "o.json").read_text())["totals"]["commits"] == 2
-
-
-def test_corpus_of_local_repos_runs_no_thread_pool(tmp_path):
-    assert_corpus_runs_no_thread_pool(tmp_path, "")
-
-
-def test_corpus_of_urls_runs_no_thread_pool(tmp_path):
-    assert_corpus_runs_no_thread_pool(tmp_path, "file://", "--cache", str(tmp_path / "cache"))
 
 
 def test_stop_words_read_from_a_zip_as_from_the_tree(tmp_path):
