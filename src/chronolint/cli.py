@@ -55,6 +55,7 @@ from .model import (
     ConfigError,
     Fields,
     FilterPolicy,
+    GitEnvironmentError,
     TIME_BASES,
 )
 from .report import (
@@ -110,8 +111,7 @@ def render_instant(epoch: int) -> str:
         return f"epoch:{epoch}"
 
 
-CONFIG_KEYS = frozenset(("old_threshold", "reference", "time_basis", "merge_exclusion",
-                         "fingerprint_rules", "policy"))
+CONFIG_KEYS = frozenset(("fingerprint_rules",))
 POLICY_KEYS = frozenset(FilterPolicy._fields)
 RULE_KEYS = frozenset(FingerprintRule._fields)
 
@@ -161,28 +161,18 @@ def fingerprint_rules_from_config(config: dict) -> tuple[FingerprintRule, ...]:
     return tuple(rules)
 
 
-def detector_config_from(args: argparse.Namespace, config: dict) -> DetectorConfig:
-    """The detector settings of the flags, else of the config, else the defaults.
+def detector_config_from(args: argparse.Namespace) -> DetectorConfig:
+    """The detector settings of the flags, else the defaults.
 
-    Only a missing flag or key is unset: an empty value is checked as any other.
+    Only a missing flag is unset: an empty value is checked as any other.
     """
-
-    def setting(flag: str | None, key: str):
-        return flag if flag is not None else config.get(key)
-
-    old = setting(args.old_threshold, "old_threshold")
-    reference = setting(args.reference, "reference")
-    basis = setting(args.time_basis, "time_basis")
-    merge_exclusion = config.get("merge_exclusion", True)
-    if args.no_merge_exclusion:
-        merge_exclusion = False
-    kwargs: dict = {"merge_exclusion": merge_exclusion}
-    if basis is not None:
-        kwargs["time_basis"] = basis
-    if old is not None:
-        kwargs["old_threshold"] = parse_instant(str(old))
-    if reference is not None:
-        kwargs["future_reference"] = parse_instant(str(reference))
+    kwargs: dict = {"merge_exclusion": not args.no_merge_exclusion}
+    if args.time_basis is not None:
+        kwargs["time_basis"] = args.time_basis
+    if args.old_threshold is not None:
+        kwargs["old_threshold"] = parse_instant(args.old_threshold)
+    if args.reference is not None:
+        kwargs["future_reference"] = parse_instant(args.reference)
     return DetectorConfig(**kwargs)
 
 
@@ -201,8 +191,6 @@ def policy_from_object(obj: dict) -> FilterPolicy:
         except UsageError as exc:
             raise ConfigError(f"policy {key}: {exc}") from exc
 
-    if not isinstance(obj, dict):
-        raise ConfigError(f"policy is not a JSON object: {obj!r}")
     reject_unknown_keys(obj, POLICY_KEYS, "policy")
     kwargs = {key: value for key, value in obj.items()
               if value is not None or key == "min_epoch_seconds"}
@@ -219,22 +207,21 @@ def policy_from_object(obj: dict) -> FilterPolicy:
 def settings_from(
     args: argparse.Namespace,
 ) -> tuple[DetectorConfig, tuple[FingerprintRule, ...], FilterPolicy]:
-    """The detector settings, fingerprint rules and filter policy of a
-    command's flags and files; for scan and filter, a check of the input
+    """The detector settings of a command's flags, the fingerprint rules of
+    scan's and corpus's --config and the filter policy of filter's --policy,
+    each from that one source; for scan and filter, a check of the input
     flags too.
 
-    Every command builds them before it reads any input, so one file and one
-    set of flags are valid or invalid for all, and the first error reported
-    does not depend on the input. A config key whose value is null takes its
-    default, as a missing key does. The config's policy is checked whichever
-    command reads the config; filter's --policy replaces it.
+    Every command builds them before it reads any input, so one set of flags
+    is valid or invalid for all, and the first error reported does not
+    depend on the input. A config key whose value is null takes its
+    default, as a missing key does.
     """
-    config = read_json_object(args.config, "config") if args.config is not None else {}
+    config = {} if vars(args).get("config") is None else read_json_object(args.config, "config")
     reject_unknown_keys(config, CONFIG_KEYS, "config")
-    config = {key: value for key, value in config.items() if value is not None}
-    policy = policy_from_object(config.get("policy", {}))
-    cfg, rules = detector_config_from(args, config), fingerprint_rules_from_config(config)
-    if getattr(args, "policy", None) is not None:
+    cfg, rules = detector_config_from(args), fingerprint_rules_from_config(config)
+    policy = FilterPolicy()
+    if vars(args).get("policy") is not None:
         policy = policy_from_object(read_json_object(args.policy, "policy"))
     if "jsonl" in args:  # scan and filter read one input source
         if bool(args.repo) == bool(args.jsonl):
@@ -387,7 +374,6 @@ def finish_scan(
     """Write the report and anomaly stream of a scan; return its exit code."""
     meta = {
         "tool_version": __version__,
-        "scan_time": render_instant(cfg.future_reference),
         "future_reference": render_instant(cfg.future_reference),
         "old_threshold": render_instant(cfg.old_threshold),
         "time_basis": cfg.time_basis,
@@ -608,6 +594,8 @@ def scan_repository(path: str, step: Step[Scan]) -> Outcome:
     try:
         records, report = read_repository(path, path)
         return report, step({path: records})
+    except GitEnvironmentError:  # every entry's alike: the run's error, not this entry's
+        raise
     except (ChronolintError, OSError) as exc:
         return str(exc)
 
@@ -700,7 +688,6 @@ def _add_detector_options(parser: argparse.ArgumentParser) -> None:
                         help="which commit date detectors read (default committer)")
     parser.add_argument("--no-merge-exclusion", action="store_true",
                         help="keep merge-related commits in the linear comparison")
-    parser.add_argument("--config", help="JSON config file (flags take precedence)")
 
 
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
@@ -735,6 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="scan one repository or export for anomalies")
     _add_input_options(p_scan)
     _add_detector_options(p_scan)
+    p_scan.add_argument("--config", help="JSON file of custom fingerprint_rules")
     _add_output_options(p_scan)
     p_scan.add_argument("--anomalies-out", help="also write flagged commits as JSONL")
     p_scan.set_defaults(func=cmd_scan)
@@ -760,6 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_corpus.add_argument("--jobs", type=positive_int, default=1,
                           help="repositories scanned at once, in worker processes")
     _add_detector_options(p_corpus)
+    p_corpus.add_argument("--config", help="JSON file of custom fingerprint_rules")
     _add_output_options(p_corpus)
     p_corpus.add_argument("--anomalies-out", help="also write flagged commits as JSONL")
     p_corpus.set_defaults(func=cmd_corpus)

@@ -336,20 +336,6 @@ class TestScan:
         assert run(["scan", "--jsonl", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"chronolint: cannot read {tmp_path}: ")
 
-    def test_flag_overrides_config(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"old_threshold": "2000-01-01"}))
-        src = tmp_path / "in.jsonl"
-        src.write_bytes(emit_export_stream([rec("a", commit_epoch=utc_epoch(1995))]))
-        out = tmp_path / "r.json"
-        # config alone: 1995 is below the configured 2000 threshold
-        assert run(["scan", "--jsonl", str(src), "--config", str(cfg),
-                    "--reference", REF, "--out", str(out)]) == 1
-        # flag overrides back to an earlier threshold
-        assert run(["scan", "--jsonl", str(src), "--config", str(cfg),
-                    "--old-threshold", "1990-11-19", "--reference", REF,
-                    "--out", str(out)]) == 0
-
     def test_unpinned_run_uses_one_reference(self, tmp_path, monkeypatch):
         clock = iter(range(1_600_000_000, 1_700_000_000, 1000))
         monkeypatch.setattr("time.time", lambda: float(next(clock)))
@@ -821,8 +807,8 @@ class TestMalformedInput:
     """Bad outside input exits 2 with a message, never 1 or a traceback."""
 
     @pytest.mark.parametrize("config, message", [
-        ({"time_basis": "foo"}, "unknown time basis: 'foo'"),
-        ({"merge_exclusion": "no"}, "merge_exclusion must be a boolean: 'no'"),
+        ({"time_basis": "author"}, "config time_basis: unknown key"),
+        ({"merge_exclusion": False}, "config merge_exclusion: unknown key"),
         ({"fingerprint_rules": 5}, "fingerprint_rules must be a list: 5"),
         ({"fingerprint_rules": [{"name": "r", "pattern": 5}]},
          "bad fingerprint rule entry: {'name': 'r', 'pattern': 5}"),
@@ -834,6 +820,8 @@ class TestMalformedInput:
          "fingerprint rule 'r' flags: unknown key"),
         ({"fingerprint_rules": [{"name": "r", "pattern": "x", "case_insensitive": "false"}]},
          "fingerprint rule 'r': case_insensitive must be a boolean: 'false'"),
+        ({"fingerprint_rules": [{"name": "r", "pattern": "("}]},
+         "fingerprint rule 'r': bad pattern: missing ), unterminated subpattern at position 0"),
     ])
     def test_bad_config(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "cfg.json"
@@ -845,25 +833,18 @@ class TestMalformedInput:
         assert capsys.readouterr().err == f"chronolint: {message}\n"
 
     @pytest.mark.parametrize("command", ["scan", "filter", "corpus"])
-    @pytest.mark.parametrize("flags, config, message", [
-        (["--old-threshold", "nonsense"], {}, "unparseable instant: 'nonsense'"),
-        (["--old-threshold", "2030-01-01", "--reference", "2020-01-01"], {},
+    @pytest.mark.parametrize("flags, message", [
+        (["--old-threshold", "nonsense"], "unparseable instant: 'nonsense'"),
+        (["--old-threshold", "2030-01-01", "--reference", "2020-01-01"],
          "old threshold must precede the future reference"),
-        ([], {"time_basis": "bogus"}, "unknown time basis: 'bogus'"),
-        ([], {"fingerprint_rules": [{"name": "r", "pattern": "("}]},
-         "fingerprint rule 'r': bad pattern: missing ), unterminated subpattern at position 0"),
-        (["--reference="], {}, "unparseable instant: ''"),
-        (["--old-threshold="], {}, "unparseable instant: ''"),
-        ([], {"time_basis": ""}, "unknown time basis: ''"),
-        ([], {"time_basis": ["author"]}, "unknown time basis: ['author']"),
-    ], ids=["threshold-garbage", "threshold-after-reference", "basis-bogus", "rule-pattern",
-            "reference-empty", "threshold-empty", "basis-empty", "basis-list"])
+        (["--reference="], "unparseable instant: ''"),
+        (["--old-threshold="], "unparseable instant: ''"),
+    ], ids=["threshold-garbage", "threshold-after-reference", "reference-empty",
+            "threshold-empty"])
     def test_bad_detector_setting_in_every_command(self, tmp_path, capsys, command, flags,
-                                                   config, message):
-        """One set of flags and one config are valid or invalid for every
-        command, and an empty value is a bad value, not an unset one."""
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
+                                                   message):
+        """One set of flags is valid or invalid for every command, and an
+        empty value is a bad value, not an unset one."""
         src = tmp_path / "in.jsonl"
         src.write_bytes(emit_export_stream([rec("a", commit_epoch=1_500_000_000)]))
         build_repo(tmp_path / "r", [{"key": "a", "commit_epoch": 1_500_000_000}])
@@ -871,8 +852,58 @@ class TestMalformedInput:
         listing.write_text(f"{tmp_path / 'r'}\n")
         out = tmp_path / "out"
         source = ["--list", str(listing)] if command == "corpus" else ["--jsonl", str(src)]
-        assert run([command, *source, *flags, "--config", str(cfg), "--out", str(out)]) == 2
+        assert run([command, *source, *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"chronolint: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["scan", "filter", "corpus"])
+    @pytest.mark.parametrize("flag, message", [
+        ("--time-basis=bogus", "argument --time-basis: invalid choice: 'bogus'"),
+        ("--time-basis=", "argument --time-basis: invalid choice: ''"),
+        ("--no-merge-exclusion=no", "argument --no-merge-exclusion: ignored explicit argument"),
+    ], ids=["basis-bogus", "basis-empty", "merge-exclusion-value"])
+    def test_bad_detector_flag_value_in_every_command(self, tmp_path, capsys, command, flag,
+                                                      message):
+        """A time basis or merge exclusion flag with a value it does not take
+        is a usage error of every command, before any input is read."""
+        out = tmp_path / "out"
+        source = "--list" if command == "corpus" else "--jsonl"
+        with pytest.raises(SystemExit) as exc:
+            run([command, source, str(tmp_path / "missing"), flag, "--out", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["scan", "corpus"])
+    @pytest.mark.parametrize("key, value", [
+        ("old_threshold", "2000-01-01"), ("reference", REF), ("time_basis", "author"),
+        ("merge_exclusion", False), ("policy", {}),
+    ])
+    def test_config_holds_only_fingerprint_rules(self, tmp_path, capsys, command, key, value):
+        """fingerprint_rules is the config's one key: a config that sets a
+        detector value, which has its flag, or a filter policy, which has
+        filter's --policy, exits 2 naming the key before any input is read,
+        even with a valid value, and is never silently ignored."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fingerprint_rules": [], key: value}))
+        out, anomalies = tmp_path / "out", tmp_path / "a.jsonl"
+        source = "--list" if command == "corpus" else "--jsonl"
+        assert run([command, source, str(tmp_path / "missing"), "--config", str(cfg),
+                    "--out", str(out), "--anomalies-out", str(anomalies)]) == 2
+        assert capsys.readouterr().err == f"chronolint: config {key}: unknown key\n"
+        assert not out.exists() and not anomalies.exists()
+
+    def test_filter_takes_no_config(self, tmp_path, capsys):
+        """filter applies no fingerprint rule, so it reads no config file:
+        --config is an unrecognized argument, not a file read and ignored."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fingerprint_rules": []}))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(["filter", "--jsonl", str(tmp_path / "missing"), "--config", str(cfg),
+                 "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --config {cfg}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, flag", [
@@ -891,7 +922,7 @@ class TestMalformedInput:
         assert capsys.readouterr().err == f"chronolint: {flag} applies to --repo only\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["scan", "filter", "corpus"])
+    @pytest.mark.parametrize("command", ["scan", "corpus"])
     @pytest.mark.parametrize("key", sorted(cli.CONFIG_KEYS))
     def test_null_config_value_is_unset(self, tmp_path, capsys, command, key):
         """A config key whose value is null takes the default, as a missing key does."""
@@ -913,11 +944,9 @@ class TestMalformedInput:
         assert outputs[0][0] != 2
         assert outputs[1] == outputs[0]
 
-    @pytest.mark.parametrize("command, flag", [("filter", "--policy"), ("filter", "--config"),
-                                               ("scan", "--config")])
     @pytest.mark.parametrize("key", ["cutoff", "cutoff_mode", "window", "project_blacklist",
                                      "drop_flagged_kinds", "time_basis"])
-    def test_null_policy_value_is_unset(self, tmp_path, capsys, command, flag, key):
+    def test_null_policy_value_is_unset(self, tmp_path, capsys, key):
         """A policy key whose value is null takes the default, as a missing key does."""
         src = tmp_path / "in.jsonl"
         src.write_bytes(emit_export_stream([rec("a", commit_epoch=0),
@@ -925,8 +954,8 @@ class TestMalformedInput:
         outputs = []
         for policy in ({}, {key: None}):
             path, out = tmp_path / "policy.json", tmp_path / "out"
-            path.write_text(json.dumps(policy if flag == "--policy" else {"policy": policy}))
-            code = run([command, "--jsonl", str(src), flag, str(path), "--reference", REF,
+            path.write_text(json.dumps(policy))
+            code = run(["filter", "--jsonl", str(src), "--policy", str(path), "--reference", REF,
                         "--out", str(out)])
             outputs.append((code, out.read_bytes(), capsys.readouterr()))
             out.unlink()
@@ -948,17 +977,12 @@ class TestMalformedInput:
             kept.append(len(out.read_bytes().splitlines()))
         assert kept == [1, 2]
 
-    @pytest.mark.parametrize("with_config", [False, True])
-    def test_empty_policy_flag_is_a_bad_value(self, tmp_path, capsys, with_config):
-        """--policy "" is read as the path "", as --config "" is, and never
-        leaves the config's policy in force."""
+    def test_empty_policy_flag_is_a_bad_value(self, tmp_path, capsys):
+        """--policy "" is read as the path "", as --config "" is, never as no policy."""
         src = tmp_path / "in.jsonl"
         src.write_bytes(emit_export_stream([rec("a", commit_epoch=0, author_epoch=0)]))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"policy": {"min_epoch_seconds": None}}))
-        config = ["--config", str(cfg)] if with_config else []
         out = tmp_path / "out.jsonl"
-        assert run(["filter", "--jsonl", str(src), "--policy", "", *config,
+        assert run(["filter", "--jsonl", str(src), "--policy", "",
                     "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("chronolint: cannot read policy : ")
         assert not out.exists()
@@ -1002,7 +1026,7 @@ class TestMalformedInput:
         assert capsys.readouterr().err == "chronolint: duplicate fingerprint rule name: 'x'\n"
 
     @pytest.mark.parametrize("body", [
-        pytest.param(b'{"reference": "\xff"}', id="undecodable"),
+        pytest.param(b'{"fingerprint_rules": "\xff"}', id="undecodable"),
         pytest.param(b'{"x": ' + b"1" * 5000 + b"}", id="overlong-integer",
                      marks=pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                                               reason="this Python has no integer digit limit")),
@@ -1066,26 +1090,6 @@ class TestMalformedInput:
         assert run(["report", "--in", str(stream), "--out", str(tmp_path / "r.json")]) == 2
         assert capsys.readouterr().err.startswith(
             "chronolint: bad anomaly record at line 2: maximum recursion depth exceeded")
-
-    @pytest.mark.parametrize("command", ["scan", "corpus"])
-    @pytest.mark.parametrize("policy, key", [
-        ({"cutof": "2030-01-01"}, "cutof"),
-        ({"drop_flagged_kinds": ["bogus"]}, "drop_flagged_kinds"),
-        ([], "is not a JSON object"),
-    ])
-    def test_bad_policy_in_config(self, tmp_path, capsys, command, policy, key):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"policy": policy}))
-        src = tmp_path / "in.jsonl"
-        src.write_bytes(emit_export_stream([rec("a")]))
-        build_repo(tmp_path / "r", [{"key": "a", "commit_epoch": 0}])
-        listing = tmp_path / "repos.txt"
-        listing.write_text(f"{tmp_path / 'r'}\n")
-        out = tmp_path / "r.json"
-        source = ["--jsonl", str(src)] if command == "scan" else ["--list", str(listing)]
-        assert run([command, *source, "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"chronolint: policy {key}")
-        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["scan", "--jsonl", "{jsonl}", "--top", "0"],
@@ -1164,21 +1168,19 @@ class TestMalformedInput:
     ])
     def test_bad_policy_value_same_text_everywhere(self, tmp_path, capsys, policy, message):
         """A bad value is refused with one text whether the policy is read
-        from JSON, by filter --policy or scan --config, or made in Python."""
+        from JSON, by filter --policy, or made in Python."""
         with pytest.raises(ConfigError) as from_json:
             cli.policy_from_object(json.loads(json.dumps(policy)))
         with pytest.raises(ConfigError) as made:
             FilterPolicy(**policy)
         assert str(from_json.value) == str(made.value) == message
-        path = tmp_path / "settings.json"
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(policy))
         src = tmp_path / "in.jsonl"
         src.write_bytes(emit_export_stream([rec("a")]))
-        for command, flag, settings in (("filter", "--policy", policy),
-                                        ("scan", "--config", {"policy": policy})):
-            path.write_text(json.dumps(settings))
-            assert run([command, "--jsonl", str(src), flag, str(path),
-                        "--out", str(tmp_path / "out")]) == 2
-            assert capsys.readouterr().err == f"chronolint: {message}\n"
+        assert run(["filter", "--jsonl", str(src), "--policy", str(path),
+                    "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"chronolint: {message}\n"
 
     @pytest.mark.parametrize("basis", [{}, ["author"]], ids=["object", "list"])
     def test_policy_time_basis_not_a_string(self, tmp_path, capsys, basis):
@@ -1607,6 +1609,23 @@ class TestCorpus:
         listing.write_text(f"{tmp_path / 'a'}\n{tmp_path / 'b'}\n")
         assert run(["corpus", "--list", str(listing),
                     "--out", str(tmp_path / "o.json")]) == 2
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_git_that_cannot_be_run_stops_the_corpus(self, jobs, tmp_path, monkeypatch,
+                                                     capsys):
+        """A git that cannot be started fails every entry alike, so it is the
+        run's one error, not each entry's: one line, exit 2 and no report."""
+        r1, r2 = self.make_repos(tmp_path)
+        listing = tmp_path / "list.txt"
+        listing.write_text(f"{r1}\n{r2}\n")
+        monkeypatch.setenv("CHRONOLINT_GIT", os.devnull)
+        out = tmp_path / "o.json"
+        assert run(["corpus", "--list", str(listing), "--jobs", jobs, "--reference", REF,
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"chronolint: git executable {os.devnull!r} cannot be run: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_jobs_and_order_deterministic(self, tmp_path):
         r1, r2 = self.make_repos(tmp_path)
