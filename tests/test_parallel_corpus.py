@@ -1,7 +1,8 @@
 """``corpus --jobs N`` in forked workers gives the outputs of ``--jobs 1``.
 
 The report, the anomaly stream, stderr and the exit code are compared byte
-for byte across job counts and list orders. The process tests make workers
+for byte across job counts and list orders, and a corpus is checked against
+``scan --jsonl`` over its entries' ``filter --repo`` exports. The process tests make workers
 fail in every way a worker can, and check that each costs time but never a
 result, and that no child process, pipe or CPU placement outlives the run.
 """
@@ -9,10 +10,12 @@ result, and that no child process, pipe or CPU placement outlives the run.
 import contextlib
 import gc
 import io
+import json
 import os
 import pickle
 import random
 import signal
+import subprocess
 import sys
 import tempfile
 import threading
@@ -23,7 +26,7 @@ from unittest import mock
 import pytest
 
 from chronolint import cli, parallel
-from helpers import build_repo, write_raw_commit
+from helpers import build_repo, init_repo, write_raw_commit
 
 REF = "2021-01-01T00:00:00+00:00"
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -118,6 +121,53 @@ class TestSameForAllJobs:
         assert lines[0].startswith(f"chronolint: {bad}: rejected ")
         assert lines[0].endswith(": bad timestamp: UTC offset out of range: '+2500'")
         assert lines[1].startswith(f"chronolint: {missing}: git ")
+
+
+@pytest.fixture(scope="module")
+def law_list(corpus_dir):
+    """The corpus's list with two entries added that hold no project: an
+    empty bare repository, and one whose only commit has an unreadable zone."""
+    root = corpus_dir
+    subprocess.run(["git", "init", "-q", "--bare", str(root / "empty.git")],
+                   check=True, capture_output=True)
+    init_repo(root / "zone-only")
+    write_raw_commit(root / "zone-only", (
+        "author A <a@example.com> 1500000120 +2500\n"
+        "committer A <a@example.com> 1500000120 +2500\n"
+    ), "out of range zone\n", "main")
+    entries = (root / "list.txt").read_text() + f"{root / 'empty.git'}\n{root / 'zone-only'}\n"
+    (root / "law.txt").write_text(entries)
+    return "law.txt"
+
+
+@needs_fork
+@pytest.mark.usefixtures("four_cpus")
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_corpus_is_a_scan_of_its_export(corpus_dir, law_list, jobs, tmp_path, capsys):
+    """A corpus reports what scan --jsonl reports on the concatenated
+    filter --repo exports of its entries, with no record dropped: the
+    exit code, the report on every key but meta, and the anomaly stream
+    byte for byte. An entry that fails the corpus exports nothing."""
+    code, report, stream, _ = corpus(corpus_dir, jobs, law_list)
+    policy, kept, export = tmp_path / "policy.json", tmp_path / "kept.jsonl", tmp_path / "all.jsonl"
+    policy.write_text('{"min_epoch_seconds": null}')
+    failed = []
+    with open(export, "wb") as fh:
+        for entry in sorted((corpus_dir / law_list).read_text().splitlines()):
+            if cli.main(["filter", "--repo", entry, "--policy", str(policy),
+                         "--out", str(kept)]) == cli.EXIT_CLEAN:
+                fh.write(kept.read_bytes())
+                kept.unlink()
+            else:
+                failed.append(entry)
+    scanned, rows = tmp_path / "report.json", tmp_path / "anomalies.jsonl"
+    again = cli.main(["scan", "--jsonl", str(export), "--reference", REF,
+                      "--out", str(scanned), "--anomalies-out", str(rows)])
+    capsys.readouterr()
+    report, scanned = json.loads(report), json.loads(scanned.read_bytes())
+    assert failed == [failure["entry"] for failure in report.pop("meta")["failures"]]
+    del scanned["meta"]
+    assert (again, scanned, rows.read_bytes()) == (code, report, stream)
 
 
 @needs_fork
