@@ -584,16 +584,14 @@ def _ensure_local(entries: list[str]) -> None:
             raise UsageError(f"corpus entries are local repository paths, not URLs: {entry}")
 
 
-Outcome = tuple[IngestReport, Scan] | str
-
-
-def scan_repository(path: str, step: Step[Scan]) -> Outcome:
-    """Read one repository of a corpus and run step over it: the ingest
-    report of the read and what the report needs of it, or the error that
-    fails it alone. path, the corpus list's entry, is also its project."""
+def scan_repository(path: str, step: Step[Scan]) -> tuple[IngestReport, Scan] | str:
+    """Read one repository of a corpus and run step over group_by_project's
+    projects of it, as scan does: the ingest report of the read and what the
+    report needs of it, or the error that fails it alone. path, the corpus
+    list's entry, is also its project."""
     try:
         records, report = read_repository(path, path)
-        return report, step({path: records})
+        return report, step(group_by_project(records))
     except GitEnvironmentError:  # every entry's alike: the run's error, not this entry's
         raise
     except (ChronolintError, OSError) as exc:
@@ -616,19 +614,6 @@ def object_store_size(path: str) -> int:
     return size
 
 
-def scan_repositories(paths: list[str], step: Step[Scan], jobs: int) -> list[Outcome]:
-    """scan_repository over each of paths, in up to jobs processes, the
-    outcomes in the order of paths: each repository is a unit of
-    parallel.share, as large as its object store, and scanned when it is
-    prepared, with no keys."""
-
-    def prepare(i: int) -> tuple[tuple[()], Callable[[], Outcome]]:
-        outcome = scan_repository(paths[i], step)
-        return (), lambda: outcome
-
-    return parallel.share(jobs, [object_store_size(path) for path in paths], prepare)
-
-
 def cmd_corpus(args: argparse.Namespace) -> int:
     cfg, rules, _ = settings_from(args)
     try:
@@ -639,7 +624,14 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if not entries:
         raise UsageError("corpus list is empty")
     _ensure_local(entries)
-    outcomes = scan_repositories(entries, scan_step(args, cfg, rules), args.jobs)
+    step = scan_step(args, cfg, rules)
+
+    def prepare(i: int) -> tuple[tuple[()], Callable[[], tuple[IngestReport, Scan] | str]]:
+        outcome = scan_repository(entries[i], step)  # scanned when prepared, with no keys
+        return (), lambda: outcome
+
+    # each repository is a unit of parallel.share, as large as its object store
+    outcomes = parallel.share(args.jobs, [object_store_size(path) for path in entries], prepare)
 
     # in the sorted list's order, so that stderr is the same whatever --jobs is
     failures: list[dict] = []

@@ -3,7 +3,7 @@ and how forked workers start, report back and end.
 
 ``share`` is the one driver of parallel work: a command gives it the sizes
 of its units (``cli.scan_units`` the reads of a JSONL export's byte ranges,
-``cli.scan_repositories`` a corpus's repositories), and it hands them out
+``cli.cmd_corpus`` a corpus's repositories), and it hands them out
 largest first from one queue, so a process that ends its units sooner takes
 more. A JSONL export is planned for a number of processes by what a process
 costs to start (``range_count``), then cut into several units for each

@@ -5,10 +5,9 @@ pipe's or a one-range export's one read, or a ranged export's one read per
 range) and is the only place where they reach ``parallel.share`` or the
 one-process step, and the only keeper of their ingest report. The AST guard
 keeps a second path from growing back: in ``cli.py``, only ``scan_units``
-and ``scan_repositories`` (the corpus's driver) may name ``parallel.share``,
-and only ``scan_units`` and ``cmd_corpus`` may name ``print_rejects``. The
-runner tests check that an input of one read runs in this process: no
-share, one read and one step.
+and ``cmd_corpus`` (whose units are whole repositories) may name
+``parallel.share`` or ``print_rejects``. The runner tests check that an
+input of one read runs in this process: no share, one read and one step.
 """
 
 import ast
@@ -48,7 +47,7 @@ def names_print_rejects(node):
 
 
 def test_only_the_runners_share():
-    assert owners(names_share) == {"scan_units", "scan_repositories"}
+    assert owners(names_share) == {"scan_units", "cmd_corpus"}
 
 
 def test_only_the_runner_and_corpus_print_rejects():
