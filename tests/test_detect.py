@@ -184,6 +184,23 @@ class TestOutOfOrderLinear:
             }
             assert with_excl <= without
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32), n=st.integers(1, 64), merge_exclusion=st.booleans())
+    def test_committer_rows_are_parent_rows(self, seed, n, merge_exclusion):
+        """On the committer basis a commit older than the one before it in
+        the linearization was not ready when that one was taken, so that one
+        is its newer parent: each linear row is a parent row, with the same
+        counterpart and delta. (The author basis breaks this today.)"""
+        history = build_history(random_records(random.Random(seed), n), "proj")
+        cfg = DetectorConfig(future_reference=CFG.future_reference,
+                             merge_exclusion=merge_exclusion)
+
+        def rows(found):
+            return {(a.commit_id, a.counterpart_id, a.delta_seconds) for a in found}
+
+        linear = rows(detect_out_of_order_linear(history, cfg))
+        assert linear <= rows(detect_out_of_order_parent(history, cfg))
+
 
 class TestOutOfOrderParent:
     def test_newer_parent_flagged(self):
