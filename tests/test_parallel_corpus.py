@@ -2,9 +2,10 @@
 
 The report, the anomaly stream, stderr and the exit code are compared byte
 for byte across job counts and list orders, and a corpus is checked against
-``scan --jsonl`` over its entries' ``filter --repo`` exports. The process tests make workers
-fail in every way a worker can, and check that each costs time but never a
-result, and that no child process, pipe or CPU placement outlives the run.
+``scan --jsonl`` over its entries' ``filter --repo`` exports. The process
+tests make workers fail in every way a worker can, and check that each costs
+time but never a result, and that no child process, pipe or CPU placement
+outlives the run.
 """
 
 import contextlib
@@ -143,7 +144,7 @@ def law_list(corpus_dir):
 @needs_fork
 @pytest.mark.usefixtures("four_cpus")
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_corpus_is_a_scan_of_its_export(corpus_dir, law_list, jobs, tmp_path, capsys):
+def test_corpus_is_a_scan_of_its_export(corpus_dir, law_list, jobs, tmp_path):
     """A corpus reports what scan --jsonl reports on the concatenated
     filter --repo exports of its entries, with no record dropped: the
     exit code, the report on every key but meta, and the anomaly stream
@@ -163,7 +164,6 @@ def test_corpus_is_a_scan_of_its_export(corpus_dir, law_list, jobs, tmp_path, ca
     scanned, rows = tmp_path / "report.json", tmp_path / "anomalies.jsonl"
     again = cli.main(["scan", "--jsonl", str(export), "--reference", REF,
                       "--out", str(scanned), "--anomalies-out", str(rows)])
-    capsys.readouterr()
     report, scanned = json.loads(report), json.loads(scanned.read_bytes())
     assert failed == [failure["entry"] for failure in report.pop("meta")["failures"]]
     del scanned["meta"]

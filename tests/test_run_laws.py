@@ -71,6 +71,11 @@ def scan(lines, units):
         return code, report.read_bytes(), stream.read_bytes()
 
 
+def summed(one, two):
+    """The sums, key by key, of two tables of counts."""
+    return {key: one.get(key, 0) + two.get(key, 0) for key in one.keys() | two.keys()}
+
+
 def rows(stream, rename=None):
     """The stream's rows as a multiset of canonical JSON texts, each row's
     project renamed by rename first."""
@@ -100,19 +105,14 @@ def test_line_order(sizes, seed, order):
 def test_disjoint_union(a_sizes, b_sizes, seed):
     a, b = export(records(seed, a_sizes, "a")), export(records(seed + 1, b_sizes, "b"))
     for units in UNITS:
-        (_, *one), (_, *two), (_, *both) = scan(a, units), scan(b, units), scan(a + b, units)
-        (one, one_rows), (two, two_rows), (both, both_rows) = (
-            (json.loads(report), stream.splitlines()) for report, stream in (one, two, both))
-
-        def summed(table):
-            return {key: one[table].get(key, 0) + two[table].get(key, 0)
-                    for key in one[table].keys() | two[table].keys()}
-
-        assert both["totals"] == summed("totals")
-        assert both["fingerprints"] == summed("fingerprints")
+        runs = [scan(lines, units) for lines in (a, b, a + b)]
+        one, two, both = (json.loads(report) for _, report, _ in runs)
+        for table in ("totals", "fingerprints"):
+            assert both[table] == summed(one[table], two[table])
         for kind, row in both["anomalies"].items():
             for column in ("count", "affected_projects"):
                 assert row[column] == one["anomalies"][kind][column] + two["anomalies"][kind][column]
+        one_rows, two_rows, both_rows = (stream.splitlines() for _, _, stream in runs)
         assert sorted(both_rows) == sorted(one_rows + two_rows)
 
 
